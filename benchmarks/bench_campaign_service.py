@@ -93,14 +93,8 @@ def run_campaign_service(out_json: str | None = None) -> dict:
             started = time.perf_counter()
             served = run_sweep(served_sweep, distributed=workers)
             served_s = time.perf_counter() - started
-            n_rt = scaled(50, minimum=5)
-            # persistent keep-alive connection (the default) vs one TCP
-            # connection per request — same server, same queue chatter
             rps = _queue_roundtrips_per_s(
-                HttpStore(server.url), n_rt, "bench_rt_ka"
-            )
-            rps_cold = _queue_roundtrips_per_s(
-                HttpStore(server.url, keep_alive=False), n_rt, "bench_rt_cold"
+                HttpStore(server.url), scaled(50, minimum=5)
             )
 
         if _stripped(direct.results) != _stripped(served.results):
@@ -116,8 +110,6 @@ def run_campaign_service(out_json: str | None = None) -> dict:
             "served_wall_s": served_s,
             "http_overhead_x": served_s / max(direct_s, 1e-9),
             "queue_requests_per_s": rps,
-            "queue_requests_per_s_no_keepalive": rps_cold,
-            "keepalive_speedup_x": rps / max(rps_cold, 1e-9),
             "fresh_evaluations": served.fresh_evaluations,
         }
 
@@ -131,11 +123,7 @@ def run_campaign_service(out_json: str | None = None) -> dict:
         f"direct {direct_s:.2f}s, via server {served_s:.2f}s "
         f"({report['http_overhead_x']:.2f}x)"
     )
-    print(
-        f"queue hot path: {rps:.0f} requests/s keep-alive vs "
-        f"{rps_cold:.0f} requests/s per-request connections "
-        f"({report['keepalive_speedup_x']:.2f}x)"
-    )
+    print(f"queue hot path: {rps:.0f} requests/s")
 
     out_path = out_json or os.environ.get(
         "BENCH_SERVE_OUT", "BENCH_campaign_service.json"

@@ -1,7 +1,8 @@
 """AutoLock: automatic design of logic locking with evolutionary computation.
 
-Reproduction of Wang et al., DSN 2023 (Doctoral Forum). See DESIGN.md for
-the system inventory and EXPERIMENTS.md for the experiment index.
+Reproduction of Wang et al., DSN 2023 (Doctoral Forum). README.md
+documents the command line and the packages below; the paper's
+experiments are the ``benchmarks/bench_e*.py`` scripts.
 
 Public API highlights
 ---------------------

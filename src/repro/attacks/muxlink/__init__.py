@@ -24,7 +24,7 @@ from repro.attacks.muxlink.mlp_predictor import MlpLinkPredictor
 from repro.attacks.muxlink.subgraph import (
     EnclosingSubgraph,
     drnl_from_distances,
-    extract_enclosing_subgraph,
+    extract_enclosing_subgraphs,
 )
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "ObservedGraph",
     "extract_observed",
     "EnclosingSubgraph",
-    "extract_enclosing_subgraph",
+    "extract_enclosing_subgraphs",
     "drnl_from_distances",
 ]

@@ -52,12 +52,6 @@ _BATCH_LINKS = obs_metrics.METRICS.histogram(
     labels=("predictor",),
     buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096),
 )
-_SCALAR_FALLBACK = obs_metrics.METRICS.counter(
-    "autolock_predictor_scalar_fallback_total",
-    "Link-scoring calls that took a per-link scalar path instead of a "
-    "batched one, by predictor and reason",
-    labels=("predictor", "reason"),
-)
 
 
 @register_attack("muxlink")
@@ -146,11 +140,8 @@ class MuxLinkAttack(Attack):
 
             # One predictor call for every candidate link of every site:
             # batching amortises feature extraction across the whole
-            # population of queries. Scores come back in request order,
-            # so re-accumulating below reproduces the historical
-            # per-link loop bit for bit; predictors without the batch
-            # API (third-party registrations) fall back to that loop.
-            score_links = getattr(predictor, "score_links", None)
+            # population of queries. Scores come back in request order
+            # and are re-accumulated per site below.
             flat_pairs: list[tuple[int, int]] = []
             for q in queries:
                 d0 = graph.index[q.d0]
@@ -161,13 +152,7 @@ class MuxLinkAttack(Attack):
                     flat_pairs.append((d1, c))
             _BATCH_LINKS.observe(len(flat_pairs), predictor=self.predictor_name)
             score_started = time.perf_counter()
-            if score_links is not None:
-                flat_scores = score_links(flat_pairs)
-            else:
-                _SCALAR_FALLBACK.inc(
-                    predictor=self.predictor_name, reason="no_batch_api"
-                )
-                flat_scores = [predictor.score_link(u, v) for u, v in flat_pairs]
+            flat_scores = predictor.score_links(flat_pairs)
             _SCORE_SECONDS.observe(
                 time.perf_counter() - score_started,
                 predictor=self.predictor_name,

@@ -59,29 +59,18 @@ class BayesLinkPredictor:
 
     def score_link(self, u: int, v: int) -> float:
         """Log-likelihood that ``u`` truly drives ``v``."""
-        if self._log_cond is None or self._graph is None:
-            raise AttackError("predictor not fitted")
-        graph = self._graph
-        score = float(
-            self._log_cond[type_index(graph.gtypes[u]), type_index(graph.gtypes[v])]
-        )
-        # Level-locality likelihood: real wires span ~1 logic level; D-MUX
-        # decoys drawn from arbitrary locations rarely do.
-        score += float(self._log_delta[_delta_bin(graph.levels[v] - graph.levels[u])])
-        # Degree compatibility: drivers of many consumers are a priori more
-        # plausible sources; dampened to stay a tie-breaker.
-        score += 0.1 * np.log1p(graph.degree(u)) - 0.05 * abs(
-            graph.degree(u) - self._mean_degree
-        ) / max(1.0, self._mean_degree)
-        return score
+        return float(self.score_links([(u, v)])[0])
 
     def score_links(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Vectorised :meth:`score_link` over many candidate links.
+        """Log-likelihood that ``u`` truly drives ``v``, per candidate link.
 
-        All three terms are elementwise table lookups and arithmetic, so
-        the vector form reproduces the scalar values bit for bit — the
-        expression below keeps the scalar path's exact operation
-        grouping ``(cond + delta) + (degree_bonus - degree_penalty)``.
+        Three terms: the conditional type likelihood; the level-locality
+        likelihood (real wires span ~1 logic level, D-MUX decoys drawn
+        from arbitrary locations rarely do); and a degree-compatibility
+        tie-breaker (drivers of many consumers are a priori more
+        plausible sources). All are elementwise table lookups and
+        arithmetic grouped ``(cond + delta) + (bonus - penalty)``, so the
+        per-link reference in ``tests/reference/`` matches bit for bit.
         """
         if self._log_cond is None or self._graph is None:
             raise AttackError("predictor not fitted")

@@ -2,8 +2,9 @@
 
 Two feature families:
 
-* :func:`subgraph_feature_matrix` — per-node features for the GNN
-  (gate-type one-hot ⊕ DRNL one-hot ⊕ scaled degree);
+* :func:`subgraph_feature_matrix_stack` — per-node features for the
+  GNN (gate-type one-hot ⊕ DRNL one-hot ⊕ scaled degree ⊕ level
+  offsets), row-stacked over a batch of enclosing subgraphs;
 * :func:`link_feature_vector` — a fixed-length descriptor of a candidate
   link for the fast MLP predictor (endpoint types, degrees, common-
   neighbour statistics, bounded distance, neighbourhood type histograms).
@@ -70,30 +71,8 @@ SUBGRAPH_EXTRA_FEATURES = 3
 
 
 def subgraph_feature_dim(max_label: int = 8) -> int:
-    """Width of :func:`subgraph_feature_matrix` rows."""
+    """Width of :func:`subgraph_feature_matrix_stack` rows."""
     return N_TYPES + max_label + 1 + SUBGRAPH_EXTRA_FEATURES
-
-
-def subgraph_feature_matrix(
-    graph: ObservedGraph, sub: EnclosingSubgraph, max_label: int = 8
-) -> np.ndarray:
-    """Per-node GNN features: type one-hot ⊕ DRNL one-hot ⊕ degree/levels.
-
-    The level offsets to the candidate driver (position 0) and consumer
-    (position 1) give the GNN the same locality signal the MLP features
-    encode, without which D-MUX decoys are nearly indistinguishable.
-    """
-    n = sub.n_nodes
-    feats = np.zeros((n, subgraph_feature_dim(max_label)), dtype=np.float64)
-    lvl_u = graph.levels[sub.node_ids[0]]
-    lvl_v = graph.levels[sub.node_ids[1]]
-    for pos, nid in enumerate(sub.node_ids):
-        feats[pos, type_index(graph.gtypes[nid])] = 1.0
-        feats[pos, N_TYPES + int(sub.drnl[pos])] = 1.0
-        feats[pos, -3] = np.log1p(graph.degree(nid))
-        feats[pos, -2] = np.clip(graph.levels[nid] - lvl_u, -4, 4) / 4.0
-        feats[pos, -1] = np.clip(graph.levels[nid] - lvl_v, -4, 4) / 4.0
-    return feats
 
 
 def subgraph_feature_matrix_stack(
@@ -101,13 +80,15 @@ def subgraph_feature_matrix_stack(
     subs: list[EnclosingSubgraph],
     max_label: int = 8,
 ) -> np.ndarray:
-    """Row-stacked :func:`subgraph_feature_matrix` for a batch of subgraphs.
+    """Per-node GNN features, row-stacked over a batch of subgraphs.
 
-    One vectorised pass over the concatenated node lists instead of a
-    Python loop per node: one-hots via fancy indexing, degrees read from
-    the CSR snapshot, level offsets via per-graph repeats. The
-    elementwise ops (``log1p``/``clip``) match the scalar builder, so
-    each block equals its per-subgraph matrix.
+    Each row is type one-hot ⊕ DRNL one-hot ⊕ log-degree ⊕ the clipped
+    level offsets to the subgraph's candidate driver (position 0) and
+    consumer (position 1). The level offsets give the GNN the same
+    locality signal the MLP features encode, without which D-MUX decoys
+    are nearly indistinguishable. One vectorised pass over the
+    concatenated node lists: one-hots via fancy indexing, degrees read
+    from the CSR snapshot, level offsets via per-graph repeats.
     """
     if not subs:
         return np.zeros((0, subgraph_feature_dim(max_label)))

@@ -9,7 +9,6 @@ generalise across locations in the netlist.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,41 +35,6 @@ class EnclosingSubgraph:
         return len(self.node_ids)
 
 
-def _bounded_bfs(
-    graph: ObservedGraph, start: int, max_depth: int
-) -> dict[int, int]:
-    """Distances from ``start`` up to ``max_depth`` hops."""
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        node = frontier.popleft()
-        d = dist[node]
-        if d == max_depth:
-            continue
-        for nxt in graph.adj[node]:
-            if nxt not in dist:
-                dist[nxt] = d + 1
-                frontier.append(nxt)
-    return dist
-
-
-def _subgraph_distances(
-    nodes: list[int], adj_sets: list[set[int]], start_pos: int
-) -> np.ndarray:
-    """BFS distances inside the induced subgraph (positions, not ids)."""
-    n = len(nodes)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[start_pos] = 0
-    frontier = deque([start_pos])
-    while frontier:
-        pos = frontier.popleft()
-        for nxt in adj_sets[pos]:
-            if dist[nxt] < 0:
-                dist[nxt] = dist[pos] + 1
-                frontier.append(nxt)
-    return dist
-
-
 def drnl_from_distances(du: np.ndarray, dv: np.ndarray, max_label: int) -> np.ndarray:
     """DRNL label per node from distances to the two endpoints.
 
@@ -91,59 +55,6 @@ def drnl_from_distances(du: np.ndarray, dv: np.ndarray, max_label: int) -> np.nd
     # unreachable once the candidate edge is excluded.
     labels[(du == 0) | (dv == 0)] = 1
     return np.clip(labels, 0, max_label)
-
-
-def extract_enclosing_subgraph(
-    graph: ObservedGraph,
-    u: int,
-    v: int,
-    hops: int = 2,
-    max_nodes: int = 120,
-    max_label: int = 8,
-) -> EnclosingSubgraph:
-    """Extract the ``hops``-hop enclosing subgraph of candidate link (u, v).
-
-    The (u, v) edge itself — if present — is excluded from both the
-    adjacency and the distance computation, per the SEAL protocol.
-    Oversized neighbourhoods are truncated deterministically, keeping the
-    nodes closest to either endpoint.
-    """
-    removed = graph.remove_undirected(u, v)
-    try:
-        dist_u = _bounded_bfs(graph, u, hops)
-        dist_v = _bounded_bfs(graph, v, hops)
-        members = set(dist_u) | set(dist_v)
-        members.discard(u)
-        members.discard(v)
-        ordered = sorted(
-            members,
-            key=lambda x: (
-                min(dist_u.get(x, hops + 1), dist_v.get(x, hops + 1)),
-                x,
-            ),
-        )
-        node_ids = [u, v] + ordered[: max(0, max_nodes - 2)]
-        pos_of = {nid: pos for pos, nid in enumerate(node_ids)}
-        adj_sets: list[set[int]] = [set() for _ in node_ids]
-        for pos, nid in enumerate(node_ids):
-            for nxt in graph.adj[nid]:
-                nxt_pos = pos_of.get(nxt)
-                if nxt_pos is not None:
-                    adj_sets[pos].add(nxt_pos)
-
-        du = _subgraph_distances(node_ids, adj_sets, 0)
-        dv = _subgraph_distances(node_ids, adj_sets, 1)
-        labels = drnl_from_distances(du, dv, max_label)
-
-        n = len(node_ids)
-        adj = np.zeros((n, n), dtype=np.float64)
-        for pos, nbrs in enumerate(adj_sets):
-            for nxt in nbrs:
-                adj[pos, nxt] = 1.0
-        return EnclosingSubgraph(node_ids=node_ids, adj=adj, drnl=labels)
-    finally:
-        if removed:
-            graph.restore_undirected(u, v)
 
 
 def _gather_slices(
@@ -176,9 +87,9 @@ def _batch_bounded_bfs(
     expands every pair's frontier in one multi-slice gather, masking
     pair b's candidate edge ``(starts[b], mates[b])`` in both directions
     (the SEAL exclusion, applied logically instead of mutating the
-    graph). Returns flat ``(visited, dist)`` arrays of size B*n.
-    Equivalent to running :func:`_bounded_bfs` per pair on a graph with
-    that pair's undirected candidate edge removed.
+    graph). Returns flat ``(visited, dist)`` arrays of size B*n: per
+    pair, the bounded BFS distances on a graph with that pair's
+    undirected candidate edge removed.
     """
     n_pairs = starts.size
     visited = np.zeros(n_pairs * n, dtype=bool)
@@ -247,15 +158,19 @@ def extract_enclosing_subgraphs(
     max_nodes: int = 120,
     max_label: int = 8,
 ) -> list[EnclosingSubgraph]:
-    """Batched :func:`extract_enclosing_subgraph` over many candidate links.
+    """The ``hops``-hop enclosing subgraph of every candidate link (u, v).
 
-    Produces subgraphs equal (node order, adjacency, DRNL labels) to the
-    per-pair extractor, but amortises the work across the whole batch:
-    one CSR adjacency snapshot (:meth:`ObservedGraph.csr`) shared by
-    every pair, every pair's bounded BFS advanced together one level at
-    a time over flat int arrays (:func:`_batch_bounded_bfs`), one
-    lexsort ordering/truncating all neighbourhoods at once, and the
-    DRNL distance passes run on the stacked block-diagonal subgraphs
+    Each pair's (u, v) edge — if present — is excluded from both the
+    adjacency and the distance computation, per the SEAL protocol.
+    Oversized neighbourhoods are truncated deterministically, keeping the
+    nodes closest to either endpoint (ties broken by node id).
+
+    The work is amortised across the whole batch: one CSR adjacency
+    snapshot (:meth:`ObservedGraph.csr`) shared by every pair, every
+    pair's bounded BFS advanced together one level at a time over flat
+    int arrays (:func:`_batch_bounded_bfs`), one lexsort
+    ordering/truncating all neighbourhoods at once, and the DRNL
+    distance passes run on the stacked block-diagonal subgraphs
     (:func:`_block_distances`) instead of per pair.
     """
     if not pairs:
@@ -291,8 +206,8 @@ def extract_enclosing_subgraphs(
     unreachable = hops + 1
     du_m = np.where(visited_u[mem_keys], dist_u[mem_keys], unreachable)
     dv_m = np.where(visited_v[mem_keys], dist_v[mem_keys], unreachable)
-    # Same ordering as the scalar extractor — (min endpoint distance,
-    # node id) within each pair — in a single lexsort over the batch.
+    # Order by (min endpoint distance, node id) within each pair, in a
+    # single lexsort over the batch.
     order = np.lexsort((mem_node, np.minimum(du_m, dv_m), mem_pid))
     sorted_pid = mem_pid[order]
     group_start = np.flatnonzero(

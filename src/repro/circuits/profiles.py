@@ -5,7 +5,7 @@ characteristics (Brglez & Fujiwara, 1985); gate-type mixes approximate
 each circuit's documented composition (e.g. the XOR-rich c499, the
 AND/NOR multiplier fabric of c6288). The synthetic circuits carry a
 ``_syn`` suffix to make the substitution explicit everywhere they are
-reported (DESIGN.md §3).
+reported (see :mod:`repro.circuits` for why it is sound).
 """
 
 from __future__ import annotations

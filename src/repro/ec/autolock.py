@@ -23,17 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.attacks.muxlink.attack import MuxLinkAttack
-from repro.attacks.scope import ScopeAttack
 from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
 from repro.ec.fitness import (
     FitnessCache,
     MuxLinkFitness,
+    SpecFitness,
     cache_namespace,
-    resilience_accuracy,
 )
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
-from repro.ec.genotype import genotype_key, random_genotype
+from repro.ec.genotype import random_genotype
 from repro.locking.base import LockedCircuit
 from repro.locking.genome_lock import lock_with_genes
 from repro.locking.primitives import DEFAULT_ALPHABET, resolve_alphabet
@@ -226,29 +224,15 @@ class AutoLock:
                 attack_seed=seeds[2],
             ),
         )
-        report_attack = MuxLinkAttack(
-            predictor=cfg.report_predictor, ensemble=cfg.report_ensemble
+        report = SpecFitness(
+            original,
+            "muxlink",
+            {"predictor": cfg.report_predictor, "ensemble": cfg.report_ensemble},
+            attack_seed=seeds[2],
+            cache=report_cache,
         )
-        report_scope = ScopeAttack()
-        report_evaluations = 0
-
-        def report_accuracy(genes) -> float:
-            nonlocal report_evaluations
-            key = genotype_key(genes)
-            cached = report_cache.get(key)
-            if cached is not None:
-                return float(cached)
-            locked_genes = lock_with_genes(original, genes)
-            report = report_attack.run(locked_genes, seed_or_rng=seeds[2])
-            acc = resilience_accuracy(
-                locked_genes, genes, report, report_scope, seeds[2]
-            )
-            report_evaluations += 1
-            report_cache.put(key, acc)
-            return acc
-
-        baseline_accs = [report_accuracy(genes) for genes in initial]
-        evolved_acc = report_accuracy(result.best_genotype)
+        baseline_accs = [report(genes) for genes in initial]
+        evolved_acc = report(result.best_genotype)
 
         return AutoLockResult(
             locked=locked,
@@ -259,6 +243,6 @@ class AutoLock:
             cache_hits=cache.hits,
             runtime_s=time.perf_counter() - started,
             baseline_population_accuracies=[float(a) for a in baseline_accs],
-            report_evaluations=report_evaluations,
+            report_evaluations=report.evaluations,
             report_cache_hits=report_cache.hits,
         )

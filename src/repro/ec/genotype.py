@@ -13,7 +13,8 @@ a wire another gene consumed) or became inapplicable;
 :func:`repair_genotype` restores validity deterministically by
 re-sampling offending genes *within their own kind*, which keeps
 selection pressure on the valid design space instead of wasting fitness
-evaluations on penalty scores (see DESIGN.md §5 for the ablation) and
+evaluations on penalty scores (an invalid individual would cost an
+attack run and hand the search a flat, uninformative value) and
 preserves the genotype's primitive mix.
 """
 

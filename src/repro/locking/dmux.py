@@ -27,7 +27,9 @@ Two key-wiring strategies are provided:
 
 Cycle safety: inserting the pair adds paths ``f_j ⇒ g_i`` and
 ``f_i ⇒ g_j``; the insertion is rejected unless *neither* ``g_i ⇝ f_j``
-nor ``g_j ⇝ f_i`` holds in the current netlist (see DESIGN.md §5).
+nor ``g_j ⇝ f_i`` holds in the current netlist, since either path would
+close a combinational loop — a netlist with no topological order, which
+the simulator and the SAT attack's Tseitin encoding cannot evaluate.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ can seed the evolutionary search.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import LockingError
 from repro.locking.base import LockedCircuit
@@ -51,6 +51,23 @@ def lock_with_genes(
     inapplicable; the evolutionary operators are expected to repair
     genotypes *before* building phenotypes.
     """
+    return apply_genes(original, genes, original.copy, key_prefix)
+
+
+def apply_genes(
+    original: Netlist,
+    genes: Sequence[Gene],
+    start: Callable[[str], Netlist],
+    key_prefix: str = "keyinput",
+) -> LockedCircuit:
+    """The one gene-application body behind every genotype → phenotype map.
+
+    ``start(name)`` returns the netlist the genes mutate: a deep copy of
+    ``original`` (:func:`lock_with_genes`) or a copy-on-write view of it
+    (:class:`~repro.locking.delta.DeltaRelocker`). Validation, naming,
+    insertion order, key and scheme label are shared, so both builders
+    produce the same circuit and the same errors.
+    """
     if not genes:
         raise LockingError("genotype must contain at least one gene")
     seen_wires: set[tuple[str, str]] = set()
@@ -63,7 +80,7 @@ def lock_with_genes(
                 )
             seen_wires.add(wire)
 
-    locked = original.copy(f"{original.name}_auto{len(genes)}")
+    locked = start(f"{original.name}_auto{len(genes)}")
     insertions: list[Any] = []
     for idx, gene in enumerate(genes):
         try:

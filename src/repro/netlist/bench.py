@@ -20,8 +20,10 @@ Extensions honoured here:
   by the published locked benchmarks) are also classified as key inputs.
 * ``CONST0()`` / ``CONST1()`` constant drivers.
 
-Sequential primitives (``DFF``) are rejected with a clear message: the
-reproduction is combinational-only (see DESIGN.md §1).
+Sequential primitives (``DFF``/``LATCH``) are rejected with a clear
+message: the simulator, the SAT attack's Tseitin encoding and every
+locking primitive model combinational logic only, as the ISCAS-85
+evaluation in the paper does.
 """
 
 from __future__ import annotations
@@ -88,8 +90,10 @@ def parse_bench(text: str, name: str = "design") -> Netlist:
             type_str = _TYPE_ALIASES.get(type_str, type_str)
             if type_str in ("DFF", "LATCH"):
                 raise BenchParseError(
-                    f"sequential element {type_str} is not supported "
-                    "(combinational reproduction, see DESIGN.md)",
+                    f"sequential element {type_str} is not supported: "
+                    "only combinational netlists can be simulated, "
+                    "attacked and locked; cut flip-flops into "
+                    "pseudo-primary inputs/outputs first",
                     line_no,
                 )
             try:

@@ -28,9 +28,8 @@ once instead of per request. The connection is fork-safe — a child
 process detects the inherited socket via a PID stamp and silently opens
 its own, never touching the parent's stream — and self-healing: a
 request that hits a stale keep-alive socket (server idled it out between
-requests) is retried once on a fresh connection. ``keep_alive=False``
-restores one-connection-per-request. Result streams always use a
-dedicated single-use connection so a long tail never starves the
+requests) is retried once on a fresh connection. Result streams always
+use a dedicated single-use connection so a long tail never starves the
 request/response channel.
 
 This module is imported during store-registry population, so it stays
@@ -100,7 +99,6 @@ class HttpStore:
         token: str | None = None,
         timeout_s: float = 30.0,
         client_id: str | None = None,
-        keep_alive: bool = True,
     ) -> None:
         url = str(path)
         if not is_url(url):
@@ -112,7 +110,6 @@ class HttpStore:
         self.token = token if token is not None else os.environ.get(TOKEN_ENV, "")
         self.timeout_s = timeout_s
         self.client_id = client_id or default_client_id()
-        self.keep_alive = keep_alive
         parsed = urllib.parse.urlsplit(self.url)
         self._netloc = parsed.netloc or self.url
         self._scheme = parsed.scheme or "http"
@@ -137,14 +134,12 @@ class HttpStore:
     def _checkout(
         self, timeout_s: float
     ) -> tuple[http.client.HTTPConnection, bool]:
-        """The connection to use and whether it carries keep-alive state.
+        """The persistent connection and whether it was already used.
 
         A reused connection may have been idled out by the server since
         the last request — callers retry once on a fresh one when the
         first attempt dies with a stale-socket signature.
         """
-        if not self.keep_alive:
-            return self._open_connection(timeout_s), False
         if self._conn is not None and self._conn_pid != os.getpid():
             # Forked child: the socket is the *parent's* stream. Closing
             # it here would send FIN on their behalf; just drop the
@@ -224,8 +219,6 @@ class HttpStore:
                 self._discard(conn)
                 self._raise_unreachable(exc)
             break
-        if not self.keep_alive:
-            conn.close()
         if response.status != 200:
             self._raise_http_error(route, response, body)
         return json.loads(body) if body else None

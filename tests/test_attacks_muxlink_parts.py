@@ -13,7 +13,7 @@ from repro.attacks.muxlink.features import (
     link_feature_vector,
     make_training_pairs,
     subgraph_feature_dim,
-    subgraph_feature_matrix,
+    subgraph_feature_matrix_stack,
     type_index,
 )
 from repro.attacks.muxlink.graph import (
@@ -23,7 +23,7 @@ from repro.attacks.muxlink.graph import (
 )
 from repro.attacks.muxlink.subgraph import (
     drnl_from_distances,
-    extract_enclosing_subgraph,
+    extract_enclosing_subgraphs,
 )
 from repro.netlist.gates import GateType
 
@@ -128,11 +128,11 @@ def _path_graph(n=6):
 
 def test_enclosing_subgraph_excludes_candidate_edge():
     g = _path_graph()
-    sub = extract_enclosing_subgraph(g, 2, 3, hops=2)
+    (sub,) = extract_enclosing_subgraphs(g, [(2, 3)], hops=2)
     # Candidate edge (2,3) exists in g but must be excluded from sub.adj.
     pos = {nid: i for i, nid in enumerate(sub.node_ids)}
     assert sub.adj[pos[2], pos[3]] == 0.0
-    # ... and restored in the parent graph afterwards.
+    # ... without touching the parent graph.
     assert g.has_edge(2, 3)
     assert sub.node_ids[0] == 2 and sub.node_ids[1] == 3
     assert sub.adj.shape == (sub.n_nodes, sub.n_nodes)
@@ -142,7 +142,7 @@ def test_enclosing_subgraph_excludes_candidate_edge():
 
 def test_enclosing_subgraph_hops_bound():
     g = _path_graph(10)
-    sub = extract_enclosing_subgraph(g, 4, 5, hops=1)
+    (sub,) = extract_enclosing_subgraphs(g, [(4, 5)], hops=1)
     # 1 hop around nodes 4,5 (edge removed): {3,4} ∪ {5,6}
     assert set(sub.node_ids) == {3, 4, 5, 6}
 
@@ -156,7 +156,9 @@ def test_enclosing_subgraph_max_nodes_truncation():
         s = g.add_node(f"s{i}", "OR", gate=True)
         g.add_edge(hub, s)
     g.compute_levels()
-    sub = extract_enclosing_subgraph(g, hub, spoke0, hops=2, max_nodes=10)
+    (sub,) = extract_enclosing_subgraphs(
+        g, [(hub, spoke0)], hops=2, max_nodes=10
+    )
     assert sub.n_nodes == 10
 
 
@@ -184,10 +186,10 @@ def test_positive_features_mask_the_edge(dmux_locked):
 def test_subgraph_feature_matrix_shape(dmux_locked):
     graph, queries = extract_observed(dmux_locked.netlist)
     q = queries[0]
-    sub = extract_enclosing_subgraph(
-        graph, graph.index[q.d0], graph.index[q.consumers[0]], hops=2
+    (sub,) = extract_enclosing_subgraphs(
+        graph, [(graph.index[q.d0], graph.index[q.consumers[0]])], hops=2
     )
-    feats = subgraph_feature_matrix(graph, sub, max_label=8)
+    feats = subgraph_feature_matrix_stack(graph, [sub], max_label=8)
     assert feats.shape == (sub.n_nodes, subgraph_feature_dim(8))
     # Exactly one type bit and one DRNL bit per node.
     assert np.all(feats[:, :12].sum(axis=1) == 1.0)
@@ -272,3 +274,31 @@ def test_make_training_pairs_deterministic(dmux_locked):
     b = make_training_pairs(graph, 60, seed_or_rng=2)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+# ------------------------------------------------------- predictor oracles
+def test_bayes_score_links_bitwise_equals_reference(dmux_locked):
+    """Batched Bayes scores equal the per-link reference bit for bit,
+    over every MUX candidate link plus observed wires and random pairs."""
+    from reference.muxlink import bayes_score_link
+    from repro.attacks.muxlink.bayes import BayesLinkPredictor
+
+    graph, queries = extract_observed(dmux_locked.netlist)
+    predictor = BayesLinkPredictor()
+    predictor.fit(graph)
+    pairs = []
+    for q in queries:
+        for consumer in q.consumers:
+            c = graph.index[consumer]
+            pairs += [(graph.index[q.d0], c), (graph.index[q.d1], c)]
+    pairs += graph.directed_edges[:20]
+    rng = np.random.default_rng(4)
+    pairs += [
+        tuple(int(x) for x in rng.integers(0, graph.n_nodes, size=2))
+        for _ in range(20)
+    ]
+    want = np.array([bayes_score_link(predictor, u, v) for u, v in pairs])
+    assert np.array_equal(predictor.score_links(pairs), want)
+    u, v = pairs[0]
+    assert predictor.score_link(u, v) == want[0]
+    assert predictor.score_links([]).shape == (0,)

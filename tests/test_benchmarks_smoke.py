@@ -45,7 +45,6 @@ BENCH_ENTRY_POINTS = [
     ("bench_async_loop", "run_async_loop"),
     ("bench_async_loop", "run_disabled_telemetry_overhead"),
     ("bench_delta_relock", "run_delta_relock"),
-    ("bench_gnn_batch", "run_gnn_batch"),
     ("bench_alphabet_ablation", "run_alphabet_ablation"),
 ]
 

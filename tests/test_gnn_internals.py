@@ -1,20 +1,24 @@
-"""GNN link predictor internals: hand-derived gradients vs finite differences."""
+"""GNN link predictor internals: hand-derived gradients vs finite
+differences, and the batched pipeline vs the per-link reference."""
 
 import numpy as np
 import pytest
 
+from reference.muxlink import (
+    extract_enclosing_subgraph,
+    gnn_fit,
+    gnn_score_link,
+    subgraph_feature_matrix,
+)
+from repro.attacks.muxlink.features import subgraph_feature_matrix_stack
 from repro.attacks.muxlink.gnn import (
     GnnLinkPredictor,
     _BlockDiagAdj,
     _GraphConvStack,
     normalized_adjacency,
-    resolve_gnn_batch,
 )
 from repro.attacks.muxlink.graph import ObservedGraph
-from repro.attacks.muxlink.subgraph import (
-    extract_enclosing_subgraph,
-    extract_enclosing_subgraphs,
-)
+from repro.attacks.muxlink.subgraph import extract_enclosing_subgraphs
 
 
 def test_normalized_adjacency_rows_sum_to_one():
@@ -123,7 +127,7 @@ def test_gnn_subgraph_pipeline_on_disconnected_pair():
     g.add_edge(a, b)
     g.add_edge(c, d)
     g.compute_levels()
-    sub = extract_enclosing_subgraph(g, a, d, hops=2)
+    (sub,) = extract_enclosing_subgraphs(g, [(a, d)], hops=2)
     assert sub.n_nodes >= 2
     predictor = GnnLinkPredictor(hidden_dims=(4,), epochs=1, n_train=4)
     predictor.fit(g, seed_or_rng=2)
@@ -156,19 +160,37 @@ def _sample_pairs(g, k, seed=1):
 
 
 def test_batched_extraction_equals_scalar():
+    """The batched extractor equals the reference one pair at a time,
+    including observed-edge pairs (SEAL masking) and disconnected pairs;
+    the stacked feature matrix equals the per-subgraph reference."""
     g = _random_graph()
-    # mix of random pairs, true edges, and a disconnected pair
+    # mix of random pairs, true edges in both directions, and a
+    # disconnected pair
     pairs = _sample_pairs(g, 20)
-    pairs += [tuple(g.directed_edges[0]), tuple(g.directed_edges[7])]
+    u0, v0 = g.directed_edges[0]
+    pairs += [(u0, v0), (v0, u0), tuple(g.directed_edges[7])]
     iso = g.add_node("iso", "AND", gate=True)
     g.compute_levels()
-    pairs.append((0, iso))
-    batched = extract_enclosing_subgraphs(g, pairs, hops=2, max_nodes=40)
-    for (u, v), got in zip(pairs, batched):
-        want = extract_enclosing_subgraph(g, u, v, hops=2, max_nodes=40)
-        assert got.node_ids == want.node_ids
-        assert np.array_equal(got.adj, want.adj)
-        assert np.array_equal(got.drnl, want.drnl)
+    pairs += [(0, iso), (iso, 1)]
+    for hops, max_nodes in ((2, 40), (1, 120), (3, 12)):
+        batched = extract_enclosing_subgraphs(
+            g, pairs, hops=hops, max_nodes=max_nodes
+        )
+        assert len(batched) == len(pairs)
+        for (u, v), got in zip(pairs, batched):
+            want = extract_enclosing_subgraph(
+                g, u, v, hops=hops, max_nodes=max_nodes
+            )
+            assert got.node_ids == want.node_ids
+            assert np.array_equal(got.adj, want.adj)
+            assert np.array_equal(got.drnl, want.drnl)
+        stacked = subgraph_feature_matrix_stack(g, batched)
+        assert np.array_equal(
+            stacked,
+            np.concatenate([subgraph_feature_matrix(g, s) for s in batched]),
+        )
+    # the reference restores every masked edge
+    assert g.has_edge(u0, v0)
 
 
 def test_block_diag_operator_matches_dense():
@@ -193,24 +215,40 @@ def test_block_diag_operator_matches_dense():
 
 def test_batched_logits_match_scalar_on_ragged_batch():
     """No padding/block-diag leakage: every logit in a ragged batch equals
-    the same link scored alone through the scalar path."""
+    the same link scored alone through the reference dense forward."""
     g = _random_graph(seed=5)
     predictor = GnnLinkPredictor(
-        hidden_dims=(8, 4), mlp_hidden=8, epochs=2, n_train=30, batch="auto"
+        hidden_dims=(8, 4), mlp_hidden=8, epochs=2, n_train=30
     )
     predictor.fit(g, seed_or_rng=9)
     pairs = _sample_pairs(g, 17, seed=6)  # odd count, ragged sizes
     batched = predictor.score_links(pairs)
-    scalar = np.array([predictor.score_link(u, v) for u, v in pairs])
+    scalar = np.array([gnn_score_link(predictor, u, v) for u, v in pairs])
     assert batched.shape == (17,)
     assert np.allclose(batched, scalar, rtol=0, atol=1e-9)
+
+
+def test_one_and_zero_pair_batches_match_reference():
+    """A one-pair batch (and ``score_link``) runs the batched path and
+    matches the reference forward; a zero-pair batch — a mixed genotype
+    without a MUX gene sends none — is an empty array."""
+    g = _ring_graph()
+    predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=1, n_train=10)
+    predictor.fit(g, seed_or_rng=3)
+    want = gnn_score_link(predictor, 0, 5)
+    single = predictor.score_links([(0, 5)])
+    assert single.shape == (1,)
+    assert abs(single[0] - want) < 1e-9
+    assert abs(predictor.score_link(0, 5) - want) < 1e-9
+    empty = predictor.score_links([])
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_batched_backward_matches_finite_differences():
     """FD check through the full batched pipeline: block-diagonal conv,
     segment readout, MLP head — every parameter."""
     g = _random_graph(n=25, n_edges=60, seed=7)
-    predictor = GnnLinkPredictor(hidden_dims=(5, 3), mlp_hidden=4, batch="auto")
+    predictor = GnnLinkPredictor(hidden_dims=(5, 3), mlp_hidden=4)
     predictor._graph = g
     predictor._build(11)
     subs = extract_enclosing_subgraphs(
@@ -248,61 +286,15 @@ def test_batched_backward_matches_finite_differences():
 
 
 def test_training_parity_auto_vs_off():
+    """Batched training walks the same trajectory as the reference
+    per-sample loop (same RNG stream, minibatches and Adam steps)."""
     g = _random_graph(seed=10)
-    auto = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24, batch="auto")
-    off = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24, batch="off")
-    auto.fit(g, seed_or_rng=13)
-    off.fit(g, seed_or_rng=13)
-    assert np.allclose(auto.train_history, off.train_history, atol=1e-9)
+    batched = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24)
+    scalar = GnnLinkPredictor(hidden_dims=(6, 3), epochs=3, n_train=24)
+    batched.fit(g, seed_or_rng=13)
+    gnn_fit(scalar, g, seed_or_rng=13)
+    assert np.allclose(batched.train_history, scalar.train_history, atol=1e-9)
     pairs = _sample_pairs(g, 10, seed=14)
     assert np.allclose(
-        auto.score_links(pairs), off.score_links(pairs), atol=1e-9
+        batched.score_links(pairs), scalar.score_links(pairs), atol=1e-9
     )
-
-
-def test_batch_off_never_enters_batched_code(monkeypatch):
-    """batch="off" must keep the legacy scalar pipeline byte-for-byte; we
-    pin that by making every batched entry point explode."""
-    import repro.attacks.muxlink.gnn as gnn_mod
-
-    def boom(*args, **kwargs):
-        raise AssertionError("batched code path entered with batch='off'")
-
-    monkeypatch.setattr(gnn_mod, "extract_enclosing_subgraphs", boom)
-    monkeypatch.setattr(GnnLinkPredictor, "_forward_batch", boom)
-    monkeypatch.setattr(GnnLinkPredictor, "_backward_batch", boom)
-    monkeypatch.setattr(gnn_mod._BlockDiagAdj, "from_subgraphs", boom)
-
-    g = _ring_graph()
-    predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=2, n_train=10, batch="off")
-    predictor.fit(g, seed_or_rng=1)
-    pairs = [(0, 5), (1, 4), (2, 9)]
-    batched = predictor.score_links(pairs)
-    loop = np.array([predictor.score_link(u, v) for u, v in pairs])
-    assert np.array_equal(batched, loop)  # bitwise, not just close
-
-
-def test_batch_knob_resolution(monkeypatch):
-    from repro.errors import AttackError
-
-    monkeypatch.delenv("REPRO_GNN_BATCH", raising=False)
-    assert resolve_gnn_batch(None) == "auto"
-    assert resolve_gnn_batch("off") == "off"
-    monkeypatch.setenv("REPRO_GNN_BATCH", "off")
-    assert resolve_gnn_batch(None) == "off"
-    assert GnnLinkPredictor().batch == "off"
-    # explicit argument beats the environment
-    assert GnnLinkPredictor(batch="auto").batch == "auto"
-    with pytest.raises(AttackError, match="auto.*off"):
-        resolve_gnn_batch("sometimes")
-    monkeypatch.setenv("REPRO_GNN_BATCH", "bogus")
-    with pytest.raises(AttackError, match="bogus"):
-        GnnLinkPredictor()
-
-
-def test_tiny_batch_takes_scalar_path():
-    g = _ring_graph()
-    predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=1, n_train=10)
-    predictor.fit(g, seed_or_rng=3)
-    single = predictor.score_links([(0, 5)])
-    assert np.array_equal(single, np.array([predictor.score_link(0, 5)]))

@@ -93,6 +93,18 @@ def test_parse_errors(text, match):
         parse_bench(text)
 
 
+@pytest.mark.parametrize("kind", ["DFF", "LATCH"])
+def test_sequential_element_message_is_self_contained(kind):
+    """The DFF/LATCH rejection states its reason and the fix inline."""
+    with pytest.raises(BenchParseError) as err:
+        parse_bench(f"INPUT(a)\nz = {kind}(a)\nOUTPUT(z)")
+    assert str(err.value) == (
+        f"line 2: sequential element {kind} is not supported: only "
+        "combinational netlists can be simulated, attacked and locked; cut "
+        "flip-flops into pseudo-primary inputs/outputs first"
+    )
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(BenchParseError) as err:
         parse_bench("INPUT(a)\nbogus line here\n")

@@ -394,3 +394,35 @@ def test_forked_child_drops_inherited_tracer_and_traces_itself(tmp_path):
     parent_names = {s["name"] for s in load_spans([parent_path])}
     assert "child.work" not in parent_names
     assert "parent.spawn" in parent_names
+
+
+# -- fresh-evaluation counter ----------------------------------------------
+def test_fresh_evaluation_counter_covers_every_attack_backed_evaluation():
+    """``autolock_fresh_evaluations_total`` counts every fresh attack run:
+    the AutoLock GA fitness *and* its report stage, and every co-evolution
+    fitness and duel (serial, so every evaluation happens in-process)."""
+    from repro.circuits import load_circuit
+    from repro.coevo import CoevoEngine
+    from repro.ec.autolock import AutoLock, AutoLockConfig
+    from repro.ec.fitness import FRESH_EVALUATIONS
+
+    circuit = load_circuit("rand_100_7")
+    before = FRESH_EVALUATIONS.value()
+    result = AutoLock(AutoLockConfig(
+        key_length=4, population_size=4, generations=1,
+        fitness_predictor="bayes", report_predictor="bayes",
+        report_ensemble=1, seed=3, workers=1,
+    )).run(circuit)
+    assert result.report_evaluations > 0
+    assert FRESH_EVALUATIONS.value() - before == (
+        result.fitness_evaluations + result.report_evaluations
+    )
+
+    before = FRESH_EVALUATIONS.value()
+    coevo = CoevoEngine(
+        circuit, key_length=4, epochs=1, lock_population=4,
+        lock_generations=1, attacker_population=2, elite_size=1,
+        panel_size=1, hall_size=2, seed=3,
+    ).run()
+    assert coevo.fresh_evaluations > 0
+    assert FRESH_EVALUATIONS.value() - before == coevo.fresh_evaluations

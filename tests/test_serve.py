@@ -523,13 +523,6 @@ def test_keepalive_reuses_one_connection(server):
     assert store._conn is None
 
 
-def test_keep_alive_false_uses_fresh_connections(server):
-    store = HttpStore(server.url, keep_alive=False)
-    store.put_many("ka_off", {"k": {"v": 2}})
-    assert store.get("ka_off", "k") == {"v": 2}
-    assert store._conn is None  # nothing persisted between requests
-
-
 def test_stale_keepalive_connection_retried_once(server, monkeypatch):
     import http.client
 
