@@ -2,8 +2,8 @@
 
 Not a paper experiment: this bench starts the perf trajectory for the
 distributed sweep subsystem (``repro.store`` + ``repro.dist``). It runs
-one static attack sweep twice from cold — serially against a JSON store,
-then distributed across worker processes sharing a SQLite store — checks
+one static attack sweep twice from cold — serially, then distributed
+across worker processes sharing one SQLite store — checks
 the records are byte-identical after nondeterministic-field stripping,
 and reports wall-clock plus attack evaluations/second for both modes.
 
@@ -58,7 +58,7 @@ def _stripped(results) -> list[str]:
 def run_throughput(out_json: str | None = None) -> dict:
     workers = max(2, scaled(_WORKERS_DISTRIBUTED, minimum=2))
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
-        serial_sweep = _sweep(os.path.join(tmp, "serial.json"))
+        serial_sweep = _sweep(os.path.join(tmp, "serial.sqlite"))
         started = time.perf_counter()
         serial = run_sweep(serial_sweep)
         serial_s = time.perf_counter() - started

@@ -15,7 +15,7 @@ e.g.  python examples/evolve_resilient_locking.py c1908_syn 32 12 12 4
 ``workers >= 2`` fans fitness evaluation out across processes; results
 are identical to the serial run. Attack evaluations — and the finished
 experiment record itself — persist to
-``evolved_designs/fitness_cache.json``: re-running the same
+``evolved_designs/fitness_cache.sqlite``: re-running the same
 configuration costs zero fresh attacks (delete the file to start over).
 """
 
@@ -50,7 +50,7 @@ def main() -> None:
         },
         seed=7,
         workers=workers,
-        cache_path=str(out_dir / "fitness_cache.json"),
+        cache_path=str(out_dir / "fitness_cache.sqlite"),
     )
     print(f"evolving {circuit_name} (K={key_length}, pop={population}, "
           f"gens={generations}, workers={workers})...")

@@ -44,7 +44,6 @@ from repro.locking.primitives import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.registry import STORES
 
 _COEVO_RUNS = obs_metrics.METRICS.counter(
     "autolock_coevo_runs_total",
@@ -96,7 +95,6 @@ class CoevoSpec:
     attack_seed: int | None = None
     workers: int = 1
     cache_path: str | None = None
-    store: str | None = None
     tag: str = ""
     trace: str | None = None
 
@@ -154,8 +152,6 @@ class CoevoSpec:
             resolve_alphabet(self.alphabet)
         except LockingError as exc:
             raise SpecError(str(exc)) from exc
-        if self.store is not None:
-            STORES.get(self.store)
         # Unknown fields -> SpecError; unknown attack/predictor names ->
         # RegistryError listing the registry.
         self.baseline()
@@ -340,14 +336,13 @@ def _execute_coevo(
     fingerprint = spec.fingerprint()
 
     # One open store object shared by every cache of this run (run memo,
-    # epoch checkpoints, both fitness namespaces, duels) — separate
-    # handles on a JSON-file store would clobber each other's writes.
+    # epoch checkpoints, both fitness namespaces, duels).
     store_obj = None
     run_memo: FitnessCache | None = None
     if spec.cache_path is not None:
         from repro.store import open_store
 
-        store_obj = open_store(spec.cache_path, spec.store)
+        store_obj = open_store(spec.cache_path)
         run_memo = FitnessCache(
             path=spec.cache_path, backend=store_obj, namespace=COEVO_NAMESPACE
         )

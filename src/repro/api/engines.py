@@ -124,7 +124,6 @@ def _fitness_cache(spec, circuit: Netlist, attack_seed: int) -> FitnessCache:
     """Persistent, namespaced fitness cache for a spec-driven engine."""
     return FitnessCache(
         path=spec.cache_path,
-        backend=spec.store,
         namespace=cache_namespace(
             circuit.name,
             role="fitness",
@@ -262,12 +261,12 @@ class AutoLockEngine:
         params.setdefault("fitness_ensemble", attack_params.get("ensemble", 1))
         config = _config_from_params(
             AutoLockConfig, params,
-            reserved=("key_length", "seed", "workers", "cache_path", "store",
+            reserved=("key_length", "seed", "workers", "cache_path",
                       "async_mode", "alphabet"),
             kind="autolock",
             key_length=spec.key_length, seed=spec.seed,
             workers=spec.workers, cache_path=spec.cache_path,
-            store=spec.store, async_mode=spec.resolved_async_mode(),
+            async_mode=spec.resolved_async_mode(),
             alphabet=spec.resolved_alphabet(),
         )
         result = AutoLock(config).run(circuit, evaluator=evaluator)
@@ -340,7 +339,6 @@ class Nsga2Engine:
             attack_seed=attack_seed,
             cache=FitnessCache(
                 path=spec.cache_path,
-                backend=spec.store,
                 namespace=cache_namespace(
                     circuit.name,
                     role="nsga2",

@@ -236,7 +236,6 @@ def _execute_experiment(
     if memo is None and spec.cache_path is not None:
         memo = FitnessCache(
             path=spec.cache_path,
-            backend=spec.store,
             namespace=EXPERIMENT_NAMESPACE,
         )
 
@@ -420,7 +419,7 @@ def run_sweep(
 
     All points share a single population evaluator — one process pool
     when the sweep asks for ``workers >= 2`` — and, when ``cache_path``
-    is set, one on-disk cache file carrying both per-genotype fitness
+    is set, one experiment store carrying both per-genotype fitness
     namespaces and finished experiment records. Re-running a sweep with a
     warm cache replays every unchanged point with zero fresh attack
     evaluations. Points execute sequentially (parallelism lives inside
@@ -428,10 +427,9 @@ def run_sweep(
     ``distributed`` asks for *point-level* parallelism: ``distributed=N``
     schedules every point onto the store's ``sweep_points`` work queue
     and runs N local worker processes against it (see
-    :mod:`repro.dist`). Distribution needs a queue-capable store
-    (SQLite); ``resume=False`` reschedules previously finished queue rows
-    instead of trusting them (their cached experiment records still
-    replay — only the bookkeeping restarts).
+    :mod:`repro.dist`). ``resume=False`` reschedules previously finished
+    queue rows instead of trusting them (their cached experiment records
+    still replay — only the bookkeeping restarts).
     """
     if distributed is not None and distributed >= 1:
         from repro.dist import SweepScheduler
@@ -478,7 +476,6 @@ def run_sweep(
     memo = (
         FitnessCache(
             path=sweep.cache_path,
-            backend=sweep.store,
             namespace=EXPERIMENT_NAMESPACE,
         )
         if sweep.cache_path is not None

@@ -35,13 +35,13 @@ from repro.locking.primitives import (
     normalize_alphabet,
     resolve_alphabet,
 )
-from repro.registry import ATTACKS, ENGINES, METRICS, SCHEMES, STORES
+from repro.registry import ATTACKS, ENGINES, METRICS, SCHEMES
 
 #: spec fields excluded from the fingerprint: execution knobs steer *how*
 #: an experiment runs and ``tag`` only labels it — neither can change
 #: what it computes, so differently-labelled identical specs share
 #: cached experiment records.
-_EXECUTION_FIELDS = ("workers", "cache_path", "store", "tag", "trace")
+_EXECUTION_FIELDS = ("workers", "cache_path", "tag", "trace")
 
 
 def _read_spec_file(path: str | Path, kind: str) -> str:
@@ -110,11 +110,9 @@ class ExperimentSpec:
     #: experiment records cached under them — remain valid.
     alphabet: tuple[str, ...] = DEFAULT_ALPHABET
     workers: int = 1
+    #: experiment store (SQLite file or campaign-server URL) holding the
+    #: fitness caches and the finished record.
     cache_path: str | None = None
-    #: store backend name for ``cache_path`` (``repro.registry.STORES``);
-    #: ``None`` infers from the path suffix (``.sqlite``/``.db`` -> sqlite,
-    #: anything else -> the historical JSON file).
-    store: str | None = None
     tag: str = ""
     #: span-trace output path (``repro.obs``); an execution knob like
     #: ``cache_path`` — observing a run cannot change its result, so the
@@ -183,8 +181,6 @@ class ExperimentSpec:
                 "the alphabet or set an engine"
             )
         SCHEMES.get(self.scheme)
-        if self.store is not None:
-            STORES.get(self.store)
         if self.attack is not None:
             ATTACKS.get(self.attack)
         if self.engine is not None:
@@ -347,8 +343,6 @@ class SweepSpec:
     name: str = "sweep"
     workers: int | None = None
     cache_path: str | None = None
-    #: store backend for ``cache_path`` (see ``ExperimentSpec.store``).
-    store: str | None = None
     #: search-loop mode applied to every expanded point (see
     #: ``ExperimentSpec.async_mode``). Distributed engine sweeps should
     #: set this explicitly: point fingerprints embed the *resolved* mode,
@@ -389,8 +383,6 @@ class SweepSpec:
             shared["workers"] = self.workers
         if self.cache_path is not None:
             shared["cache_path"] = self.cache_path
-        if self.store is not None:
-            shared["store"] = self.store
         if self.async_mode is not None:
             shared["async_mode"] = self.async_mode
         if self.trace is not None:
@@ -494,7 +486,6 @@ class SweepSpec:
             "axes": {k: list(v) for k, v in self.axes.items()},
             "workers": self.workers,
             "cache_path": self.cache_path,
-            "store": self.store,
             "async_mode": self.async_mode,
             "trace": self.trace,
         }
@@ -504,8 +495,8 @@ class SweepSpec:
         if not isinstance(data, Mapping):
             raise SpecError(f"sweep spec must be a JSON object, got {data!r}")
         unknown = set(data) - {
-            "name", "base", "axes", "workers", "cache_path", "store",
-            "async_mode", "trace",
+            "name", "base", "axes", "workers", "cache_path", "async_mode",
+            "trace",
         }
         if unknown:
             raise SpecError(f"unknown SweepSpec fields: {sorted(unknown)}")
@@ -517,7 +508,6 @@ class SweepSpec:
             name=data.get("name", "sweep"),
             workers=data.get("workers"),
             cache_path=data.get("cache_path"),
-            store=data.get("store"),
             async_mode=data.get("async_mode"),
             trace=data.get("trace"),
         )

@@ -6,9 +6,9 @@ Subcommands
 ``attack``   run any registered attack against a saved locked design
 ``evolve``   run the full AutoLock pipeline on a benchmark circuit
 ``run``      execute a declarative experiment spec (JSON) end to end
-``sweep``    expand and execute a sweep spec (JSON) over one shared backend;
+``sweep``    expand and execute a sweep spec (JSON) over one shared pool;
              ``--workers-distributed N`` fans the *points* out across N
-             worker processes cooperating through a SQLite store
+             worker processes cooperating through the experiment store
 ``worker``   join a distributed sweep as one worker process (any machine
              that can reach the store file or campaign server URL)
 ``serve``    front a local store as a campaign server: HTTP kv + work
@@ -26,7 +26,10 @@ Subcommands
 ``info``     print statistics of a benchmark circuit or the whole suite
 
 All component names are resolved through :mod:`repro.registry`, so a
-newly registered plugin is immediately usable from every subcommand.
+newly registered plugin is immediately usable from every subcommand. Any
+:class:`~repro.errors.ReproError` a subcommand raises (unknown circuit,
+bad spec, unreadable store, ...) prints as ``error: <message>`` and exits
+with code 2.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import dataclasses
 import sys
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -136,14 +140,9 @@ def _parse_alphabet(value: str | None) -> tuple[str, ...] | None:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
-    from repro.errors import ReproError
     from repro.io import save_locked_design
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = _parse_alphabet(args.alphabet)
     spec = ExperimentSpec(
         circuit=args.circuit,
         key_length=args.key_length,
@@ -182,27 +181,20 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
-    from repro.errors import ReproError
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-        spec = ExperimentSpec.from_file(args.spec)
-        if args.workers is not None:
-            spec = spec.with_updates(workers=args.workers)
-        if args.cache is not None:
-            spec = spec.with_updates(cache_path=args.cache)
-        if args.store is not None:
-            spec = spec.with_updates(store=args.store)
-        if args.async_mode is not None:
-            spec = spec.with_updates(async_mode=args.async_mode)
-        if args.trace is not None:
-            spec = spec.with_updates(trace=args.trace)
-        if alphabet is not None:
-            spec = spec.with_updates(alphabet=alphabet)
-        result = run_experiment(spec, out_dir=args.out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = _parse_alphabet(args.alphabet)
+    spec = ExperimentSpec.from_file(args.spec)
+    if args.workers is not None:
+        spec = spec.with_updates(workers=args.workers)
+    if args.cache is not None:
+        spec = spec.with_updates(cache_path=args.cache)
+    if args.async_mode is not None:
+        spec = spec.with_updates(async_mode=args.async_mode)
+    if args.trace is not None:
+        spec = spec.with_updates(trace=args.trace)
+    if alphabet is not None:
+        spec = spec.with_updates(alphabet=alphabet)
+    result = run_experiment(spec, out_dir=args.out)
     print(result.describe())
     for name, value in result.metrics.items():
         row = getattr(value, "as_row", None)
@@ -214,60 +206,52 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import SweepSpec, run_sweep
-    from repro.errors import ReproError
+    from repro.errors import SpecError
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-        sweep = SweepSpec.from_file(args.spec)
-        overrides = {}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.cache is not None:
-            overrides["cache_path"] = args.cache
-        if args.store is not None:
-            overrides["store"] = args.store
-        if args.async_mode is not None:
-            overrides["async_mode"] = args.async_mode
-        if args.trace is not None:
-            overrides["trace"] = args.trace
-        if overrides:
-            sweep = dataclasses.replace(sweep, **overrides)
-        if alphabet is not None:
-            from repro.api.spec import MERGE_AXIS_PREFIX
+    alphabet = _parse_alphabet(args.alphabet)
+    sweep = SweepSpec.from_file(args.spec)
+    overrides = {}
+    if args.workers is not None:
+        overrides["workers"] = args.workers
+    if args.cache is not None:
+        overrides["cache_path"] = args.cache
+    if args.async_mode is not None:
+        overrides["async_mode"] = args.async_mode
+    if args.trace is not None:
+        overrides["trace"] = args.trace
+    if overrides:
+        sweep = dataclasses.replace(sweep, **overrides)
+    if alphabet is not None:
+        from repro.api.spec import MERGE_AXIS_PREFIX
 
-            axis_sets_alphabet = any(
-                key == "alphabet"
-                or (
-                    key.startswith(MERGE_AXIS_PREFIX)
-                    and any(
-                        isinstance(v, dict) and "alphabet" in v
-                        for v in values
-                    )
+        axis_sets_alphabet = any(
+            key == "alphabet"
+            or (
+                key.startswith(MERGE_AXIS_PREFIX)
+                and any(
+                    isinstance(v, dict) and "alphabet" in v
+                    for v in values
                 )
-                for key, values in sweep.axes.items()
             )
-            if axis_sets_alphabet:
-                # An axis value would silently override the base field
-                # during expansion; refuse rather than half-apply.
-                print(
-                    "error: sweep spec already sweeps an 'alphabet' axis; "
-                    "--alphabet would be overridden — drop one of the two",
-                    file=sys.stderr,
-                )
-                return 2
-            # Applies to every expanded point, like --workers / --cache.
-            sweep = dataclasses.replace(
-                sweep, base=sweep.base.with_updates(alphabet=alphabet)
-            )
-        result = run_sweep(
-            sweep,
-            out_dir=args.out,
-            distributed=args.workers_distributed,
-            resume=args.resume,
+            for key, values in sweep.axes.items()
         )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if axis_sets_alphabet:
+            # An axis value would silently override the base field
+            # during expansion; refuse rather than half-apply.
+            raise SpecError(
+                "sweep spec already sweeps an 'alphabet' axis; "
+                "--alphabet would be overridden — drop one of the two"
+            )
+        # Applies to every expanded point, like --workers / --cache.
+        sweep = dataclasses.replace(
+            sweep, base=sweep.base.with_updates(alphabet=alphabet)
+        )
+    result = run_sweep(
+        sweep,
+        out_dir=args.out,
+        distributed=args.workers_distributed,
+        resume=args.resume,
+    )
     for run in result.results:
         print(run.describe())
     print(
@@ -291,45 +275,38 @@ def _cmd_coevo(args: argparse.Namespace) -> int:
     import json
 
     from repro.api import CoevoSpec, run_coevo
-    from repro.errors import ReproError, SpecError
+    from repro.errors import SpecError
 
-    try:
-        alphabet = _parse_alphabet(args.alphabet)
-        attacker: dict = {}
-        if args.attacker is not None:
-            try:
-                attacker = json.loads(args.attacker)
-            except json.JSONDecodeError as exc:
-                raise SpecError(
-                    f"--attacker is not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(attacker, dict):
-                raise SpecError(
-                    f"--attacker must be a JSON object of attacker-genome "
-                    f"fields, got {attacker!r}"
-                )
-        if args.predictor is not None:
-            attacker["predictor"] = args.predictor
-        spec = CoevoSpec(
-            circuit=args.circuit,
-            key_length=args.key_length,
-            epochs=args.epochs,
-            lock_population=args.lock_pop,
-            lock_generations=args.lock_generations,
-            attacker_population=args.attacker_pop,
-            attacker=attacker,
-            seed=args.seed,
-            workers=args.workers,
-            cache_path=args.cache,
-            store=args.store,
-            trace=args.trace,
-        )
-        if alphabet is not None:
-            spec = spec.with_updates(alphabet=alphabet)
-        result = run_coevo(spec, out_dir=args.out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alphabet = _parse_alphabet(args.alphabet)
+    attacker: dict = {}
+    if args.attacker is not None:
+        try:
+            attacker = json.loads(args.attacker)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"--attacker is not valid JSON: {exc}") from exc
+        if not isinstance(attacker, dict):
+            raise SpecError(
+                f"--attacker must be a JSON object of attacker-genome "
+                f"fields, got {attacker!r}"
+            )
+    if args.predictor is not None:
+        attacker["predictor"] = args.predictor
+    spec = CoevoSpec(
+        circuit=args.circuit,
+        key_length=args.key_length,
+        epochs=args.epochs,
+        lock_population=args.lock_pop,
+        lock_generations=args.lock_generations,
+        attacker_population=args.attacker_pop,
+        attacker=attacker,
+        seed=args.seed,
+        workers=args.workers,
+        cache_path=args.cache,
+        trace=args.trace,
+    )
+    if alphabet is not None:
+        spec = spec.with_updates(alphabet=alphabet)
+    result = run_coevo(spec, out_dir=args.out)
     print(result.describe())
     for epoch in result.record["epochs"]:
         best = epoch["attacker_best"]
@@ -360,7 +337,6 @@ def _apply_token(token: str | None) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.serve import TOKEN_ENV, CampaignServer
 
     token = args.token
@@ -373,18 +349,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not token:
             token = secrets.token_urlsafe(16)
             generated = True
-    try:
-        server = CampaignServer(
-            args.path,
-            backend=args.backend,
-            host=args.host,
-            port=args.port,
-            token=token,
-            results_path=args.results,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    server = CampaignServer(
+        args.path,
+        host=args.host,
+        port=args.port,
+        token=token,
+        results_path=args.results,
+    )
     print(f"campaign server: {server.url} (store {server.store_path})")
     if generated:
         print(f"token (generated): {token}")
@@ -404,7 +375,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.api import SweepSpec
     from repro.dist import SweepScheduler, Worker
-    from repro.errors import ReproError
 
     _apply_token(args.token)
     if args.store is not None:
@@ -417,50 +387,40 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             )
             return 2
         args.store_path = args.store
-    try:
-        if args.spec is not None:
-            sweep = SweepSpec.from_file(args.spec)
-            overrides = {}
-            if args.store_path is not None:
-                overrides["cache_path"] = args.store_path
-            if args.backend is not None:
-                overrides["store"] = args.backend
-            if overrides:
-                sweep = dataclasses.replace(sweep, **overrides)
-            # Idempotent: rows already enqueued (by the scheduler or a
-            # sibling worker) are left exactly as they are.
-            scheduler = SweepScheduler(sweep)
-            scheduler.enqueue()
-            store_path, backend = sweep.cache_path, sweep.store
-            sweep_id = scheduler.sweep_id
-        else:
-            if args.store_path is None or args.sweep_id is None:
-                print(
-                    "error: worker needs either --spec SWEEP.json or both "
-                    "a store path and --sweep-id",
-                    file=sys.stderr,
-                )
-                return 2
-            store_path, backend = args.store_path, args.backend
-            sweep_id = args.sweep_id
-        worker = Worker(
-            store_path=str(store_path),
-            sweep_id=sweep_id,
-            backend=backend,
-            lease_ttl=args.ttl,
-            max_points=args.max_points,
-            trace=args.trace,
-        )
-        from repro.obs import configure_logging
+    if args.spec is not None:
+        sweep = SweepSpec.from_file(args.spec)
+        if args.store_path is not None:
+            sweep = dataclasses.replace(sweep, cache_path=args.store_path)
+        # Idempotent: rows already enqueued (by the scheduler or a
+        # sibling worker) are left exactly as they are.
+        scheduler = SweepScheduler(sweep)
+        scheduler.enqueue()
+        store_path = sweep.cache_path
+        sweep_id = scheduler.sweep_id
+    else:
+        if args.store_path is None or args.sweep_id is None:
+            print(
+                "error: worker needs either --spec SWEEP.json or both "
+                "a store path and --sweep-id",
+                file=sys.stderr,
+            )
+            return 2
+        store_path = args.store_path
+        sweep_id = args.sweep_id
+    worker = Worker(
+        store_path=str(store_path),
+        sweep_id=sweep_id,
+        lease_ttl=args.ttl,
+        max_points=args.max_points,
+        trace=args.trace,
+    )
+    from repro.obs import configure_logging
 
-        configure_logging(
-            "DEBUG" if args.verbose else None, worker_id=worker.worker_id
-        )
-        print(f"worker {worker.worker_id} joining sweep {sweep_id} on {store_path}")
-        report = worker.run()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    configure_logging(
+        "DEBUG" if args.verbose else None, worker_id=worker.worker_id
+    )
+    print(f"worker {worker.worker_id} joining sweep {sweep_id} on {store_path}")
+    report = worker.run()
     print(report.describe())
     return 0
 
@@ -470,7 +430,6 @@ def _cmd_store_status(args: argparse.Namespace) -> int:
     import sqlite3
     from pathlib import Path
 
-    from repro.errors import ReproError
     from repro.store import is_url, open_store
 
     _apply_token(args.token)
@@ -481,7 +440,7 @@ def _cmd_store_status(args: argparse.Namespace) -> int:
         print(f"error: no store at {args.path!r}", file=sys.stderr)
         return 2
     try:
-        store = open_store(args.path, args.backend)
+        store = open_store(args.path)
         status = store.status()
     except (ReproError, sqlite3.DatabaseError) as exc:
         print(f"error: cannot read store {args.path!r}: {exc}", file=sys.stderr)
@@ -529,23 +488,21 @@ def _cmd_store_retry(args: argparse.Namespace) -> int:
     """Requeue failed sweep points.
 
     Exit codes: 0 = at least one point requeued; 1 = the sweep exists but
-    has nothing failed to retry; 2 = missing store, queue-less backend,
-    or unknown sweep id.
+    has nothing failed to retry; 2 = missing or unreadable store, or
+    unknown sweep id.
     """
     import sqlite3
     from pathlib import Path
 
-    from repro.errors import ReproError
-    from repro.store import ensure_queue, is_url, open_store
+    from repro.store import is_url, open_store
 
     _apply_token(args.token)
     if not is_url(args.path) and not Path(args.path).exists():
         print(f"error: no store at {args.path!r}", file=sys.stderr)
         return 2
     try:
-        store = open_store(args.path, args.backend)
-        queue = ensure_queue(store)
-        counts = queue.queue_counts(args.sweep_id)
+        store = open_store(args.path)
+        counts = store.queue_counts(args.sweep_id)
         if not counts:
             print(
                 f"error: store has no sweep {args.sweep_id!r} "
@@ -553,7 +510,7 @@ def _cmd_store_retry(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        requeued = queue.retry_failed(args.sweep_id)
+        requeued = store.retry_failed(args.sweep_id)
         store.close()
     except (ReproError, sqlite3.DatabaseError) as exc:
         print(f"error: cannot retry on {args.path!r}: {exc}", file=sys.stderr)
@@ -577,7 +534,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     import sqlite3
     from pathlib import Path
 
-    from repro.errors import ReproError
     from repro.store import gc_store, is_url
 
     _apply_token(args.token)
@@ -585,7 +541,7 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
         print(f"error: no store at {args.path!r}", file=sys.stderr)
         return 2
     try:
-        report = gc_store(args.path, args.backend)
+        report = gc_store(args.path)
     except (ReproError, sqlite3.DatabaseError) as exc:
         print(f"error: cannot gc store {args.path!r}: {exc}", file=sys.stderr)
         return 2
@@ -774,8 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="persist attack evaluations to this JSON file and reuse them "
-        "on repeated runs (delete the file to start fresh)",
+        help="persist attack evaluations to this experiment store (a SQLite "
+        "file or a campaign-server URL) and reuse them on repeated runs "
+        "(delete the file to start fresh)",
     )
     p_evolve.add_argument("--output", default=None)
     _add_alphabet_flag(p_evolve)
@@ -793,11 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--cache", default=None, metavar="PATH")
-    p_run.add_argument(
-        "--store", default=None, metavar="BACKEND",
-        help="store backend for the cache path (default: inferred from "
-        "the path suffix)",
-    )
     _add_alphabet_flag(p_run)
     _add_loop_mode_flags(p_run)
     _add_trace_flag(p_run)
@@ -814,14 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--cache", default=None, metavar="PATH")
     p_sweep.add_argument(
-        "--store", default=None, metavar="BACKEND",
-        help="store backend for the cache path (see `autolock plugins`; "
-        "default: inferred from the path suffix, .sqlite/.db -> sqlite)",
-    )
-    p_sweep.add_argument(
         "--workers-distributed", type=int, default=None, metavar="N",
         help="distribute sweep *points* across N local worker processes "
-        "cooperating through the store's work queue (needs a sqlite store)",
+        "cooperating through the store's work queue",
     )
     p_sweep.add_argument(
         "--resume", action="store_true", default=False,
@@ -881,11 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         "an interrupted run resumes with zero recomputation",
     )
     p_coevo.add_argument(
-        "--store", default=None, metavar="BACKEND",
-        help="store backend for the cache path (default: inferred from "
-        "the path suffix)",
-    )
-    p_coevo.add_argument(
         "--out", default=None, metavar="DIR",
         help="write per-epoch JSONL records (both populations) + manifest",
     )
@@ -923,10 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         "`autolock store status`)",
     )
     p_worker.add_argument(
-        "--backend", default=None, metavar="BACKEND",
-        help="store backend name (default: inferred from the path suffix)",
-    )
-    p_worker.add_argument(
         "--ttl", type=float, default=60.0,
         help="lease seconds per claimed point (heartbeat renews it)",
     )
@@ -946,8 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="front a local store as an HTTP campaign server",
-        description="Serve a queue-capable store (SQLite by default) to "
-        "a fleet of workers over plain HTTP: kv + work-queue endpoints, "
+        description="Serve a local SQLite store to a fleet of workers "
+        "over plain HTTP: kv + work-queue endpoints, "
         "bearer-token auth, a streaming results tail "
         "(/stream/results, chunked NDJSON, resumable via ?offset=), and "
         "a live dashboard (/status). Workers on other machines join "
@@ -956,11 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "path", help="local store file to front (e.g. sweep.sqlite)"
-    )
-    p_serve.add_argument(
-        "--backend", default=None, metavar="BACKEND",
-        help="backing store backend (default: inferred from the path "
-        "suffix; must be queue-capable for distributed sweeps)",
     )
     p_serve.add_argument(
         "--host", default="127.0.0.1",
@@ -992,10 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_status.add_argument("path", help="store file path")
     p_status.add_argument(
-        "--backend", default=None, metavar="BACKEND",
-        help="store backend name (default: inferred from the path suffix)",
-    )
-    p_status.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     _add_token_flag(p_status)
@@ -1006,17 +935,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flip every 'failed' point of one sweep back to "
         "'pending' (attempts reset, error cleared), then exit. Exit "
         "codes: 0 = requeued >= 1 point, 1 = nothing failed to retry, "
-        "2 = missing store / unknown sweep / no work queue.",
+        "2 = missing or unreadable store / unknown sweep.",
     )
     p_retry.add_argument("path", help="store file path (e.g. sweep.sqlite)")
     p_retry.add_argument(
         "sweep_id",
         help="sweep fingerprint (printed by `autolock sweep` and "
         "`autolock store status`)",
-    )
-    p_retry.add_argument(
-        "--backend", default=None, metavar="BACKEND",
-        help="store backend name (default: inferred from the path suffix)",
     )
     _add_token_flag(p_retry)
     p_retry.set_defaults(func=_cmd_store_retry)
@@ -1031,10 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         "touched.",
     )
     p_gc.add_argument("path", help="store file path")
-    p_gc.add_argument(
-        "--backend", default=None, metavar="BACKEND",
-        help="store backend name (default: inferred from the path suffix)",
-    )
     p_gc.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
@@ -1079,10 +1000,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; a :class:`ReproError` exits 2 with its message."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

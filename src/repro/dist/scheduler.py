@@ -52,8 +52,6 @@ from repro.store import (
     STATUS_DONE,
     STATUS_FAILED,
     STATUS_PENDING,
-    WorkQueue,
-    ensure_queue,
     open_store,
 )
 from repro.dist.worker import worker_entry
@@ -68,7 +66,7 @@ def _record_key(spec: ExperimentSpec) -> str:
 
 @dataclass
 class SweepScheduler:
-    """Driver for one distributed sweep over a queue-capable store."""
+    """Driver for one distributed sweep over a shared store."""
 
     sweep: SweepSpec
     #: keep previously finished queue rows (the normal, zero-recompute
@@ -93,8 +91,7 @@ class SweepScheduler:
         self.specs = self.sweep.expand()
         for spec in self.specs:
             spec.validate()
-        self._store = open_store(self.sweep.cache_path, self.sweep.store)
-        self._queue: WorkQueue = ensure_queue(self._store)
+        self._store = open_store(self.sweep.cache_path)
 
     # -- queue management -----------------------------------------------
     def enqueue(self) -> int:
@@ -107,7 +104,7 @@ class SweepScheduler:
         points = {
             spec.fingerprint(): spec.to_dict() for spec in self.specs
         }
-        added = self._queue.enqueue_points(
+        added = self._store.enqueue_points(
             self.sweep_id, points, reset=not self.resume
         )
         existing = self._store.load_namespace(EXPERIMENT_NAMESPACE)
@@ -116,11 +113,11 @@ class SweepScheduler:
             for spec in self.specs
             if _record_key(spec) in existing
         ]
-        self._queue.mark_done(self.sweep_id, recorded)
+        self._store.mark_done(self.sweep_id, recorded)
         return added
 
     def queue_counts(self) -> dict[str, int]:
-        return self._queue.queue_counts(self.sweep_id)
+        return self._store.queue_counts(self.sweep_id)
 
     # -- execution ------------------------------------------------------
     def run(
@@ -144,7 +141,7 @@ class SweepScheduler:
             self.enqueue()
         done_before = {
             p["fingerprint"]
-            for p in self._queue.points(self.sweep_id)
+            for p in self._store.points(self.sweep_id)
             if p["status"] == STATUS_DONE
         }
 
@@ -161,7 +158,6 @@ class SweepScheduler:
                 args=(
                     {
                         "store_path": str(self.sweep.cache_path),
-                        "backend": self.sweep.store,
                         "sweep_id": self.sweep_id,
                         "worker_id": worker_id,
                         "lease_ttl": self.lease_ttl,
@@ -188,13 +184,13 @@ class SweepScheduler:
         # point immediately instead of waiting out the ttl.
         with obs_trace.span("sweep.reconcile"):
             for worker_id in worker_ids:
-                self._queue.release_worker(self.sweep_id, worker_id)
-            self._queue.requeue_expired(self.sweep_id)
+                self._store.release_worker(self.sweep_id, worker_id)
+            self._store.requeue_expired(self.sweep_id)
             counts = self.queue_counts()
         if counts.get(STATUS_FAILED):
             errors = [
                 f"  {p['fingerprint']}: {p['error']}"
-                for p in self._queue.points(self.sweep_id)
+                for p in self._store.points(self.sweep_id)
                 if p["status"] == STATUS_FAILED
             ]
             raise StoreError(
@@ -210,7 +206,7 @@ class SweepScheduler:
                 "stopped"
             )
 
-        rows = self._queue.points(self.sweep_id)
+        rows = self._store.points(self.sweep_id)
         session_fresh = sum(
             int(p["fresh_evaluations"] or 0)
             for p in rows

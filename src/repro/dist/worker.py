@@ -43,7 +43,7 @@ from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.logs import configure_logging, get_logger
-from repro.store import STATUS_CLAIMED, STATUS_PENDING, ensure_queue, open_store
+from repro.store import STATUS_CLAIMED, STATUS_PENDING, open_store
 
 T = TypeVar("T")
 
@@ -191,7 +191,6 @@ class Worker:
 
     store_path: str
     sweep_id: str
-    backend: str | None = None
     worker_id: str = field(default_factory=default_worker_id)
     lease_ttl: float = 60.0
     poll_interval_s: float = 0.2
@@ -234,8 +233,7 @@ class Worker:
         started = time.perf_counter()
         report = WorkerReport(worker_id=self.worker_id)
         with obs_trace.span("worker.connect"):
-            store = open_store(self.store_path, self.backend)
-            queue = ensure_queue(store)
+            store = open_store(self.store_path)
             # One experiment-record cache for the whole loop, sharing the
             # already-open store handle; read-through finds records
             # written by sibling workers mid-run.
@@ -259,7 +257,7 @@ class Worker:
                 with obs_trace.span("worker.claim"):
                     point = self._retry(
                         "claim",
-                        lambda: queue.claim(
+                        lambda: store.claim(
                             self.sweep_id, self.worker_id, self.lease_ttl
                         ),
                     )
@@ -270,7 +268,7 @@ class Worker:
                     with obs_trace.span("worker.idle"):
                         counts = self._retry(
                             "queue status",
-                            lambda: queue.queue_counts(self.sweep_id),
+                            lambda: store.queue_counts(self.sweep_id),
                         )
                         drained = not (
                             counts.get(STATUS_PENDING, 0)
@@ -294,13 +292,9 @@ class Worker:
                     # belongs to another process, possibly another
                     # machine; this worker's own tracer — opened in
                     # run() — already covers the whole loop.
-                    overrides: dict = {
-                        "cache_path": str(self.store_path),
-                        "trace": None,
-                    }
-                    if self.backend is not None:
-                        overrides["store"] = self.backend
-                    spec = spec.with_updates(**overrides)
+                    spec = spec.with_updates(
+                        cache_path=str(self.store_path), trace=None
+                    )
                     needs_pool = spec.engine is not None and (
                         spec.workers >= 2 or spec.resolved_async_mode()
                     )
@@ -319,7 +313,7 @@ class Worker:
                             max(1, spec.workers)
                         )
                 heartbeat = _LeaseHeartbeat(
-                    queue, point, heartbeat_interval, self.lease_ttl,
+                    store, point, heartbeat_interval, self.lease_ttl,
                     retry=self._retry,
                 )
                 point_started = time.perf_counter()
@@ -350,7 +344,7 @@ class Worker:
                         "point %s failed: %s: %s",
                         point.fingerprint[:12], type(exc).__name__, exc,
                     )
-                    status = queue.fail(
+                    status = store.fail(
                         self.sweep_id,
                         point.fingerprint,
                         self.worker_id,
@@ -376,7 +370,7 @@ class Worker:
                 with obs_trace.span("worker.complete"):
                     self._retry(
                         "complete",
-                        lambda: queue.complete(
+                        lambda: store.complete(
                             self.sweep_id,
                             point.fingerprint,
                             self.worker_id,
@@ -398,7 +392,7 @@ class Worker:
             # sibling can pick it up, then surface the error — the CLI
             # turns it into a non-zero exit.
             try:
-                queue.release_worker(self.sweep_id, self.worker_id)
+                store.release_worker(self.sweep_id, self.worker_id)
             except StoreError:
                 pass  # the release itself needs the unreachable server
             raise

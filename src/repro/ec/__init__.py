@@ -57,7 +57,6 @@ from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     FitnessCache,
     MultiObjectiveFitness,
-    MuxLinkFitness,
     SpecFitness,
     cache_namespace,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "SELECTIONS",
     "DEFAULT_ATTACK_SEED",
     "FitnessCache",
-    "MuxLinkFitness",
     "MultiObjectiveFitness",
     "SpecFitness",
     "cache_namespace",

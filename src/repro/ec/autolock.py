@@ -24,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
-from repro.ec.fitness import (
-    FitnessCache,
-    MuxLinkFitness,
-    SpecFitness,
-    cache_namespace,
-)
+from repro.ec.fitness import FitnessCache, SpecFitness, cache_namespace
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import random_genotype
 from repro.locking.base import LockedCircuit
@@ -54,9 +49,10 @@ class AutoLockConfig:
     ``False`` pins sync (byte-identical to serial at any worker count),
     ``True`` pins steady state (deterministic at any worker count —
     completions integrate in submission order). ``cache_path`` points the
-    fitness *and* report caches at a JSON file persisted across runs,
-    namespaced by circuit + attack configuration, so repeated runs and
-    benchmark sweeps reuse prior attack evaluations.
+    fitness *and* report caches at an experiment store (a SQLite file or
+    a campaign-server URL) persisted across runs, namespaced by circuit +
+    attack configuration, so repeated runs and benchmark sweeps reuse
+    prior attack evaluations.
     """
 
     key_length: int = 32
@@ -75,8 +71,6 @@ class AutoLockConfig:
     async_mode: bool | None = None
     async_backlog: int | str | None = None
     cache_path: str | Path | None = None
-    #: store backend for ``cache_path`` (None = infer from suffix).
-    store: str | None = None
     #: locking-primitive alphabet the genotype composes (see
     #: ``repro.registry.PRIMITIVES``); the default reproduces the paper's
     #: pure D-MUX search space bit-for-bit.
@@ -169,7 +163,6 @@ class AutoLock:
         # Step 2: GA refinement against the fast fitness oracle.
         cache = FitnessCache(
             path=cfg.cache_path,
-            backend=cfg.store,
             namespace=cache_namespace(
                 original.name,
                 role="fitness",
@@ -178,10 +171,10 @@ class AutoLock:
                 attack_seed=seeds[1],
             ),
         )
-        fitness = MuxLinkFitness(
+        fitness = SpecFitness(
             original,
-            predictor=cfg.fitness_predictor,
-            ensemble=cfg.fitness_ensemble,
+            "muxlink",
+            {"predictor": cfg.fitness_predictor, "ensemble": cfg.fitness_ensemble},
             attack_seed=seeds[1],
             cache=cache,
         )
@@ -189,7 +182,6 @@ class AutoLock:
         # cached under its own namespace so repeated runs skip it too.
         report_cache = FitnessCache(
             path=cfg.cache_path,
-            backend=cfg.store,
             namespace=cache_namespace(
                 original.name,
                 role="report",

@@ -18,8 +18,9 @@ trajectories are unchanged.
 Evaluations are deterministic per genotype (fixed attack seed) and cached
 by canonical genotype key, since crossover routinely recreates previously
 seen individuals. The cache is thread-safe (population evaluators merge
-worker results from the dispatching thread) and can persist to a JSON
-file shared across runs, namespaced by circuit + attack configuration so
+worker results from the dispatching thread) and can persist to an
+experiment store (a SQLite file or a campaign-server URL) shared across
+runs and processes, namespaced by circuit + attack configuration so
 benchmark sweeps never mix incompatible evaluations.
 """
 
@@ -171,19 +172,16 @@ def _key_to_str(key: tuple) -> str:
 class FitnessCache:
     """Genotype-keyed memo with hit statistics.
 
-    ``path`` enables write-through persistence through a pluggable
-    :class:`~repro.store.base.StoreBackend` holding ``namespace -> key ->
-    value`` entries. ``backend`` picks it: a registered backend name
-    (``"json"``, ``"sqlite"``), an already-open store object, or ``None``
-    to infer from the path suffix — a ``.json`` path keeps the historical
-    single-file format byte-for-byte, a ``.sqlite``/``.db`` path opens
-    the WAL-mode SQLite store that tolerates any number of concurrent
-    cross-process writers. On a *read-through* backend (SQLite), a miss
-    in the in-memory snapshot falls through to the shared medium, so
-    entries written by sibling worker processes mid-run are found rather
-    than recomputed. All mutating operations on one cache object hold an
-    internal lock, making it safe to share between the evaluator dispatch
-    thread and any caller.
+    ``path`` enables write-through persistence to the experiment store
+    :func:`~repro.store.base.open_store` opens there (a SQLite file, or
+    a campaign-server URL), holding ``namespace -> key -> value``
+    entries; ``backend`` passes an already-open store on ``path``
+    instead, so several caches can share one handle. A miss in the
+    in-memory snapshot falls through to the store, so entries written by
+    sibling worker processes mid-run are found rather than recomputed.
+    All mutating operations on one cache object hold an internal lock,
+    making it safe to share between the evaluator dispatch thread and
+    any caller.
     """
 
     store: dict[tuple, float | tuple[float, ...]] = field(default_factory=dict)
@@ -191,8 +189,8 @@ class FitnessCache:
     misses: int = 0
     path: str | Path | None = None
     namespace: str = "default"
-    #: store backend name, open store object, or None (infer from path).
-    backend: object | str | None = None
+    #: already-open store on ``path``; None opens one.
+    backend: object | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.RLock()
@@ -212,11 +210,9 @@ class FitnessCache:
                         f"cache path {self.path} is a directory; "
                         "point it at a file"
                     )
-
-            if self.backend is None or isinstance(self.backend, str):
-                self._store_backend = open_store(self.path, self.backend)
-            else:
-                self._store_backend = self.backend
+            self._store_backend = (
+                open_store(self.path) if self.backend is None else self.backend
+            )
             self._load()
 
     # -- persistence ----------------------------------------------------
@@ -289,10 +285,7 @@ class FitnessCache:
                 self.hits += 1
                 _CACHE_LOOKUPS.inc(namespace=self.namespace, result="hit")
                 return self.store[key]
-            if (
-                self._store_backend is not None
-                and self._store_backend.read_through
-            ):
+            if self._store_backend is not None:
                 # Another process may have written this entry since our
                 # snapshot — one cheap indexed lookup beats an attack run.
                 value = self._store_backend.get(self.namespace, _key_to_str(key))
@@ -373,37 +366,6 @@ class SpecFitness:
         FRESH_EVALUATIONS.inc()
         self.cache.put(key, value)
         return value
-
-
-class MuxLinkFitness(SpecFitness):
-    """Scalar fitness: MuxLink key-prediction accuracy (lower = fitter).
-
-    The classic interface — parameters mirror
-    :class:`~repro.attacks.muxlink.attack.MuxLinkAttack`; the default
-    (single MLP, modest epochs) is the speed/selectivity trade-off used
-    inside GA loops. Implemented as :class:`SpecFitness` pinned to the
-    ``muxlink`` attack.
-    """
-
-    def __init__(
-        self,
-        original: Netlist,
-        predictor: str = "mlp",
-        ensemble: int = 1,
-        attack_seed: int = DEFAULT_ATTACK_SEED,
-        cache: FitnessCache | None = None,
-        **predictor_kwargs,
-    ) -> None:
-        super().__init__(
-            original,
-            attack="muxlink",
-            attack_params={
-                "predictor": predictor, "ensemble": ensemble,
-                **predictor_kwargs,
-            },
-            attack_seed=attack_seed,
-            cache=cache,
-        )
 
 
 class MultiObjectiveFitness:

@@ -1,12 +1,11 @@
 """Campaign service: one store served over HTTP to a fleet of workers.
 
-:class:`~repro.serve.server.CampaignServer` fronts a local queue-capable
-store (SQLite by default) over stdlib HTTP;
-:class:`~repro.serve.client.HttpStore` is the matching client, a full
-:class:`~repro.store.base.StoreBackend` / :class:`~repro.store.base.WorkQueue`
-registered as the ``"http"`` backend — so
-``open_store("http://host:8787/campaign")`` drops into every existing
-``cache_path``/``--store`` seam with zero call-site changes.
+:class:`~repro.serve.server.CampaignServer` fronts a local SQLite store
+over stdlib HTTP; :class:`~repro.serve.client.HttpStore` is the matching
+client, a full :class:`~repro.store.base.StoreBackend` registered as the
+``"http"`` backend — so ``open_store("http://host:8787/campaign")``
+drops into every existing ``cache_path`` seam with zero call-site
+changes.
 """
 
 # Initialise the store package first: its trailing import of

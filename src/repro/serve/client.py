@@ -2,15 +2,14 @@
 
 Registered under :data:`repro.registry.STORES` as ``"http"``, so
 ``open_store("http://host:8787/campaign")`` — and therefore every
-``cache_path``/``--store`` seam in the package (:class:`FitnessCache`,
+``cache_path`` seam in the package (:class:`FitnessCache`,
 :class:`SweepScheduler`, :class:`Worker`, ``run_sweep``, ``store
 status``) — speaks to a remote :class:`~repro.serve.server.CampaignServer`
 with zero call-site changes. Every
-:class:`~repro.store.base.StoreBackend` / :class:`~repro.store.base.WorkQueue`
-method maps to one JSON POST against the server's ``/api/…`` endpoints;
-the server serialises them onto its backing store (SQLite by default),
-so N machines of workers share one campaign exactly like N local
-processes share one SQLite file.
+:class:`~repro.store.base.StoreBackend` method maps to one JSON POST
+against the server's ``/api/…`` endpoints; the server serialises them
+onto its backing SQLite store, so N machines of workers share one
+campaign exactly like N local processes share one SQLite file.
 
 Auth is a bearer token (``token=`` or the :data:`TOKEN_ENV` environment
 variable — worker processes inherit it across ``multiprocessing``
@@ -87,10 +86,6 @@ class _NoDelayHTTPSConnection(http.client.HTTPSConnection):
 @register_store("http")
 class HttpStore:
     """Store backend + work queue proxied over a campaign server."""
-
-    #: the server fronts a genuinely concurrent medium: a miss in a local
-    #: snapshot must fall through to it, exactly like direct SQLite.
-    read_through = True
 
     def __init__(
         self,
@@ -255,7 +250,7 @@ class HttpStore:
         reply = self._request(f"/api/{op}", payload or {})
         return None if reply is None else reply.get("result")
 
-    # -- StoreBackend ---------------------------------------------------
+    # -- key/value ------------------------------------------------------
     def load_namespace(self, namespace: str) -> dict[str, Any]:
         return self._call("kv/load", {"namespace": namespace}) or {}
 
@@ -309,7 +304,7 @@ class HttpStore:
             except OSError:  # pragma: no cover - close never matters here
                 pass
 
-    # -- WorkQueue ------------------------------------------------------
+    # -- work queue -----------------------------------------------------
     def enqueue_points(
         self, sweep_id: str, points: Mapping[str, Mapping[str, Any]],
         *, reset: bool = False,

@@ -1,19 +1,19 @@
 """The campaign server: one store, many machines, live visibility.
 
-:class:`CampaignServer` fronts an ordinary queue-capable store (SQLite
-by default) over plain stdlib HTTP (``ThreadingHTTPServer`` + JSON), so
-any machine that can reach the port can join a sweep campaign — no
-shared filesystem, no extra dependencies. It exposes:
+:class:`CampaignServer` fronts a local SQLite store over plain stdlib
+HTTP (``ThreadingHTTPServer`` + JSON), so any machine that can reach the
+port can join a sweep campaign — no shared filesystem, no extra
+dependencies. It exposes:
 
-* ``POST /api/kv/<op>`` — the :class:`~repro.store.base.StoreBackend`
-  surface (load/get/put/delete/wipe/namespaces/vacuum/disk-usage/
-  status/entry-updated-at);
-* ``POST /api/queue/<op>`` — the :class:`~repro.store.base.WorkQueue`
-  surface (enqueue/claim/heartbeat/complete/fail/release-worker/
-  requeue-expired/retry-failed/counts/mark-done/points). ``complete``
-  always verifies the lease (``require_lease=True`` on the backing
-  store): a zombie worker whose lease expired gets a clean rejection
-  instead of scribbling over a sibling's row;
+* ``POST /api/kv/<op>`` — the key/value half of the
+  :class:`~repro.store.base.StoreBackend` protocol (load/get/put/delete/
+  wipe/namespaces/vacuum/disk-usage/status/entry-updated-at);
+* ``POST /api/queue/<op>`` — its work-queue half (enqueue/claim/
+  heartbeat/complete/fail/release-worker/requeue-expired/retry-failed/
+  counts/mark-done/points). ``complete`` always verifies the lease
+  (``require_lease=True`` on the backing store): a zombie worker whose
+  lease expired gets a clean rejection instead of scribbling over a
+  sibling's row;
 * ``GET /stream/results`` — a chunked, byte-offset-resumable tail of the
   campaign's ``results.jsonl``: every experiment record the server has
   seen land in the experiment namespace, replayed from ``?offset=N`` and
@@ -51,12 +51,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro._version import __version__
 from repro.errors import ReproError, StoreError
 from repro.obs import metrics as obs_metrics
-from repro.store.base import (
-    STATUS_CLAIMED,
-    ensure_queue,
-    is_url,
-    open_store,
-)
+from repro.store.base import STATUS_CLAIMED, is_url, open_store
 
 _REQUESTS = obs_metrics.METRICS.counter(
     "autolock_http_requests_total",
@@ -106,7 +101,6 @@ class CampaignServer:
         store_path: str | Path,
         *,
         token: str,
-        backend: str | None = None,
         host: str = "127.0.0.1",
         port: int = 8787,
         results_path: str | Path | None = None,
@@ -124,7 +118,7 @@ class CampaignServer:
             )
         self.token = token
         self.store_path = str(store_path)
-        self.store = open_store(store_path, backend)
+        self.store = open_store(store_path)
         #: one big lock: the HTTP layer is many-threaded, the backing
         #: store sees exactly one writer at a time.
         self._store_lock = threading.RLock()
@@ -234,39 +228,38 @@ class CampaignServer:
             if op == "disk-usage":
                 return store.disk_usage()
             if op == "entry-updated-at":
-                probe = getattr(store, "entry_updated_at", None)
-                if probe is None:
-                    return None
-                return probe(payload["namespace"], payload["key"])
+                return store.entry_updated_at(
+                    payload["namespace"], payload["key"]
+                )
             if op == "status":
                 return self.status()
         raise KeyError(op)
 
     def queue_op(self, op: str, payload: dict[str, Any]) -> Any:
         with self._store_lock:
-            queue = ensure_queue(self.store)
+            store = self.store
             if op == "enqueue":
-                return queue.enqueue_points(
+                return store.enqueue_points(
                     payload["sweep_id"],
                     payload["points"],
                     reset=bool(payload.get("reset", False)),
                 )
             if op == "claim":
-                point = queue.claim(
+                point = store.claim(
                     payload["sweep_id"],
                     payload["worker_id"],
                     float(payload["ttl"]),
                 )
                 return None if point is None else dataclasses.asdict(point)
             if op == "heartbeat":
-                return queue.heartbeat(
+                return store.heartbeat(
                     payload["sweep_id"],
                     payload["fingerprint"],
                     payload["worker_id"],
                     float(payload["ttl"]),
                 )
             if op == "complete":
-                done = queue.complete(
+                done = store.complete(
                     payload["sweep_id"],
                     payload["fingerprint"],
                     payload["worker_id"],
@@ -285,7 +278,7 @@ class CampaignServer:
                         self._completions.popleft()
                 return done
             if op == "fail":
-                return queue.fail(
+                return store.fail(
                     payload["sweep_id"],
                     payload["fingerprint"],
                     payload["worker_id"],
@@ -293,21 +286,21 @@ class CampaignServer:
                     max_attempts=int(payload.get("max_attempts", 3)),
                 )
             if op == "release-worker":
-                return queue.release_worker(
+                return store.release_worker(
                     payload["sweep_id"], payload["worker_id"]
                 )
             if op == "requeue-expired":
-                return queue.requeue_expired(payload["sweep_id"])
+                return store.requeue_expired(payload["sweep_id"])
             if op == "retry-failed":
-                return queue.retry_failed(payload["sweep_id"])
+                return store.retry_failed(payload["sweep_id"])
             if op == "counts":
-                return queue.queue_counts(payload["sweep_id"])
+                return store.queue_counts(payload["sweep_id"])
             if op == "mark-done":
-                return queue.mark_done(
+                return store.mark_done(
                     payload["sweep_id"], list(payload["fingerprints"])
                 )
             if op == "points":
-                return queue.points(payload["sweep_id"])
+                return store.points(payload["sweep_id"])
         raise KeyError(op)
 
     # -- results log ----------------------------------------------------
@@ -337,12 +330,8 @@ class CampaignServer:
         recent = [t for t in self._completions if t >= now - 60.0]
         leases = []
         fresh_evaluations = 0
-        sweeps = backing.get("sweeps", {})
-        queue = self.store if hasattr(self.store, "points") else None
-        for sweep_id, counts in sweeps.items():
-            if queue is None:
-                continue
-            for point in queue.points(sweep_id):
+        for sweep_id in backing["sweeps"]:
+            for point in self.store.points(sweep_id):
                 fresh_evaluations += int(point["fresh_evaluations"] or 0)
                 if point["status"] != STATUS_CLAIMED:
                     continue
@@ -400,19 +389,17 @@ class CampaignServer:
         """
         with self._store_lock:
             backing = self.store.status()
-            _STORE_ENTRIES.set(backing.get("entries", 0))
-            queue = self.store if hasattr(self.store, "points") else None
+            _STORE_ENTRIES.set(backing["entries"])
             fresh = 0
-            for sweep_id, counts in backing.get("sweeps", {}).items():
+            for sweep_id, counts in backing["sweeps"].items():
                 for point_status, count in counts.items():
                     _QUEUE_POINTS.set(
                         count, sweep_id=sweep_id, status=point_status
                     )
-                if queue is not None:
-                    fresh += sum(
-                        int(p["fresh_evaluations"] or 0)
-                        for p in queue.points(sweep_id)
-                    )
+                fresh += sum(
+                    int(p["fresh_evaluations"] or 0)
+                    for p in self.store.points(sweep_id)
+                )
             _QUEUE_FRESH.set(fresh)
         return obs_metrics.METRICS.render_prometheus()
 
@@ -421,7 +408,7 @@ class CampaignServer:
         with self._store_lock:
             status = self.status()
         server = status["server"]
-        sweeps = status.get("sweeps", {})
+        sweeps = status["sweeps"]
 
         def esc(value: Any) -> str:
             return html.escape(str(value))

@@ -1,9 +1,8 @@
-"""Experiment stores: shared sweep state behind a pluggable backend.
+"""Experiment stores: shared sweep state behind one protocol.
 
-See :mod:`repro.store.base` for the :class:`StoreBackend` /
-:class:`WorkQueue` protocols, :mod:`repro.store.json_store` for the
-single-writer JSON file, and :mod:`repro.store.sqlite_store` for the
-concurrent SQLite database with the distributed work queue.
+See :mod:`repro.store.base` for the :class:`StoreBackend` protocol and
+:func:`open_store`, and :mod:`repro.store.sqlite_store` for the
+concurrent SQLite database every file path opens.
 """
 
 from repro.store.base import (
@@ -13,15 +12,11 @@ from repro.store.base import (
     STATUS_PENDING,
     ClaimedPoint,
     StoreBackend,
-    WorkQueue,
-    ensure_queue,
-    infer_backend,
     is_url,
     open_store,
     url_scheme,
 )
 from repro.store.gc import gc_store
-from repro.store.json_store import JSONStore
 from repro.store.sqlite_store import SQLiteStore
 
 # Imported last: the HttpStore client registers the "http" backend and
@@ -36,12 +31,8 @@ __all__ = [
     "STATUS_PENDING",
     "ClaimedPoint",
     "HttpStore",
-    "JSONStore",
     "SQLiteStore",
     "StoreBackend",
-    "WorkQueue",
-    "ensure_queue",
-    "infer_backend",
     "is_url",
     "open_store",
     "url_scheme",

@@ -1,23 +1,18 @@
-"""Store backend protocol: namespaced key/value state plus a work queue.
+"""Store protocol: namespaced key/value state plus a work queue.
 
 An experiment *store* is the shared state behind sweeps: per-genotype
 fitness entries, finished experiment records keyed by spec fingerprint,
-and (for distributed execution) the ``sweep_points`` work queue. Two
-backends implement the protocol:
+and the ``sweep_points`` work queue of distributed sweeps. Every store
+implements both halves of one protocol. :func:`open_store` picks the
+implementation from the location alone:
 
-* :class:`~repro.store.json_store.JSONStore` — the historical single-file
-  JSON format (``namespace -> key -> value``), safe for one writer at a
-  time thanks to unique-temp-file + atomic-rename persistence;
-* :class:`~repro.store.sqlite_store.SQLiteStore` — WAL-mode SQLite with
-  retry-on-busy, safe for any number of concurrent OS processes, and the
-  only backend carrying the lease-based work queue.
-
-Backends are registered under :data:`repro.registry.STORES` (``"json"``,
-``"sqlite"``, ``"http"``); :func:`open_store` resolves a name or infers
-one from the path — a URL scheme first (``http://host:8787/campaign``
-selects the :class:`~repro.serve.client.HttpStore` client), then the
-path suffix — so ``--store sqlite`` and ``cache.sqlite`` mean the same
-thing and a campaign URL drops into every ``cache_path`` seam.
+* a URL opens the :data:`repro.registry.STORES` backend registered for
+  its scheme — ``http``/``https`` select the
+  :class:`~repro.serve.client.HttpStore` campaign-server client, so a
+  campaign URL drops into every ``cache_path`` seam;
+* any other path opens :class:`~repro.store.sqlite_store.SQLiteStore`,
+  a WAL-mode SQLite file safe for any number of concurrent processes,
+  whatever the path's suffix.
 """
 
 from __future__ import annotations
@@ -30,10 +25,6 @@ from typing import Any, Mapping, Protocol, runtime_checkable
 
 from repro.errors import StoreError
 from repro.registry import STORES
-
-#: path suffixes that select the SQLite backend when no explicit backend
-#: name is given.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: RFC 3986 scheme followed by ``://`` — a store *URL* rather than a
 #: filesystem path. (``C:\cache.db`` has no ``//``, so Windows drive
@@ -65,19 +56,21 @@ STATUS_FAILED = "failed"
 
 @runtime_checkable
 class StoreBackend(Protocol):
-    """Namespaced key/value persistence shared by every backend.
+    """Namespaced key/value persistence plus a lease-based work queue.
 
-    Keys and namespaces are strings; values are JSON-safe objects. A
-    backend whose :attr:`read_through` is true serves :meth:`get` misses
-    from the live shared medium (concurrent writers become visible
-    mid-run); a false value means the load-once snapshot from
-    :meth:`load_namespace` is all there is.
+    Keys and namespaces are strings; values are JSON-safe objects, and
+    :meth:`get` reads the live shared medium, so entries written by
+    concurrent processes become visible mid-run.
+
+    Queue points are keyed by ``(sweep_id, fingerprint)``. A *claim*
+    marks a pending point as leased to one worker until ``ttl`` seconds
+    pass; workers heartbeat long evaluations to extend the lease and
+    *complete* points when the experiment record is safely stored.
+    Leases that expire (crashed or stalled worker) are requeued, so a
+    killed sweep resumes with zero recomputation of completed points.
     """
 
-    #: whether point lookups should consult the backend after a miss in
-    #: an in-memory snapshot (true for genuinely concurrent media).
-    read_through: bool
-
+    # -- key/value ------------------------------------------------------
     def load_namespace(self, namespace: str) -> dict[str, Any]:
         """Every ``key -> value`` currently stored under ``namespace``."""
         ...  # pragma: no cover - protocol
@@ -118,35 +111,7 @@ class StoreBackend(Protocol):
         """Release any handle; further use may reopen lazily."""
         ...  # pragma: no cover - protocol
 
-
-@dataclass(frozen=True)
-class ClaimedPoint:
-    """One work-queue point leased to a worker."""
-
-    sweep_id: str
-    fingerprint: str
-    payload: dict[str, Any] = field(default_factory=dict)
-    worker_id: str = ""
-    lease_expires: float = 0.0
-    attempts: int = 1
-
-    @property
-    def lease_remaining_s(self) -> float:
-        return max(0.0, self.lease_expires - time.time())
-
-
-@runtime_checkable
-class WorkQueue(Protocol):
-    """Lease-based sweep-point queue (SQLite-backed today).
-
-    Points are keyed by ``(sweep_id, fingerprint)``. A *claim* marks a
-    pending point as leased to one worker until ``ttl`` seconds pass;
-    workers heartbeat long evaluations to extend the lease and *complete*
-    points when the experiment record is safely stored. Leases that
-    expire (crashed or stalled worker) are requeued, so a killed sweep
-    resumes with zero recomputation of completed points.
-    """
-
+    # -- work queue -----------------------------------------------------
     def enqueue_points(
         self, sweep_id: str, points: Mapping[str, Mapping[str, Any]],
         *, reset: bool = False,
@@ -215,51 +180,43 @@ class WorkQueue(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def infer_backend(path: str | Path) -> str:
-    """The backend name implied by a store path.
+@dataclass(frozen=True)
+class ClaimedPoint:
+    """One work-queue point leased to a worker."""
 
-    URL schemes are recognised *before* suffix inference — a suffix probe
-    on ``http://host:8787/campaign.db`` must not mis-route a campaign
-    server to the SQLite backend. ``http``/``https`` both select the
-    registered ``"http"`` client; any other scheme resolves through the
-    registry verbatim, so an unknown ``redis://…`` fails with the same
-    registry listing as an unknown ``--store`` name.
+    sweep_id: str
+    fingerprint: str
+    payload: dict[str, Any] = field(default_factory=dict)
+    worker_id: str = ""
+    lease_expires: float = 0.0
+    attempts: int = 1
+
+    @property
+    def lease_remaining_s(self) -> float:
+        return max(0.0, self.lease_expires - time.time())
+
+
+def open_store(path: str | Path) -> StoreBackend:
+    """Open the experiment store at ``path``.
+
+    A URL opens the :data:`repro.registry.STORES` backend registered for
+    its scheme: ``http``/``https`` select the campaign-server client, and
+    any other scheme resolves verbatim, so an unknown ``redis://…``
+    raises :class:`~repro.errors.RegistryError` listing the registered
+    backends. Any other path opens the SQLite store, whatever its suffix.
+    A plugin that lacks part of the :class:`StoreBackend` protocol, work
+    queue included, is rejected here, once, with a
+    :class:`~repro.errors.StoreError` naming it.
     """
     scheme = url_scheme(path)
-    if scheme is not None:
-        return "http" if scheme in ("http", "https") else scheme
-    suffix = Path(path).suffix.lower()
-    return "sqlite" if suffix in SQLITE_SUFFIXES else "json"
-
-
-def open_store(path: str | Path, backend: str | None = None) -> StoreBackend:
-    """Open the store at ``path`` with an explicit or inferred backend.
-
-    ``backend`` is a :data:`repro.registry.STORES` name (``"json"``,
-    ``"sqlite"``, ``"http"``, or any plugin); ``None`` infers from the
-    path — URL scheme first, then suffix — so existing ``--cache
-    foo.json`` usage keeps its exact behaviour and
-    ``open_store("http://host:8787/campaign")`` reaches a campaign
-    server. An unrecognised URL scheme raises
-    :class:`~repro.errors.RegistryError` listing the registered
-    backends, the same contract as an unknown ``--store`` name.
-    """
-    name = backend if backend is not None else infer_backend(path)
+    if scheme is None:
+        name = "sqlite"
+    else:
+        name = "http" if scheme == "https" else scheme
     store = STORES.create(name, path=path)
     if not isinstance(store, StoreBackend):
         raise StoreError(
-            f"store backend {name!r} ({type(store).__name__}) does not "
-            "implement the StoreBackend protocol"
+            f"store plugin {name!r} ({type(store).__name__}) does not "
+            "implement the StoreBackend protocol (key/value + work queue)"
         )
     return store
-
-
-def ensure_queue(store: StoreBackend) -> WorkQueue:
-    """The store's work queue, or a :class:`StoreError` naming the fix."""
-    if isinstance(store, WorkQueue):
-        return store
-    raise StoreError(
-        f"store backend {type(store).__name__} has no work queue; "
-        "distributed sweeps need a queue-capable store — use the sqlite "
-        "backend (e.g. --store sqlite or a .sqlite cache path)"
-    )

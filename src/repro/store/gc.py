@@ -8,8 +8,8 @@ its own key** can never be served again. That happens when the spec
 schema gains result-determining fields (fingerprints shift), when a
 plugin the spec names is removed, or when a stored spec no longer parses
 at all. :func:`gc_store` finds and drops exactly those records, then asks
-the backend to compact itself (``VACUUM`` for SQLite, a compact rewrite
-for the JSON file) and reports the bytes reclaimed.
+the store to compact itself (``VACUUM`` on SQLite) and reports the bytes
+reclaimed.
 
 Per-genotype fitness namespaces are deliberately left alone: their
 entries stay addressable for as long as their (circuit, attack config)
@@ -50,12 +50,14 @@ def _record_resolves(key: str, record: Any) -> bool:
 
 def gc_store(
     path: str | Path,
-    backend: str | StoreBackend | None = None,
+    backend: StoreBackend | None = None,
     *,
     namespace: str | None = None,
 ) -> dict[str, Any]:
     """Collect one store; returns a JSON-safe report.
 
+    ``backend`` is an already-open store on ``path`` (left open); by
+    default the store at ``path`` is opened and closed here.
     ``namespace`` defaults to the experiment-record namespace. The report
     carries ``examined`` / ``dropped`` / ``kept`` record counts plus
     ``bytes_before`` / ``bytes_after`` / ``bytes_reclaimed`` as measured
@@ -63,8 +65,8 @@ def gc_store(
     """
     from repro.api.runner import EXPERIMENT_NAMESPACE
 
-    owns_store = not isinstance(backend, StoreBackend)
-    store = backend if not owns_store else open_store(path, backend)
+    owns_store = backend is None
+    store = open_store(path) if owns_store else backend
     target = namespace if namespace is not None else EXPERIMENT_NAMESPACE
     try:
         bytes_before = store.disk_usage()

@@ -2,8 +2,8 @@
 
 One WAL-mode database file carries everything a sweep campaign shares:
 
-* ``kv`` — namespaced key/value entries (per-genotype fitness values and
-  finished experiment records, exactly the data the JSON store holds);
+* ``kv`` — namespaced key/value entries (per-genotype fitness values,
+  finished experiment records and co-evolution checkpoints);
 * ``sweep_points`` — the distributed work queue: one row per (sweep,
   point fingerprint) with a lease-based claim protocol, so any number of
   OS processes can cooperate on one sweep without double-running points.
@@ -15,6 +15,11 @@ locked``/``busy`` (on top of SQLite's own ``busy_timeout``). Claims use
 Connections are per-process and guarded by a thread lock — the store is
 safe to share between the evaluator dispatch thread and the main thread,
 and safe to reopen by path in forked/spawned workers.
+
+Every non-URL store path opens this store, whatever its suffix; a file
+that is not a SQLite database (such as a JSON fitness cache written by
+older releases) is refused with a :class:`~repro.errors.StoreError` the
+first time the store is used.
 """
 
 from __future__ import annotations
@@ -77,11 +82,7 @@ def _is_busy(exc: sqlite3.OperationalError) -> bool:
 
 @register_store("sqlite")
 class SQLiteStore:
-    """WAL-mode SQLite :class:`~repro.store.base.StoreBackend` + queue."""
-
-    #: concurrent writers are visible immediately, so misses in an
-    #: in-memory snapshot should fall through to the database.
-    read_through = True
+    """WAL-mode SQLite :class:`~repro.store.base.StoreBackend`."""
 
     def __init__(
         self,
@@ -120,9 +121,19 @@ class SQLiteStore:
                 isolation_level=None,  # autocommit; we manage transactions
                 check_same_thread=False,  # guarded by self._lock
             )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.executescript(_SCHEMA)
+            except sqlite3.DatabaseError as exc:
+                conn.close()
+                if isinstance(exc, sqlite3.OperationalError):
+                    raise  # busy/locked: _with_retry decides
+                raise StoreError(
+                    f"store {self.path} is not a SQLite database ({exc}); "
+                    "JSON fitness caches are no longer read — move the "
+                    "file aside or point the cache at a new path"
+                ) from exc
             self._conn = conn
             self._pid = os.getpid()
         return self._conn
@@ -194,7 +205,7 @@ class SQLiteStore:
             lambda: self._connect().execute(sql, params).fetchall()
         )
 
-    # -- StoreBackend ---------------------------------------------------
+    # -- key/value ------------------------------------------------------
     def load_namespace(self, namespace: str) -> dict[str, Any]:
         rows = self._query(
             "SELECT key, value FROM kv WHERE namespace = ?", (namespace,)
@@ -311,7 +322,7 @@ class SQLiteStore:
         )
         return rows[0][0] if rows else None
 
-    # -- WorkQueue ------------------------------------------------------
+    # -- work queue -----------------------------------------------------
     def enqueue_points(
         self, sweep_id: str, points: Mapping[str, Mapping[str, Any]],
         *, reset: bool = False,

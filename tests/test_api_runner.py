@@ -207,7 +207,7 @@ def test_cli_run_async_sync_flags(tmp_path, capsys):
 
 # ----------------------------------------------------- cache + artifacts
 def test_experiment_cache_replays_with_zero_fresh_evaluations(tmp_path):
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.sqlite")
     spec = c17_spec(cache_path=cache)
     first = run_experiment(spec)
     assert first.fresh_evaluations == 1 and not first.from_cache
@@ -239,7 +239,7 @@ def test_run_artifacts_written_and_parse(tmp_path):
 
 
 def test_sweep_shares_one_evaluator_and_warm_cache(tmp_path):
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.sqlite")
     sweep = SweepSpec(
         name="two_point",
         base=c17_spec(metrics=()),
@@ -265,7 +265,7 @@ def test_sweep_shares_one_evaluator_and_warm_cache(tmp_path):
 
 def test_sweep_repeated_identical_point_reuses_record(tmp_path):
     """A duplicated grid point is served from the shared cache in-sweep."""
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.sqlite")
     sweep = SweepSpec(
         base=c17_spec(metrics=()),
         axes={"*dup": [{"tag": "first"}, {"tag": "first"}]},
@@ -298,7 +298,7 @@ def test_engine_sweep_routes_all_points_through_one_evaluator(tmp_path):
 
 
 def test_engine_sweep_warm_cache_zero_fresh(tmp_path):
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.sqlite")
     spec = c17_spec(
         circuit="rand_100_9", key_length=4, metrics=(),
         engine="ga", engine_params={"population_size": 4, "generations": 2},
@@ -355,7 +355,7 @@ def test_cli_sweep_subcommand(tmp_path, capsys):
         name="cli_demo",
         base=c17_spec(metrics=()),
         axes={"key_length": [2, 3]},
-        cache_path=str(tmp_path / "cache.json"),
+        cache_path=str(tmp_path / "cache.sqlite"),
     )
     sweep_path.write_text(sweep.to_json())
     out = tmp_path / "artifacts"

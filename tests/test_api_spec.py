@@ -24,7 +24,7 @@ def full_spec() -> ExperimentSpec:
         seed=11,
         attack_seed=7,
         workers=2,
-        cache_path="/tmp/cache.json",
+        cache_path="/tmp/cache.sqlite",
         tag="full",
     )
 
@@ -51,7 +51,7 @@ def test_sweep_json_roundtrip_lossless(tmp_path):
         axes={"circuit": ["c17", "c432_syn"], "key_length": [4, 8]},
         name="grid",
         workers=3,
-        cache_path=str(tmp_path / "c.json"),
+        cache_path=str(tmp_path / "c.sqlite"),
     )
     again = SweepSpec.from_json(sweep.to_json())
     assert again == sweep
@@ -115,7 +115,7 @@ def test_with_updates_rejects_unknown_fields():
 def test_fingerprint_ignores_execution_knobs():
     spec = ExperimentSpec(circuit="c17", seed=3)
     assert spec.fingerprint() == spec.with_updates(
-        workers=8, cache_path="/tmp/x.json"
+        workers=8, cache_path="/tmp/x.sqlite"
     ).fingerprint()
     # The tag is a label, not an input: relabelled reruns must share
     # cached experiment records.
@@ -253,7 +253,7 @@ def test_sweep_merge_axis_resets_component_params():
 
 
 def test_sweep_shared_workers_and_cache_apply_to_points(tmp_path):
-    cache = str(tmp_path / "c.json")
+    cache = str(tmp_path / "c.sqlite")
     sweep = SweepSpec(
         base=ExperimentSpec(circuit="c17"),
         axes={"seed": [0, 1]},

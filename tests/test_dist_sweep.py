@@ -18,7 +18,7 @@ from repro.api.runner import EXPERIMENT_NAMESPACE
 from repro.dist import SweepScheduler, Worker
 from repro.dist.scheduler import _record_key
 from repro.errors import StoreError
-from repro.store import SQLiteStore, ensure_queue
+from repro.store import SQLiteStore
 
 
 def _static_sweep(cache_path, n_points: int = 3) -> SweepSpec:
@@ -61,7 +61,7 @@ def _stripped(results) -> list[str]:
 
 # ------------------------------------------------- serial equivalence
 def test_distributed_static_sweep_matches_serial_byte_for_byte(tmp_path):
-    serial = run_sweep(_static_sweep(tmp_path / "serial.json"))
+    serial = run_sweep(_static_sweep(tmp_path / "serial.sqlite"))
     dist = run_sweep(_static_sweep(tmp_path / "dist.sqlite"), distributed=2)
     assert _stripped(serial.results) == _stripped(dist.results)
     assert dist.fresh_evaluations == serial.fresh_evaluations == 3
@@ -70,7 +70,7 @@ def test_distributed_static_sweep_matches_serial_byte_for_byte(tmp_path):
 
 
 def test_distributed_engine_sweep_matches_serial_byte_for_byte(tmp_path):
-    serial = run_sweep(_engine_sweep(tmp_path / "serial.json"))
+    serial = run_sweep(_engine_sweep(tmp_path / "serial.sqlite"))
     dist = run_sweep(_engine_sweep(tmp_path / "dist.sqlite"), distributed=2)
     assert _stripped(serial.results) == _stripped(dist.results)
     # Engine records must still carry the champion for rebuild_locked.
@@ -166,8 +166,7 @@ def test_worker_killed_mid_point_lease_expires_and_point_reruns(tmp_path):
 
     # Simulate a worker that claimed a point and was then kill -9'd.
     store = SQLiteStore(store_path)
-    queue = ensure_queue(store)
-    dead = queue.claim(scheduler.sweep_id, "dead-worker", ttl=0.05)
+    dead = store.claim(scheduler.sweep_id, "dead-worker", ttl=0.05)
     assert dead is not None
     store.close()
 
@@ -192,7 +191,7 @@ def test_poisoned_point_fails_after_max_attempts_and_scheduler_reports(
     # Poison pill: a payload whose circuit does not exist.
     store = SQLiteStore(store_path)
     bad_payload = sweep.base.with_updates(circuit="no_such_circuit").to_dict()
-    ensure_queue(store).enqueue_points(
+    store.enqueue_points(
         scheduler.sweep_id, {"poison": bad_payload}
     )
     store.close()
@@ -209,11 +208,6 @@ def test_poisoned_point_fails_after_max_attempts_and_scheduler_reports(
     healthy = [p for fp, p in rows.items() if fp != "poison"]
     assert all(p["status"] == "done" for p in healthy)
     store.close()
-
-
-def test_distributed_sweep_rejects_json_store(tmp_path):
-    with pytest.raises(StoreError, match="work queue"):
-        run_sweep(_static_sweep(tmp_path / "cache.json"), distributed=2)
 
 
 def test_distributed_sweep_requires_cache_path(tmp_path):
@@ -298,7 +292,7 @@ def test_worker_uses_its_own_store_path_not_the_enqueuers(
     sweep = _static_sweep("enqueuer-relative.sqlite", n_points=2)
     specs = sweep.expand()
     store = SQLiteStore(store_path)
-    ensure_queue(store).enqueue_points(
+    store.enqueue_points(
         sweep.fingerprint(),
         {s.fingerprint(): s.to_dict() for s in specs},
     )

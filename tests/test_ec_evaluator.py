@@ -11,7 +11,6 @@ repeated runs into pure lookups.
 from __future__ import annotations
 
 import dataclasses
-import json
 import pickle
 import time
 
@@ -26,7 +25,6 @@ from repro.ec import (
     FitnessCache,
     GaConfig,
     GeneticAlgorithm,
-    MuxLinkFitness,
     Nsga2,
     Nsga2Config,
     ProcessPoolEvaluator,
@@ -88,7 +86,10 @@ class PidFitness:
 
 # ----------------------------------------------------- GA equivalence
 def _ga_run(circuit, evaluator, cache):
-    fitness = MuxLinkFitness(circuit, predictor="bayes", attack_seed=5, cache=cache)
+    fitness = SpecFitness(
+        circuit, "muxlink", {"predictor": "bayes", "ensemble": 1},
+        attack_seed=5, cache=cache,
+    )
     config = GaConfig(key_length=6, population_size=6, generations=4, seed=9)
     result = GeneticAlgorithm(config).run(circuit, fitness, evaluator=evaluator)
     return result, fitness
@@ -283,7 +284,7 @@ def test_batch_stats_merge():
 
 # -------------------------------------------------- on-disk persistence
 def test_fitness_cache_disk_round_trip(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.sqlite"
     key = (("a", "b", "c", "d", 1),)
     cache = FitnessCache(path=path, namespace="ns1")
     cache.put(key, 0.5)
@@ -307,23 +308,15 @@ def test_fitness_cache_disk_round_trip(tmp_path):
     assert FitnessCache(path=path, namespace="ns2").get(key) == 0.9
 
 
-def test_fitness_cache_tolerates_corrupt_file(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text("{not json")
-    cache = FitnessCache(path=path, namespace="ns")
-    assert cache.get((("a", "b", "c", "d", 0),)) is None
-    cache.put((("a", "b", "c", "d", 0),), 0.5)  # overwrites the corrupt file
-    assert json.loads(path.read_text())["ns"]
-
-
 def test_fitness_cache_pickle_drops_path_and_lock(tmp_path):
-    cache = FitnessCache(path=tmp_path / "cache.json", namespace="ns")
+    path = tmp_path / "cache.sqlite"
+    cache = FitnessCache(path=path, namespace="ns")
     cache.put((("a", "b", "c", "d", 0),), 0.5)
     clone = pickle.loads(pickle.dumps(cache))
     assert clone.path is None, "worker-side clones must not write the file"
     assert clone.store == cache.store
     clone.put((("x", "y", "z", "w", 1),), 0.1)  # must not touch disk
-    assert "x" not in (tmp_path / "cache.json").read_text()
+    assert len(FitnessCache(path=path, namespace="ns")) == 1
 
 
 def test_cache_namespace_is_order_independent():
@@ -343,7 +336,7 @@ def test_autolock_warm_disk_cache_skips_all_attacks(circuit, tmp_path):
         report_predictor="bayes",
         report_ensemble=1,
         seed=3,
-        cache_path=tmp_path / "fitness_cache.json",
+        cache_path=tmp_path / "fitness_cache.sqlite",
     )
     cold = AutoLock(config).run(circuit)
     assert cold.fitness_evaluations > 0 and cold.report_evaluations > 0

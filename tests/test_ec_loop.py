@@ -359,7 +359,7 @@ class ExplodingFitness:
 
 def test_engine_crash_flushes_dirty_cache_entries(tmp_path):
     circuit = load_circuit("rand_100_7")
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.sqlite"
     fitness = ExplodingFitness(
         FitnessCache(path=path, namespace="ns"), explode_after=5
     )
@@ -395,7 +395,7 @@ def test_pool_crash_salvages_completed_sibling_evaluations(tmp_path):
     circuit = load_circuit("rand_100_7")
     genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in range(4)]
     poison = genotype_key(genomes[1])
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.sqlite"
     fitness = PoisonFitness(
         poison, FitnessCache(path=path, namespace="ns")
     )

@@ -1,9 +1,14 @@
 """Design serialisation and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.errors import LockingError
 from repro.io import load_locked_design, save_locked_design
@@ -235,3 +240,36 @@ def test_cli_sweep_alphabet_flag_conflicts_with_merge_axis(tmp_path, capsys):
     path.write_text(json.dumps(sweep))
     assert main(["sweep", str(path), "--alphabet", "mux"]) == 2
     assert "already sweeps an 'alphabet' axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["info", "lock", "evolve"])
+def test_cli_unknown_circuit_exits_2_without_traceback(verb):
+    """A ReproError from any verb is one ``error:`` line and exit 2."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", verb, "nosuch"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "unknown circuit 'nosuch'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_evolve_on_a_json_cache_exits_2_naming_it(tmp_path, capsys):
+    """JSON fitness caches are no longer read: a clear error, not a
+    sqlite3 traceback, and the old file is left untouched."""
+    old = tmp_path / "old.json"
+    old.write_text('{"c17|role=fitness": {}}')
+    assert main([
+        "evolve", "c17", "--key-length", "2", "--population", "2",
+        "--generations", "1", "--predictor", "bayes", "--cache", str(old),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(old) in err and "JSON fitness caches are no longer read" in err
+    assert old.read_text() == '{"c17|role=fitness": {}}'

@@ -524,7 +524,7 @@ def test_mixed_alphabet_run_experiment_records_kinds(rand100, tmp_path):
         attack_params={"predictor": "bayes"},
         seed=5,
         alphabet=("mux", "xor"),
-        cache_path=str(tmp_path / "cache.json"),
+        cache_path=str(tmp_path / "cache.sqlite"),
     )
     result = run_experiment(spec)
     kinds = [g["kind"] for g in result.record["engine"]["best_genotype"]]

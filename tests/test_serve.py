@@ -26,7 +26,7 @@ from repro.dist.scheduler import _record_key
 from repro.dist.worker import retry_with_backoff
 from repro.errors import RegistryError, StoreError
 from repro.serve import TOKEN_ENV, CampaignServer, HttpStore
-from repro.store import ensure_queue, infer_backend, is_url, open_store
+from repro.store import SQLiteStore, is_url, open_store
 
 TOKEN = "test-campaign-token"
 
@@ -65,12 +65,11 @@ def _stripped(results) -> list[str]:
 
 
 # ------------------------------------------------------ backend inference
-def test_url_schemes_resolve_before_suffix_inference():
+def test_url_schemes_resolve_before_suffix_inference(tmp_path):
     # http://…/campaign.db must NOT be mis-routed to sqlite by its suffix.
-    assert infer_backend("http://host:8787/campaign.db") == "http"
-    assert infer_backend("https://host/campaign") == "http"
-    assert infer_backend("cache.sqlite") == "sqlite"
-    assert infer_backend("cache.json") == "json"
+    assert isinstance(open_store("http://host:8787/campaign.db"), HttpStore)
+    assert isinstance(open_store("https://host/campaign"), HttpStore)
+    assert isinstance(open_store(tmp_path / "cache.db"), SQLiteStore)
     assert is_url("http://host/x") and not is_url("plain/cache.db")
 
 
@@ -82,12 +81,11 @@ def test_unknown_url_scheme_fails_with_registry_listing(tmp_path):
 def test_open_store_url_returns_http_backend(server):
     store = open_store(server.url + "/campaign")
     assert isinstance(store, HttpStore)
-    assert store.read_through is True
 
 
 # --------------------------------------------------- serial equivalence
 def test_http_sweep_matches_serial_byte_for_byte(tmp_path, server):
-    serial = run_sweep(_static_sweep(tmp_path / "serial.json"))
+    serial = run_sweep(_static_sweep(tmp_path / "serial.sqlite"))
     dist = run_sweep(_static_sweep(server.url + "/campaign"), distributed=2)
     assert _stripped(serial.results) == _stripped(dist.results)
     assert dist.fresh_evaluations == serial.fresh_evaluations == 3
@@ -294,11 +292,8 @@ def test_worker_releases_lease_and_raises_when_server_dies(
     store.enqueue_points("s", {spec.fingerprint(): spec.to_dict()})
     released = []
 
-    class DyingQueue:
+    class DyingStore(HttpStore):
         """Claims work; completion finds the server gone for good."""
-
-        def claim(self, sweep_id, worker_id, ttl):
-            return store.claim(sweep_id, worker_id, ttl)
 
         def complete(self, *args, **kwargs):
             raise StoreError("connection refused")
@@ -309,7 +304,7 @@ def test_worker_releases_lease_and_raises_when_server_dies(
 
     import repro.dist.worker as worker_mod
 
-    monkeypatch.setattr(worker_mod, "ensure_queue", lambda s: DyingQueue())
+    monkeypatch.setattr(worker_mod, "open_store", DyingStore)
     worker = Worker(
         store_path=server.url, sweep_id="s",
         retry_attempts=2, retry_base_s=0.0, retry_cap_s=0.0,

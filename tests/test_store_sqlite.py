@@ -18,40 +18,65 @@ import pytest
 
 from repro.ec.fitness import FitnessCache
 from repro.errors import StoreError
-from repro.registry import STORES
-from repro.store import (
-    JSONStore,
-    SQLiteStore,
-    ensure_queue,
-    infer_backend,
-    open_store,
-)
+from repro.registry import STORES, register_store
+from repro.store import SQLiteStore, open_store
 
 # ------------------------------------------------------------ factory
-def test_open_store_infers_backend_from_suffix(tmp_path):
-    assert infer_backend("cache.json") == "json"
-    assert infer_backend("cache.sqlite") == "sqlite"
-    assert infer_backend("cache.db") == "sqlite"
-    assert isinstance(open_store(tmp_path / "a.json"), JSONStore)
-    assert isinstance(open_store(tmp_path / "a.sqlite"), SQLiteStore)
-    # Explicit backend name beats the suffix.
-    assert isinstance(open_store(tmp_path / "a.json", "sqlite"), SQLiteStore)
+def test_open_store_opens_sqlite_whatever_the_suffix(tmp_path):
+    for name in ("cache", "cache.json", "cache.sqlite", "cache.db"):
+        store = open_store(tmp_path / name)
+        assert isinstance(store, SQLiteStore), name
+        store.put_many("ns", {"k": 1})
+        store.close()
+        assert (tmp_path / name).exists()
 
 
 def test_store_registry_lists_backends():
-    names = STORES.available()
-    assert "json" in names and "sqlite" in names
+    assert STORES.available() == ["http", "sqlite"]
 
 
-def test_json_store_has_no_queue(tmp_path):
-    with pytest.raises(StoreError, match="work queue"):
-        ensure_queue(JSONStore(tmp_path / "a.json"))
+def test_open_store_rejects_a_plugin_without_the_queue(tmp_path):
+    class KvOnlyStore:
+        """Key/value methods only — no work queue."""
+
+        def __init__(self, path):
+            self.path = path
+
+        def load_namespace(self, namespace): return {}
+        def get(self, namespace, key): return None
+        def put_many(self, namespace, entries): pass
+        def wipe_namespace(self, namespace): pass
+        def delete_many(self, namespace, keys): return 0
+        def vacuum(self): pass
+        def disk_usage(self): return 0
+        def namespaces(self): return []
+        def status(self): return {}
+        def close(self): pass
+
+    register_store("kvonly", KvOnlyStore)
+    try:
+        with pytest.raises(StoreError) as info:
+            open_store("kvonly://host/campaign")
+    finally:
+        STORES._entries.pop("kvonly")
+    message = str(info.value)
+    assert "'kvonly'" in message and "KvOnlyStore" in message
+    assert "work queue" in message
+
+
+def test_non_sqlite_file_is_refused_naming_the_path(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"ns": {"k": 0.5}}))
+    store = SQLiteStore(path)
+    with pytest.raises(StoreError, match="no longer read") as info:
+        store.load_namespace("x")
+    assert str(path) in str(info.value)
+    assert path.read_text() == json.dumps({"ns": {"k": 0.5}}), "left intact"
 
 
 # ------------------------------------------------------ kv round trips
-@pytest.mark.parametrize("suffix", [".json", ".sqlite"])
-def test_kv_round_trip_and_namespacing(tmp_path, suffix):
-    store = open_store(tmp_path / f"s{suffix}")
+def test_kv_round_trip_and_namespacing(tmp_path):
+    store = open_store(tmp_path / "s.sqlite")
     store.put_many("ns1", {"a": 0.5, "b": [1, 2]})
     store.put_many("ns2", {"a": {"nested": True}})
     assert store.get("ns1", "a") == 0.5
@@ -66,15 +91,6 @@ def test_kv_round_trip_and_namespacing(tmp_path, suffix):
     status = store.status()
     assert status["entries"] == 1 and "ns2" in status["namespaces"]
     store.close()
-
-
-def test_json_store_write_is_atomic_and_leaves_no_temp(tmp_path):
-    store = JSONStore(tmp_path / "c.json")
-    for i in range(5):
-        store.put_many("ns", {f"k{i}": i})
-    leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-    assert leftovers == [], "temp files must be renamed or cleaned up"
-    assert json.loads((tmp_path / "c.json").read_text())["ns"]["k4"] == 4
 
 
 def test_sqlite_store_pickles_by_path(tmp_path):
@@ -128,20 +144,19 @@ def test_two_processes_hammering_one_sqlite_store_lose_nothing(tmp_path):
 # ------------------------------------------------------------ the queue
 def test_claim_is_exclusive_and_ordered(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    assert queue.enqueue_points("sw", {"p1": {"a": 1}, "p2": {"a": 2}}) == 2
+    assert store.enqueue_points("sw", {"p1": {"a": 1}, "p2": {"a": 2}}) == 2
     # Idempotent: re-offering the same points adds nothing.
-    assert queue.enqueue_points("sw", {"p1": {"a": 1}, "p2": {"a": 2}}) == 0
+    assert store.enqueue_points("sw", {"p1": {"a": 1}, "p2": {"a": 2}}) == 0
 
-    first = queue.claim("sw", "w1", ttl=60)
-    second = queue.claim("sw", "w2", ttl=60)
+    first = store.claim("sw", "w1", ttl=60)
+    second = store.claim("sw", "w2", ttl=60)
     assert first.fingerprint == "p1" and first.payload == {"a": 1}
     assert second.fingerprint == "p2"
-    assert queue.claim("sw", "w3", ttl=60) is None, "nothing left to claim"
+    assert store.claim("sw", "w3", ttl=60) is None, "nothing left to claim"
 
-    queue.complete("sw", "p1", "w1", fresh_evaluations=3)
-    queue.complete("sw", "p2", "w2")
-    assert queue.queue_counts("sw") == {"done": 2}
+    store.complete("sw", "p1", "w1", fresh_evaluations=3)
+    store.complete("sw", "p2", "w2")
+    assert store.queue_counts("sw") == {"done": 2}
     rows = {p["fingerprint"]: p for p in store.points("sw")}
     assert rows["p1"]["fresh_evaluations"] == 3
     store.close()
@@ -149,14 +164,13 @@ def test_claim_is_exclusive_and_ordered(tmp_path):
 
 def test_lease_expiry_requeues_and_reclaims(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}})
-    stale = queue.claim("sw", "w1", ttl=0.05)
+    store.enqueue_points("sw", {"p1": {}})
+    stale = store.claim("sw", "w1", ttl=0.05)
     assert stale is not None
-    assert queue.claim("sw", "w2", ttl=60) is None, "lease still held"
+    assert store.claim("sw", "w2", ttl=60) is None, "lease still held"
     time.sleep(0.1)
-    assert queue.requeue_expired("sw") == 1
-    fresh = queue.claim("sw", "w2", ttl=60)
+    assert store.requeue_expired("sw") == 1
+    fresh = store.claim("sw", "w2", ttl=60)
     assert fresh is not None and fresh.worker_id == "w2"
     assert fresh.attempts == 2, "attempt count survives the requeue"
     store.close()
@@ -164,54 +178,50 @@ def test_lease_expiry_requeues_and_reclaims(tmp_path):
 
 def test_expired_lease_is_directly_claimable_without_requeue(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}})
-    queue.claim("sw", "w1", ttl=0.01)
+    store.enqueue_points("sw", {"p1": {}})
+    store.claim("sw", "w1", ttl=0.01)
     time.sleep(0.05)
-    taken = queue.claim("sw", "w2", ttl=60)
+    taken = store.claim("sw", "w2", ttl=60)
     assert taken is not None and taken.worker_id == "w2"
     store.close()
 
 
 def test_heartbeat_extends_only_held_leases(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}})
-    point = queue.claim("sw", "w1", ttl=0.2)
-    assert queue.heartbeat("sw", point.fingerprint, "w1", ttl=60) is True
-    assert queue.heartbeat("sw", point.fingerprint, "w2", ttl=60) is False
-    assert queue.requeue_expired("sw") == 0, "renewed lease must not expire"
+    store.enqueue_points("sw", {"p1": {}})
+    point = store.claim("sw", "w1", ttl=0.2)
+    assert store.heartbeat("sw", point.fingerprint, "w1", ttl=60) is True
+    assert store.heartbeat("sw", point.fingerprint, "w2", ttl=60) is False
+    assert store.requeue_expired("sw") == 0, "renewed lease must not expire"
     store.close()
 
 
 def test_release_worker_requeues_only_that_workers_claims(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}, "p2": {}})
-    queue.claim("sw", "dead", ttl=3600)
-    queue.claim("sw", "alive", ttl=3600)
+    store.enqueue_points("sw", {"p1": {}, "p2": {}})
+    store.claim("sw", "dead", ttl=3600)
+    store.claim("sw", "alive", ttl=3600)
     assert store.release_worker("sw", "dead") == 1
-    counts = queue.queue_counts("sw")
+    counts = store.queue_counts("sw")
     assert counts == {"pending": 1, "claimed": 1}
     store.close()
 
 
 def test_fail_requeues_until_max_attempts_then_parks(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}})
-    point = queue.claim("sw", "w1", ttl=60)
+    store.enqueue_points("sw", {"p1": {}})
+    point = store.claim("sw", "w1", ttl=60)
     assert (
-        queue.fail("sw", point.fingerprint, "w1", "boom", max_attempts=2)
+        store.fail("sw", point.fingerprint, "w1", "boom", max_attempts=2)
         == "pending"
     )
-    point = queue.claim("sw", "w1", ttl=60)
+    point = store.claim("sw", "w1", ttl=60)
     assert point.attempts == 2
     assert (
-        queue.fail("sw", point.fingerprint, "w1", "boom again", max_attempts=2)
+        store.fail("sw", point.fingerprint, "w1", "boom again", max_attempts=2)
         == "failed"
     )
-    assert queue.claim("sw", "w1", ttl=60) is None
+    assert store.claim("sw", "w1", ttl=60) is None
     rows = store.points("sw")
     assert rows[0]["status"] == "failed" and "boom again" in rows[0]["error"]
     store.close()
@@ -221,23 +231,22 @@ def test_fail_from_a_stolen_lease_cannot_clobber_the_row(tmp_path):
     """A stalled worker whose lease expired and was re-claimed (or even
     completed) by a sibling must not flip the row when it finally errors."""
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}})
-    queue.claim("sw", "slow", ttl=0.01)
+    store.enqueue_points("sw", {"p1": {}})
+    store.claim("sw", "slow", ttl=0.01)
     time.sleep(0.05)
-    queue.claim("sw", "fast", ttl=60)  # steals the expired lease
-    queue.complete("sw", "p1", "fast")
+    store.claim("sw", "fast", ttl=60)  # steals the expired lease
+    store.complete("sw", "p1", "fast")
     # The stalled worker reports its (now irrelevant) failure.
-    assert queue.fail("sw", "p1", "slow", "late boom", max_attempts=2) == "done"
+    assert store.fail("sw", "p1", "slow", "late boom", max_attempts=2) == "done"
     rows = store.points("sw")
     assert rows[0]["status"] == "done" and rows[0]["error"] is None
     # Same protection while the sibling still holds the claim.
-    queue.enqueue_points("sw", {"p2": {}})
-    queue.claim("sw", "slow", ttl=0.01)
+    store.enqueue_points("sw", {"p2": {}})
+    store.claim("sw", "slow", ttl=0.01)
     time.sleep(0.05)
-    queue.claim("sw", "fast", ttl=60)
+    store.claim("sw", "fast", ttl=60)
     assert (
-        queue.fail("sw", "p2", "slow", "late boom", max_attempts=2) == "claimed"
+        store.fail("sw", "p2", "slow", "late boom", max_attempts=2) == "claimed"
     )
     rows = {p["fingerprint"]: p for p in store.points("sw")}
     assert rows["p2"]["status"] == "claimed"
@@ -247,11 +256,10 @@ def test_fail_from_a_stolen_lease_cannot_clobber_the_row(tmp_path):
 
 def test_mark_done_precompletes_points(tmp_path):
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"p1": {}, "p2": {}})
+    store.enqueue_points("sw", {"p1": {}, "p2": {}})
     assert store.mark_done("sw", ["p1"]) == 1
     assert store.mark_done("sw", ["p1"]) == 0, "already done: no flip"
-    assert queue.claim("sw", "w1", ttl=60).fingerprint == "p2"
+    assert store.claim("sw", "w1", ttl=60).fingerprint == "p2"
     store.close()
 
 
@@ -293,16 +301,6 @@ def test_fitness_cache_read_through_sees_sibling_process_writes(tmp_path):
     # must find the sibling's entry instead of reporting a miss.
     assert reader.get(key) == 0.75
     assert reader.hits == 1
-
-
-def test_fitness_cache_on_json_keeps_load_once_semantics(tmp_path):
-    path = str(tmp_path / "cache.json")
-    key = (("x", "y", "z", "w", 1),)
-    reader = FitnessCache(path=path, namespace="shared")
-    FitnessCache(path=path, namespace="shared").put(key, 0.75)
-    # JSON is a snapshot medium: the pre-existing reader does not see
-    # later writers (that is what the sqlite backend is for).
-    assert reader.get(key) is None
 
 
 def test_fitness_cache_flush_failure_keeps_entries_dirty(tmp_path):

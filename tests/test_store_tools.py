@@ -24,7 +24,7 @@ from repro.api.runner import EXPERIMENT_NAMESPACE
 from repro.cli import main
 from repro.dist import SweepScheduler, Worker
 from repro.dist.scheduler import _record_key
-from repro.store import SQLiteStore, ensure_queue, gc_store
+from repro.store import SQLiteStore, gc_store
 
 
 def _sweep(cache_path, n_points: int = 2) -> SweepSpec:
@@ -178,41 +178,21 @@ def test_store_gc_drops_unresolvable_records_and_compacts(tmp_path, capsys):
     assert warm.from_cache and warm.fresh_evaluations == 0
 
 
-def test_store_gc_json_backend(tmp_path):
-    """GC over the JSON store: same semantics, compaction via rewrite."""
-    cache_path = tmp_path / "cache.json"
-    spec = ExperimentSpec(
-        circuit="rand_150_5", key_length=4,
-        attack="muxlink", attack_params={"predictor": "bayes"},
-        seed=2, cache_path=str(cache_path),
-    )
-    run_experiment(spec)
-    from repro.store import JSONStore
-
-    store = JSONStore(cache_path)
-    store.put_many(EXPERIMENT_NAMESPACE, {"garbage-key": {"spec": {}}})
-    report = gc_store(cache_path)
-    assert report["examined"] == 2
-    assert report["dropped"] == 1 and report["kept"] == 1
-    assert run_experiment(spec).from_cache
-
-
 def test_store_gc_missing_store_exits_2(tmp_path, capsys):
     assert main(["store", "gc", str(tmp_path / "nope.sqlite")]) == 2
     assert "no store at" in capsys.readouterr().err
 
 
 def test_queue_retry_failed_api(tmp_path):
-    """Direct WorkQueue.retry_failed: only failed rows flip, budget resets."""
+    """Direct store.retry_failed: only failed rows flip, budget resets."""
     store = SQLiteStore(tmp_path / "q.sqlite")
-    queue = ensure_queue(store)
-    queue.enqueue_points("sw", {"a": {"x": 1}, "b": {"x": 2}})
-    point = queue.claim("sw", "w1", ttl=60)
-    assert queue.fail("sw", point.fingerprint, "w1", "boom", max_attempts=1) == "failed"
-    assert queue.queue_counts("sw") == {"failed": 1, "pending": 1}
-    assert queue.retry_failed("sw") == 1
-    assert queue.queue_counts("sw") == {"pending": 2}
+    store.enqueue_points("sw", {"a": {"x": 1}, "b": {"x": 2}})
+    point = store.claim("sw", "w1", ttl=60)
+    assert store.fail("sw", point.fingerprint, "w1", "boom", max_attempts=1) == "failed"
+    assert store.queue_counts("sw") == {"failed": 1, "pending": 1}
+    assert store.retry_failed("sw") == 1
+    assert store.queue_counts("sw") == {"pending": 2}
     rows = {p["fingerprint"]: p for p in store.points("sw")}
     assert rows[point.fingerprint]["attempts"] == 0
-    assert queue.retry_failed("sw") == 0
+    assert store.retry_failed("sw") == 0
     store.close()
