@@ -57,10 +57,6 @@ class BayesLinkPredictor:
             counts[_delta_bin(graph.levels[v] - graph.levels[u])] += 1.0
         self._log_delta = np.log(counts / counts.sum())
 
-    def score_link(self, u: int, v: int) -> float:
-        """Log-likelihood that ``u`` truly drives ``v``."""
-        return float(self.score_links([(u, v)])[0])
-
     def score_links(self, pairs: list[tuple[int, int]]) -> np.ndarray:
         """Log-likelihood that ``u`` truly drives ``v``, per candidate link.
 

@@ -5,9 +5,10 @@ Two feature families:
 * :func:`subgraph_feature_matrix_stack` — per-node features for the
   GNN (gate-type one-hot ⊕ DRNL one-hot ⊕ scaled degree ⊕ level
   offsets), row-stacked over a batch of enclosing subgraphs;
-* :func:`link_feature_vector` — a fixed-length descriptor of a candidate
+* :func:`link_feature_matrix` — a fixed-length descriptor per candidate
   link for the fast MLP predictor (endpoint types, degrees, common-
-  neighbour statistics, bounded distance, neighbourhood type histograms).
+  neighbour statistics, bounded distance, neighbourhood type histograms),
+  built for a whole batch of links at once.
 
 Plus :func:`make_training_pairs`, the self-supervised sampler: positives
 are observed wires, negatives are non-adjacent (signal, gate) pairs drawn
@@ -15,8 +16,6 @@ to match the direction convention of real wires.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -51,9 +50,8 @@ def type_index(gtype: str) -> int:
 def graph_type_indices(graph: ObservedGraph) -> np.ndarray:
     """Per-node :func:`type_index` array, cached on the graph.
 
-    Gate types never change after construction; only adjacency is ever
-    masked/restored, so the cache needs no invalidation beyond a length
-    check (nodes are append-only).
+    Gate types never change after construction, so the cache needs no
+    invalidation beyond a length check (nodes are append-only).
     """
     gtypes = graph.gtypes
     cached = getattr(graph, "_gtype_idx", None)
@@ -117,35 +115,7 @@ def subgraph_feature_matrix_stack(
     return feats
 
 
-def _bounded_distance(graph: ObservedGraph, u: int, v: int, limit: int = 4) -> int:
-    """Shortest-path length u→v up to ``limit`` (limit+1 = unreachable)."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    frontier = deque([u])
-    while frontier:
-        node = frontier.popleft()
-        d = dist[node]
-        if d == limit:
-            continue
-        for nxt in graph.adj[node]:
-            if nxt == v:
-                return d + 1
-            if nxt not in dist:
-                dist[nxt] = d + 1
-                frontier.append(nxt)
-    return limit + 1
-
-
-def _neighbor_type_histogram(graph: ObservedGraph, u: int) -> np.ndarray:
-    hist = np.zeros(N_TYPES, dtype=np.float64)
-    for nxt in graph.adj[u]:
-        hist[type_index(graph.gtypes[nxt])] += 1.0
-    total = hist.sum()
-    return hist / total if total > 0 else hist
-
-
-#: dimensionality of :func:`link_feature_vector` (the keygate-free prefix)
+#: dimensionality of :func:`link_feature_matrix` rows (the keygate-free prefix)
 LINK_FEATURE_DIM = N_TYPES * 2 + 3 + 3 + 6 + 7 + 2 + N_TYPES * 2
 
 #: key-gate kind vocabulary for the opt-in ``keygate_cols`` columns.
@@ -189,98 +159,28 @@ def feature_group_slices(keygate_cols: bool = False) -> dict[str, slice]:
     return groups
 
 
-def _write_keygate_cols(
-    graph: ObservedGraph, feats: np.ndarray, u: int, v: int
-) -> None:
-    """Fill the per-endpoint key-gate-kind one-hots after the prefix."""
-    ku = graph.keygate_kinds.get(u)
-    if ku is not None:
-        feats[LINK_FEATURE_DIM + _KEYGATE_INDEX[ku]] = 1.0
-    kv = graph.keygate_kinds.get(v)
-    if kv is not None:
-        feats[LINK_FEATURE_DIM + N_KEYGATE_KINDS + _KEYGATE_INDEX[kv]] = 1.0
-
-
-def _level_delta_onehot(delta: int) -> np.ndarray:
-    """One-hot of ``level(v) - level(u)`` around the ideal wire delta of 1.
-
-    Slots: [Δ<=-2, Δ=-1, Δ=0, Δ=1, Δ=2, Δ=3, Δ>=4]. True wires sit at
-    Δ≈1; D-MUX decoys drawn from arbitrary locations spread widely — the
-    single strongest oracle-less signal against vanilla D-MUX.
-    """
-    onehot = np.zeros(7, dtype=np.float64)
-    onehot[int(np.clip(delta + 2, 0, 6))] = 1.0
-    return onehot
-
-
-def link_feature_vector(
-    graph: ObservedGraph, u: int, v: int, keygate_cols: bool = False
-) -> np.ndarray:
-    """Descriptor of candidate link ``u → v`` (edge masked if present).
-
-    Layout: [type(u) | type(v) | log-degrees(u, v, min) | CN, Jaccard,
-    Adamic-Adar | distance one-hot (1..5+) | level-delta one-hot |
-    scaled levels | neighbour-type hist(u) | neighbour-type hist(v)].
-    ``keygate_cols`` appends two key-gate-kind one-hots after that
-    prefix, leaving the first :data:`LINK_FEATURE_DIM` columns
-    byte-identical to the historical extractor.
-    """
-    removed = graph.remove_undirected(u, v)
-    try:
-        feats = np.zeros(link_feature_dim(keygate_cols), dtype=np.float64)
-        feats[type_index(graph.gtypes[u])] = 1.0
-        feats[N_TYPES + type_index(graph.gtypes[v])] = 1.0
-        base = 2 * N_TYPES
-        deg_u, deg_v = graph.degree(u), graph.degree(v)
-        feats[base + 0] = np.log1p(deg_u)
-        feats[base + 1] = np.log1p(deg_v)
-        feats[base + 2] = np.log1p(min(deg_u, deg_v))
-        base += 3
-        common = graph.adj[u] & graph.adj[v]
-        union = graph.adj[u] | graph.adj[v]
-        feats[base + 0] = float(len(common))
-        feats[base + 1] = len(common) / len(union) if union else 0.0
-        feats[base + 2] = float(
-            sum(1.0 / np.log1p(graph.degree(w)) for w in common if graph.degree(w) > 1)
-        )
-        base += 3
-        dist = _bounded_distance(graph, u, v, limit=4)
-        feats[base + min(dist, 5)] = 1.0  # slots: 0(unused),1,2,3,4,5=farther
-        base += 6
-        delta = graph.levels[v] - graph.levels[u]
-        feats[base : base + 7] = _level_delta_onehot(delta)
-        base += 7
-        max_level = max(max(graph.levels), 1)
-        feats[base + 0] = graph.levels[u] / max_level
-        feats[base + 1] = graph.levels[v] / max_level
-        base += 2
-        feats[base : base + N_TYPES] = _neighbor_type_histogram(graph, u)
-        feats[base + N_TYPES : base + 2 * N_TYPES] = _neighbor_type_histogram(graph, v)
-        if keygate_cols:
-            _write_keygate_cols(graph, feats, u, v)
-        return feats
-    finally:
-        if removed:
-            graph.restore_undirected(u, v)
-
-
 def _bounded_distances_to(
-    graph: ObservedGraph, src: int, targets: set[int], limit: int = 4
+    adj: list[set[int]],
+    src: int,
+    targets: set[int],
+    limit: int = 4,
+    hidden: int | None = None,
 ) -> dict[int, int]:
     """BFS distances from ``src`` to each target, truncated at ``limit``.
 
     Targets farther than ``limit`` are absent; read with
-    ``dmap.get(node, limit + 1)`` to match :func:`_bounded_distance`
-    (the observed graph is undirected, so distance is symmetric). The
-    walk stops as soon as every target is resolved — at ``limit`` hops a
-    neighbourhood can cover most of the circuit, so the early exit, not
-    the map sharing, is what makes the batched extractor cheap.
+    ``dmap.get(node, limit + 1)`` (the observed graph is undirected, so
+    distance is symmetric). ``hidden`` names a neighbour of ``src``
+    whose wire to ``src`` is not walked — the mask on a candidate link
+    that is itself an observed wire. The walk stops as soon as every
+    target is resolved: at ``limit`` hops a neighbourhood can cover most
+    of the circuit, so the early exit is what makes the extractor cheap.
     """
-    adj = graph.adj
-    dist = {src: 0}
-    remaining = len(targets - {src})
-    level = [src]
-    for d in range(1, limit + 1):
+    level = [w for w in adj[src] if w != hidden]
+    dist = dict.fromkeys(level, 1)
+    dist[src] = 0
+    remaining = len(targets - dist.keys())
+    for d in range(2, limit + 1):
         if not remaining or not level:
             break
         next_level: list[int] = []
@@ -300,122 +200,131 @@ def link_feature_matrix(
     pairs: list[tuple[int, int]],
     keygate_cols: bool = False,
 ) -> np.ndarray:
-    """:func:`link_feature_vector` for many candidate links at once.
+    """Descriptors of candidate links ``u → v``, one row per pair.
 
-    Bit-identical to stacking the scalar extractor row by row (the
-    vectorised columns run the same numpy ops elementwise; the set
-    statistics keep the scalar path's iteration and summation order),
-    but shares per-call caches across pairs: neighbour-type histograms
-    and inverse-log-degree terms per node, one early-exit distance BFS
-    per consumer instead of one full bounded BFS per pair. Pairs that
-    exist as observed edges take the scalar path, which masks the edge
-    before extracting (the SEAL convention) — masking would invalidate
-    the shared caches.
+    Layout (see :func:`feature_group_slices`): [type(u) | type(v) |
+    log-degrees(u, v, min) | CN, Jaccard, Adamic-Adar | distance one-hot
+    (1..5+) | level-delta one-hot | scaled levels | neighbour-type
+    hist(u) | neighbour-type hist(v)]. ``keygate_cols`` appends two
+    key-gate-kind one-hots after that prefix, leaving the first
+    :data:`LINK_FEATURE_DIM` columns byte-identical.
+
+    A pair that is an observed wire (in either direction) is described
+    with that wire masked — the SEAL convention: the link being
+    predicted must not be visible. The graph is never mutated; instead
+    both degrees drop by one, the union by two, each endpoint's
+    neighbour-type histogram drops the other endpoint's type, and the
+    pair's distance BFS skips the wire. Common neighbours are unchanged
+    (there are no self-loops). Unmasked pairs share one early-exit
+    distance BFS per consumer.
+
+    The level delta one-hot has slots [Δ<=-2, Δ=-1, Δ=0, Δ=1, Δ=2, Δ=3,
+    Δ>=4] around the ideal wire delta of 1: true wires sit at Δ≈1, while
+    D-MUX decoys drawn from arbitrary locations spread widely — the
+    single strongest oracle-less signal against vanilla D-MUX.
     """
     n = len(pairs)
     out = np.zeros((n, link_feature_dim(keygate_cols)), dtype=np.float64)
     if not pairs:
         return out
-    max_level = max(max(graph.levels), 1)
-    levels = graph.levels
-    gtypes = graph.gtypes
     adj = graph.adj
-    hists: dict[int, np.ndarray] = {}
-    inv_log_deg: dict[int, float] = {}
     gtype_idx = graph_type_indices(graph)
+    col = {name: s.start for name, s in feature_group_slices().items()}
+    us = np.fromiter((u for u, _ in pairs), dtype=np.intp, count=n)
+    vs = np.fromiter((v for _, v in pairs), dtype=np.intp, count=n)
+    masked = [v in adj[u] for u, v in pairs]
 
-    def hist(node: int) -> np.ndarray:
-        h = hists.get(node)
-        if h is None:
-            nbrs = adj[node]
-            if nbrs:
-                counts = np.bincount(
-                    gtype_idx[list(nbrs)], minlength=N_TYPES
-                ).astype(np.float64)
-                h = counts / counts.sum()
-            else:
-                h = np.zeros(N_TYPES, dtype=np.float64)
-            hists[node] = h
-        return h
-
-    # Partition: edge pairs fall back to the (masking) scalar extractor;
-    # the rest group by consumer for one shared distance BFS each.
-    fast: list[tuple[int, int, int]] = []
     by_consumer: dict[int, set[int]] = {}
-    for row, (u, v) in enumerate(pairs):
-        if v in adj[u]:
-            out[row] = link_feature_vector(graph, u, v, keygate_cols=keygate_cols)
-        else:
-            fast.append((row, u, v))
+    for (u, v), m in zip(pairs, masked):
+        if not m:
             by_consumer.setdefault(v, set()).add(u)
-    if keygate_cols:
-        for row, u, v in fast:
-            _write_keygate_cols(graph, out[row], u, v)
-    if not fast:
-        return out
+    dmaps = {
+        v: _bounded_distances_to(adj, v, targets)
+        for v, targets in by_consumer.items()
+    }
+    dist = np.fromiter(
+        (
+            _bounded_distances_to(adj, v, {u}, hidden=u).get(u, 5)
+            if m
+            else dmaps[v].get(u, 5)
+            for (u, v), m in zip(pairs, masked)
+        ),
+        dtype=np.intp,
+        count=n,
+    )
 
-    dists: dict[tuple[int, int], int] = {}
-    for v, targets in by_consumer.items():
-        dmap = _bounded_distances_to(graph, v, targets, limit=4)
-        for u in targets:
-            dists[(u, v)] = dmap.get(u, 5)
-
-    m = len(fast)
-    rows = np.empty(m, dtype=np.intp)
-    tu = np.empty(m, dtype=np.intp)
-    tv = np.empty(m, dtype=np.intp)
-    deg_u = np.empty(m, dtype=np.int64)
-    deg_v = np.empty(m, dtype=np.int64)
-    lev_u = np.empty(m, dtype=np.int64)
-    lev_v = np.empty(m, dtype=np.int64)
-    dist_slot = np.empty(m, dtype=np.intp)
-    for j, (row, u, v) in enumerate(fast):
-        rows[j] = row
-        tu[j] = gtype_idx[u]
-        tv[j] = gtype_idx[v]
-        du, dv = len(adj[u]), len(adj[v])
-        deg_u[j] = du
-        deg_v[j] = dv
-        lev_u[j] = levels[u]
-        lev_v[j] = levels[v]
-        dist = dists[(u, v)]
-        dist_slot[j] = dist if dist < 5 else 5
-
-        feats = out[row]
+    # Adamic-Adar terms are summed in the iteration order of the set
+    # adj[u] & adj[v], as in the per-link reference extractor, so the
+    # sums agree bit for bit.
+    n_common = np.empty(n, dtype=np.int64)
+    adamic_adar = np.empty(n, dtype=np.float64)
+    inv_log_deg: dict[int, float] = {}
+    for row, (u, v) in enumerate(pairs):
         common = adj[u] & adj[v]
-        # |u ∪ v| = deg(u) + deg(v) − |u ∩ v|: the same integer the
-        # scalar path gets from building the union set.
-        n_union = du + dv - len(common)
-        feats[2 * N_TYPES + 3] = float(len(common))
-        feats[2 * N_TYPES + 4] = len(common) / n_union if n_union else 0.0
+        n_common[row] = len(common)
         aa = 0
-        for w in common:  # same set expression as the scalar path, so
-            if len(adj[w]) > 1:  # the summation order matches exactly
+        for w in common:
+            if len(adj[w]) > 1:
                 term = inv_log_deg.get(w)
                 if term is None:
                     term = inv_log_deg[w] = 1.0 / np.log1p(len(adj[w]))
                 aa = aa + term
-        feats[2 * N_TYPES + 5] = float(aa)
+        adamic_adar[row] = aa
 
-        feats[LINK_FEATURE_DIM - 2 * N_TYPES : LINK_FEATURE_DIM - N_TYPES] = hist(u)
-        feats[LINK_FEATURE_DIM - N_TYPES : LINK_FEATURE_DIM] = hist(v)
+    mask = np.array(masked, dtype=np.int64)
+    deg_u = np.fromiter((len(adj[u]) for u, _ in pairs), np.int64, n) - mask
+    deg_v = np.fromiter((len(adj[v]) for _, v in pairs), np.int64, n) - mask
+    n_union = deg_u + deg_v - n_common
+    rows = np.arange(n)
+    out[rows, gtype_idx[us]] = 1.0
+    out[rows, N_TYPES + gtype_idx[vs]] = 1.0
+    c = col["degrees"]
+    out[:, c + 0] = np.log1p(deg_u)
+    out[:, c + 1] = np.log1p(deg_v)
+    out[:, c + 2] = np.log1p(np.minimum(deg_u, deg_v))
+    c = col["common"]
+    out[:, c + 0] = n_common
+    np.divide(n_common, n_union, out=out[:, c + 1], where=n_union > 0)
+    out[:, c + 2] = adamic_adar
+    out[rows, col["distance"] + dist] = 1.0
+    levels = np.asarray(graph.levels, dtype=np.int64)
+    lev_u, lev_v = levels[us], levels[vs]
+    out[rows, col["level_delta"] + np.clip(lev_v - lev_u + 2, 0, 6)] = 1.0
+    max_level = max(int(levels.max()), 1)
+    c = col["levels"]
+    out[:, c + 0] = lev_u / max_level
+    out[:, c + 1] = lev_v / max_level
 
-    # Vectorised columns: elementwise ufuncs/divisions reproduce the
-    # scalar per-pair values bit for bit.
-    out[rows, tu] = 1.0
-    out[rows, N_TYPES + tv] = 1.0
-    base = 2 * N_TYPES
-    out[rows, base + 0] = np.log1p(deg_u)
-    out[rows, base + 1] = np.log1p(deg_v)
-    out[rows, base + 2] = np.log1p(np.minimum(deg_u, deg_v))
-    base += 6  # common-neighbour stats already written in the loop
-    out[rows, base + dist_slot] = 1.0
-    base += 6
-    delta_slot = np.clip(lev_v - lev_u + 2, 0, 6)
-    out[rows, base + delta_slot] = 1.0
-    base += 7
-    out[rows, base + 0] = lev_u / max_level
-    out[rows, base + 1] = lev_v / max_level
+    counts: dict[int, np.ndarray] = {}
+
+    def type_counts(node: int) -> np.ndarray:
+        h = counts.get(node)
+        if h is None:
+            h = counts[node] = np.bincount(
+                gtype_idx[list(adj[node])], minlength=N_TYPES
+            )
+        return h
+
+    edge_rows = np.flatnonzero(mask)
+    hist_u = np.array([type_counts(u) for u, _ in pairs], dtype=np.float64)
+    hist_v = np.array([type_counts(v) for _, v in pairs], dtype=np.float64)
+    hist_u[edge_rows, gtype_idx[vs[edge_rows]]] -= 1.0
+    hist_v[edge_rows, gtype_idx[us[edge_rows]]] -= 1.0
+    c = col["hist"]
+    for hist, start in ((hist_u, c), (hist_v, c + N_TYPES)):
+        total = hist.sum(axis=1, keepdims=True)
+        np.divide(
+            hist, total, out=out[:, start : start + N_TYPES], where=total > 0
+        )
+
+    if keygate_cols:
+        kinds = graph.keygate_kinds
+        c_u, c_v = LINK_FEATURE_DIM, LINK_FEATURE_DIM + N_KEYGATE_KINDS
+        for row, (u, v) in enumerate(pairs):
+            if u in kinds:
+                out[row, c_u + _KEYGATE_INDEX[kinds[u]]] = 1.0
+            if v in kinds:
+                out[row, c_v + _KEYGATE_INDEX[kinds[v]]] = 1.0
     return out
 
 

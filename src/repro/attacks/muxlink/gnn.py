@@ -331,10 +331,6 @@ class GnnLinkPredictor:
                 optimizer.step()
             self.train_history.append(float(np.mean(losses)))
 
-    def score_link(self, u: int, v: int) -> float:
-        """Logit that ``u`` truly drives ``v``."""
-        return float(self.score_links([(u, v)])[0])
-
     def score_links(self, pairs: list[tuple[int, int]]) -> np.ndarray:
         """Logits for many links in one block-diagonal batched pass."""
         if self._graph is None or self._conv is None:

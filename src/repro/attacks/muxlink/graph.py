@@ -134,35 +134,14 @@ class ObservedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def remove_undirected(self, u: int, v: int) -> bool:
-        """Temporarily drop the undirected edge; returns True if present.
-
-        Callers must restore with :meth:`restore_undirected`. Used to keep
-        positive training samples honest (SEAL convention: the edge being
-        predicted must not be visible to the feature extractor).
-        """
-        if v in self.adj[u]:
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-            self._adj_version += 1
-            return True
-        return False
-
-    def restore_undirected(self, u: int, v: int) -> None:
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        self._adj_version += 1
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR snapshot of the undirected adjacency: ``(indptr, indices)``.
 
         Row ``i``'s neighbours are ``indices[indptr[i]:indptr[i+1]]``,
-        sorted ascending. Rebuilt lazily when the adjacency changes
-        (including :meth:`remove_undirected`/:meth:`restore_undirected`
-        masking), so bulk callers — the batched subgraph extractor, the
-        stacked GNN feature builder — amortise one build across a whole
-        population of link queries. BFS over these flat int arrays
-        replaces the per-query dict/set churn of the scalar extractor.
+        sorted ascending. Rebuilt lazily when :meth:`add_edge` changes
+        the adjacency, so bulk callers — the batched subgraph extractor,
+        the stacked GNN feature builder — amortise one build across a
+        whole population of link queries.
         """
         cache = self._csr_cache
         if cache is not None and cache[0] == self._adj_version:

@@ -1,7 +1,7 @@
 """MLP link predictor on hand-crafted structural features.
 
 The fast learned backend: one fixed-length feature vector per candidate
-link (see :func:`repro.attacks.muxlink.features.link_feature_vector`),
+link (see :func:`repro.attacks.muxlink.features.link_feature_matrix`),
 classified by a small MLP trained with Adam on the self-supervised wire
 samples. Roughly an order of magnitude faster than the GNN per fitness
 evaluation, which is what makes GA populations affordable; the GNN backend
@@ -60,14 +60,11 @@ class MlpLinkPredictor:
                 )
         self.feature_weights = dict(feature_weights or {})
         # Per-column multipliers applied *after* normalisation — scaling
-        # raw columns would cancel in (x - mu) / sigma. `None` when every
-        # weight is 1.0, keeping the historical path byte-identical.
-        self._col_weights: np.ndarray | None = None
-        if any(w != 1.0 for w in self.feature_weights.values()):
-            weights = np.ones(link_feature_dim(self.keygate_cols))
-            for group, w in self.feature_weights.items():
-                weights[groups[group]] = float(w)
-            self._col_weights = weights
+        # raw columns would cancel in (x - mu) / sigma. Multiplying by 1.0
+        # is exact, so unweighted columns keep their normalised values.
+        self._col_weights = np.ones(link_feature_dim(self.keygate_cols))
+        for group, w in self.feature_weights.items():
+            self._col_weights[groups[group]] = float(w)
         self._model: Sequential | None = None
         self._mu: np.ndarray | None = None
         self._sigma: np.ndarray | None = None
@@ -86,9 +83,7 @@ class MlpLinkPredictor:
 
         self._mu = x.mean(axis=0)
         self._sigma = x.std(axis=0) + 1e-8
-        x_norm = (x - self._mu) / self._sigma
-        if self._col_weights is not None:
-            x_norm = x_norm * self._col_weights
+        x_norm = (x - self._mu) / self._sigma * self._col_weights
 
         h1, h2 = self.hidden
         self._model = Sequential(
@@ -118,40 +113,19 @@ class MlpLinkPredictor:
         )
         self._graph = graph
 
-    def score_link(self, u: int, v: int) -> float:
-        """Logit that ``u`` truly drives ``v``."""
-        return float(self.score_links([(u, v)])[0])
-
     def score_links(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Logits for many candidate links (one batched feature pass).
+        """Logits that ``u`` truly drives ``v``, per candidate link.
 
-        Feature extraction and normalisation are batched; the model
-        forward still runs row by row because BLAS matmuls accumulate in
-        a shape-dependent order — a population-sized batch would round
-        differently in the last ulp and break the attack's pinned
-        bit-for-bit scores.
+        The rows run through the model stacked as ``(n, 1, d)``, a batch
+        of one-row products, so every logit is bitwise the one a one-row
+        batch gives, whatever the batch size (a test pins this on the
+        real layer shapes). A plain ``(n, d)`` product accumulates in a
+        shape-dependent order and would break the pinned scores.
         """
         if self._model is None or self._graph is None:
             raise AttackError("predictor not fitted")
         x = link_feature_matrix(
             self._graph, list(pairs), keygate_cols=self.keygate_cols
         )
-        x_norm = (x - self._mu) / self._sigma
-        if self._col_weights is not None:
-            x_norm = x_norm * self._col_weights
-        # Inlined per-row forward: same ops as Linear (x @ W + b) and
-        # ReLU (x * (x > 0)) without the layer-dispatch overhead, which
-        # at one-row batches costs more than the matmuls themselves.
-        steps = [
-            (layer.weight.value, layer.bias.value)
-            if isinstance(layer, Linear)
-            else None
-            for layer in self._model.layers
-        ]
-        scores = np.empty(x_norm.shape[0], dtype=np.float64)
-        for i in range(x_norm.shape[0]):
-            h = x_norm[i : i + 1]
-            for wb in steps:
-                h = h @ wb[0] + wb[1] if wb is not None else h * (h > 0)
-            scores[i] = h[0, 0]
-        return scores
+        x_norm = (x - self._mu) / self._sigma * self._col_weights
+        return self._model.forward(x_norm[:, None, :])[:, 0, 0]

@@ -2,16 +2,14 @@
 
 The environment has no deep-learning framework, so the MuxLink attack's
 models (an MLP link predictor and a message-passing GNN) are built on this
-package: explicitly differentiated layers, binary-cross-entropy loss,
-SGD/Adam optimizers, and a finite-difference gradient checker that the
-test suite runs against every layer.
+package: explicitly differentiated layers, binary-cross-entropy loss, and
+SGD/Adam optimizers.
 """
 
 from repro.ml.layers import Dropout, Layer, Linear, Param, ReLU, Sigmoid, Tanh
 from repro.ml.losses import bce_with_logits, mse_loss
 from repro.ml.network import Sequential
 from repro.ml.optim import Adam, Sgd
-from repro.ml.gradcheck import gradient_check
 
 __all__ = [
     "Param",
@@ -26,5 +24,4 @@ __all__ = [
     "Sequential",
     "Sgd",
     "Adam",
-    "gradient_check",
 ]

@@ -2,15 +2,13 @@
 
 Provides everything the oracle-guided SAT attack needs without external
 solver binaries: a CNF container, Tseitin encoding of netlists, DIMACS
-I/O, a reference DPLL solver (used to cross-check correctness in tests),
-and a CDCL solver with watched literals, VSIDS, first-UIP learning and
-Luby restarts for real workloads.
+I/O, and a CDCL solver with watched literals, VSIDS, first-UIP learning
+and Luby restarts.
 """
 
 from repro.sat.cnf import Cnf
 from repro.sat.tseitin import encode_netlist, CircuitEncoding
 from repro.sat.dimacs import parse_dimacs, write_dimacs
-from repro.sat.dpll import DpllSolver
 from repro.sat.cdcl import CdclSolver, SolverResult, SolverStats
 
 __all__ = [
@@ -19,7 +17,6 @@ __all__ = [
     "CircuitEncoding",
     "parse_dimacs",
     "write_dimacs",
-    "DpllSolver",
     "CdclSolver",
     "SolverResult",
     "SolverStats",

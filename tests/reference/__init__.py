@@ -1,6 +1,9 @@
 """Reference implementations kept as differential oracles.
 
-Each module here is the straightforward one-item-at-a-time version of a
-batched or incremental code path in ``repro``. The runtime no longer
-ships them; the tests compare the runtime path against them.
+Each module here is the straightforward version of a code path in
+``repro``: one item at a time instead of batched or incremental
+(``muxlink``), plain DPLL instead of CDCL (``dpll``), or finite
+differences instead of hand-written backward passes (``gradcheck``).
+The runtime does not ship them; the tests compare the runtime path
+against them.
 """

@@ -1,9 +1,8 @@
 """Reference DPLL solver.
 
 Deliberately simple (unit propagation + pure-literal elimination +
-chronological backtracking) so its behaviour is easy to audit. The test
-suite cross-checks the CDCL solver against this one on random formulas;
-production workloads should use :class:`repro.sat.cdcl.CdclSolver`.
+chronological backtracking) so its behaviour is easy to audit. Oracle
+for :class:`repro.sat.cdcl.CdclSolver` on random formulas.
 """
 
 from __future__ import annotations

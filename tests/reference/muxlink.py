@@ -1,5 +1,13 @@
-"""Per-link MuxLink references: subgraph extraction, GNN and Bayes scoring.
+"""Per-link MuxLink references: features, subgraphs, GNN and Bayes scoring.
 
+* :func:`link_feature_vector` — one candidate link's MLP descriptor,
+  built with the candidate edge masked. Oracle for
+  :func:`repro.attacks.muxlink.features.link_feature_matrix` (bitwise
+  equality).
+* :func:`mlp_forward_rows` — the MLP forward run one row at a time.
+  Oracle for the stacked forward in
+  :meth:`~repro.attacks.muxlink.mlp_predictor.MlpLinkPredictor.score_links`
+  (bitwise equality).
 * :func:`extract_enclosing_subgraph` — one pair's enclosing subgraph by
   plain BFS on a graph with the candidate edge removed. Oracle for
   :func:`repro.attacks.muxlink.subgraph.extract_enclosing_subgraphs`
@@ -19,12 +27,17 @@
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.attacks.muxlink.bayes import _delta_bin
 from repro.attacks.muxlink.features import (
+    _KEYGATE_INDEX,
+    LINK_FEATURE_DIM,
+    N_KEYGATE_KINDS,
     N_TYPES,
+    link_feature_dim,
     make_training_pairs,
     subgraph_feature_dim,
     type_index,
@@ -32,9 +45,148 @@ from repro.attacks.muxlink.features import (
 from repro.attacks.muxlink.gnn import normalized_adjacency
 from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import EnclosingSubgraph, drnl_from_distances
+from repro.ml.layers import Linear
 from repro.ml.losses import bce_with_logits
 from repro.ml.optim import Adam
 from repro.utils.rng import derive_rng
+
+
+@contextmanager
+def _edge_masked(graph: ObservedGraph, u: int, v: int):
+    """Hide the undirected edge u–v (if present) for the ``with`` body.
+
+    The SEAL convention: the link being predicted must not be visible to
+    the extractor. Masks ``graph.adj`` in place and puts the edge back
+    afterwards. A discarded set entry leaves a dummy slot that the
+    re-add reuses, so every neighbour set keeps its iteration order —
+    which fixes the order of the Adamic-Adar sum. ``_adj_version`` is
+    left alone: nothing inside the ``with`` body reads the CSR snapshot.
+    """
+    present = v in graph.adj[u]
+    if present:
+        graph.adj[u].discard(v)
+        graph.adj[v].discard(u)
+    try:
+        yield
+    finally:
+        if present:
+            graph.adj[u].add(v)
+            graph.adj[v].add(u)
+
+
+# ----------------------------------------------------------------- features
+def _bounded_distance(graph: ObservedGraph, u: int, v: int, limit: int = 4) -> int:
+    """Shortest-path length u→v up to ``limit`` (limit+1 = unreachable)."""
+    if u == v:
+        return 0
+    dist = {u: 0}
+    frontier = deque([u])
+    while frontier:
+        node = frontier.popleft()
+        d = dist[node]
+        if d == limit:
+            continue
+        for nxt in graph.adj[node]:
+            if nxt == v:
+                return d + 1
+            if nxt not in dist:
+                dist[nxt] = d + 1
+                frontier.append(nxt)
+    return limit + 1
+
+
+def _neighbor_type_histogram(graph: ObservedGraph, u: int) -> np.ndarray:
+    hist = np.zeros(N_TYPES, dtype=np.float64)
+    for nxt in graph.adj[u]:
+        hist[type_index(graph.gtypes[nxt])] += 1.0
+    total = hist.sum()
+    return hist / total if total > 0 else hist
+
+
+def _write_keygate_cols(
+    graph: ObservedGraph, feats: np.ndarray, u: int, v: int
+) -> None:
+    """Fill the per-endpoint key-gate-kind one-hots after the prefix."""
+    ku = graph.keygate_kinds.get(u)
+    if ku is not None:
+        feats[LINK_FEATURE_DIM + _KEYGATE_INDEX[ku]] = 1.0
+    kv = graph.keygate_kinds.get(v)
+    if kv is not None:
+        feats[LINK_FEATURE_DIM + N_KEYGATE_KINDS + _KEYGATE_INDEX[kv]] = 1.0
+
+
+def _level_delta_onehot(delta: int) -> np.ndarray:
+    """One-hot of ``level(v) - level(u)`` around the ideal wire delta of 1.
+
+    Slots: [Δ<=-2, Δ=-1, Δ=0, Δ=1, Δ=2, Δ=3, Δ>=4].
+    """
+    onehot = np.zeros(7, dtype=np.float64)
+    onehot[int(np.clip(delta + 2, 0, 6))] = 1.0
+    return onehot
+
+
+def link_feature_vector(
+    graph: ObservedGraph, u: int, v: int, keygate_cols: bool = False
+) -> np.ndarray:
+    """Descriptor of candidate link ``u → v`` (edge masked if present).
+
+    Layout: [type(u) | type(v) | log-degrees(u, v, min) | CN, Jaccard,
+    Adamic-Adar | distance one-hot (1..5+) | level-delta one-hot |
+    scaled levels | neighbour-type hist(u) | neighbour-type hist(v)].
+    ``keygate_cols`` appends two key-gate-kind one-hots after that
+    prefix, leaving the first :data:`LINK_FEATURE_DIM` columns
+    byte-identical to the historical extractor.
+    """
+    with _edge_masked(graph, u, v):
+        feats = np.zeros(link_feature_dim(keygate_cols), dtype=np.float64)
+        feats[type_index(graph.gtypes[u])] = 1.0
+        feats[N_TYPES + type_index(graph.gtypes[v])] = 1.0
+        base = 2 * N_TYPES
+        deg_u, deg_v = graph.degree(u), graph.degree(v)
+        feats[base + 0] = np.log1p(deg_u)
+        feats[base + 1] = np.log1p(deg_v)
+        feats[base + 2] = np.log1p(min(deg_u, deg_v))
+        base += 3
+        common = graph.adj[u] & graph.adj[v]
+        union = graph.adj[u] | graph.adj[v]
+        feats[base + 0] = float(len(common))
+        feats[base + 1] = len(common) / len(union) if union else 0.0
+        feats[base + 2] = float(
+            sum(1.0 / np.log1p(graph.degree(w)) for w in common if graph.degree(w) > 1)
+        )
+        base += 3
+        dist = _bounded_distance(graph, u, v, limit=4)
+        feats[base + min(dist, 5)] = 1.0  # slots: 0(unused),1,2,3,4,5=farther
+        base += 6
+        delta = graph.levels[v] - graph.levels[u]
+        feats[base : base + 7] = _level_delta_onehot(delta)
+        base += 7
+        max_level = max(max(graph.levels), 1)
+        feats[base + 0] = graph.levels[u] / max_level
+        feats[base + 1] = graph.levels[v] / max_level
+        base += 2
+        feats[base : base + N_TYPES] = _neighbor_type_histogram(graph, u)
+        feats[base + N_TYPES : base + 2 * N_TYPES] = _neighbor_type_histogram(graph, v)
+        if keygate_cols:
+            _write_keygate_cols(graph, feats, u, v)
+        return feats
+
+
+def mlp_forward_rows(model, x: np.ndarray) -> np.ndarray:
+    """Logits of a ``Linear``/``ReLU`` stack, one ``(1, d)`` row at a time."""
+    steps = [
+        (layer.weight.value, layer.bias.value)
+        if isinstance(layer, Linear)
+        else None
+        for layer in model.layers
+    ]
+    scores = np.empty(x.shape[0], dtype=np.float64)
+    for i in range(x.shape[0]):
+        h = x[i : i + 1]
+        for wb in steps:
+            h = h @ wb[0] + wb[1] if wb is not None else h * (h > 0)
+        scores[i] = h[0, 0]
+    return scores
 
 
 # ---------------------------------------------------------------- subgraphs
@@ -87,8 +239,7 @@ def extract_enclosing_subgraph(
     Oversized neighbourhoods are truncated deterministically, keeping the
     nodes closest to either endpoint.
     """
-    removed = graph.remove_undirected(u, v)
-    try:
+    with _edge_masked(graph, u, v):
         dist_u = _bounded_bfs(graph, u, hops)
         dist_v = _bounded_bfs(graph, v, hops)
         members = set(dist_u) | set(dist_v)
@@ -120,9 +271,6 @@ def extract_enclosing_subgraph(
             for nxt in nbrs:
                 adj[pos, nxt] = 1.0
         return EnclosingSubgraph(node_ids=node_ids, adj=adj, drnl=labels)
-    finally:
-        if removed:
-            graph.restore_undirected(u, v)
 
 
 def subgraph_feature_matrix(

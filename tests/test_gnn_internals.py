@@ -108,13 +108,14 @@ def test_gnn_score_is_deterministic_after_fit():
     g = _ring_graph()
     predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=2, n_train=10)
     predictor.fit(g, seed_or_rng=1)
-    assert predictor.score_link(0, 5) == predictor.score_link(0, 5)
+    first = predictor.score_links([(0, 5)])[0]
+    assert predictor.score_links([(0, 5)])[0] == first
 
 
 def test_gnn_requires_fit():
     predictor = GnnLinkPredictor()
     with pytest.raises(Exception):
-        predictor.score_link(0, 1)
+        predictor.score_links([(0, 1)])[0]
 
 
 def test_gnn_subgraph_pipeline_on_disconnected_pair():
@@ -131,7 +132,7 @@ def test_gnn_subgraph_pipeline_on_disconnected_pair():
     assert sub.n_nodes >= 2
     predictor = GnnLinkPredictor(hidden_dims=(4,), epochs=1, n_train=4)
     predictor.fit(g, seed_or_rng=2)
-    assert np.isfinite(predictor.score_link(a, d))
+    assert np.isfinite(predictor.score_links([(a, d)])[0])
 
 
 # ----------------------------------------------------------- batched path
@@ -229,9 +230,9 @@ def test_batched_logits_match_scalar_on_ragged_batch():
 
 
 def test_one_and_zero_pair_batches_match_reference():
-    """A one-pair batch (and ``score_link``) runs the batched path and
-    matches the reference forward; a zero-pair batch — a mixed genotype
-    without a MUX gene sends none — is an empty array."""
+    """A one-pair batch runs the batched path and matches the reference
+    forward; a zero-pair batch — a mixed genotype without a MUX gene
+    sends none — is an empty array."""
     g = _ring_graph()
     predictor = GnnLinkPredictor(hidden_dims=(6,), epochs=1, n_train=10)
     predictor.fit(g, seed_or_rng=3)
@@ -239,7 +240,6 @@ def test_one_and_zero_pair_batches_match_reference():
     single = predictor.score_links([(0, 5)])
     assert single.shape == (1,)
     assert abs(single[0] - want) < 1e-9
-    assert abs(predictor.score_link(0, 5) - want) < 1e-9
     empty = predictor.score_links([])
     assert empty.shape == (0,) and empty.dtype == np.float64
 

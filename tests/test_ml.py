@@ -13,10 +13,11 @@ from repro.ml import (
     Sigmoid,
     Tanh,
     bce_with_logits,
-    gradient_check,
     mse_loss,
 )
 from repro.ml.network import fit
+
+from reference.gradcheck import gradient_check
 
 _SUM_SQ = lambda out: (float((out**2).sum()), 2 * out)
 
