@@ -16,6 +16,13 @@ selection pressure on the valid design space instead of wasting fitness
 evaluations on penalty scores (an invalid individual would cost an
 attack run and hand the search a flat, uninformative value) and
 preserves the genotype's primitive mix.
+
+All three walk the genes against a
+:class:`~repro.netlist.cow.CowNetlist` work copy of the original: the
+copy keeps its fanouts and its site index (lockable-wire pool and
+reachability bitsets, :mod:`repro.netlist.sites`) exact gene by gene, so
+no gene rescans the netlist or walks the graph, and the genotype gets
+one full acyclicity check at the end instead of one per gene.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.locking.primitives import (
     primitive_for_gene,
     resolve_alphabet,
 )
+from repro.netlist.cow import CowNetlist
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import derive_rng
 
@@ -86,7 +94,7 @@ def random_genotype(
         raise EvolutionError(f"key_length must be >= 1, got {key_length}")
     names = resolve_alphabet(alphabet)
     rng = derive_rng(seed_or_rng)
-    work = original.copy()
+    work = CowNetlist.from_base(original)
     genes: list[Gene] = []
     used: set[tuple[str, str]] = set()
     for idx in range(key_length):
@@ -100,6 +108,7 @@ def random_genotype(
         primitive_for_gene(gene).apply_gene(work, gene, f"__tmp_k{idx}")
         used.update(gene.wires)
         genes.append(gene)
+    work.topological_order()
     return genes
 
 
@@ -122,7 +131,7 @@ def repair_genotype(
     """
     rng = derive_rng(seed_or_rng)
     kind_order = tuple(dict.fromkeys(g.kind for g in genes))
-    work = original.copy()
+    work = CowNetlist.from_base(original)
     used: set[tuple[str, str]] = set()
     repaired: list[Gene] = []
     for idx, gene in enumerate(genes):
@@ -138,21 +147,23 @@ def repair_genotype(
         primitive_for_gene(gene).apply_gene(work, gene, f"__tmp_k{idx}")
         used.update(gene.wires)
         repaired.append(gene)
+    work.topological_order()
     return repaired
 
 
 def genotype_is_valid(original: Netlist, genes: Sequence[Gene]) -> bool:
     """True if ``genes`` can be applied in order without repair."""
-    work = original.copy()
+    work = CowNetlist.from_base(original)
     used: set[tuple[str, str]] = set()
-    for gene in genes:
+    for idx, gene in enumerate(genes):
         if any(w in used for w in gene.wires):
             return False
         primitive = primitive_for_gene(gene)
         if not primitive.applicable(work, gene):
             return False
-        primitive.apply_gene(work, gene, f"__tmp_k{len(used)}")
+        primitive.apply_gene(work, gene, f"__tmp_k{idx}")
         used.update(gene.wires)
+    work.topological_order()
     return True
 
 

@@ -10,10 +10,11 @@ profiling the fitness hot path shows ~78%% of re-lock time in per-gene
 
 :class:`DeltaRelocker` keeps one immutable base and applies each
 genotype as a delta on a :class:`~repro.netlist.cow.CowNetlist` view:
-the base's fanout map is computed once and shared copy-on-write across
-candidates, gene insertions patch it incrementally, and acyclicity is
-verified with a single topological sort per candidate instead of one per
-gene. Both builders run the same gene-application body
+the base's fanout map and site index (lockable wires and reachability
+bitsets) are computed once, cached on the base, and copied into each
+candidate's view, gene insertions patch them incrementally, and
+acyclicity is verified with a single topological sort per candidate
+instead of one per gene. Both builders run the same gene-application body
 (:func:`~repro.locking.genome_lock.apply_genes`) and differ only in the
 netlist they start from, so the produced
 :class:`~repro.locking.base.LockedCircuit` is structurally identical to
@@ -49,31 +50,25 @@ class DeltaRelocker:
     Parameters
     ----------
     original:
-        The unlocked base design. Treated as immutable for the lifetime
-        of this relocker; mutating it afterwards invalidates the cached
-        fanout map silently.
+        The unlocked base design. Its fanout map and site index are the
+        base's own caches, so mutating it between re-locks is safe: the
+        next view reads freshly rebuilt ones.
 
     Notes
     -----
     The relocker is a drop-in replacement for
     ``lock_with_genes(original, genes, key_prefix)`` — same validation,
-    same outputs, same exceptions. Construction is free: the base fanout
-    map is built on the first :meth:`lock`, so fitness functions create
-    their relocker eagerly and still pickle cheaply into worker
-    processes.
+    same outputs, same exceptions. Construction is free: the base caches
+    are built on the first :meth:`lock` and never pickled, so fitness
+    functions create their relocker eagerly and still pickle cheaply
+    into worker processes.
     """
 
     def __init__(self, original: Netlist) -> None:
         self.original = original
-        self._base_fanouts: dict | None = None
 
     def _start(self, name: str) -> CowNetlist:
-        if self._base_fanouts is None:
-            # Computed once; every candidate's view snapshots it
-            # copy-on-write instead of rebuilding (base lists are never
-            # mutated in place by CowNetlist).
-            self._base_fanouts = self.original.fanouts()
-        return CowNetlist.from_base(self.original, name, self._base_fanouts)
+        return CowNetlist.from_base(self.original, name)
 
     def lock(
         self, genes: Sequence[Gene], key_prefix: str = "keyinput"

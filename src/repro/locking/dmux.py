@@ -260,38 +260,19 @@ def apply_gene(
 def lockable_wires(netlist: Netlist) -> list[tuple[str, str]]:
     """All wires ``(driver, consumer_gate)`` eligible for locking.
 
-    Excludes wires into or out of key gates — MUX key-gates, and any
-    gate with a key-input fanin (the XOR/XNOR and AND/OR key gates of
-    the other primitives) — plus key-input and constant drivers,
-    mirroring D-MUX's used-wire rules. Keeping key-gate outputs out of
-    the pool also guarantees every sampled gene references only signals
-    of the *original* design, so a genotype sampled against a working
-    copy (whose inserted gates carry temporary names) rebuilds
-    identically through :func:`~repro.locking.genome_lock.lock_with_genes`.
+    Read from the netlist's site index, in scan order; see
+    :mod:`repro.netlist.sites` for the eligibility rules.
     """
-    wires: list[tuple[str, str]] = []
-    key_set = set(netlist.key_inputs)
+    return list(free_wires(netlist))
 
-    def is_key_fed(gate) -> bool:
-        return any(f in key_set for f in gate.fanins)
 
-    for gate in netlist.gates.values():
-        if gate.gtype is GateType.MUX:
-            continue
-        if key_set and is_key_fed(gate):
-            continue
-        for src in gate.fanins:
-            if src in key_set:
-                continue
-            src_gate = netlist.gates.get(src)
-            if src_gate is not None and (
-                src_gate.gtype
-                in (GateType.MUX, GateType.CONST0, GateType.CONST1)
-                or (key_set and is_key_fed(src_gate))
-            ):
-                continue
-            wires.append((src, gate.name))
-    return wires
+def free_wires(netlist: Netlist, used=()):
+    """:func:`lockable_wires` minus the wires in ``used``, without a copy.
+
+    Supports ``len``, iteration and indexing by rank: item ``r`` is the
+    wire a draw of ``r`` over the filtered list picks.
+    """
+    return netlist.site_index().pool(netlist).free(used)
 
 
 def sample_gene(
@@ -307,8 +288,7 @@ def sample_gene(
     locked twice.
     """
     rng = derive_rng(seed_or_rng)
-    used = used_pins or set()
-    wires = [w for w in lockable_wires(netlist) if w not in used]
+    wires = free_wires(netlist, used_pins or ())
     if len(wires) < 2:
         return None
     for _ in range(max_tries):

@@ -55,8 +55,8 @@ from repro.locking.dmux import (
     MuxGene,
     MuxPairInsertion,
     apply_gene as _apply_mux_gene,
+    free_wires,
     gene_applicable as _mux_gene_applicable,
-    lockable_wires,
     sample_gene as _sample_mux_gene,
 )
 from repro.locking.rll import XorInsertion
@@ -271,7 +271,7 @@ class MuxPrimitive(LockPrimitive):
         freedom MuxLink exploits. RNG consumption is pinned by the
         golden trajectories; do not reorder the draws.
         """
-        wires = [w for w in lockable_wires(netlist) if w not in used]
+        wires = free_wires(netlist, used)
         if not wires:
             return None
         for _ in range(max_tries):
@@ -335,8 +335,7 @@ class _KeyGatePrimitive(LockPrimitive):
         raise LockingError(f"wire {gene.f}->{gene.g} does not exist")
 
     def sample(self, netlist, rng, used_pins=None, max_tries: int = 400):
-        used = used_pins or set()
-        wires = [w for w in lockable_wires(netlist) if w not in used]
+        wires = free_wires(netlist, used_pins or ())
         if not wires:
             return None
         for _ in range(max_tries):
@@ -378,8 +377,8 @@ class _KeyGatePrimitive(LockPrimitive):
         of its fan-out wires (key bit preserved)."""
         wires = [
             w
-            for w in lockable_wires(netlist)
-            if w not in used and w[0] == gene.f and w[1] != gene.g
+            for w in netlist.site_index().pool(netlist).driven_by(gene.f)
+            if w not in used and w[1] != gene.g
         ]
         if not wires:
             return None

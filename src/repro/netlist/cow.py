@@ -1,36 +1,43 @@
-"""Copy-on-write netlist view for delta re-locking.
+"""Copy-on-write netlist views: the work copies of genotype and re-lock code.
 
 :class:`CowNetlist` is a :class:`~repro.netlist.netlist.Netlist` seeded
-from an immutable *base* design whose graph caches are maintained
+from an immutable *base* design whose derived state is maintained
 **incrementally** instead of being invalidated wholesale on every
-mutation. The plain ``Netlist`` drops its fanout map and topological
-order after each ``add_gate``/``rewire_pin`` and rebuilds both from
-scratch on the next query — fine for one-shot construction, ruinous for
-the GA's fitness loop, which re-locks the same base circuit once per
-candidate and pays two full fanout rebuilds plus one full Kahn sort *per
-gene* (see ``benchmarks/bench_delta_relock.py``).
+mutation. The plain ``Netlist`` drops its fanout map, topological order
+and site index after each ``add_gate``/``rewire_pin`` and rebuilds them
+from scratch on the next query — fine for one-shot construction, ruinous
+for code that applies a whole genotype gene by gene to the same base:
+:func:`~repro.ec.genotype.random_genotype`,
+:func:`~repro.ec.genotype.repair_genotype` and
+:func:`~repro.ec.genotype.genotype_is_valid` sample, repair and validate
+on a view, and :class:`~repro.locking.delta.DeltaRelocker` re-locks on
+one per candidate.
 
-The view changes exactly two behaviours:
+The view changes three behaviours:
 
 * **Incremental fanouts.** The fanout map starts as a shallow snapshot
   of the base's map, sharing the base's per-signal consumer lists. A
   mutation touching signal ``s`` first *owns* that one list (copies it),
   then patches it in place — only the touched fanout regions are ever
-  copied, and ``fanouts()``/``has_path`` never trigger a rebuild.
+  copied, and ``fanouts()`` never triggers a rebuild.
+* **Incremental site index.** The view takes a private copy of the
+  base's :class:`~repro.netlist.sites.SiteIndex` (lockable-wire pool and
+  reachability bitsets) and every mutator updates it, so sampling draws
+  from the pool and ``has_path`` reads one bit instead of rescanning the
+  gates or walking the graph.
 * **Deferred acyclicity.** :meth:`check_acyclic` is a no-op. The locking
   primitives call it defensively after every insertion, but their
-  ``_check_gene`` reachability tests already reject cycle-creating genes
-  *before* mutating; :class:`~repro.locking.delta.DeltaRelocker` runs
-  one full :meth:`topological_order` per candidate at the end, so a
-  constructed phenotype is still verified — once, not once per gene.
+  reachability checks already reject cycle-creating genes *before*
+  mutating; the view's owner runs one full :meth:`topological_order`
+  per genotype at the end, so every built genotype is still verified —
+  once, not once per gene.
 
 The gates dict is copied from the base (gates are immutable, so a dict
 copy is a deep copy), and insertion order matches a scratch
 ``base.copy()`` build exactly — every iteration-order-sensitive consumer
 (graph extraction, simulation, metrics) sees the identical structure.
 The cached topological order is still invalidated by mutations and
-recomputed lazily; only the *fanout* cache is incremental, because that
-is the one the locking hot path hammers.
+recomputed lazily.
 """
 
 from __future__ import annotations
@@ -50,38 +57,39 @@ class CowNetlist(Netlist):
         self._owned: set[str] = set()
 
     @classmethod
-    def from_base(
-        cls,
-        base: Netlist,
-        name: str | None = None,
-        base_fanouts: dict[str, list[tuple[str, int]]] | None = None,
-    ) -> "CowNetlist":
+    def from_base(cls, base: Netlist, name: str | None = None) -> "CowNetlist":
         """A view of ``base`` ready for incremental locking mutations.
 
-        ``base_fanouts`` lets a caller that re-locks the same base many
-        times (the delta re-locker) share one precomputed fanout map
-        across all views instead of paying ``base.fanouts()`` per
-        candidate; it must be exactly ``base.fanouts()``'s value.
+        Reads the base's cached fanout map and site index (each built
+        once per base and dropped if the base is ever mutated), so views
+        of the same base share that work.
         """
         view = cls(name or base.name)
         view.inputs = list(base.inputs)
         view.key_inputs = list(base.key_inputs)
         view.outputs = list(base.outputs)
         view.gates = dict(base.gates)
-        fanouts = base_fanouts if base_fanouts is not None else base.fanouts()
         # Shallow snapshot: per-signal lists are shared with the base
         # until a mutation owns them.
-        view._fanout_cache = dict(fanouts)
+        view._fanout_cache = dict(base.fanouts())
         view._owned = set()
+        view._site_index = base.site_index().fork(base)
         return view
+
+    def __getstate__(self) -> dict:
+        # The fanout map is the view's live state, not a cache.
+        state = super().__getstate__()
+        state["_fanout_cache"] = self._fanout_cache
+        state["_owned"] = set(self._fanout_cache)
+        return state
 
     # ------------------------------------------------------------------
     # incremental cache maintenance
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
         # Mutations still invalidate the topological order (recomputed
-        # lazily, at most once per candidate), but never the fanout map:
-        # the overridden mutators below patch it incrementally.
+        # lazily, at most once per candidate), but never the fanout map
+        # or the site index: the overridden mutators below patch both.
         self._topo_cache = None
 
     def _own(self, signal: str) -> list[tuple[str, int]]:
@@ -102,17 +110,19 @@ class CowNetlist(Netlist):
         insertions before any mutation happens)."""
 
     # ------------------------------------------------------------------
-    # mutators (base behaviour + incremental fanout patches)
+    # mutators (base behaviour + incremental fanout/index patches)
     # ------------------------------------------------------------------
     def add_input(self, name: str) -> None:
         super().add_input(name)
         self._fanout_cache[name] = []
         self._owned.add(name)
+        self.site_index().added(self, name)
 
     def add_key_input(self, name: str) -> None:
         super().add_key_input(name)
         self._fanout_cache[name] = []
         self._owned.add(name)
+        self.site_index().added(self, name)
 
     def add_gate(self, name: str, gtype: GateType, fanins) -> "Gate":
         gate = super().add_gate(name, gtype, fanins)
@@ -120,6 +130,7 @@ class CowNetlist(Netlist):
         self._owned.add(name)
         for pin, src in enumerate(gate.fanins):
             self._own(src).append((name, pin))
+        self.site_index().added(self, name)
         return gate
 
     def remove_gate(self, name: str) -> None:
@@ -129,6 +140,8 @@ class CowNetlist(Netlist):
             self._own(src).remove((name, pin))
         del self._fanout_cache[name]
         self._owned.discard(name)
+        # Rare outside locking: rebuild the index lazily from the view.
+        self._site_index = None
 
     def rewire_pin(self, gate_name: str, pin: int, new_src: str) -> None:
         gate = self.gates.get(gate_name)
@@ -139,8 +152,10 @@ class CowNetlist(Netlist):
         if old_src is not None:
             self._own(old_src).remove((gate_name, pin))
         self._own(new_src).append((gate_name, pin))
+        self.site_index().rewired(self, gate_name, pin, old_src)
 
     def widen_gate(self, gate_name: str, new_src: str) -> None:
         super().widen_gate(gate_name, new_src)
         pin = len(self.gates[gate_name].fanins) - 1
         self._own(new_src).append((gate_name, pin))
+        self.site_index().rewired(self, gate_name, pin, None)

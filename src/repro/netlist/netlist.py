@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import NetlistError
 from repro.netlist.gates import Gate, GateType
+from repro.netlist.sites import SiteIndex
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -31,11 +32,13 @@ class Netlist:
 
     Notes
     -----
-    Mutation invalidates cached topological order / fanout maps; caches are
-    rebuilt lazily on the next query. All mutating methods validate their
-    arguments eagerly so a netlist can never hold a dangling reference, but
-    acyclicity is only enforced when a topological order is requested (or
-    via :func:`repro.netlist.validate.validate_netlist`), because locking
+    Mutation invalidates the cached topological order, fanout map and
+    locking-site index (:class:`~repro.netlist.sites.SiteIndex`); caches
+    are rebuilt lazily on the next query and never pickled. All mutating
+    methods validate their arguments eagerly so a netlist can never hold
+    a dangling reference, but acyclicity is only enforced when a
+    topological order is requested (or via
+    :func:`repro.netlist.validate.validate_netlist`), because locking
     transformations check reachability *before* inserting.
     """
 
@@ -47,6 +50,7 @@ class Netlist:
         self.gates: dict[str, Gate] = {}
         self._topo_cache: list[str] | None = None
         self._fanout_cache: dict[str, list[tuple[str, int]]] | None = None
+        self._site_index: SiteIndex | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -185,6 +189,14 @@ class Netlist:
     def _invalidate(self) -> None:
         self._topo_cache = None
         self._fanout_cache = None
+        self._site_index = None
+
+    def __getstate__(self) -> dict:
+        # Derived caches stay behind: the reachability closure alone is
+        # n²/8 bytes, and pool workers rebuild what they use.
+        state = self.__dict__.copy()
+        state.update(_topo_cache=None, _fanout_cache=None, _site_index=None)
+        return state
 
     # ------------------------------------------------------------------
     # Graph queries
@@ -209,20 +221,29 @@ class Netlist:
         Raises :class:`NetlistError` if the netlist contains a
         combinational cycle.
         """
+        return self._order()
+
+    def _order(self) -> list[str]:
+        # The cached sort behind topological_order(); internal callers
+        # (the reachability closure) use it directly.
         if self._topo_cache is not None:
             return self._topo_cache
-        indeg: dict[str, int] = {}
-        for gate in self.gates.values():
-            indeg[gate.name] = sum(1 for src in gate.fanins if src in self.gates)
-        ready = deque(sorted(n for n, d in indeg.items() if d == 0))
         fanouts = self.fanouts()
+        # In-degree counts gate-driven pins: every pin, minus the pins
+        # the inputs drive (one pass over their fanouts, not the fanins).
+        indeg = {name: len(gate.fanins) for name, gate in self.gates.items()}
+        for sig in self.all_inputs:
+            for consumer, _pin in fanouts.get(sig, ()):
+                indeg[consumer] -= 1
+        ready = deque(sorted(n for n, d in indeg.items() if d == 0))
         order: list[str] = []
         while ready:
             name = ready.popleft()
             order.append(name)
-            for consumer, _pin in fanouts.get(name, []):
-                indeg[consumer] -= 1
-                if indeg[consumer] == 0:
+            for consumer, _pin in fanouts.get(name, ()):
+                left = indeg[consumer] - 1
+                indeg[consumer] = left
+                if not left:
                     ready.append(consumer)
         if len(order) != len(self.gates):
             stuck = sorted(set(self.gates) - set(order))[:5]
@@ -236,9 +257,13 @@ class Netlist:
         """Assert the netlist is a DAG (raises :class:`NetlistError`).
 
         The locking primitives call this after every insertion as a
-        defensive guard. Subclasses that maintain acyclicity invariants
-        incrementally (see :class:`repro.netlist.cow.CowNetlist`) may
-        override it with a cheaper check and validate once at the end.
+        defensive guard; on a plain netlist it is one full sort per
+        insertion. Their reachability checks already reject every
+        cycle-closing gene before mutating, so
+        :class:`~repro.netlist.cow.CowNetlist` work copies make it a
+        no-op and their owners (genotype sampling, repair and
+        validation, :class:`~repro.locking.delta.DeltaRelocker`) run
+        one full :meth:`topological_order` per genotype instead.
         """
         self.topological_order()
 
@@ -258,28 +283,30 @@ class Netlist:
         lv = self.levels()
         return max(lv.values(), default=0)
 
+    def site_index(self) -> SiteIndex:
+        """This netlist's locking-site index (lockable wires + reachability).
+
+        Created empty on first call; its parts are built on first use and
+        the whole index is dropped by the next mutation (a
+        :class:`~repro.netlist.cow.CowNetlist` keeps its own copy exact
+        instead).
+        """
+        if self._site_index is None:
+            self._site_index = SiteIndex()
+        return self._site_index
+
     def has_path(self, src: str, dst: str) -> bool:
         """True if a directed path ``src`` ⇝ ``dst`` exists (src == dst counts).
 
         Used by MUX insertion to reject pairings that would create a
-        combinational cycle.
+        combinational cycle. The single reachability entry point: it
+        reads one bit of the site index's transitive closure,
+        built in one pass over the netlist after a mutation and kept up
+        to date incrementally on copy-on-write views. Raises
+        :class:`NetlistError` for unknown signals and, like
+        :meth:`topological_order`, on a netlist with a cycle.
         """
-        if not self.is_signal(src) or not self.is_signal(dst):
-            raise NetlistError(f"has_path: unknown signal {src!r} or {dst!r}")
-        if src == dst:
-            return True
-        fanouts = self.fanouts()
-        seen = {src}
-        frontier = deque([src])
-        while frontier:
-            sig = frontier.popleft()
-            for consumer, _pin in fanouts.get(sig, []):
-                if consumer == dst:
-                    return True
-                if consumer not in seen:
-                    seen.add(consumer)
-                    frontier.append(consumer)
-        return False
+        return self.site_index().closure(self).reaches(src, dst)
 
     def transitive_fanin(self, signal: str) -> set[str]:
         """All signals (including inputs) on which ``signal`` depends."""

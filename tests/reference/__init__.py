@@ -2,7 +2,8 @@
 
 Each module here is the straightforward version of a code path in
 ``repro``: one item at a time instead of batched or incremental
-(``muxlink``), plain DPLL instead of CDCL (``dpll``), or finite
+(``muxlink``), a full rescan and a BFS instead of an incrementally kept
+site index (``genotype``), plain DPLL instead of CDCL (``dpll``), or finite
 differences instead of hand-written backward passes (``gradcheck``).
 The runtime does not ship them; the tests compare the runtime path
 against them.

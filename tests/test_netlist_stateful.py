@@ -12,8 +12,13 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.circuits import load_circuit
 from repro.errors import NetlistError
+from repro.locking.dmux import lockable_wires
+from repro.locking.primitives import XorGene, get_primitive
 from repro.netlist import GateType, Netlist, validate_netlist
+from repro.netlist.cow import CowNetlist
+from tests.reference import genotype as ref
 
 _BINARY_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.XOR]
 
@@ -136,6 +141,53 @@ NetlistMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
 TestNetlistStateful = NetlistMachine.TestCase
+
+
+class CowViewMachine(NetlistMachine):
+    """The same mutations, plus key-gate insertion and gate removal, on a
+    copy-on-write view of a generated circuit. The view keeps its site
+    index incrementally (or drops a part it cannot follow); every answer
+    must equal a rescan and a BFS."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.netlist = CowNetlist.from_base(load_circuit("rand_30_3"))
+        self.netlist.add_input("seed_input")
+
+    @rule(data=st.data())
+    def insert_key_gate(self, data) -> None:
+        wires = lockable_wires(self.netlist)
+        if not wires:
+            return
+        f, g = data.draw(st.sampled_from(wires))
+        gene = XorGene(f, g, data.draw(st.integers(0, 1)))
+        get_primitive("xor").apply_gene(self.netlist, gene, self._fresh("key"))
+
+    @rule(data=st.data())
+    def remove_unused_gate(self, data) -> None:
+        fanouts = self.netlist.fanouts()
+        unused = sorted(
+            n for n in self.netlist.gates
+            if not fanouts[n] and n not in self.netlist.outputs
+        )
+        if unused:
+            self.netlist.remove_gate(data.draw(st.sampled_from(unused)))
+
+    @invariant()
+    def site_index_matches_references(self) -> None:
+        assert lockable_wires(self.netlist) == ref.lockable_wires(self.netlist)
+        signals = self._signals()
+        for src in signals[::5]:
+            for dst in signals:
+                assert self.netlist.has_path(src, dst) == ref.has_path(
+                    self.netlist, src, dst
+                ), (src, dst)
+
+
+CowViewMachine.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=25, deadline=None
+)
+TestCowViewStateful = CowViewMachine.TestCase
 
 
 def test_rewire_to_descendant_is_detectable():
