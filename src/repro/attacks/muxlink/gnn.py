@@ -14,17 +14,24 @@ Per layer (``S`` = row-normalised adjacency with self-loops, a constant):
 
 with gradients ``dW_l = (S Z_{l-1})^T dA`` and
 ``dZ_{l-1} = S^T (dA W_l^T)`` where ``dA = dZ_l · (1 - Z_l²)``.
+``Z_0 = X`` are the node features, a constant, so layer 0 takes
+``S X`` pre-aggregated and its input gradient is never formed: a step
+of an L-layer stack costs ``2(L-1)`` sparse products (4 for the default
+three layers).
 
-Scoring and training are batched: a whole population of candidate links
-is scored per call — the enclosing subgraphs are extracted in one
-vectorised pass, their row-normalised adjacencies assembled into one
-block-diagonal sparse operator (:class:`_BlockDiagAdj`), the conv stack
+Scoring and training are batched and prepared once: a fit (or one
+``score_links`` call) extracts its enclosing subgraphs in one
+vectorised pass, then builds their features, one block-diagonal sparse
+operator over their row-normalised adjacencies (:class:`_BlockDiagAdj`)
+and ``S X`` — once, not per step. A training minibatch slices its
+blocks out of those with :meth:`_BlockDiagAdj.select`; the conv stack
 runs once over the stacked node set, and the centre+mean readout feeds
-the MLP head one ``(B, 3·emb)`` batch. Training minibatches reuse the
-same machinery forward *and* backward. The one-subgraph-at-a-time
-reference lives in ``tests/reference/`` as a differential oracle (the
-batched reductions reassociate floating-point sums, so the two agree to
-~1e-9 in the logits, not bitwise).
+the MLP head one ``(B, 3·emb)`` batch. Two references live in
+``tests/reference/`` as differential oracles: a trainer that rebuilds
+features and operators per minibatch (bitwise equal), and the
+one-subgraph-at-a-time dense path (the batched reductions reassociate
+floating-point sums, so the two agree to ~1e-9 in the logits, not
+bitwise).
 """
 
 from __future__ import annotations
@@ -74,6 +81,13 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     return a_hat / a_hat.sum(axis=1, keepdims=True)
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(a, b) for a, b in zip(lo, hi)])``, vectorised."""
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
+
+
 class _BlockDiagAdj:
     """Block-diagonal row-normalised adjacency over stacked subgraphs.
 
@@ -83,67 +97,92 @@ class _BlockDiagAdj:
     :class:`_GraphConvStack` needs — the stack runs unchanged over a
     single dense adjacency or a whole batch. Every row and column holds
     at least the self-loop, so ``np.add.reduceat`` segment sums are
-    well-defined in both orientations.
+    well-defined in both orientations. ``offsets[b]`` is block ``b``'s
+    first row (``offsets[-1] == n``): a block's rows and nonzeros are one
+    contiguous range of both ``s`` and ``s.T``, which :meth:`select`
+    slices.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "_rows", "_t")
+    __slots__ = ("n", "indptr", "indices", "data", "offsets", "_t")
 
     def __init__(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
-        rows: np.ndarray,
+        offsets: np.ndarray,
     ) -> None:
         self.n = indptr.size - 1
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._rows = rows
+        self.offsets = offsets
         self._t: _BlockDiagAdj | None = None
 
     @classmethod
     def from_subgraphs(cls, subs: list[EnclosingSubgraph]) -> _BlockDiagAdj:
-        blocks = [normalized_adjacency(sub.adj) for sub in subs]
-        rows_l: list[np.ndarray] = []
+        offsets = np.zeros(len(subs) + 1, dtype=np.int64)
+        row_nnz: list[np.ndarray] = []
         cols_l: list[np.ndarray] = []
         data_l: list[np.ndarray] = []
-        offset = 0
-        for block in blocks:
+        for b, sub in enumerate(subs):
+            block = normalized_adjacency(sub.adj)
             r, c = np.nonzero(block)
-            rows_l.append(r + offset)
-            cols_l.append(c + offset)
+            row_nnz.append(np.bincount(r, minlength=block.shape[0]))
+            cols_l.append(c + offsets[b])
             data_l.append(block[r, c])
-            offset += block.shape[0]
-        rows = np.concatenate(rows_l)
-        cols = np.concatenate(cols_l)
-        data = np.concatenate(data_l)
-        counts = np.bincount(rows, minlength=offset)
-        indptr = np.zeros(offset + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+            offsets[b + 1] = offsets[b] + block.shape[0]
+        indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
         # np.nonzero emits row-major order per block and blocks are
-        # appended in order, so (rows, cols, data) is already CSR-sorted.
-        return cls(indptr, cols, data, rows)
+        # appended in order, so (cols, data) is already CSR-sorted.
+        return cls(indptr, np.concatenate(cols_l), np.concatenate(data_l), offsets)
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        contrib = self.data[:, None] * z[self.indices]
+        contrib = z.take(self.indices, axis=0)
+        contrib *= self.data[:, None]
         return np.add.reduceat(contrib, self.indptr[:-1], axis=0)
 
     @property
     def T(self) -> _BlockDiagAdj:
         if self._t is None:
-            order = np.lexsort((self._rows, self.indices))
+            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            order = np.lexsort((rows, self.indices))
             counts = np.bincount(self.indices, minlength=self.n)
             t_indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(counts, out=t_indptr[1:])
             self._t = _BlockDiagAdj(
-                t_indptr,
-                self._rows[order],
-                self.data[order],
-                self.indices[order],
+                t_indptr, rows[order], self.data[order], self.offsets
             )
             self._t._t = self
         return self._t
+
+    def select(self, blocks: np.ndarray) -> tuple[_BlockDiagAdj, np.ndarray]:
+        """The operator over ``blocks`` (in that order) and its rows here.
+
+        Array for array equal to :meth:`from_subgraphs` over the chosen
+        subgraphs, in both orientations (the transpose comes attached):
+        each block's row and nonzero ranges of ``self`` and ``self.T``
+        are concatenated and re-offset, with no ``nonzero`` or
+        ``lexsort``. The second value indexes this operator's rows, for
+        gathering row-aligned data such as layer 0's ``S X``.
+        """
+        lo, hi = self.offsets[blocks], self.offsets[blocks + 1]
+        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=offsets[1:])
+        rows = _ranges(lo, hi)
+        shift = offsets[:-1] - lo
+        picked = []
+        for op in (self, self.T):
+            nz_lo, nz_hi = op.indptr[lo], op.indptr[hi]
+            nz = _ranges(nz_lo, nz_hi)
+            indptr = np.zeros(rows.size + 1, dtype=np.int64)
+            np.cumsum(op.indptr[rows + 1] - op.indptr[rows], out=indptr[1:])
+            indices = op.indices[nz] + np.repeat(shift, nz_hi - nz_lo)
+            picked.append(_BlockDiagAdj(indptr, indices, op.data[nz], offsets))
+        s, t = picked
+        s._t, t._t = t, s
+        return s, rows
 
 
 class _GraphConvStack:
@@ -151,7 +190,11 @@ class _GraphConvStack:
 
     ``s`` may be a dense ``(n, n)`` row-normalised adjacency or a
     :class:`_BlockDiagAdj` over a stacked batch — forward and backward
-    only ever use ``s @ x`` and ``s.T @ x``.
+    only ever use ``s @ z`` and ``s.T @ z``. Layer 0 takes its input
+    already aggregated (``sx = s @ x``: the features are constants, so
+    the caller prepares it once), and backward skips layer 0's input
+    gradient, which nothing reads. A step of L layers thus costs
+    ``L - 1`` sparse products forward and ``L - 1`` backward.
     """
 
     def __init__(self, in_dim: int, hidden_dims: tuple[int, ...], seed_or_rng=None):
@@ -169,15 +212,16 @@ class _GraphConvStack:
         self._s: np.ndarray | _BlockDiagAdj | None = None
 
     def forward(
-        self, s: np.ndarray | _BlockDiagAdj, x: np.ndarray
+        self, s: np.ndarray | _BlockDiagAdj, sx: np.ndarray
     ) -> np.ndarray:
-        """Return per-node embeddings: concat of all layer outputs."""
+        """Per-node embeddings (concat of all layer outputs) from ``s @ x``."""
         self._s = s
         self._cache = []
-        z = x
+        sz = sx
         outs = []
-        for w in self.weights:
-            sz = s @ z
+        for layer, w in enumerate(self.weights):
+            if layer:
+                sz = s @ outs[-1]
             z = np.tanh(sz @ w.value)
             self._cache.append((sz, z))
             outs.append(z)
@@ -199,7 +243,8 @@ class _GraphConvStack:
             dz = chunks[layer] if carry is None else chunks[layer] + carry
             da = dz * (1.0 - z**2)
             self.weights[layer].grad += sz.T @ da
-            carry = self._s.T @ (da @ self.weights[layer].value.T)
+            if layer:
+                carry = self._s.T @ (da @ self.weights[layer].value.T)
 
     def params(self) -> list[Param]:
         return list(self.weights)
@@ -252,10 +297,23 @@ class GnnLinkPredictor:
             ]
         )
 
+    def _prepare(
+        self, subs: list[EnclosingSubgraph]
+    ) -> tuple[_BlockDiagAdj, np.ndarray]:
+        """The block-diagonal ``S`` over ``subs`` and layer 0's ``S X``.
+
+        Built once per fit or scoring call; training steps slice both
+        with :meth:`_BlockDiagAdj.select`.
+        """
+        s = _BlockDiagAdj.from_subgraphs(subs)
+        return s, s @ subgraph_feature_matrix_stack(
+            self._graph, subs, self.max_label
+        )
+
     def _forward_batch(
-        self, subs: list[EnclosingSubgraph], train: bool = False
+        self, s: _BlockDiagAdj, sx: np.ndarray, train: bool = False
     ) -> tuple[np.ndarray, dict]:
-        """Logits for a batch of subgraphs via one block-diagonal pass.
+        """Logits for the subgraphs behind ``s`` via one block-diagonal pass.
 
         The conv stack runs once over the stacked node set; the
         centre+mean readout is gathered with segment offsets (positions
@@ -263,12 +321,9 @@ class GnnLinkPredictor:
         scores all B logits in a single forward.
         """
         assert self._conv is not None and self._head is not None
-        x = subgraph_feature_matrix_stack(self._graph, subs, self.max_label)
-        s = _BlockDiagAdj.from_subgraphs(subs)
-        h = self._conv.forward(s, x)  # (n_total, emb)
-        counts = np.array([sub.n_nodes for sub in subs], dtype=np.int64)
-        offsets = np.zeros(len(subs), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
+        h = self._conv.forward(s, sx)  # (n_total, emb)
+        counts = np.diff(s.offsets)
+        offsets = s.offsets[:-1]
         means = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
         readout = np.concatenate(
             [h[offsets], h[offsets + 1], means], axis=1
@@ -307,18 +362,19 @@ class GnnLinkPredictor:
         subs = extract_enclosing_subgraphs(
             graph, pairs, self.hops, self.max_nodes, self.max_label
         )
+        s_all, sx_all = self._prepare(subs)
+        del subs  # s_all holds the blocks sparsely; free the dense copies
         optimizer = Adam(self.params(), lr=self.lr)
         self.train_history = []
-        order = np.arange(len(subs))
+        order = np.arange(len(pairs))
         batch = 8
         for _ in range(self.epochs):
             rng.shuffle(order)
             losses = []
             for start in range(0, len(order), batch):
                 idx = order[start : start + batch]
-                logits, ctx = self._forward_batch(
-                    [subs[int(i)] for i in idx], train=True
-                )
+                s, rows = s_all.select(idx)
+                logits, ctx = self._forward_batch(s, sx_all[rows], train=True)
                 # reduction="sum" makes the one batched backward
                 # gradient-equivalent to len(idx) per-sample passes; the
                 # repeated batch-mean keeps train_history the per-sample
@@ -347,7 +403,7 @@ class GnnLinkPredictor:
             time.perf_counter() - started, stage="extract"
         )
         started = time.perf_counter()
-        logits, _ = self._forward_batch(subs, train=False)
+        logits, _ = self._forward_batch(*self._prepare(subs))
         _GNN_STAGE_SECONDS.observe(
             time.perf_counter() - started, stage="forward"
         )

@@ -42,6 +42,14 @@ class Layer(abc.ABC):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients, return gradient w.r.t. input."""
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate parameter gradients only; the input gradient is not formed.
+
+        For a network's first layer, whose input gradient nothing reads.
+        """
+        if self.params():
+            self.backward(grad_out)
+
     def params(self) -> list[Param]:
         """Trainable parameters (default none)."""
         return []
@@ -64,10 +72,13 @@ class Linear(Layer):
         return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
+        return grad_out @ self.weight.value.T
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
         assert self._x is not None, "backward before forward"
         self.weight.grad += self._x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]

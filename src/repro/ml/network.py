@@ -26,6 +26,11 @@ class Sequential(Layer):
             grad_out = layer.backward(grad_out)
         return grad_out
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        for layer in reversed(self.layers[1:]):
+            grad_out = layer.backward(grad_out)
+        self.layers[0].backward_params(grad_out)
+
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -51,7 +56,7 @@ def fit(
             idx = order[start : start + batch_size]
             out = model.forward(x[idx], train=True)
             loss, grad = loss_fn(out, y[idx])
-            model.backward(grad)
+            model.backward_params(grad)
             optimizer.step()
             losses.append(loss)
         history.append(float(np.mean(losses)))

@@ -19,6 +19,14 @@
   :class:`~repro.attacks.muxlink.gnn.GnnLinkPredictor`'s own weights.
   The batched path reassociates floating-point sums, so it matches
   these to ~1e-9, not bitwise.
+* :func:`gnn_fit_rebuild` / :func:`gnn_score_links_rebuild` — the
+  block-diagonal trainer and scorer that rebuild the features and the
+  sparse operator for every minibatch and run all ``2L`` sparse products
+  of an L-layer step (layer 0's ``S @ X`` and its discarded input
+  gradient included). Oracle for the per-fit prepared operators of
+  :meth:`~repro.attacks.muxlink.gnn.GnnLinkPredictor.fit` and
+  :meth:`~repro.attacks.muxlink.gnn.GnnLinkPredictor.score_links`
+  (bitwise equality).
 * :func:`bayes_score_link` — the per-link Bayes scorer. Oracle for
   :meth:`~repro.attacks.muxlink.bayes.BayesLinkPredictor.score_links`
   (bitwise equality).
@@ -40,11 +48,16 @@ from repro.attacks.muxlink.features import (
     link_feature_dim,
     make_training_pairs,
     subgraph_feature_dim,
+    subgraph_feature_matrix_stack,
     type_index,
 )
-from repro.attacks.muxlink.gnn import normalized_adjacency
+from repro.attacks.muxlink.gnn import _BlockDiagAdj, normalized_adjacency
 from repro.attacks.muxlink.graph import ObservedGraph
-from repro.attacks.muxlink.subgraph import EnclosingSubgraph, drnl_from_distances
+from repro.attacks.muxlink.subgraph import (
+    EnclosingSubgraph,
+    drnl_from_distances,
+    extract_enclosing_subgraphs,
+)
 from repro.ml.layers import Linear
 from repro.ml.losses import bce_with_logits
 from repro.ml.optim import Adam
@@ -295,7 +308,8 @@ def subgraph_feature_matrix(
 def _gnn_forward(predictor, sub: EnclosingSubgraph) -> tuple[float, dict]:
     """Logit for one subgraph; returns the backward context."""
     x = subgraph_feature_matrix(predictor._graph, sub, predictor.max_label)
-    h = predictor._conv.forward(normalized_adjacency(sub.adj), x)  # (n, emb)
+    s = normalized_adjacency(sub.adj)
+    h = predictor._conv.forward(s, s @ x)  # (n, emb)
     readout = np.concatenate([h[0], h[1], h.mean(axis=0)]).reshape(1, -1)
     logit = predictor._head.forward(readout, train=True)
     return float(logit[0, 0]), {"n": h.shape[0], "emb": h.shape[1]}
@@ -352,6 +366,92 @@ def gnn_fit(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
                 losses.append(loss)
             optimizer.step()
         predictor.train_history.append(float(np.mean(losses)))
+
+
+def _rebuild_forward(
+    predictor, subs: list[EnclosingSubgraph], train: bool
+) -> tuple[np.ndarray, dict]:
+    """Batch logits with the features and ``S`` built from ``subs`` here."""
+    x = subgraph_feature_matrix_stack(predictor._graph, subs, predictor.max_label)
+    s = _BlockDiagAdj.from_subgraphs(subs)
+    z = x
+    cache, outs = [], []
+    for w in predictor._conv.weights:
+        sz = s @ z
+        z = np.tanh(sz @ w.value)
+        cache.append((sz, z))
+        outs.append(z)
+    h = np.concatenate(outs, axis=1)
+    counts = np.array([sub.n_nodes for sub in subs], dtype=np.int64)
+    offsets = np.zeros(len(subs), dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    means = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
+    readout = np.concatenate([h[offsets], h[offsets + 1], means], axis=1)
+    logits = predictor._head.forward(readout, train=train)[:, 0]
+    ctx = {"s": s, "cache": cache, "counts": counts, "offsets": offsets}
+    return logits, ctx
+
+
+def _rebuild_backward(predictor, d_logits: np.ndarray, ctx: dict) -> None:
+    """Backward through :func:`_rebuild_forward`, layer 0's input grad too."""
+    d_read = predictor._head.backward(d_logits.reshape(-1, 1))
+    weights = predictor._conv.weights
+    emb = sum(w.value.shape[1] for w in weights)
+    counts, offsets = ctx["counts"], ctx["offsets"]
+    d_h = np.repeat(d_read[:, 2 * emb :] / counts[:, None], counts, axis=0)
+    d_h[offsets] += d_read[:, :emb]
+    d_h[offsets + 1] += d_read[:, emb : 2 * emb]
+    starts = np.cumsum([0] + [w.value.shape[1] for w in weights])
+    carry = None
+    for layer in range(len(weights) - 1, -1, -1):
+        sz, z = ctx["cache"][layer]
+        chunk = d_h[:, starts[layer] : starts[layer + 1]]
+        dz = chunk if carry is None else chunk + carry
+        da = dz * (1.0 - z**2)
+        weights[layer].grad += sz.T @ da
+        carry = ctx["s"].T @ (da @ weights[layer].value.T)
+
+
+def gnn_fit_rebuild(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
+    """``GnnLinkPredictor.fit`` rebuilding features and ``S`` per minibatch.
+
+    Same RNG stream, minibatches of 8 and Adam steps as the prepared
+    trainer; every step stacks its subgraphs' features, builds their
+    block-diagonal operator (and its transpose) from scratch, and runs
+    every sparse product of the stack.
+    """
+    rng = derive_rng(seed_or_rng)
+    predictor._graph = graph
+    predictor._build(rng)
+    pairs, labels = make_training_pairs(graph, predictor.n_train, rng)
+    subs = extract_enclosing_subgraphs(
+        graph, pairs, predictor.hops, predictor.max_nodes, predictor.max_label
+    )
+    optimizer = Adam(predictor.params(), lr=predictor.lr)
+    predictor.train_history = []
+    order = np.arange(len(subs))
+    for _ in range(predictor.epochs):
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, len(order), 8):
+            idx = order[start : start + 8]
+            logits, ctx = _rebuild_forward(
+                predictor, [subs[int(i)] for i in idx], train=True
+            )
+            loss_sum, d = bce_with_logits(logits, labels[idx], reduction="sum")
+            _rebuild_backward(predictor, d, ctx)
+            losses.extend([loss_sum / len(idx)] * len(idx))
+            optimizer.step()
+        predictor.train_history.append(float(np.mean(losses)))
+
+
+def gnn_score_links_rebuild(predictor, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Logits for ``pairs`` with ``S @ X`` formed inside the forward."""
+    subs = extract_enclosing_subgraphs(
+        predictor._graph, pairs, predictor.hops, predictor.max_nodes,
+        predictor.max_label,
+    )
+    return _rebuild_forward(predictor, subs, train=False)[0]
 
 
 # -------------------------------------------------------------------- Bayes

@@ -1,13 +1,17 @@
 """GNN link predictor internals: hand-derived gradients vs finite
-differences, and the batched pipeline vs the per-link reference."""
+differences, the prepared trainer vs the per-minibatch rebuild (bitwise),
+and the batched pipeline vs the per-link reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference.muxlink import (
     extract_enclosing_subgraph,
     gnn_fit,
+    gnn_fit_rebuild,
     gnn_score_link,
+    gnn_score_links_rebuild,
     subgraph_feature_matrix,
 )
 from repro.attacks.muxlink.features import subgraph_feature_matrix_stack
@@ -37,7 +41,7 @@ def test_graph_conv_stack_shapes():
     x = rng.normal(size=(4, 5))
     s = normalized_adjacency((rng.random((4, 4)) > 0.5).astype(float))
     s = normalized_adjacency(((s + s.T) > 0).astype(float))
-    h = stack.forward(s, x)
+    h = stack.forward(s, s @ x)
     assert h.shape == (4, 10)  # 7 + 3 concatenated
     assert stack.out_dim == 10
 
@@ -51,13 +55,13 @@ def test_graph_conv_stack_gradients_match_finite_differences():
     adj = ((adj + adj.T) > 0).astype(float)
     np.fill_diagonal(adj, 0)
     s = normalized_adjacency(adj)
-    x = rng.normal(size=(n, f))
+    sx = s @ rng.normal(size=(n, f))
     stack = _GraphConvStack(f, (6, 3), seed_or_rng=5)
 
     def loss_of_output(h):
         return float((h**2).sum())
 
-    h = stack.forward(s, x)
+    h = stack.forward(s, sx)
     for p in stack.params():
         p.zero_grad()
     stack.backward(2 * h)
@@ -71,9 +75,9 @@ def test_graph_conv_stack_gradients_match_finite_differences():
             idx = it.multi_index
             original = p.value[idx]
             p.value[idx] = original + eps
-            plus = loss_of_output(stack.forward(s, x))
+            plus = loss_of_output(stack.forward(s, sx))
             p.value[idx] = original - eps
-            minus = loss_of_output(stack.forward(s, x))
+            minus = loss_of_output(stack.forward(s, sx))
             p.value[idx] = original
             numeric[idx] = (plus - minus) / (2 * eps)
             it.iternext()
@@ -254,16 +258,18 @@ def test_batched_backward_matches_finite_differences():
     subs = extract_enclosing_subgraphs(
         g, _sample_pairs(g, 4, seed=8), hops=2, max_nodes=20
     )
+    s, sx = predictor._prepare(subs)
 
     def loss_now():
-        logits, _ = predictor._forward_batch(subs, train=True)
+        logits, _ = predictor._forward_batch(s, sx, train=True)
         return float((logits**2).sum()), logits
 
     _, logits = loss_now()
     for p in predictor.params():
         p.zero_grad()
-    predictor._forward_batch(subs, train=True)
-    predictor._backward_batch(2.0 * logits, predictor._forward_batch(subs, train=True)[1])
+    predictor._backward_batch(
+        2.0 * logits, predictor._forward_batch(s, sx, train=True)[1]
+    )
 
     eps = 1e-6
     for p in predictor.params():
@@ -285,7 +291,7 @@ def test_batched_backward_matches_finite_differences():
         assert rel < 1e-5, f"{p.name}: gradient error {rel}"
 
 
-def test_training_parity_auto_vs_off():
+def test_batched_training_matches_per_sample_reference():
     """Batched training walks the same trajectory as the reference
     per-sample loop (same RNG stream, minibatches and Adam steps)."""
     g = _random_graph(seed=10)
@@ -298,3 +304,137 @@ def test_training_parity_auto_vs_off():
     assert np.allclose(
         batched.score_links(pairs), scalar.score_links(pairs), atol=1e-9
     )
+
+
+# ------------------------------------------------- per-fit preparation
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def _observed_graphs(draw):
+    """Random small observed graphs with at least one wire."""
+    n = draw(st.integers(4, 30))
+    types = ["AND", "OR", "NAND", "NOR", "XOR", "INV", "MUX"]
+    g = ObservedGraph()
+    for i in range(n):
+        g.add_node(f"n{i}", draw(st.sampled_from(types)), gate=True)
+    index = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=3 * n,
+        )
+    )
+    for u, v in edges:
+        g.add_edge(u, v)
+    g.compute_levels()
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph=_observed_graphs(),
+    seed=st.integers(0, 2**16),
+    hidden=st.sampled_from([(5,), (6, 3), (8, 4, 3)]),
+    max_nodes=st.sampled_from([6, 20, 100]),
+    data=st.data(),
+)
+def test_prepared_training_bitwise_equals_per_batch_rebuild(
+    graph, seed, hidden, max_nodes, data
+):
+    """Training on per-fit prepared operators (features, CSR blocks and
+    layer 0's S·X built once, 2(L-1) sparse products per step) walks
+    bit for bit the trajectory of the trainer that rebuilds everything
+    per minibatch and runs all 2L products — params, loss history and
+    scores."""
+    kwargs = dict(
+        hidden_dims=hidden, mlp_hidden=6, epochs=2, n_train=24,
+        max_nodes=max_nodes,
+    )
+    prepared = GnnLinkPredictor(**kwargs)
+    rebuilt = GnnLinkPredictor(**kwargs)
+    prepared.fit(graph, seed_or_rng=seed)
+    gnn_fit_rebuild(rebuilt, graph, seed_or_rng=seed)
+    for got, want in zip(prepared.params(), rebuilt.params()):
+        assert np.array_equal(_bits(got.value), _bits(want.value)), got.name
+    assert np.array_equal(
+        _bits(prepared.train_history), _bits(rebuilt.train_history)
+    )
+    index = st.integers(0, graph.n_nodes - 1)
+    pairs = data.draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    assert np.array_equal(
+        _bits(prepared.score_links(pairs)),
+        _bits(gnn_score_links_rebuild(rebuilt, pairs)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=_observed_graphs(), data=st.data())
+def test_select_equals_from_subgraphs_both_orientations(graph, data):
+    """select(blocks) yields the operator from_subgraphs builds over the
+    chosen subgraphs, array for array, and so does its transpose."""
+    index = st.integers(0, graph.n_nodes - 1)
+    pairs = data.draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    subs = extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=12)
+    whole = _BlockDiagAdj.from_subgraphs(subs)
+    blocks = np.array(
+        data.draw(
+            st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=10)
+        ),
+        dtype=np.int64,
+    )
+    got, rows = whole.select(blocks)
+    want = _BlockDiagAdj.from_subgraphs([subs[int(b)] for b in blocks])
+    for g_op, w_op in ((got, want), (got.T, want.T)):
+        assert np.array_equal(g_op.indptr, w_op.indptr)
+        assert np.array_equal(g_op.indices, w_op.indices)
+        assert np.array_equal(_bits(g_op.data), _bits(w_op.data))
+        assert np.array_equal(g_op.offsets, w_op.offsets)
+    assert got.T.T is got
+    x = np.arange(whole.n * 2, dtype=np.float64).reshape(-1, 2)
+    assert np.array_equal(
+        x[rows],
+        np.concatenate(
+            [x[whole.offsets[b] : whole.offsets[b + 1]] for b in blocks]
+        ),
+    )
+
+
+def test_training_step_runs_four_sparse_products(monkeypatch):
+    """A training step of a 3-layer stack runs 2 sparse products forward
+    and 2 backward: layer 0's S·X is prepared once per fit and its input
+    gradient is never formed."""
+    g = _random_graph(n=30, n_edges=70, seed=12)
+    predictor = GnnLinkPredictor(hidden_dims=(6, 5, 4), mlp_hidden=4)
+    predictor._graph = g
+    predictor._build(3)
+    subs = extract_enclosing_subgraphs(g, _sample_pairs(g, 12, seed=2), hops=2)
+    s_all, sx_all = predictor._prepare(subs)
+    s, rows = s_all.select(np.array([3, 0, 7]))
+    calls = []
+    matmul = _BlockDiagAdj.__matmul__
+
+    def counted(self, z):
+        calls.append(self)
+        return matmul(self, z)
+
+    monkeypatch.setattr(_BlockDiagAdj, "__matmul__", counted)
+    logits, ctx = predictor._forward_batch(s, sx_all[rows], train=True)
+    assert len(calls) == 2
+    predictor._backward_batch(np.ones_like(logits), ctx)
+    assert len(calls) == 4
+    assert calls[2] is calls[3] is s.T

@@ -152,3 +152,36 @@ def test_gradients_accumulate_until_step():
     layer.forward(x)
     layer.backward(np.ones((1, 2)))
     assert np.allclose(layer.weight.grad, 2 * first)
+
+
+@pytest.mark.parametrize("first", ["linear", "dropout"])
+def test_backward_params_equals_backward_without_first_input_grad(
+    first, monkeypatch
+):
+    """Training's backward accumulates the same parameter gradients as a
+    full backward, bit for bit, and never forms the first layer's input
+    gradient (``grad @ W1.T``)."""
+    head = [Linear(4, 5, seed_or_rng=2, name="a"), ReLU(), Linear(5, 1, seed_or_rng=3, name="b")]
+    layers = head if first == "linear" else [Dropout(0.0)] + head
+    model = Sequential(layers)
+    x = np.random.default_rng(4).normal(size=(7, 4))
+    grad = np.random.default_rng(5).normal(size=(7, 1))
+    model.forward(x, train=True)
+    model.backward(grad)
+    want = [p.grad.copy() for p in model.params()]
+    for p in model.params():
+        p.zero_grad()
+
+    input_grads = []
+    backward = Linear.backward
+
+    def counted(self, grad_out):
+        input_grads.append(self)
+        return backward(self, grad_out)
+
+    monkeypatch.setattr(Linear, "backward", counted)
+    model.forward(x, train=True)
+    model.backward_params(grad)
+    assert input_grads == ([head[2]] if first == "linear" else head[::-2])
+    for p, w in zip(model.params(), want):
+        assert np.array_equal(p.grad.view(np.uint64), w.view(np.uint64)), p.name
