@@ -34,7 +34,7 @@ from repro.api.spec import (
 from repro.circuits import known_circuit, load_circuit
 from repro.coevo.engine import CoevoEngine, CoevoResult
 from repro.coevo.genome import AttackerGenome, baseline_genome
-from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
+from repro.ec.evaluator import Evaluator, evaluator_scope
 from repro.ec.fitness import DEFAULT_ATTACK_SEED, FitnessCache, cache_namespace
 from repro.errors import LockingError, SpecError
 from repro.locking.primitives import (
@@ -403,18 +403,8 @@ def _execute_coevo(
         memo=epoch_memo,
     )
 
-    owns = evaluator is None
-    if owns:
-        evaluator = (
-            AsyncEvaluator(spec.workers)
-            if spec.workers >= 2
-            else SerialEvaluator()
-        )
-    try:
+    with evaluator_scope(evaluator, spec.workers) as evaluator:
         outcome = engine.run(evaluator)
-    finally:
-        if owns:
-            evaluator.close()
 
     last = outcome.epochs[-1]
     runtime_s = time.perf_counter() - started

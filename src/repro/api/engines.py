@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.ec.alternatives import HillClimber, RandomSearch, SimulatedAnnealing
 from repro.ec.autolock import AutoLock, AutoLockConfig
-from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
+from repro.ec.evaluator import Evaluator, evaluator_scope
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     FitnessCache,
@@ -33,37 +33,14 @@ from repro.ec.ga import GaConfig, GeneticAlgorithm
 from repro.ec.nsga2 import Nsga2, Nsga2Config
 from repro.errors import SpecError
 from repro.locking.base import LockedCircuit
-from repro.locking.genome_lock import lock_with_genes
-from repro.locking.primitives import Gene, get_primitive, primitive_for_gene
+from repro.locking.genome_lock import (  # noqa: F401 - re-exported
+    genotype_from_record,
+    genotype_record,
+    lock_with_genes,
+)
+from repro.locking.primitives import Gene
 from repro.netlist.netlist import Netlist
 from repro.registry import register_engine
-
-
-def genotype_record(genes: Sequence[Gene] | None) -> list[dict] | None:
-    """JSON-safe champion genotype; inverse of :func:`genotype_from_record`.
-
-    Each gene record names its primitive ``kind`` alongside the gene
-    fields, so heterogeneous champions replay through the registry.
-    """
-    if genes is None:
-        return None
-    return [primitive_for_gene(g).gene_record(g) for g in genes]
-
-
-def genotype_from_record(data: Sequence[dict] | None) -> list[Gene] | None:
-    """Rebuild a genotype from its record form.
-
-    Records written before the alphabet refactor carry no ``kind`` tag;
-    they decode as the historical MUX genes.
-    """
-    if data is None:
-        return None
-    genes: list[Gene] = []
-    for record in data:
-        record = dict(record)
-        kind = record.pop("kind", "mux")
-        genes.append(get_primitive(kind).gene_from_record(record))
-    return genes
 
 
 def _attack_seed(spec) -> int:
@@ -148,18 +125,10 @@ def _spec_fitness(spec, circuit: Netlist, attack_seed: int) -> SpecFitness:
     )
 
 
-def _own_evaluator(spec) -> Evaluator:
-    """The evaluator an engine builds when no shared one is injected.
-
-    ``AsyncEvaluator`` serves both loop modes (its batch API is the
-    process-pool evaluator's), so any parallel or steady-state spec gets
-    one; a purely serial sync spec keeps the in-process evaluator.
-    """
-    if spec.resolved_async_mode():
-        return AsyncEvaluator(max(1, spec.workers))
-    if spec.workers and spec.workers >= 2:
-        return AsyncEvaluator(spec.workers)
-    return SerialEvaluator()
+def _evaluator_scope(spec, evaluator: Evaluator | None):
+    return evaluator_scope(
+        evaluator, spec.workers, spec.resolved_async_mode()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +151,10 @@ class GaEngine:
             alphabet=spec.resolved_alphabet(),
         )
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
-        owns = evaluator is None
-        evaluator = evaluator if evaluator is not None else _own_evaluator(spec)
-        try:
+        with _evaluator_scope(spec, evaluator) as evaluator:
             result = GeneticAlgorithm(config).run(
                 circuit, fitness, evaluator=evaluator
             )
-        finally:
-            if owns:
-                evaluator.close()
         locked = lock_with_genes(circuit, result.best_genotype)
         return EngineOutcome(
             engine=self.name,
@@ -350,13 +314,8 @@ class Nsga2Engine:
             **fitness_kwargs,
             **predictor_kwargs,
         )
-        owns = evaluator is None
-        evaluator = evaluator if evaluator is not None else _own_evaluator(spec)
-        try:
+        with _evaluator_scope(spec, evaluator) as evaluator:
             result = Nsga2(config).run(circuit, fitness, evaluator=evaluator)
-        finally:
-            if owns:
-                evaluator.close()
         champion_idx = min(
             range(len(result.front_objectives)),
             key=lambda i: result.front_objectives[i],
@@ -421,13 +380,8 @@ class TrajectorySearchEngine:
                 f"unknown {self.name} engine_params {sorted(params)}: {exc}"
             ) from exc
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
-        owns = evaluator is None
-        evaluator = evaluator if evaluator is not None else _own_evaluator(spec)
-        try:
+        with _evaluator_scope(spec, evaluator) as evaluator:
             result = searcher.run(circuit, fitness, evaluator=evaluator)
-        finally:
-            if owns:
-                evaluator.close()
         return EngineOutcome(
             engine=self.name,
             best_genotype=result.best_genotype,

@@ -34,7 +34,7 @@ from repro.api.engines import EngineOutcome
 from repro.api.spec import ExperimentSpec, SweepSpec
 from repro.attacks.base import AttackReport
 from repro.circuits import load_circuit
-from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
+from repro.ec.evaluator import AsyncEvaluator, Evaluator, open_evaluator
 from repro.ec.fitness import FitnessCache
 from repro.errors import SpecError
 from repro.locking.base import LockedCircuit
@@ -134,8 +134,10 @@ class RunResult:
         """
         if self.locked is not None:
             return self.locked
-        from repro.api.engines import genotype_from_record
-        from repro.locking.genome_lock import lock_with_genes
+        from repro.locking.genome_lock import (
+            genotype_from_record,
+            lock_with_genes,
+        )
 
         circuit = load_circuit(self.spec.circuit)
         engine_record = self.record.get("engine") or {}
@@ -445,34 +447,21 @@ def run_sweep(
     workers = sweep.workers if sweep.workers is not None else sweep.base.workers
     owns_evaluator = evaluator is None
     pool: AsyncEvaluator | None = None
-    serial: SerialEvaluator | None = None
-    if owns_evaluator:
-        # Only engine points feed populations to the evaluator; a purely
-        # static sweep should not pay process-pool startup for nothing.
-        # Steady-state points need a future-capable evaluator even at
-        # one worker, and AsyncEvaluator's batch API serves parallel
-        # sync points of the same sweep through the same pool — but
-        # serial sync points stay on the in-process evaluator rather
-        # than paying IPC to a one-worker pool.
-        serial = SerialEvaluator()
-        engine_points = [spec for spec in specs if spec.engine is not None]
-        needs_pool = engine_points and (
-            (workers and workers >= 2)
-            or any(spec.resolved_async_mode() for spec in engine_points)
-        )
-        if needs_pool:
-            pool = AsyncEvaluator(max(1, workers or 1))
 
     def _evaluator_for(spec: ExperimentSpec) -> Evaluator:
+        # One pool serves every point that needs one (sync batches and
+        # steady-state futures alike); the rest run in-process.
+        nonlocal pool
         if not owns_evaluator:
             return evaluator  # caller-provided: one evaluator for all
-        if (
-            pool is not None
-            and spec.engine is not None
-            and ((workers and workers >= 2) or spec.resolved_async_mode())
-        ):
-            return pool
-        return serial
+        chosen = open_evaluator(
+            workers, spec.resolved_async_mode(),
+            search=spec.engine is not None, shared=pool,
+        )
+        if isinstance(chosen, AsyncEvaluator):
+            pool = chosen
+        return chosen
+
     memo = (
         FitnessCache(
             path=sweep.cache_path,
@@ -497,10 +486,8 @@ def run_sweep(
                 if writer is not None:
                     writer.write(result.record)
     finally:
-        if owns_evaluator:
-            if pool is not None:
-                pool.close()
-            serial.close()
+        if pool is not None:
+            pool.close()
 
     manifest_path = results_path = None
     if writer is not None:

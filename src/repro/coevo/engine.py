@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.attacks.scope import ScopeAttack
 from repro.coevo.genome import AttackerGenome, baseline_genome
-from repro.ec.evaluator import Evaluator, SerialEvaluator
+from repro.ec.evaluator import Evaluator, evaluator_scope
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     FRESH_EVALUATIONS,
@@ -49,12 +49,8 @@ from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import genotype_key
 from repro.errors import EvolutionError
 from repro.locking.delta import DeltaRelocker
-from repro.locking.primitives import (
-    DEFAULT_ALPHABET,
-    Gene,
-    get_primitive,
-    primitive_for_gene,
-)
+from repro.locking.genome_lock import genotype_from_record, genotype_record
+from repro.locking.primitives import DEFAULT_ALPHABET, Gene
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -88,20 +84,6 @@ _EPOCHS_TOTAL = obs_metrics.METRICS.counter(
     "Co-evolution epochs finished, by outcome",
     labels=("outcome",),
 )
-
-
-def _genotype_record(genes: Sequence[Gene]) -> list[dict]:
-    """JSON-safe genotype (same format as the api layer's records)."""
-    return [primitive_for_gene(g).gene_record(g) for g in genes]
-
-
-def _genotype_from_record(data: Sequence[dict]) -> list[Gene]:
-    genes: list[Gene] = []
-    for record in data:
-        record = dict(record)
-        kind = record.pop("kind", "mux")
-        genes.append(get_primitive(kind).gene_from_record(record))
-    return genes
 
 
 def _create(genome: AttackerGenome):
@@ -459,7 +441,7 @@ class CoevoEngine:
             self.original.name,
             role="coevo-attacker",
             attack_seed=self.attack_seed,
-            elite=_fingerprint([_genotype_record(g) for g in elites]),
+            elite=_fingerprint([genotype_record(g) for g in elites]),
         )
         fitness = AttackerVsEliteFitness(
             self.original,
@@ -500,8 +482,6 @@ class CoevoEngine:
     # -- the arms race --------------------------------------------------
     def run(self, evaluator: Evaluator | None = None) -> CoevoResult:
         """Run (or resume) the arms race; caller owns a passed evaluator."""
-        owns = evaluator is None
-        evaluator = evaluator if evaluator is not None else SerialEvaluator()
 
         # Every seed the whole run will need, derived up front — resume
         # replays finished epochs from records, so no RNG state needs
@@ -525,7 +505,7 @@ class CoevoEngine:
         replayed = 0
         replaying = self.memo is not None
 
-        try:
+        with evaluator_scope(evaluator) as evaluator:
             for epoch in range(self.epochs):
                 _EPOCH_GAUGE.set(float(epoch))
                 if replaying:
@@ -543,11 +523,11 @@ class CoevoEngine:
                             for g in done.next_attacker_population
                         ]
                         lock_init = [
-                            _genotype_from_record(entry["genotype"])
+                            genotype_from_record(entry["genotype"])
                             for entry in done.lock_hall
                         ]
                         if epoch == 0:
-                            epoch0_elite = _genotype_from_record(done.lock_best)
+                            epoch0_elite = genotype_from_record(done.lock_best)
                         replayed += 1
                         _EPOCHS_TOTAL.inc(outcome="replayed")
                         continue
@@ -584,11 +564,11 @@ class CoevoEngine:
                     done = CoevoEpoch(
                         epoch=epoch,
                         panel=[g.to_dict() for g in panel],
-                        lock_best=_genotype_record(ga.best_genotype),
+                        lock_best=genotype_record(ga.best_genotype),
                         lock_best_fitness=float(ga.best_fitness),
                         lock_hall=[
                             {"fitness": float(f),
-                             "genotype": _genotype_record(genes)}
+                             "genotype": genotype_record(genes)}
                             for f, genes in hall
                         ],
                         attacker_population=[
@@ -617,17 +597,14 @@ class CoevoEngine:
 
                 attacker_pop = next_pop
                 lock_init = [
-                    _genotype_from_record(entry["genotype"])
+                    genotype_from_record(entry["genotype"])
                     for entry in done.lock_hall
                 ]
-        finally:
-            if owns:
-                evaluator.close()
 
         last = epochs[-1]
         return CoevoResult(
             epochs=epochs,
-            best_lock_genotype=_genotype_from_record(last.lock_best),
+            best_lock_genotype=genotype_from_record(last.lock_best),
             best_lock_fitness=last.lock_best_fitness,
             best_attacker=AttackerGenome.from_dict(last.attacker_best),
             best_attacker_fitness=last.attacker_best_fitness,

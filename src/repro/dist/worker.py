@@ -37,7 +37,7 @@ from typing import Any, Callable, TypeVar
 
 from repro.api.runner import EXPERIMENT_NAMESPACE, run_experiment
 from repro.api.spec import ExperimentSpec
-from repro.ec.evaluator import AsyncEvaluator, Evaluator
+from repro.ec.evaluator import AsyncEvaluator, open_evaluator
 from repro.ec.fitness import FitnessCache
 from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
@@ -244,9 +244,9 @@ class Worker:
             )
         heartbeat_interval = max(0.05, self.lease_ttl / 3.0)
         #: lazily-built pool shared by every parallel/steady-state engine
-        #: point this worker runs (sized by the first such point; results
-        #: are worker-count independent, so reusing it is always safe).
-        shared_evaluator: Evaluator | None = None
+        #: point this worker runs (grown when a point asks for more
+        #: workers; results are worker-count independent).
+        shared_evaluator: AsyncEvaluator | None = None
         try:
             while True:
                 if (
@@ -295,23 +295,13 @@ class Worker:
                     spec = spec.with_updates(
                         cache_path=str(self.store_path), trace=None
                     )
-                    needs_pool = spec.engine is not None and (
-                        spec.workers >= 2 or spec.resolved_async_mode()
+                    evaluator = open_evaluator(
+                        spec.workers, spec.resolved_async_mode(),
+                        search=spec.engine is not None,
+                        shared=shared_evaluator,
                     )
-                    if needs_pool and (
-                        shared_evaluator is None
-                        or shared_evaluator.workers < spec.workers
-                    ):
-                        # First pool-needing point, or one asking for
-                        # more parallelism than the current pool offers:
-                        # (re)build. Results are worker-count
-                        # independent, so resizing mid-sweep is always
-                        # safe.
-                        if shared_evaluator is not None:
-                            shared_evaluator.close()
-                        shared_evaluator = AsyncEvaluator(
-                            max(1, spec.workers)
-                        )
+                    if isinstance(evaluator, AsyncEvaluator):
+                        shared_evaluator = evaluator
                 heartbeat = _LeaseHeartbeat(
                     store, point, heartbeat_interval, self.lease_ttl,
                     retry=self._retry,
@@ -322,10 +312,7 @@ class Worker:
                         with obs_trace.span("worker.point") as span:
                             span.set(fingerprint=point.fingerprint)
                             result = run_experiment(
-                                spec,
-                                evaluator=(
-                                    shared_evaluator if needs_pool else None
-                                ),
+                                spec, evaluator=evaluator,
                                 experiment_cache=memo,
                             )
                 except Exception as exc:  # noqa: BLE001 - point-level isolation

@@ -39,8 +39,8 @@ from repro.ec.evaluator import (
     AsyncEvaluator,
     BatchStats,
     Evaluator,
-    ProcessPoolEvaluator,
     SerialEvaluator,
+    open_evaluator,
     supports_async,
 )
 from repro.ec.loop import (
@@ -94,8 +94,8 @@ __all__ = [
     "BatchStats",
     "Evaluator",
     "SerialEvaluator",
-    "ProcessPoolEvaluator",
     "AsyncEvaluator",
+    "open_evaluator",
     "supports_async",
     "BacklogTuner",
     "SearchLoop",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ec.evaluator import AsyncEvaluator, Evaluator, SerialEvaluator
+from repro.ec.evaluator import Evaluator, evaluator_scope
 from repro.ec.fitness import FitnessCache, SpecFitness, cache_namespace
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import random_genotype
@@ -203,14 +203,8 @@ class AutoLock:
         # injected evaluator that cannot serve the resolved mode raises
         # (SearchLoop names the fix) instead of silently changing it.
         use_async = cfg.resolved_async_mode()
-        owns_evaluator = evaluator is None
-        if owns_evaluator:
-            if use_async or (cfg.workers and cfg.workers >= 2):
-                evaluator = AsyncEvaluator(max(1, cfg.workers))
-            else:
-                evaluator = SerialEvaluator()
         ga = GeneticAlgorithm(cfg.ga_config(async_mode=use_async))
-        try:
+        with evaluator_scope(evaluator, cfg.workers, use_async) as evaluator:
             result = ga.run(
                 original, fitness, initial_population=initial,
                 evaluator=evaluator,
@@ -220,9 +214,6 @@ class AutoLock:
             report_accs, _ = evaluator.evaluate(
                 initial + [result.best_genotype], report
             )
-        finally:
-            if owns_evaluator:
-                evaluator.close()
 
         # Step 3: decode champion genotype -> locked netlist.
         locked = lock_with_genes(original, result.best_genotype)

@@ -13,25 +13,22 @@ pipeline:
 4. fan the remaining misses out — serially, or across worker processes —
    and merge the results back through the cache.
 
-Both backends are *observationally identical* to the historical per-genome
-loop: fitness functions are deterministic per genotype (fixed attack
-seed), so dispatch order and process boundaries cannot change any value,
-and the cache hit/miss counters are replayed so accounting matches the
-serial semantics exactly. ``tests/test_ec_evaluator.py`` locks this down
-with byte-for-byte result equivalence on fixed seeds.
+Both evaluators are *observationally identical* to the historical
+per-genome loop: fitness functions are deterministic per genotype (fixed
+attack seed), so dispatch order and process boundaries cannot change any
+value, and the cache hit/miss counters are replayed so accounting matches
+the serial semantics exactly. ``tests/test_ec_evaluator.py`` locks this
+down with byte-for-byte result equivalence on fixed seeds.
 
-Pass ``ProcessPoolEvaluator(workers=N)`` to ``GeneticAlgorithm.run`` /
-``Nsga2.run`` / ``AutoLockConfig(workers=N)`` to opt in; the serial
-default preserves exact current behaviour. Fitness callables that cannot
-be pickled (lambdas, closures) degrade gracefully to in-process
-evaluation.
-
-:class:`AsyncEvaluator` adds the *futures* interface the steady-state
-:class:`~repro.ec.loop.SearchLoop` drives: ``submit`` one genotype, get a
-future back immediately, and keep breeding while the pool works. It is
-built on the same worker pool and blob-epoch plumbing as the batch
-evaluator, so one evaluator instance can serve sync and async points of
-the same sweep.
+:class:`SerialEvaluator` is the in-process default. :class:`AsyncEvaluator`
+is the one pool evaluator: its batch :meth:`~AsyncEvaluator.evaluate` and
+its futures :meth:`~AsyncEvaluator.submit` (what the steady-state
+:class:`~repro.ec.loop.SearchLoop` drives) share one dispatch path, so
+one instance serves sync and async points of the same sweep.
+:func:`open_evaluator` is the one rule that picks between the two
+(:func:`evaluator_scope` applies it when no shared evaluator is given).
+Fitness callables that cannot be pickled (lambdas, closures) degrade
+gracefully to in-process evaluation.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.ec.genotype import genotype_key
 from repro.obs import metrics as obs_metrics
@@ -62,7 +59,7 @@ _BATCH_SECONDS = obs_metrics.METRICS.histogram(
 )
 _SUBMIT_SECONDS = obs_metrics.METRICS.histogram(
     "autolock_eval_submit_seconds",
-    "Async submit-to-complete latency of fresh evaluations",
+    "Dispatch-to-complete latency of fresh pool evaluations",
 )
 _DISPATCHED = obs_metrics.METRICS.counter(
     "autolock_eval_dispatched_total",
@@ -73,10 +70,6 @@ _DEDUPED = obs_metrics.METRICS.counter(
     "autolock_eval_deduped_total",
     "Evaluations answered by in-batch or in-flight dedupe",
     labels=("evaluator",),
-)
-_SALVAGED = obs_metrics.METRICS.counter(
-    "autolock_eval_salvaged_total",
-    "Sibling results salvaged from failed pool batches",
 )
 
 
@@ -90,7 +83,6 @@ class BatchStats:
     """Accounting for one population evaluation."""
 
     size: int = 0          #: genomes submitted
-    unique: int = 0        #: distinct genotypes after in-batch dedup
     cache_hits: int = 0    #: answers served by the fitness cache
     dispatched: int = 0    #: fresh attack evaluations actually run
     wall_s: float = 0.0    #: wall-clock spent in this batch
@@ -98,7 +90,6 @@ class BatchStats:
     def merged(self, other: "BatchStats") -> "BatchStats":
         return BatchStats(
             size=self.size + other.size,
-            unique=self.unique + other.unique,
             cache_hits=self.cache_hits + other.cache_hits,
             dispatched=self.dispatched + other.dispatched,
             wall_s=self.wall_s + other.wall_s,
@@ -108,7 +99,6 @@ class BatchStats:
         """Accounting accumulated after ``baseline`` was snapshot."""
         return BatchStats(
             size=self.size - baseline.size,
-            unique=self.unique - baseline.unique,
             cache_hits=self.cache_hits - baseline.cache_hits,
             dispatched=self.dispatched - baseline.dispatched,
             wall_s=self.wall_s - baseline.wall_s,
@@ -180,7 +170,6 @@ class SerialEvaluator(Evaluator):
         hits1, _, evals1 = self._counters(fitness)
         stats = BatchStats(
             size=len(population),
-            unique=len({genotype_key(g) for g in population}),
             cache_hits=hits1 - hits0,
             dispatched=evals1 - evals0,
             wall_s=time.perf_counter() - started,
@@ -239,41 +228,54 @@ class _TaskFuture(Future):
             self.set_result(task.result())
 
 
-class _PartialBatch(Exception):
-    """Internal: a pool batch failed mid-flight.
-
-    Carries the values of the sibling tasks that *did* complete so the
-    dispatcher can merge them into the fitness cache — each one cost a
-    full attack run — before re-raising the original failure.
-    """
-
-    def __init__(
-        self, cause: BaseException, completed: list[tuple[int, object]]
-    ) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
-        self.completed = completed
+def _done(value) -> Future:
+    future: Future = Future()
+    future.set_result(value)
+    return future
 
 
-class ProcessPoolEvaluator(Evaluator):
-    """Deduped, cache-fronted fan-out across worker processes.
+class AsyncEvaluator(Evaluator):
+    """Deduped, cache-fronted fan-out across keep-alive worker processes.
+
+    Two entry points share one dispatch path (:meth:`_dispatch`):
+
+    * :meth:`evaluate` takes a whole population (the generational loop's
+      barrier, the AutoLock report stage), dispatches each distinct
+      genotype once, and returns the values in population order;
+    * :meth:`submit` takes one genotype and returns a future at once, so
+      the steady-state :class:`repro.ec.loop.SearchLoop` keeps breeding
+      while the pool works, keeping every worker busy even when
+      per-candidate attack costs are wildly skewed.
+
+    Dispatch consults the fitness cache first (a hit is an
+    already-completed future, with the hit recorded exactly like the
+    serial loop would), coalesces in-flight duplicates of the same
+    genotype onto one future, and otherwise ships the genotype to the
+    pool. A fresh value merges back into the dispatcher-side cache from a
+    done-callback, before the in-flight entry goes away and before the
+    returned future resolves, so once ``result()`` returns the value is
+    cached and counted. ``submit`` merges write-through — each value
+    costs a full attack run, so it lands on disk the moment it exists,
+    even if the driving loop has already stopped — while ``evaluate``
+    merges in memory and flushes once per batch.
 
     The fitness function is pickled once per *epoch* — each distinct
     fitness object the dispatcher sends — into a blob file under a
     private temp directory; tasks carry ``(epoch, blob_path, genes)`` and
     each worker reloads the blob only when its cached epoch is stale.
-    The worker processes themselves stay alive across fitness changes,
-    so a sweep that runs many specs through one shared evaluator pays
-    process startup once, not once per spec. Only cache misses travel to
-    workers, and results merge back through the dispatcher's cache so
-    persistent stores see every value. The snapshot shipped to workers
-    deliberately excludes later in-place mutation of the dispatcher's
-    fitness (its warming cache, its counters), which workers never need:
-    they only ever see genotypes the dispatcher's cache missed.
+    The worker processes stay alive across fitness changes, so a sweep
+    that runs many specs through one shared evaluator pays process
+    startup once, not once per spec. The snapshot deliberately excludes
+    later in-place mutation of the dispatcher's fitness (its warming
+    cache, its counters), which workers never need: they only ever see
+    genotypes the dispatcher's cache missed.
 
-    ``workers=None`` uses ``os.cpu_count()``. Unpicklable fitness
-    callables fall back to in-process evaluation with a one-time warning —
-    results are still correct, just not parallel.
+    Cancelling a returned future cancels its pool task if it has not
+    started; :meth:`cancel_pending` does so for every dispatch, and
+    :meth:`close` cancels then shuts the pool down. ``workers=None``
+    uses ``os.cpu_count()``. Unpicklable fitness callables fall back to
+    in-process evaluation (the future comes back resolved) with a
+    one-time warning — results are still correct, just not parallel.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -287,19 +289,29 @@ class ProcessPoolEvaluator(Evaluator):
         self._epoch = 0
         self._blob_dir: str | None = None
         self._blob_path: str | None = None
+        #: (epoch, genotype key) -> in-flight future; epoch-scoped so a
+        #: straggler from one fitness can never answer for the next one.
+        self._inflight: dict[tuple, Future] = {}
+        self._inflight_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_fitness = None
-        if self._blob_dir is not None:
-            shutil.rmtree(self._blob_dir, ignore_errors=True)
-            self._blob_dir = None
-            self._blob_path = None
+    def submit(self, genes: Genotype, fitness: Fitness) -> Future:
+        """Schedule one genotype; returns a future with its fitness value."""
+        started = time.perf_counter()
+        future, outcome = self._dispatch(
+            genotype_key(genes), genes, fitness, flush=True
+        )
+        fresh = outcome == "fresh"
+        if fresh:
+            _DISPATCHED.inc(evaluator="async")
+        elif outcome == "shared":
+            _DEDUPED.inc(evaluator="async")
+        self._record(BatchStats(
+            size=1, cache_hits=int(not fresh), dispatched=int(fresh),
+            wall_s=time.perf_counter() - started,
+        ))
+        return future
 
-    # ------------------------------------------------------------------
     def evaluate(
         self, population: Sequence[Genotype], fitness: Fitness
     ) -> tuple[list, BatchStats]:
@@ -308,53 +320,36 @@ class ProcessPoolEvaluator(Evaluator):
         hits0 = getattr(cache, "hits", 0)
 
         keys = [genotype_key(g) for g in population]
-        results: dict[tuple, object] = {}
-        pending: dict[tuple, Genotype] = {}
+        futures: dict[tuple, Future] = {}
         duplicates: list[tuple] = []
+        dispatched = shared = 0
         for key, genes in zip(keys, population):
-            if key in results or key in pending:
+            if key in futures:
                 duplicates.append(key)
                 continue
-            if cache is not None:
-                cached = cache.get(key)  # records the hit/miss
-                if cached is not None:
-                    results[key] = cached
-                    continue
-            pending[key] = genes
+            futures[key], outcome = self._dispatch(
+                key, genes, fitness, flush=False
+            )
+            dispatched += outcome == "fresh"
+            shared += outcome == "shared"
 
-        if pending:
+        # Wait for every sibling before raising the first failure: the
+        # ones that completed cost a full attack run each and have merged
+        # into the cache, so the single flush below persists them.
+        results: dict[tuple, object] = {}
+        failure: Exception | None = None
+        for key, future in futures.items():
             try:
-                fresh, used_fallback = self._run_pending(
-                    list(pending.values()), fitness
-                )
-            except _PartialBatch as partial:
-                # A mid-batch attack failure must not lose the sibling
-                # evaluations that already completed — they are paid-for.
-                if cache is not None:
-                    pending_keys = list(pending)
-                    for idx, value in partial.completed:
-                        cache.put(pending_keys[idx], value, flush=False)
-                    if hasattr(cache, "flush"):
-                        with contextlib.suppress(Exception):
-                            cache.flush()
-                if partial.completed:
-                    _SALVAGED.inc(len(partial.completed))
-                raise partial.cause
-            for key, value in zip(pending, fresh):
-                if cache is not None:
-                    cache.put(key, value, flush=False)
-                results[key] = value
+                results[key] = future.result()
+            except Exception as exc:  # raised below, after the flush
+                if failure is None:
+                    failure = exc
+        try:
             if hasattr(cache, "flush"):
                 cache.flush()
-            if used_fallback:
-                # The in-process fallback called ``fitness`` directly, so a
-                # cache-fronted fitness already recorded one miss per
-                # pending key and bumped its own evaluation counter; undo
-                # the duplicate misses from the dedup phase above.
-                if cache is not None:
-                    cache.misses -= len(pending)
-            elif hasattr(fitness, "evaluations"):
-                fitness.evaluations += len(pending)
+        finally:
+            if failure is not None:
+                raise failure
 
         # Replay duplicate lookups so hit/miss counters match the serial
         # loop, where every repeat genome lands in the (now warm) cache.
@@ -364,17 +359,86 @@ class ProcessPoolEvaluator(Evaluator):
 
         stats = BatchStats(
             size=len(population),
-            unique=len(results),
             cache_hits=getattr(cache, "hits", 0) - hits0,
-            dispatched=len(pending),
+            dispatched=dispatched,
             wall_s=time.perf_counter() - started,
         )
         _BATCH_SECONDS.observe(stats.wall_s, evaluator="pool")
-        if stats.dispatched:
-            _DISPATCHED.inc(stats.dispatched, evaluator="pool")
-        if duplicates:
-            _DEDUPED.inc(len(duplicates), evaluator="pool")
+        if dispatched:
+            _DISPATCHED.inc(dispatched, evaluator="pool")
+        if duplicates or shared:
+            _DEDUPED.inc(len(duplicates) + shared, evaluator="pool")
         return [results[key] for key in keys], self._record(stats)
+
+    def _dispatch(
+        self, key: tuple, genes: Genotype, fitness: Fitness, flush: bool
+    ) -> tuple[Future, str]:
+        """Route one genotype; returns its future and how it was answered.
+
+        The outcome is ``"hit"`` (fitness cache), ``"shared"`` (coalesced
+        onto an in-flight duplicate) or ``"fresh"`` (pool task, or the
+        in-process fallback). The fitness cache's hit/miss counters are
+        kept serial-exact here; evaluator accounting is the caller's.
+        ``flush`` is the merge's write-through flag.
+        """
+        started = time.perf_counter()
+        cache = getattr(fitness, "cache", None)
+        if cache is not None:
+            cached = cache.get(key)  # records the hit/miss
+            if cached is not None:
+                return _done(cached), "hit"
+        if not self._stage_fitness(fitness):
+            # Unpicklable fitness: evaluate inline, right now. The fitness
+            # consulted its own cache (recording a second miss for the
+            # lookup above) and bumped its own counters — undo the dupe.
+            value = fitness(genes)
+            if cache is not None:
+                cache.misses -= 1
+            return _done(value), "fresh"
+        inflight_key = (self._epoch, key)
+        with self._inflight_lock:
+            shared = self._inflight.get(inflight_key)
+        if shared is not None:
+            # An identical genotype is already being evaluated: share its
+            # future instead of paying a second attack run. The serial
+            # loop would have found the (by then warm) cache — replay
+            # that accounting.
+            if cache is not None:
+                cache.misses -= 1
+                cache.hits += 1
+            return shared, "shared"
+
+        pool = self._ensure_pool()
+        task = pool.submit(_eval_epoch, (self._epoch, self._blob_path, genes))
+        future = _TaskFuture(task)
+        with self._inflight_lock:
+            self._inflight[inflight_key] = future
+
+        def _merge(task: Future) -> None:
+            try:
+                if task.cancelled() or task.exception() is not None:
+                    return
+                value = task.result()
+                # Worker processes keep their own registries, so the
+                # dispatcher is where per-evaluation latency is seen.
+                _SUBMIT_SECONDS.observe(time.perf_counter() - started)
+                if cache is not None:
+                    # Merged *before* the in-flight entry goes away, so a
+                    # concurrent duplicate dispatch always finds the value
+                    # in one of the two places (put() only touches disk
+                    # when the cache has a path and ``flush`` is set).
+                    with contextlib.suppress(Exception):
+                        cache.put(key, value, flush=flush)
+                if hasattr(fitness, "evaluations"):
+                    fitness.evaluations += 1
+            finally:
+                with self._inflight_lock:
+                    if self._inflight.get(inflight_key) is future:
+                        del self._inflight[inflight_key]
+                future.resolve()
+
+        task.add_done_callback(_merge)
+        return future, "fresh"
 
     def _stage_fitness(self, fitness: Fitness) -> bool:
         """Stage ``fitness`` for worker dispatch; False when unpicklable."""
@@ -416,173 +480,8 @@ class ProcessPoolEvaluator(Evaluator):
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def _run_pending(
-        self, genomes: list[Genotype], fitness: Fitness
-    ) -> tuple[list, bool]:
-        """Evaluate fresh genotypes; returns (values, used_fallback).
-
-        Raises :class:`_PartialBatch` when one task fails, after waiting
-        for its siblings so their (already-paid-for) values travel with
-        the exception instead of evaporating.
-        """
-        if not self._stage_fitness(fitness):
-            return [fitness(genes) for genes in genomes], True
-        pool = self._ensure_pool()
-        epoch, blob_path = self._epoch, self._blob_path
-        futures = [
-            pool.submit(_eval_epoch, (epoch, blob_path, genes))
-            for genes in genomes
-        ]
-        values: list = []
-        failure: BaseException | None = None
-        for future in futures:
-            try:
-                values.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - isolate + salvage
-                failure = exc
-                break
-        if failure is None:
-            return values, False
-        completed = list(enumerate(values))
-        for idx in range(len(values) + 1, len(futures)):
-            with contextlib.suppress(BaseException):
-                completed.append((idx, futures[idx].result()))
-        raise _PartialBatch(failure, completed)
-
-
-class AsyncEvaluator(ProcessPoolEvaluator):
-    """Future-returning evaluator over the same keep-alive worker pool.
-
-    This is the execution side of the steady-state search loop
-    (:class:`repro.ec.loop.SearchLoop` with ``async_mode=True``): instead
-    of barriering a whole population per generation, the loop ``submit``\\ s
-    one genotype at a time and breeds replacements as evaluations finish,
-    keeping every worker busy even when per-candidate attack costs are
-    wildly skewed.
-
-    Contract:
-
-    * ``submit(genes, fitness)`` consults the fitness cache first (a hit
-      returns an already-completed future and records the hit exactly like
-      the serial loop would), coalesces in-flight duplicates of the same
-      genotype onto one future, and otherwise dispatches to the pool.
-    * fresh results merge back into the dispatcher-side cache from a
-      done-callback with write-through persistence — each value costs a
-      full attack run, so it lands on disk the moment it exists, even if
-      the driving loop has already stopped (budget exhaustion cancels
-      *queued* work; *running* work is let finish and harvested). The
-      returned future resolves only after that merge, so once
-      ``result()`` returns the value is cached and counted.
-    * cancelling a returned future cancels its pool task if it has not
-      started; ``cancel_pending()`` does so for every submission, and
-      :meth:`close` cancels then shuts the pool down.
-
-    The batch :meth:`evaluate` API is inherited unchanged, so a single
-    ``AsyncEvaluator`` can serve sync-generational and steady-state
-    engine runs of the same sweep through one process pool. Unpicklable
-    fitness callables degrade to immediate in-process evaluation (the
-    returned future is already resolved) — results are unchanged because
-    the steady-state loop integrates completions in submission order
-    regardless of timing.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        #: (epoch, genotype key) -> in-flight future; epoch-scoped so a
-        #: straggler from one fitness can never answer for the next one.
-        self._inflight: dict[tuple, Future] = {}
-        self._inflight_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def submit(self, genes: Genotype, fitness: Fitness) -> Future:
-        """Schedule one genotype; returns a future with its fitness value."""
-        started = time.perf_counter()
-        key = genotype_key(genes)
-        cache = getattr(fitness, "cache", None)
-        if cache is not None:
-            cached = cache.get(key)  # records the hit/miss
-            if cached is not None:
-                future: Future = Future()
-                future.set_result(cached)
-                self._record(BatchStats(
-                    size=1, cache_hits=1,
-                    wall_s=time.perf_counter() - started,
-                ))
-                return future
-        if not self._stage_fitness(fitness):
-            # Unpicklable fitness: evaluate inline, right now. The fitness
-            # consulted its own cache (recording a second miss for the
-            # lookup above) and bumped its own counters — undo the dupe.
-            value = fitness(genes)
-            if cache is not None and hasattr(cache, "misses"):
-                cache.misses -= 1
-            future = Future()
-            future.set_result(value)
-            self._record(BatchStats(
-                size=1, unique=1, dispatched=1,
-                wall_s=time.perf_counter() - started,
-            ))
-            return future
-        inflight_key = (self._epoch, key)
-        with self._inflight_lock:
-            shared = self._inflight.get(inflight_key)
-        if shared is not None:
-            # An identical genotype is already being evaluated: share its
-            # future instead of paying a second attack run. The serial
-            # loop would have found the (by then warm) cache — replay
-            # that accounting.
-            if cache is not None and hasattr(cache, "misses"):
-                cache.misses -= 1
-                cache.hits += 1
-            _DEDUPED.inc(evaluator="async")
-            self._record(BatchStats(
-                size=1, cache_hits=1,
-                wall_s=time.perf_counter() - started,
-            ))
-            return shared
-
-        pool = self._ensure_pool()
-        task = pool.submit(_eval_epoch, (self._epoch, self._blob_path, genes))
-        future = _TaskFuture(task)
-        with self._inflight_lock:
-            self._inflight[inflight_key] = future
-        _DISPATCHED.inc(evaluator="async")
-        self._record(BatchStats(
-            size=1, unique=1, dispatched=1,
-            wall_s=time.perf_counter() - started,
-        ))
-
-        def _merge(task: Future) -> None:
-            try:
-                if task.cancelled() or task.exception() is not None:
-                    return
-                value = task.result()
-                # Dispatcher-side submit-to-complete latency: worker
-                # processes keep their own registries, so this is where
-                # per-evaluation latency is observable.
-                _SUBMIT_SECONDS.observe(time.perf_counter() - started)
-                if cache is not None:
-                    # Write-through: each fresh value costs an attack run,
-                    # so persist it the moment it exists (put() only
-                    # touches disk when the cache has a path). Merged
-                    # *before* the in-flight entry goes away, so a
-                    # concurrent duplicate submit always finds the value
-                    # in one of the two places.
-                    with contextlib.suppress(Exception):
-                        cache.put(key, value)
-                if hasattr(fitness, "evaluations"):
-                    fitness.evaluations += 1
-            finally:
-                with self._inflight_lock:
-                    if self._inflight.get(inflight_key) is future:
-                        del self._inflight[inflight_key]
-                future.resolve()
-
-        task.add_done_callback(_merge)
-        return future
-
     def cancel_pending(self) -> int:
-        """Cancel queued-but-unstarted submissions; returns how many.
+        """Cancel queued-but-unstarted dispatches; returns how many.
 
         Already-running evaluations cannot be interrupted — they finish
         and their results still merge into the fitness cache via the
@@ -594,4 +493,55 @@ class AsyncEvaluator(ProcessPoolEvaluator):
 
     def close(self) -> None:
         self.cancel_pending()
-        super().close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+            self._pool_fitness = None
+        if self._blob_dir is not None:
+            shutil.rmtree(self._blob_dir, ignore_errors=True)
+            self._blob_dir = None
+            self._blob_path = None
+
+
+def open_evaluator(
+    workers: int | None,
+    async_mode: bool = False,
+    *,
+    search: bool = True,
+    shared: AsyncEvaluator | None = None,
+) -> Evaluator:
+    """The evaluator a run needs: the one serial-vs-pool rule.
+
+    A run gets the pool evaluator iff it asks for ``workers >= 2`` or
+    runs the steady-state loop (``async_mode``), whose futures only the
+    pool serves; anything else gets a :class:`SerialEvaluator`, and so
+    does a run with no search loop (``search=False``: a static sweep
+    point evaluates no populations). ``shared`` is the caller's open
+    pool: it is returned when it has enough workers, and otherwise
+    closed and replaced by a bigger one — results are worker-count
+    independent, so resizing mid-sweep is safe. The caller owns what
+    comes back.
+    """
+    if not search or not (async_mode or (workers or 0) >= 2):
+        return SerialEvaluator()
+    workers = max(1, workers or 1)
+    if shared is not None:
+        if shared.workers >= workers:
+            return shared
+        shared.close()
+    return AsyncEvaluator(workers)
+
+
+@contextlib.contextmanager
+def evaluator_scope(
+    evaluator: Evaluator | None,
+    workers: int | None = None,
+    async_mode: bool = False,
+) -> Iterator[Evaluator]:
+    """Use an injected ``evaluator`` as is (its owner closes it), or
+    :func:`open_evaluator` one for the block and close it afterwards."""
+    if evaluator is not None:
+        yield evaluator
+        return
+    with open_evaluator(workers, async_mode) as owned:
+        yield owned

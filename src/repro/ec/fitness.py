@@ -330,8 +330,8 @@ class SpecFitness:
     docstring); pure link-scored genotypes keep the historical
     single-attack value bit-for-bit. Deterministic per genotype (fixed
     ``attack_seed``) and cache-fronted; plain attributes keep it
-    picklable for the :class:`~repro.ec.evaluator.ProcessPoolEvaluator`
-    worker path.
+    picklable for the :class:`~repro.ec.evaluator.AsyncEvaluator` worker
+    path.
     """
 
     def __init__(

@@ -357,13 +357,13 @@ class GeneticAlgorithm:
 
         ``evaluator`` runs the fitness evaluation; the default
         :class:`SerialEvaluator` reproduces the historical per-genome
-        loop exactly, a
-        :class:`~repro.ec.evaluator.ProcessPoolEvaluator` fans batches
-        out across worker processes, and an
-        :class:`~repro.ec.evaluator.AsyncEvaluator` additionally enables
-        the steady-state mode (the default for such evaluators unless
-        ``config.async_mode`` pins one). The caller owns the evaluator's
-        lifetime (close any pool you pass in).
+        loop exactly, and the pool evaluator
+        :class:`~repro.ec.evaluator.AsyncEvaluator` fans batches out
+        across worker processes and enables the steady-state mode (the
+        default for it unless ``config.async_mode`` pins one;
+        :func:`~repro.ec.evaluator.open_evaluator` picks between the
+        two). The caller owns the evaluator's lifetime (close any pool
+        you pass in).
         """
         cfg = self.config
         rng = derive_rng(cfg.seed)

@@ -7,7 +7,9 @@ into a concrete locked circuit whose key bit ``i`` is gene ``i``'s ``k``
 field. The inverse, :func:`genes_from_locked`, decodes a locked
 circuit's insertion records back into genes through the same primitive
 registry, so any scheme whose records a registered primitive understands
-can seed the evolutionary search.
+can seed the evolutionary search. :func:`genotype_record` and
+:func:`genotype_from_record` are the JSON codec that experiment records
+and co-evolution checkpoints store genotypes in.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.locking.base import LockedCircuit
 from repro.locking.key import Key
 from repro.locking.primitives import (
     Gene,
+    get_primitive,
     primitive_for_gene,
     primitive_for_insertion,
 )
@@ -128,4 +131,31 @@ def genes_from_locked(locked: LockedCircuit) -> list[Gene]:
             raise LockingError(
                 f"insertion {idx} of scheme {locked.scheme!r}: {exc}"
             ) from exc
+    return genes
+
+
+def genotype_record(genes: Sequence[Gene] | None) -> list[dict] | None:
+    """JSON-safe genotype; inverse of :func:`genotype_from_record`.
+
+    Each gene record names its primitive ``kind`` alongside the gene
+    fields, so heterogeneous champions replay through the registry.
+    """
+    if genes is None:
+        return None
+    return [primitive_for_gene(g).gene_record(g) for g in genes]
+
+
+def genotype_from_record(data: Sequence[dict] | None) -> list[Gene] | None:
+    """Rebuild a genotype from its record form.
+
+    Records written before the alphabet refactor carry no ``kind`` tag;
+    they decode as the historical MUX genes.
+    """
+    if data is None:
+        return None
+    genes: list[Gene] = []
+    for record in data:
+        record = dict(record)
+        kind = record.pop("kind", "mux")
+        genes.append(get_primitive(kind).gene_from_record(record))
     return genes

@@ -19,11 +19,11 @@ import hashlib
 
 from repro.circuits import load_circuit
 from repro.ec import (
+    AsyncEvaluator,
     GaConfig,
     GeneticAlgorithm,
     Nsga2,
     Nsga2Config,
-    ProcessPoolEvaluator,
 )
 from repro.ec.genotype import genotype_key
 
@@ -101,11 +101,12 @@ def test_ga_trajectory_golden_rand200_default_operators():
 
 
 def test_ga_trajectory_golden_survives_process_pool():
-    """The pool backend must reproduce the pinned serial trajectory.
+    """The pool evaluator must reproduce the pinned serial trajectory.
 
     ``ones_fitness`` is a plain module-level function (picklable, no
     cache), so this also covers the evaluator's cache-less dispatch path
-    against the golden.
+    against the golden. The generational loop is pinned: an
+    ``AsyncEvaluator`` resolves ``async_mode=None`` to steady state.
     """
     circuit = load_circuit("rand_100_7")
     config = GaConfig(
@@ -114,8 +115,9 @@ def test_ga_trajectory_golden_survives_process_pool():
         generations=8,
         mutation="key_only",
         seed=42,
+        async_mode=False,
     )
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         result = GeneticAlgorithm(config).run(
             circuit, ones_fitness, evaluator=evaluator
         )

@@ -2,7 +2,7 @@
 
 The evaluator refactor moved the GA/NSGA-II hot path from a per-genome
 loop into a batched pipeline (dedupe -> cache -> fan-out -> merge). These
-tests pin the contract that made that safe: the process-pool backend is
+tests pin the contract that made that safe: the pool evaluator is
 *observationally identical* to the serial one — same results, same cache
 accounting, same evaluation counts — and the persistent cache turns
 repeated runs into pure lookups.
@@ -15,7 +15,9 @@ import pickle
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.api.spec import ExperimentSpec
 from repro.circuits import load_circuit
 from repro.ec import (
     AsyncEvaluator,
@@ -27,11 +29,11 @@ from repro.ec import (
     GeneticAlgorithm,
     Nsga2,
     Nsga2Config,
-    ProcessPoolEvaluator,
     SerialEvaluator,
     SpecFitness,
     cache_namespace,
 )
+from repro.ec.evaluator import open_evaluator
 from repro.ec.fitness import MultiObjectiveFitness
 from repro.ec.genotype import genotype_key, random_genotype
 from repro.utils.rng import derive_rng, spawn_seeds
@@ -90,7 +92,12 @@ def _ga_run(circuit, evaluator, cache):
         circuit, "muxlink", {"predictor": "bayes", "ensemble": 1},
         attack_seed=5, cache=cache,
     )
-    config = GaConfig(key_length=6, population_size=6, generations=4, seed=9)
+    # Pinned to the generational loop: an AsyncEvaluator would otherwise
+    # resolve ``async_mode=None`` to steady state.
+    config = GaConfig(
+        key_length=6, population_size=6, generations=4, seed=9,
+        async_mode=False,
+    )
     result = GeneticAlgorithm(config).run(circuit, fitness, evaluator=evaluator)
     return result, fitness
 
@@ -98,7 +105,7 @@ def _ga_run(circuit, evaluator, cache):
 def test_process_pool_ga_matches_serial_exactly(circuit):
     serial_cache, pool_cache = FitnessCache(), FitnessCache()
     serial, serial_fit = _ga_run(circuit, SerialEvaluator(), serial_cache)
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         pooled, pool_fit = _ga_run(circuit, evaluator, pool_cache)
 
     # Byte-identical search outcome.
@@ -129,12 +136,13 @@ def test_process_pool_nsga2_matches_serial_exactly(circuit):
             attack_seed=7,
         )
         config = Nsga2Config(
-            key_length=5, population_size=6, generations=3, seed=13
+            key_length=5, population_size=6, generations=3, seed=13,
+            async_mode=False,
         )
         return Nsga2(config).run(circuit, fitness, evaluator=evaluator)
 
     serial = nsga_run(SerialEvaluator())
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         pooled = nsga_run(evaluator)
 
     assert pooled.front_genotypes == serial.front_genotypes
@@ -150,10 +158,10 @@ def test_duplicate_genotypes_dispatched_once(circuit):
     population = [genes, other, list(genes), list(genes), other]
 
     fitness = CountingFitness()
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         values, stats = evaluator.evaluate(population, fitness)
 
-    assert stats.size == 5 and stats.unique == 2
+    assert stats.size == 5
     assert stats.dispatched == 2, "each distinct genotype must be attacked once"
     assert fitness.evaluations == 2
     assert values[0] == values[2] == values[3]
@@ -165,7 +173,7 @@ def test_duplicate_genotypes_dispatched_once(circuit):
 def test_cache_hits_accumulate_across_generations(circuit):
     genes = random_genotype(circuit, 4, seed_or_rng=3)
     fitness = CountingFitness()
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         _, first = evaluator.evaluate([genes, genes], fitness)
         _, second = evaluator.evaluate([genes], fitness)
         assert first.dispatched == 1 and first.cache_hits == 1
@@ -188,7 +196,7 @@ def test_pool_reused_across_generations_and_fitness_changes(circuit):
     fitness = CountingFitness()
     a = random_genotype(circuit, 4, seed_or_rng=5)
     b = random_genotype(circuit, 4, seed_or_rng=6)
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         evaluator.evaluate([a], fitness)
         pool_after_first = evaluator._pool
         epoch_after_first = evaluator._epoch
@@ -221,7 +229,7 @@ def test_pool_worker_processes_survive_fitness_change(circuit):
 
     a = random_genotype(circuit, 4, seed_or_rng=5)
     b = random_genotype(circuit, 4, seed_or_rng=6)
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         first, _ = evaluator.evaluate([a, b], PidFitness(0))
         second, _ = evaluator.evaluate([a, b], PidFitness(1_000_000))
         parent = os.getpid()
@@ -247,7 +255,7 @@ def test_unpicklable_cached_fitness_accounting_matches_serial(circuit):
     inner = CountingFitness()
     unpicklable = lambda genes: inner(genes)  # noqa: E731
     unpicklable.cache = inner.cache
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         with pytest.warns(RuntimeWarning, match="not picklable"):
             _, stats = evaluator.evaluate(population, unpicklable)
 
@@ -261,7 +269,7 @@ def test_unpicklable_fitness_falls_back_in_process(circuit):
     genes = random_genotype(circuit, 4, seed_or_rng=4)
     calls = []
     fitness = lambda g: calls.append(1) or 0.25  # noqa: E731 - unpicklable
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         with pytest.warns(RuntimeWarning, match="not picklable"):
             values, stats = evaluator.evaluate([genes], fitness)
     assert values == [0.25] and len(calls) == 1
@@ -270,16 +278,116 @@ def test_unpicklable_fitness_falls_back_in_process(circuit):
 
 def test_process_pool_rejects_bad_worker_count():
     with pytest.raises(ValueError, match="workers"):
-        ProcessPoolEvaluator(workers=0)
+        AsyncEvaluator(workers=0)
 
 
 def test_batch_stats_merge():
-    a = BatchStats(size=4, unique=3, cache_hits=1, dispatched=2, wall_s=0.5)
-    b = BatchStats(size=2, unique=2, cache_hits=2, dispatched=0, wall_s=0.25)
-    merged = a.merged(b)
-    assert merged == BatchStats(
-        size=6, unique=5, cache_hits=3, dispatched=2, wall_s=0.75
+    a = BatchStats(size=4, cache_hits=1, dispatched=2, wall_s=0.5)
+    b = BatchStats(size=2, cache_hits=2, dispatched=0, wall_s=0.25)
+    assert a.merged(b) == BatchStats(
+        size=6, cache_hits=3, dispatched=2, wall_s=0.75
     )
+
+
+# ------------------------------------- pool batch vs serial, differential
+#: distinct genotypes the differential test draws populations from.
+_GENOMES = [
+    random_genotype(load_circuit("rand_150_5"), 4, seed_or_rng=s)
+    for s in range(6)
+]
+
+
+@pytest.fixture(scope="module")
+def shared_pool():
+    with AsyncEvaluator(workers=2) as evaluator:
+        yield evaluator
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.integers(0, len(_GENOMES) - 1), min_size=1, max_size=8),
+        min_size=1, max_size=3,
+    ),
+    warm=st.sets(st.integers(0, len(_GENOMES) - 1)),
+)
+def test_pool_evaluate_matches_serial_accounting(shared_pool, batches, warm):
+    """Random populations with in-batch duplicates and pre-warmed cache
+    entries: the pool batch gives the serial loop's values, cache
+    counters, evaluation count and batch stats."""
+    serial_fit, pool_fit = CountingFitness(), CountingFitness()
+    for idx in warm:
+        for fitness in (serial_fit, pool_fit):
+            fitness.cache.put(genotype_key(_GENOMES[idx]), -1.0 - idx)
+    serial = SerialEvaluator()
+    for batch in batches:
+        population = [list(_GENOMES[i]) for i in batch]
+        want, want_stats = serial.evaluate(population, serial_fit)
+        got, got_stats = shared_pool.evaluate(population, pool_fit)
+        assert got == want
+        assert dataclasses.replace(got_stats, wall_s=0.0) == (
+            dataclasses.replace(want_stats, wall_s=0.0)
+        )
+        assert (pool_fit.cache.hits, pool_fit.cache.misses) == (
+            serial_fit.cache.hits, serial_fit.cache.misses,
+        )
+        assert pool_fit.evaluations == serial_fit.evaluations
+    assert pool_fit.cache.store == serial_fit.cache.store
+
+
+def test_pool_batch_flushes_once_and_submit_writes_through(
+    circuit, tmp_path
+):
+    cache = FitnessCache(path=tmp_path / "cache.sqlite", namespace="ns")
+    backend = cache._store_backend
+    writes = []
+    put_many = backend.put_many
+
+    def counting_put_many(namespace, entries):
+        writes.append(len(entries))
+        return put_many(namespace, entries)
+
+    backend.put_many = counting_put_many
+    fitness = CountingFitness(cache)
+    genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in range(5)]
+    with AsyncEvaluator(workers=2) as evaluator:
+        evaluator.evaluate(genomes[:3] + [list(genomes[0])], fitness)
+        assert writes == [3], "one put_many per pool batch"
+        for genes in genomes[3:]:
+            evaluator.submit(genes, fitness).result()
+        assert writes == [3, 1, 1], "each submit writes through"
+
+
+# ------------------------------------------------ serial-vs-pool rule
+@pytest.mark.parametrize("async_mode", [None, True, False])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("engine", ["ga", None], ids=["engine", "static"])
+def test_open_evaluator_rule(engine, workers, async_mode):
+    spec = ExperimentSpec(
+        circuit="c17", key_length=2, engine=engine, attack="muxlink",
+        workers=workers, async_mode=async_mode,
+    )
+    wants_pool = engine is not None and (
+        workers >= 2 or (async_mode if async_mode is not None else False)
+    )
+    with open_evaluator(
+        spec.workers, spec.resolved_async_mode(),
+        search=spec.engine is not None,
+    ) as evaluator:
+        if wants_pool:
+            assert type(evaluator) is AsyncEvaluator
+            assert evaluator.workers == workers
+        else:
+            assert type(evaluator) is SerialEvaluator
+
+
+def test_open_evaluator_reuses_or_grows_the_shared_pool():
+    with AsyncEvaluator(workers=2) as small:
+        assert open_evaluator(2, shared=small) is small
+        assert open_evaluator(1, True, shared=small) is small
+        with open_evaluator(4, shared=small) as grown:
+            assert grown is not small and grown.workers == 4
+        assert type(open_evaluator(1, shared=small)) is SerialEvaluator
 
 
 # -------------------------------------------------- on-disk persistence

@@ -33,7 +33,6 @@ from repro.ec import (
     GeneticAlgorithm,
     Nsga2,
     Nsga2Config,
-    ProcessPoolEvaluator,
     SerialEvaluator,
 )
 from repro.ec.genotype import genotype_key, random_genotype
@@ -399,7 +398,7 @@ def test_pool_crash_salvages_completed_sibling_evaluations(tmp_path):
     fitness = PoisonFitness(
         poison, FitnessCache(path=path, namespace="ns")
     )
-    with ProcessPoolEvaluator(workers=2) as evaluator:
+    with AsyncEvaluator(workers=2) as evaluator:
         with pytest.raises(RuntimeError, match="poisoned genotype"):
             evaluator.evaluate(genomes, fitness)
     reloaded = FitnessCache(path=path, namespace="ns")
