@@ -1,19 +1,21 @@
-"""Delta re-locking vs a scratch rebuild — raw speed.
+"""Delta re-locking vs the deep-copy reference builder — raw speed.
 
 Not a paper experiment: this bench pins the re-locking win of the
 raw-speed fitness core. ``DeltaRelocker`` applies a genotype as
 incremental deltas to a shared immutable base netlist (copy-on-write
-fanout bookkeeping, one final acyclicity check) instead of
-deep-rebuilding per candidate via ``lock_with_genes``; both run the
-same gene-application body.
+fanout and site-index bookkeeping, one final acyclicity check); the
+deep-copy builder in ``tests/reference/locking.py`` copies the base per
+candidate and lets every insertion invalidate and rebuild the fanout
+map and topological order.
 
 The bench asserts the delta-locked circuit is structurally identical to
-the scratch-locked one, then asserts the speedup (delta >= 3x). The
-timing assertion applies at full scale; under ``REPRO_BENCH_GUARD`` (the
-CI smoke guard) delta must merely never lose to scratch.
+the reference one, then asserts the speedup (delta >= 3x). The timing
+assertion applies at full scale; under ``REPRO_BENCH_GUARD`` (the CI
+smoke guard) delta must merely never lose to the reference.
 
-``python benchmarks/bench_delta_relock.py`` emits
-``BENCH_delta_relock.json`` (override with ``BENCH_DELTA_RELOCK_OUT``).
+Run from the repository root: ``python benchmarks/bench_delta_relock.py``
+emits ``BENCH_delta_relock.json`` (override with
+``BENCH_DELTA_RELOCK_OUT``).
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ except ImportError:  # direct `python benchmarks/bench_....py` execution
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from conftest import print_header, scaled
 
+# The reference builder lives with the tests, at the repository root.
+_ROOT = str(Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
+
 from repro.circuits import load_circuit
 from repro.ec.genotype import random_genotype
-from repro.locking import DeltaRelocker, lock_with_genes
+from repro.locking import DeltaRelocker
 from repro.registry import PRIMITIVES
+from tests.reference.locking import apply_genes as reference_apply_genes
 
 _CIRCUIT = "c1908_syn"
 _GENES = 64
@@ -56,13 +64,13 @@ def _time_relock(base, genotype, repeats) -> tuple[float, float]:
 
     t0 = time.perf_counter()
     for _ in range(repeats):
-        scratch = lock_with_genes(base, genotype)
-    scratch_s = (time.perf_counter() - t0) / repeats
+        reference = reference_apply_genes(base, genotype)
+    reference_s = (time.perf_counter() - t0) / repeats
 
-    assert delta.netlist.structurally_equal(scratch.netlist)
-    assert delta.key.bits == scratch.key.bits
-    assert delta.scheme == scratch.scheme
-    return delta_s, scratch_s
+    assert delta.netlist.structurally_equal(reference.netlist)
+    assert delta.key.bits == reference.key.bits
+    assert delta.scheme == reference.scheme
+    return delta_s, reference_s
 
 
 def run_delta_relock(out_json: str | None = None) -> dict:
@@ -75,15 +83,15 @@ def run_delta_relock(out_json: str | None = None) -> dict:
         alphabet=tuple(sorted(PRIMITIVES.available())),
     )
 
-    delta_s, scratch_s = _time_relock(base, genotype, relock_repeats)
+    delta_s, reference_s = _time_relock(base, genotype, relock_repeats)
 
     report = {
         "circuit": _CIRCUIT,
         "n_genes": n_genes,
         "relock_repeats": relock_repeats,
         "delta_relock_s": delta_s,
-        "scratch_relock_s": scratch_s,
-        "relock_speedup": scratch_s / delta_s if delta_s > 0 else None,
+        "reference_relock_s": reference_s,
+        "relock_speedup": reference_s / delta_s if delta_s > 0 else None,
         "target_relock_speedup": _TARGET_DELTA_SPEEDUP,
         "asserted": scale >= 1.0,
         "guarded": bool(os.environ.get("REPRO_BENCH_GUARD")),
@@ -91,11 +99,11 @@ def run_delta_relock(out_json: str | None = None) -> dict:
     if report["asserted"]:
         assert report["relock_speedup"] >= _TARGET_DELTA_SPEEDUP, (
             f"delta re-locking only {report['relock_speedup']:.2f}x vs "
-            f"scratch (target {_TARGET_DELTA_SPEEDUP}x): {report}"
+            f"the reference (target {_TARGET_DELTA_SPEEDUP}x): {report}"
         )
     if report["guarded"]:
         # CI perf-regression guard (smoke scale): delta must never lose
-        # to scratch.
+        # to the deep-copy reference.
         assert report["relock_speedup"] >= 1.0, report
     if out_json:
         Path(out_json).write_text(json.dumps(report, indent=2) + "\n")
@@ -106,7 +114,7 @@ def test_delta_relock_speed(benchmark):
     report = benchmark.pedantic(run_delta_relock, rounds=1, iterations=1)
     print_header(
         "DELTA",
-        "Delta re-locking vs scratch rebuild",
+        "Delta re-locking vs deep-copy reference",
         "ROADMAP: raw-speed fitness core (re-locking was per-candidate "
         "wall-clock)",
     )

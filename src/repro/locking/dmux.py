@@ -40,6 +40,7 @@ from typing import ClassVar
 from repro.errors import LockingError
 from repro.locking.base import LockedCircuit, LockingScheme
 from repro.locking.key import Key
+from repro.netlist.cow import CowNetlist
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.registry import register_scheme
@@ -222,7 +223,7 @@ def apply_gene(
     elif key_bit_j is None:
         raise LockingError("two_key strategy requires key_bit_j")
 
-    for key_name in {key_name_i, key_name_j}:
+    for key_name in dict.fromkeys((key_name_i, key_name_j)):
         if not netlist.is_signal(key_name):
             netlist.add_key_input(key_name)
         elif key_name not in netlist.key_inputs:
@@ -322,8 +323,11 @@ class DMuxLocking(LockingScheme):
         if self.strategy == "two_key" and key_length % 2:
             raise LockingError("two_key strategy needs an even key length")
         rng = derive_rng(seed_or_rng)
-        original = netlist
-        locked = netlist.copy(f"{netlist.name}_{self.name}{key_length}")
+        # The work copy's per-insertion ``check_acyclic`` is a no-op; the
+        # finished netlist is sorted once below.
+        locked = CowNetlist.from_base(
+            netlist, f"{netlist.name}_{self.name}{key_length}"
+        )
         key_names = self._fresh_key_names(locked, key_length, self._key_prefix)
 
         insertions: list[MuxPairInsertion] = []
@@ -353,11 +357,11 @@ class DMuxLocking(LockingScheme):
             insertions.append(rec)
             used.update(gene.wires)
 
-        key = Key(tuple(key_names), tuple(bits))
+        locked.topological_order()
         return LockedCircuit(
-            netlist=locked,
-            key=key,
+            netlist=locked.copy(),
+            key=Key(tuple(key_names), tuple(bits)),
             scheme=f"{self.name}-{self.strategy}",
-            original=original,
+            original=netlist,
             insertions=insertions,
         )

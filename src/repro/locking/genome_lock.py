@@ -14,9 +14,11 @@ and co-evolution checkpoints store genotypes in.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+import time
+from dataclasses import replace
+from typing import Any, Sequence
 
-from repro.errors import LockingError
+from repro.errors import LockingError, NetlistError
 from repro.locking.base import LockedCircuit
 from repro.locking.key import Key
 from repro.locking.primitives import (
@@ -25,7 +27,14 @@ from repro.locking.primitives import (
     primitive_for_gene,
     primitive_for_insertion,
 )
+from repro.netlist.cow import CowNetlist
 from repro.netlist.netlist import Netlist
+from repro.obs import metrics as obs_metrics
+
+_RELOCK_SECONDS = obs_metrics.METRICS.histogram(
+    "autolock_relock_seconds",
+    "Re-lock (genotype -> phenotype) wall time",
+)
 
 
 def genotype_scheme_name(genes: Sequence[Gene]) -> str:
@@ -52,25 +61,27 @@ def lock_with_genes(
     gene — the paper's encoding, whatever the gene's primitive kind).
     Raises :class:`~repro.errors.LockingError` if any gene is
     inapplicable; the evolutionary operators are expected to repair
-    genotypes *before* building phenotypes.
+    genotypes *before* building phenotypes. The locked netlist is a
+    plain :class:`~repro.netlist.netlist.Netlist` materialised from the
+    work copy :func:`apply_genes` builds on.
     """
-    return apply_genes(original, genes, original.copy, key_prefix)
+    locked = apply_genes(original, genes, key_prefix)
+    return replace(locked, netlist=locked.netlist.copy())
 
 
 def apply_genes(
     original: Netlist,
     genes: Sequence[Gene],
-    start: Callable[[str], Netlist],
     key_prefix: str = "keyinput",
 ) -> LockedCircuit:
     """The one gene-application body behind every genotype → phenotype map.
 
-    ``start(name)`` returns the netlist the genes mutate: a deep copy of
-    ``original`` (:func:`lock_with_genes`) or a copy-on-write view of it
-    (:class:`~repro.locking.delta.DeltaRelocker`). Validation, naming,
-    insertion order, key and scheme label are shared, so both builders
-    produce the same circuit and the same errors.
+    The genes mutate a :class:`~repro.netlist.cow.CowNetlist` work copy
+    of ``original``, which reads the base's cached fanout map and site
+    index and patches both per insertion. The returned circuit's netlist
+    is that work copy.
     """
+    started = time.perf_counter()
     if not genes:
         raise LockingError("genotype must contain at least one gene")
     seen_wires: set[tuple[str, str]] = set()
@@ -83,7 +94,7 @@ def apply_genes(
                 )
             seen_wires.add(wire)
 
-    locked = start(f"{original.name}_auto{len(genes)}")
+    locked = CowNetlist.from_base(original, f"{original.name}_auto{len(genes)}")
     insertions: list[Any] = []
     for idx, gene in enumerate(genes):
         try:
@@ -94,14 +105,19 @@ def apply_genes(
             )
         except LockingError as exc:
             raise LockingError(f"gene {idx} inapplicable: {exc}") from exc
-
-    key = Key(
-        tuple(f"{key_prefix}{i}" for i in range(len(genes))),
-        tuple(g.k for g in genes),
-    )
+    # The per-gene ``check_acyclic`` guard is a no-op on the work copy;
+    # validate the finished phenotype once instead.
+    try:
+        locked.topological_order()
+    except NetlistError as exc:  # pragma: no cover - genes are pre-checked
+        raise LockingError(f"genotype built a cyclic netlist: {exc}") from exc
+    _RELOCK_SECONDS.observe(time.perf_counter() - started)
     return LockedCircuit(
         netlist=locked,
-        key=key,
+        key=Key(
+            tuple(f"{key_prefix}{i}" for i in range(len(genes))),
+            tuple(g.k for g in genes),
+        ),
         scheme=genotype_scheme_name(genes),
         original=original,
         insertions=insertions,

@@ -6,12 +6,15 @@ from an immutable *base* design whose derived state is maintained
 mutation. The plain ``Netlist`` drops its fanout map, topological order
 and site index after each ``add_gate``/``rewire_pin`` and rebuilds them
 from scratch on the next query — fine for one-shot construction, ruinous
-for code that applies a whole genotype gene by gene to the same base:
-:func:`~repro.ec.genotype.random_genotype`,
+for code that applies a whole genotype gene by gene to the same base.
+Every locking builder works on a view:
+:func:`~repro.locking.genome_lock.apply_genes` (behind
+``lock_with_genes`` and :class:`~repro.locking.delta.DeltaRelocker`) and
+:meth:`DMuxLocking.lock <repro.locking.dmux.DMuxLocking.lock>` insert
+into one, and :func:`~repro.ec.genotype.random_genotype`,
 :func:`~repro.ec.genotype.repair_genotype` and
 :func:`~repro.ec.genotype.genotype_is_valid` sample, repair and validate
-on a view, and :class:`~repro.locking.delta.DeltaRelocker` re-locks on
-one per candidate.
+on one.
 
 The view changes three behaviours:
 
@@ -33,7 +36,7 @@ The view changes three behaviours:
   once, not once per gene.
 
 The gates dict is copied from the base (gates are immutable, so a dict
-copy is a deep copy), and insertion order matches a scratch
+copy is a deep copy), and insertion order matches a plain
 ``base.copy()`` build exactly — every iteration-order-sensitive consumer
 (graph extraction, simulation, metrics) sees the identical structure.
 The cached topological order is still invalidated by mutations and

@@ -262,8 +262,9 @@ class Netlist:
         cycle-closing gene before mutating, so
         :class:`~repro.netlist.cow.CowNetlist` work copies make it a
         no-op and their owners (genotype sampling, repair and
-        validation, :class:`~repro.locking.delta.DeltaRelocker`) run
-        one full :meth:`topological_order` per genotype instead.
+        validation, :func:`~repro.locking.genome_lock.apply_genes`,
+        D-MUX locking) run one full :meth:`topological_order` per
+        built circuit instead.
         """
         self.topological_order()
 

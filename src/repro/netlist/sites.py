@@ -44,8 +44,8 @@ and any gate with a key-input fanin (the XOR/XNOR and AND/OR key gates)
 rules. Keeping key-gate outputs out of the pool also guarantees every
 sampled gene references only signals of the *original* design, so a
 genotype sampled against a work copy (whose inserted gates carry
-temporary names) rebuilds identically through
-:func:`~repro.locking.genome_lock.lock_with_genes`.
+temporary names) rebuilds identically on a fresh work copy through
+:func:`~repro.locking.genome_lock.apply_genes`.
 """
 
 from __future__ import annotations

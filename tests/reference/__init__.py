@@ -3,8 +3,10 @@
 Each module here is the straightforward version of a code path in
 ``repro``: one item at a time instead of batched or incremental
 (``muxlink``), a full rescan and a BFS instead of an incrementally kept
-site index (``genotype``), plain DPLL instead of CDCL (``dpll``), or finite
-differences instead of hand-written backward passes (``gradcheck``).
+site index (``genotype``), a deep copy per built circuit instead of a
+copy-on-write work copy (``locking``), plain DPLL instead of CDCL
+(``dpll``), or finite differences instead of hand-written backward
+passes (``gradcheck``).
 The runtime does not ship them; the tests compare the runtime path
 against them.
 """

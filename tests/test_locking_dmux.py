@@ -1,8 +1,14 @@
 """D-MUX pairwise MUX locking: functional, structural and safety invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.circuits import load_circuit
 from repro.errors import LockingError
 from repro.locking import (
@@ -50,6 +56,33 @@ def test_two_key_strategy(rand100):
     # Records carry distinct key names per MUX.
     for rec in locked.insertions:
         assert rec.key_name_i != rec.key_name_j
+
+
+_TWO_KEY_BENCH = """
+from repro.circuits import load_circuit
+from repro.locking import DMuxLocking
+from repro.netlist.bench import write_bench
+locked = DMuxLocking("two_key").lock(load_circuit("rand_150_5"), 8, seed_or_rng=1)
+print(write_bench(locked.netlist), end="")
+"""
+
+
+def test_two_key_lock_is_independent_of_hash_seed():
+    """Key inputs are created in key order, not in set-iteration order:
+    the written ``.bench`` is the same in every interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    texts = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _TWO_KEY_BENCH],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        texts.append(proc.stdout)
+    assert texts[0] and texts[0] == texts[1] == texts[2]
 
 
 def test_two_key_needs_even_length(rand100):

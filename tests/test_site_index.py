@@ -24,21 +24,14 @@ from repro.ec.genotype import (
     repair_genotype,
 )
 from repro.errors import EvolutionError
-from repro.locking import DeltaRelocker, lock_with_genes
+from repro.locking import DeltaRelocker
 from repro.locking.dmux import lockable_wires
 from repro.locking.primitives import get_primitive
 from repro.netlist import GateType
 from repro.netlist.cow import CowNetlist
 from tests.reference import genotype as ref
-
-ALPHABETS = [("mux",), ("xor",), ("and_or",), ("mux", "xor", "and_or")]
-
-circuits = st.builds(
-    lambda gates, seed: f"rand_{gates}_{seed}",
-    st.sampled_from([40, 80, 150]),
-    st.integers(0, 40),
-)
-alphabets = st.sampled_from(ALPHABETS)
+from tests.reference import locking as ref_locking
+from tests.strategies import alphabets, circuits
 
 
 def _assert_index_matches(work, gene, rng) -> None:
@@ -154,9 +147,9 @@ def test_index_is_rebuilt_after_base_mutation_and_never_pickled():
         ref.random_genotype(base, 6, seed_or_rng=2)
     )
     # The relocker reads the rebuilt caches: no stale fanout map.
-    delta, scratch = relocker.lock(again), lock_with_genes(base, again)
-    assert delta.netlist.structurally_equal(scratch.netlist)
-    assert delta.netlist.fanouts() == scratch.netlist.fanouts()
+    delta, want = relocker.lock(again), ref_locking.apply_genes(base, again)
+    assert delta.netlist.structurally_equal(want.netlist)
+    assert delta.netlist.fanouts() == want.netlist.fanouts()
 
 
 def test_work_copy_pickles_with_its_fanouts():
