@@ -19,6 +19,7 @@ from repro.locking.genome_lock import genes_from_locked
 from repro.locking.primitives import get_primitive
 from repro.netlist import Netlist, validate_netlist
 from repro.netlist.cow import CowNetlist
+from repro.registry import PRIMITIVES
 from tests.reference import locking as ref
 from tests.strategies import alphabets, circuits
 
@@ -57,6 +58,28 @@ def test_delta_matches_scratch_dmux_genes(rand100):
     validate_netlist(delta.netlist)
     _assert_same_lock(delta, want)
     _assert_same_lock(lock_with_genes(rand100, genes), want)
+
+
+@pytest.mark.parametrize("kind", sorted(PRIMITIVES.available()))
+def test_delta_matches_scratch_every_primitive(rand100, kind):
+    rng = np.random.default_rng(17)
+    prim = PRIMITIVES.create(kind)
+    genes = [prim.sample(rand100, rng) for _ in range(6)]
+    want = ref.apply_genes(rand100, genes)
+    _assert_same_lock(DeltaRelocker(rand100).lock(genes), want)
+    _assert_same_lock(lock_with_genes(rand100, genes), want)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 21])
+def test_delta_matches_scratch_mixed_alphabet(seed):
+    base = load_circuit("rand_150_5")
+    rng = np.random.default_rng(seed)
+    genotype = random_genotype(
+        base, 12, rng, alphabet=tuple(sorted(PRIMITIVES.available()))
+    )
+    want = ref.apply_genes(base, genotype)
+    _assert_same_lock(DeltaRelocker(base).lock(genotype), want)
+    _assert_same_lock(lock_with_genes(base, genotype), want)
 
 
 @settings(max_examples=40, deadline=None)
