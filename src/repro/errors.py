@@ -31,7 +31,7 @@ class SimulationError(ReproError):
 
 
 class CnfError(ReproError):
-    """Malformed CNF formula or DIMACS input."""
+    """Malformed CNF formula, clause or solver call."""
 
 
 class LockingError(ReproError):

@@ -55,19 +55,13 @@ def save_locked_design(locked: LockedCircuit, directory: str | Path) -> Path:
         "key_names": list(locked.key.names),
         "key_bits": list(locked.key.bits),
         "insertions": [
-            {"type": _insertion_tag(rec), **_record_to_dict(rec)}
+            {"type": _insertion_tag(rec), **dataclasses.asdict(rec)}
             for rec in locked.insertions
         ],
     }
     path = directory / f"{stem}.lock.json"
     path.write_text(json.dumps(sidecar, indent=2) + "\n")
     return path
-
-
-def _record_to_dict(record) -> dict:
-    raw = dataclasses.asdict(record)
-    # Tuples become lists in JSON; normalise nested pin tuples.
-    return raw
 
 
 def _record_from_dict(tag: str, data: dict):
@@ -83,7 +77,11 @@ def _record_from_dict(tag: str, data: dict):
 
 
 def load_locked_design(sidecar_path: str | Path) -> LockedCircuit:
-    """Load a locked design previously written by :func:`save_locked_design`."""
+    """Load a locked design previously written by :func:`save_locked_design`.
+
+    Raises :class:`LockingError` if the sidecar's key names are not
+    exactly the netlist's key inputs.
+    """
     sidecar_path = Path(sidecar_path)
     data = json.loads(sidecar_path.read_text())
     stem = data["design"]
@@ -93,6 +91,13 @@ def load_locked_design(sidecar_path: str | Path) -> LockedCircuit:
         directory / f"{stem}.original.bench", data["original"]
     )
     key = Key(tuple(data["key_names"]), tuple(int(b) for b in data["key_bits"]))
+    missing = sorted(set(netlist.key_inputs) - set(key.names))
+    extra = sorted(set(key.names) - set(netlist.key_inputs))
+    if missing or extra:
+        raise LockingError(
+            f"{sidecar_path.name}: key names do not match {stem}.bench's key "
+            f"inputs (missing {missing}, extra {extra})"
+        )
     insertions = [
         _record_from_dict(rec.pop("type"), rec) for rec in data["insertions"]
     ]

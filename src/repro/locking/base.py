@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import LockingError
 from repro.locking.key import Key
@@ -79,15 +79,3 @@ class LockingScheme(abc.ABC):
                 )
             names.append(name)
         return names
-
-
-def locked_wire_pins(insertions: Sequence[Any]) -> set[tuple[str, int]]:
-    """Consumer pins already claimed by previous insertions.
-
-    Works across scheme-specific insertion records by duck-typing the
-    ``consumer_pins`` attribute each record type provides.
-    """
-    pins: set[tuple[str, int]] = set()
-    for rec in insertions:
-        pins.update(rec.consumer_pins)
-    return pins

@@ -80,24 +80,6 @@ class MuxGene:
 
 
 @dataclass(frozen=True)
-class MuxSite:
-    """One inserted MUX as the attacker sees it, plus ground truth.
-
-    ``true_src``/``false_src`` are the correct and decoy data inputs of
-    ``mux`` driving ``consumer``; ``key_bit`` is the correct value of
-    ``key_name``. Attacks may read everything except ``true_src``/
-    ``key_bit`` from the netlist itself.
-    """
-
-    mux: str
-    consumer: str
-    true_src: str
-    false_src: str
-    key_name: str
-    key_bit: int
-
-
-@dataclass(frozen=True)
 class MuxPairInsertion:
     """Ground-truth record of one applied :class:`MuxGene`."""
 
@@ -117,28 +99,6 @@ class MuxPairInsertion:
     @property
     def consumer_pins(self) -> tuple[tuple[str, int], ...]:
         return ((self.g_i, self.pin_i), (self.g_j, self.pin_j))
-
-    @property
-    def sites(self) -> tuple[MuxSite, MuxSite]:
-        """The two MUX sites this insertion created."""
-        return (
-            MuxSite(
-                mux=self.mux_i,
-                consumer=self.g_i,
-                true_src=self.f_i,
-                false_src=self.f_j,
-                key_name=self.key_name_i,
-                key_bit=self.key_bit_i,
-            ),
-            MuxSite(
-                mux=self.mux_j,
-                consumer=self.g_j,
-                true_src=self.f_j,
-                false_src=self.f_i,
-                key_name=self.key_name_j,
-                key_bit=self.key_bit_j,
-            ),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -97,57 +97,3 @@ class ReLU(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._mask is not None, "backward before forward"
         return grad_out * self._mask
-
-
-class Tanh(Layer):
-    """Elementwise hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._y is not None, "backward before forward"
-        return grad_out * (1.0 - self._y**2)
-
-
-class Sigmoid(Layer):
-    """Elementwise logistic function (prefer ``bce_with_logits`` for loss)."""
-
-    def __init__(self) -> None:
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._y is not None, "backward before forward"
-        return grad_out * self._y * (1.0 - self._y)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, p: float = 0.5, seed_or_rng=None) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0,1), got {p}")
-        self.p = p
-        self._rng = derive_rng(seed_or_rng)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask

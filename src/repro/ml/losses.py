@@ -28,13 +28,3 @@ def bce_with_logits(
     if reduction == "sum":
         return float(loss.sum()), sig - t
     return float(loss.mean()), (sig - t) / z.size
-
-
-def mse_loss(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error with gradient."""
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: pred {p.shape} vs targets {t.shape}")
-    diff = p - t
-    return float((diff**2).mean()), 2.0 * diff / p.size

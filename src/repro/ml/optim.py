@@ -1,33 +1,10 @@
-"""Optimizers: plain SGD (with momentum) and Adam."""
+"""The Adam optimizer."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.ml.layers import Param
-
-
-class Sgd:
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, params: list[Param], lr: float = 0.1, momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self._params = params
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in params]
-
-    def step(self) -> None:
-        """Apply one update and clear gradients."""
-        for p, v in zip(self._params, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.value += v
-            else:
-                p.value -= self.lr * p.grad
-            p.zero_grad()
 
 
 class Adam:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.errors import BenchParseError
+from repro.errors import BenchParseError, NetlistError
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 
@@ -58,7 +58,9 @@ _KEY_NAME_RE = re.compile(r"^keyinput\d*$", re.IGNORECASE)
 def parse_bench(text: str, name: str = "design") -> Netlist:
     """Parse ``.bench`` source text into a :class:`Netlist`.
 
-    Raises :class:`BenchParseError` with a line number on malformed input.
+    Raises :class:`BenchParseError` on malformed input, with the line
+    number of the offending line (a combinational cycle spans several
+    lines, so that error carries none).
     """
     netlist = Netlist(name)
     pending_outputs: list[tuple[str, int]] = []
@@ -69,16 +71,15 @@ def parse_bench(text: str, name: str = "design") -> Netlist:
         if not line:
             continue
         m = _INPUT_RE.match(line)
-        if m:
-            sig = m.group(1)
-            if _KEY_NAME_RE.match(sig):
+        key = _KEYINPUT_RE.match(line)
+        if m or key:
+            sig = (m or key).group(1)
+            if netlist.is_signal(sig):
+                raise BenchParseError(f"input {sig!r} declared twice", line_no)
+            if key or _KEY_NAME_RE.match(sig):
                 netlist.add_key_input(sig)
             else:
                 netlist.add_input(sig)
-            continue
-        m = _KEYINPUT_RE.match(line)
-        if m:
-            netlist.add_key_input(m.group(1))
             continue
         m = _OUTPUT_RE.match(line)
         if m:
@@ -133,10 +134,15 @@ def parse_bench(text: str, name: str = "design") -> Netlist:
     for sig, line_no in pending_outputs:
         if not netlist.is_signal(sig):
             raise BenchParseError(f"OUTPUT({sig}) has no driver", line_no)
+        if sig in netlist.outputs:
+            raise BenchParseError(f"OUTPUT({sig}) declared twice", line_no)
         netlist.outputs.append(sig)
 
     # Confirm acyclicity eagerly so downstream code can trust the parse.
-    netlist.topological_order()
+    try:
+        netlist.topological_order()
+    except NetlistError as exc:
+        raise BenchParseError(str(exc)) from None
     return netlist
 
 

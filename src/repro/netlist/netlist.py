@@ -12,14 +12,11 @@ attacks are built on.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import NetlistError
 from repro.netlist.gates import Gate, GateType
 from repro.netlist.sites import SiteIndex
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class Netlist:
@@ -37,9 +34,8 @@ class Netlist:
     are rebuilt lazily on the next query and never pickled. All mutating
     methods validate their arguments eagerly so a netlist can never hold
     a dangling reference, but acyclicity is only enforced when a
-    topological order is requested (or via
-    :func:`repro.netlist.validate.validate_netlist`), because locking
-    transformations check reachability *before* inserting.
+    topological order is requested, because locking transformations
+    check reachability *before* inserting.
     """
 
     def __init__(self, name: str = "design") -> None:
@@ -168,24 +164,6 @@ class Netlist:
         )
         self._invalidate()
 
-    def replace_fanin(self, gate_name: str, old_src: str, new_src: str) -> int:
-        """Replace every occurrence of ``old_src`` in ``gate_name``'s fanins.
-
-        Returns the number of pins rewired (a gate may consume the same
-        signal on several pins, e.g. ``AND(a, a)`` after optimisation).
-        """
-        if gate_name not in self.gates:
-            raise NetlistError(f"no gate named {gate_name!r}")
-        gate = self.gates[gate_name]
-        pins = [i for i, src in enumerate(gate.fanins) if src == old_src]
-        if not pins:
-            raise NetlistError(
-                f"gate {gate_name!r} has no fanin {old_src!r} to replace"
-            )
-        for pin in pins:
-            self.rewire_pin(gate_name, pin, new_src)
-        return len(pins)
-
     def _invalidate(self) -> None:
         self._topo_cache = None
         self._fanout_cache = None
@@ -308,45 +286,6 @@ class Netlist:
         :meth:`topological_order`, on a netlist with a cycle.
         """
         return self.site_index().closure(self).reaches(src, dst)
-
-    def transitive_fanin(self, signal: str) -> set[str]:
-        """All signals (including inputs) on which ``signal`` depends."""
-        if not self.is_signal(signal):
-            raise NetlistError(f"unknown signal {signal!r}")
-        seen: set[str] = set()
-        stack = [signal]
-        while stack:
-            sig = stack.pop()
-            gate = self.gates.get(sig)
-            if gate is None:
-                continue
-            for src in gate.fanins:
-                if src not in seen:
-                    seen.add(src)
-                    stack.append(src)
-        return seen
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed graph view: one node per signal, edges fanin → gate.
-
-        Node attributes: ``kind`` (``"input"``/``"key"``/``"gate"``) and
-        ``gtype`` (gate-type string, ``"PI"``/``"KEY"`` for inputs). Edge
-        attribute ``pin`` records the consumer pin index. ``networkx`` is
-        an optional dependency, imported only here.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for s in self.inputs:
-            g.add_node(s, kind="input", gtype="PI")
-        for s in self.key_inputs:
-            g.add_node(s, kind="key", gtype="KEY")
-        for gate in self.gates.values():
-            g.add_node(gate.name, kind="gate", gtype=gate.gtype.value)
-        for gate in self.gates.values():
-            for pin, src in enumerate(gate.fanins):
-                g.add_edge(src, gate.name, pin=pin)
-        return g
 
     # ------------------------------------------------------------------
     # Copying / equality

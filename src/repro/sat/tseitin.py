@@ -99,7 +99,7 @@ def encode_netlist(
         variables.
     name_prefix:
         Prefix for the debug names of freshly created variables, so the two
-        copies in a miter can be told apart when dumping DIMACS.
+        copies in a miter can be told apart in ``Cnf.var_names``.
     """
     if cnf is None:
         cnf = Cnf()

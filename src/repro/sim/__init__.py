@@ -17,7 +17,6 @@ from repro.sim.simulator import (
     SimResult,
     oracle_fn,
     simulate,
-    simulate_bits,
 )
 from repro.sim.equivalence import EquivalenceResult, check_equivalence, output_error_rate
 
@@ -28,7 +27,6 @@ __all__ = [
     "exhaustive_patterns",
     "SimResult",
     "simulate",
-    "simulate_bits",
     "SimOracle",
     "oracle_fn",
     "EquivalenceResult",

@@ -1,9 +1,8 @@
 """Levelised bit-parallel netlist simulation.
 
 :func:`simulate` is the hot path: evaluate every gate once per 64-pattern
-word, in topological order. :func:`simulate_bits` is the convenience layer
-(plain 0/1 vectors in and out), and :func:`oracle_fn` packages an unlocked
-design as the black-box oracle interface the SAT attack expects.
+word, in topological order. :func:`oracle_fn` packages an unlocked design
+as the black-box oracle interface the SAT attack expects.
 """
 
 from __future__ import annotations
@@ -29,25 +28,12 @@ class SimResult:
     """Simulation outcome: packed words for every signal.
 
     ``words[signal]`` is a uint64 array of ``ceil(n_patterns / 64)`` words;
-    use :meth:`bits` to recover per-pattern values.
+    :func:`~repro.sim.patterns.unpack_bits` recovers per-pattern values.
     """
 
     netlist: Netlist
     n_patterns: int
     words: dict[str, np.ndarray]
-
-    def bits(self, signal: str) -> np.ndarray:
-        """Per-pattern 0/1 values of ``signal`` (uint8 vector)."""
-        if signal not in self.words:
-            raise SimulationError(f"no simulated value for signal {signal!r}")
-        return unpack_bits(self.words[signal], self.n_patterns)
-
-    def output_matrix(self) -> np.ndarray:
-        """Primary outputs as a ``(n_patterns, n_outputs)`` uint8 matrix."""
-        if not self.netlist.outputs:
-            return np.zeros((self.n_patterns, 0), dtype=np.uint8)
-        cols = [self.bits(o) for o in self.netlist.outputs]
-        return np.stack(cols, axis=1)
 
 
 def simulate(
@@ -83,72 +69,6 @@ def simulate(
                 gate.gtype, [words[src] for src in gate.fanins]
             )
     return SimResult(netlist=netlist, n_patterns=n_patterns, words=words)
-
-
-def _broadcast_key(key: Mapping[str, int], n_patterns: int) -> dict[str, np.ndarray]:
-    return {
-        name: constant_words(int(bit) & 1, n_patterns) for name, bit in key.items()
-    }
-
-
-def simulate_bits(
-    netlist: Netlist,
-    input_bits: Mapping[str, np.ndarray | list[int]],
-    key: Mapping[str, int] | None = None,
-) -> SimResult:
-    """Simulate from per-pattern 0/1 vectors (packing handled internally).
-
-    ``input_bits`` covers the primary inputs; ``key`` (if the design is
-    locked) assigns a constant 0/1 per key input, broadcast to every
-    pattern — the usual "apply one key, sweep data inputs" workload.
-    """
-    if not netlist.inputs:
-        raise SimulationError("netlist has no primary inputs")
-    if not input_bits:
-        raise SimulationError(
-            f"input_bits is empty; expected vectors for the "
-            f"{len(netlist.inputs)} primary inputs"
-        )
-    missing = [s for s in netlist.inputs if s not in input_bits]
-    if missing:
-        raise SimulationError(
-            f"input_bits is missing primary inputs {missing[:4]}"
-            + ("..." if len(missing) > 4 else "")
-        )
-    unknown = [s for s in input_bits if s not in netlist.inputs]
-    if unknown:
-        hint = (
-            "; key inputs belong in key=, not input_bits"
-            if any(s in netlist.key_inputs for s in unknown)
-            else ""
-        )
-        raise SimulationError(
-            f"input_bits assigns non-input signals {unknown[:4]}"
-            + ("..." if len(unknown) > 4 else "")
-            + hint
-        )
-    lengths = {len(np.asarray(v)) for v in input_bits.values()}
-    if len(lengths) != 1:
-        raise SimulationError(
-            f"input vectors have differing lengths: {sorted(lengths)}"
-        )
-    n_patterns = lengths.pop()
-
-    packed: dict[str, np.ndarray] = {
-        sig: pack_bits(np.asarray(vec)) for sig, vec in input_bits.items()
-    }
-    key = dict(key or {})
-    missing_keys = [k for k in netlist.key_inputs if k not in key]
-    if missing_keys:
-        raise SimulationError(
-            f"locked netlist requires key bits for {missing_keys[:4]}"
-            + ("..." if len(missing_keys) > 4 else "")
-        )
-    extra = [k for k in key if k not in netlist.key_inputs]
-    if extra:
-        raise SimulationError(f"key assigns unknown key inputs {extra[:4]}")
-    packed.update(_broadcast_key(key, n_patterns))
-    return simulate(netlist, packed, n_patterns)
 
 
 class SimOracle:

@@ -9,4 +9,8 @@ copy-on-write work copy (``locking``), plain DPLL instead of CDCL
 passes (``gradcheck``).
 The runtime does not ship them; the tests compare the runtime path
 against them.
+
+``netlist`` holds the checkers the runtime itself never needs: whole-
+netlist validation, the 0/1-vector simulator front end, and the MUX
+sites of a D-MUX insertion record.
 """

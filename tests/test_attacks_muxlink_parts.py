@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference.muxlink import link_feature_vector, mlp_forward_rows
+from reference.netlist import mux_sites
 from repro.attacks.muxlink import extract_observed
 from repro.attacks.muxlink.features import (
     LINK_FEATURE_DIM,
@@ -49,7 +50,7 @@ def test_queries_reference_real_candidates(dmux_locked):
     graph, queries = extract_observed(dmux_locked.netlist)
     truth = {}
     for rec in dmux_locked.insertions:
-        for site in rec.sites:
+        for site in mux_sites(rec):
             truth[site.mux] = site
     for q in queries:
         site = truth[q.mux]

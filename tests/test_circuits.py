@@ -12,8 +12,8 @@ from repro.circuits import (
     synthetic_suite,
 )
 from repro.errors import NetlistError
-from repro.netlist import validate_netlist
-from repro.netlist.validate import dangling_signals
+
+from reference.netlist import dangling_signals, validate_netlist
 
 
 def test_available_circuits_contains_suite():

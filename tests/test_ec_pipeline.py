@@ -6,8 +6,9 @@ from repro.circuits import load_circuit
 from repro.ec import AutoLock, AutoLockConfig
 from repro.ec.fitness import FitnessCache, MultiObjectiveFitness, SpecFitness
 from repro.ec.genotype import random_genotype
-from repro.netlist import validate_netlist
 from repro.sim import check_equivalence
+
+from reference.netlist import validate_netlist
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,10 @@ from repro.ec import AutoLock, AutoLockConfig
 from repro.io import load_locked_design, save_locked_design
 from repro.locking import DMuxLocking, RandomLogicLocking
 from repro.metrics import corruption_report, overhead_report
-from repro.netlist import validate_netlist, write_verilog
+from repro.netlist import write_verilog
 from repro.sim import check_equivalence
+
+from reference.netlist import validate_netlist
 
 
 @pytest.fixture(scope="module")

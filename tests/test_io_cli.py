@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,27 @@ def test_load_rejects_unknown_insertion(tmp_path, dmux_locked):
     data["insertions"][0]["type"] = "alien"
     sidecar.write_text(json.dumps(data))
     with pytest.raises(LockingError, match="unknown insertion"):
+        load_locked_design(sidecar)
+
+
+@pytest.mark.parametrize("tamper", ["drop", "rename"])
+def test_load_rejects_key_names_that_do_not_match_the_netlist(
+    tmp_path, dmux_locked, tamper
+):
+    """A sidecar whose key names differ from the .bench key inputs fails at
+    load time, naming the missing and extra inputs."""
+    sidecar = save_locked_design(dmux_locked, tmp_path)
+    data = json.loads(sidecar.read_text())
+    dropped = data["key_names"].pop(3)
+    bit = data["key_bits"].pop(3)
+    if tamper == "rename":
+        data["key_names"].append("ghost")
+        data["key_bits"].append(bit)
+    sidecar.write_text(json.dumps(data))
+    extra = ["ghost"] if tamper == "rename" else []
+    with pytest.raises(
+        LockingError, match=re.escape(f"missing {[dropped]}, extra {extra}")
+    ):
         load_locked_design(sidecar)
 
 

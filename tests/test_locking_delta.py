@@ -17,10 +17,11 @@ from repro.errors import EvolutionError, LockingError
 from repro.locking import DeltaRelocker, DMuxLocking, MuxGene, lock_with_genes
 from repro.locking.genome_lock import genes_from_locked
 from repro.locking.primitives import get_primitive
-from repro.netlist import Netlist, validate_netlist
+from repro.netlist import Netlist
 from repro.netlist.cow import CowNetlist
 from repro.registry import PRIMITIVES
 from tests.reference import locking as ref
+from tests.reference.netlist import validate_netlist
 from tests.strategies import alphabets, circuits
 
 

@@ -19,8 +19,10 @@ from repro.locking import (
     sample_gene,
 )
 from repro.locking.dmux import lockable_wires
-from repro.netlist import GateType, validate_netlist
+from repro.netlist import GateType
 from repro.sim import check_equivalence
+
+from reference.netlist import mux_sites, validate_netlist
 
 
 def test_structure_shared(dmux_locked):
@@ -98,7 +100,7 @@ def test_unknown_strategy():
 def test_insertion_metadata_consistency(dmux_locked):
     netlist = dmux_locked.netlist
     for rec in dmux_locked.insertions:
-        for site in rec.sites:
+        for site in mux_sites(rec):
             mux = netlist.gates[site.mux]
             assert mux.gtype is GateType.MUX
             sel, d0, d1 = mux.fanins

@@ -5,8 +5,9 @@ import pytest
 from repro.errors import LockingError
 from repro.locking import DMuxLocking, MuxGene, lock_with_genes
 from repro.locking.genome_lock import genes_from_locked
-from repro.netlist import validate_netlist
 from repro.sim import check_equivalence
+
+from reference.netlist import validate_netlist
 
 
 def test_roundtrip_through_genotype(rand100):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import load_circuit
 from repro.errors import LockingError
 from repro.locking import RandomLogicLocking
-from repro.netlist import validate_netlist
 from repro.netlist.gates import GateType
 from repro.sim import check_equivalence
+
+from reference.netlist import validate_netlist
 
 
 def test_structure(rll_locked):

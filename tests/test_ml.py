@@ -3,18 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import (
-    Adam,
-    Dropout,
-    Linear,
-    ReLU,
-    Sequential,
-    Sgd,
-    Sigmoid,
-    Tanh,
-    bce_with_logits,
-    mse_loss,
-)
+from repro.ml import Adam, Linear, ReLU, Sequential, bce_with_logits
 from repro.ml.network import fit
 
 from reference.gradcheck import gradient_check
@@ -22,18 +11,26 @@ from reference.gradcheck import gradient_check
 _SUM_SQ = lambda out: (float((out**2).sum()), 2 * out)
 
 
+def mse_loss(pred, targets):
+    """Mean squared error with its gradient: the optimiser tests' loss."""
+    p = np.asarray(pred, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    if p.shape != t.shape:
+        raise ValueError(f"shape mismatch: pred {p.shape} vs targets {t.shape}")
+    diff = p - t
+    return float((diff**2).mean()), 2.0 * diff / p.size
+
+
 @pytest.mark.parametrize(
     "layer_factory",
     [
         lambda: Linear(4, 3, seed_or_rng=1, name="lin"),
         lambda: ReLU(),
-        lambda: Tanh(),
-        lambda: Sigmoid(),
         lambda: Sequential(
-            [Linear(4, 5, seed_or_rng=2, name="a"), Tanh(), Linear(5, 2, seed_or_rng=3, name="b")]
+            [Linear(4, 5, seed_or_rng=2, name="a"), ReLU(), Linear(5, 2, seed_or_rng=3, name="b")]
         ),
     ],
-    ids=["linear", "relu", "tanh", "sigmoid", "sequential"],
+    ids=["linear", "relu", "sequential"],
 )
 def test_gradient_checks(layer_factory):
     rng = np.random.default_rng(0)
@@ -42,18 +39,6 @@ def test_gradient_checks(layer_factory):
     errors = gradient_check(layer, x, _SUM_SQ)
     for name, err in errors.items():
         assert err < 1e-5, f"{name}: relative error {err}"
-
-
-def test_dropout_train_vs_eval():
-    layer = Dropout(0.5, seed_or_rng=1)
-    x = np.ones((4, 10))
-    assert np.array_equal(layer.forward(x, train=False), x)
-    out = layer.forward(x, train=True)
-    assert set(np.unique(out)).issubset({0.0, 2.0})
-    grad = layer.backward(np.ones_like(x))
-    assert np.array_equal(grad, out)  # same mask applied
-    with pytest.raises(ValueError):
-        Dropout(1.0)
 
 
 def test_linear_shapes_and_params():
@@ -94,7 +79,7 @@ def test_mse_loss():
     assert grad == pytest.approx(np.array([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("optimizer_cls", [Sgd, Adam], ids=["sgd", "adam"])
+@pytest.mark.parametrize("optimizer_cls", [Adam], ids=["adam"])
 def test_optimizers_minimise_quadratic(optimizer_cls):
     layer = Linear(1, 1, seed_or_rng=0)
     opt = optimizer_cls(layer.params(), lr=0.05)
@@ -112,27 +97,16 @@ def test_optimizers_minimise_quadratic(optimizer_cls):
 def test_optimizer_validation():
     layer = Linear(1, 1, seed_or_rng=0)
     with pytest.raises(ValueError):
-        Sgd(layer.params(), lr=0.0)
+        Adam(layer.params(), lr=0.0)
     with pytest.raises(ValueError):
         Adam(layer.params(), lr=-1)
-
-
-def test_sgd_momentum_converges():
-    layer = Linear(1, 1, seed_or_rng=1)
-    opt = Sgd(layer.params(), lr=0.02, momentum=0.9)
-    x = np.array([[1.0]])
-    for _ in range(200):
-        loss, grad = mse_loss(layer.forward(x), np.array([[2.0]]))
-        layer.backward(grad)
-        opt.step()
-    assert loss < 1e-3
 
 
 def test_fit_learns_xor():
     x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
     y = np.array([[0], [1], [1], [0]], dtype=float)
     model = Sequential(
-        [Linear(2, 8, seed_or_rng=3), Tanh(), Linear(8, 1, seed_or_rng=4)]
+        [Linear(2, 8, seed_or_rng=3), ReLU(), Linear(8, 1, seed_or_rng=4)]
     )
     history = fit(
         model, x, y, bce_with_logits, Adam(model.params(), lr=0.05),
@@ -154,7 +128,7 @@ def test_gradients_accumulate_until_step():
     assert np.allclose(layer.weight.grad, 2 * first)
 
 
-@pytest.mark.parametrize("first", ["linear", "dropout"])
+@pytest.mark.parametrize("first", ["linear", "relu"])
 def test_backward_params_equals_backward_without_first_input_grad(
     first, monkeypatch
 ):
@@ -162,7 +136,7 @@ def test_backward_params_equals_backward_without_first_input_grad(
     full backward, bit for bit, and never forms the first layer's input
     gradient (``grad @ W1.T``)."""
     head = [Linear(4, 5, seed_or_rng=2, name="a"), ReLU(), Linear(5, 1, seed_or_rng=3, name="b")]
-    layers = head if first == "linear" else [Dropout(0.0)] + head
+    layers = head if first == "linear" else [ReLU()] + head
     model = Sequential(layers)
     x = np.random.default_rng(4).normal(size=(7, 4))
     grad = np.random.default_rng(5).normal(size=(7, 1))

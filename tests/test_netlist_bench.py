@@ -105,6 +105,34 @@ def test_sequential_element_message_is_self_contained(kind):
     )
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n", 3),
+        ("INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", 2),
+        ("INPUT(a)\nKEYINPUT(k)\nKEYINPUT(k)\nOUTPUT(a)\n", 3),
+        ("INPUT(a)\nINPUT(keyinput0)\nKEYINPUT(keyinput0)\nOUTPUT(a)\n", 3),
+        ("KEYINPUT(a)\nINPUT(a)\nOUTPUT(a)\n", 2),
+        ("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = BUF(a)\n", 4),
+        ("INPUT(a)\nOUTPUT(z)\nz = AND(a, y)\ny = NOT(z)\n", None),
+    ],
+    ids=[
+        "duplicate-output",
+        "duplicate-input",
+        "duplicate-keyinput",
+        "keyinput-after-key-named-input",
+        "input-after-keyinput",
+        "gate-defined-twice",
+        "cycle",
+    ],
+)
+def test_malformed_bench_raises_parse_error(text, line_no):
+    """Every malformed text is a BenchParseError, at its line when it has one."""
+    with pytest.raises(BenchParseError) as err:
+        parse_bench(text)
+    assert err.value.line_no == line_no
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(BenchParseError) as err:
         parse_bench("INPUT(a)\nbogus line here\n")

@@ -3,15 +3,10 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist import (
-    GateType,
-    Netlist,
-    compute_stats,
-    validate_netlist,
-    write_verilog,
-)
-from repro.netlist.validate import dangling_signals
+from repro.netlist import GateType, Netlist, compute_stats, write_verilog
 from repro.netlist.verilog import write_verilog_file
+
+from reference.netlist import dangling_signals, validate_netlist
 
 
 # ---------------------------------------------------------------- verilog

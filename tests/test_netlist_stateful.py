@@ -16,9 +16,10 @@ from repro.circuits import load_circuit
 from repro.errors import NetlistError
 from repro.locking.dmux import lockable_wires
 from repro.locking.primitives import XorGene, get_primitive
-from repro.netlist import GateType, Netlist, validate_netlist
+from repro.netlist import GateType, Netlist
 from repro.netlist.cow import CowNetlist
 from tests.reference import genotype as ref
+from tests.reference.netlist import validate_netlist
 
 _BINARY_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.XOR]
 

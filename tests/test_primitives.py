@@ -45,9 +45,11 @@ from repro.locking.primitives import (
     primitive_for_gene,
     resolve_alphabet,
 )
-from repro.netlist import validate_netlist, write_verilog
+from repro.netlist import write_verilog
 from repro.registry import PRIMITIVES, available_primitives
 from repro.sim import check_equivalence
+
+from reference.netlist import validate_netlist
 
 MIXED = ("mux", "xor", "and_or")
 

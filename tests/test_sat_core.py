@@ -1,11 +1,10 @@
-"""CNF container, DIMACS I/O, DPLL reference solver."""
+"""CNF container, DPLL reference solver."""
 
 import pytest
 
 from repro.errors import CnfError
 from reference.dpll import DpllSolver
-from repro.sat import Cnf, parse_dimacs, write_dimacs
-from repro.sat.dimacs import parse_dimacs_file, write_dimacs_file
+from repro.sat import Cnf
 
 
 # --------------------------------------------------------------------- Cnf
@@ -54,41 +53,6 @@ def test_copy_independent():
     dup = cnf.copy()
     dup.add_clause([-a])
     assert cnf.n_clauses == 1 and dup.n_clauses == 2
-
-
-# ------------------------------------------------------------------ DIMACS
-def test_dimacs_roundtrip():
-    cnf = Cnf()
-    a, b, c = cnf.new_vars(3)
-    cnf.add_clauses([[a, -b], [b, c], [-a, -c]])
-    text = write_dimacs(cnf, comments=["hello"])
-    assert text.startswith("c hello\np cnf 3 3\n")
-    again = parse_dimacs(text)
-    assert again.n_vars == 3
-    assert again.clauses == cnf.clauses
-
-
-def test_dimacs_multiline_clause():
-    cnf = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
-    assert cnf.clauses == [(1, 2, 3)]
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["p cnf x 1\n1 0", "1 0\np cnf 1 1", "p cnf 1 1\n1"],
-)
-def test_dimacs_errors(text):
-    with pytest.raises(CnfError):
-        parse_dimacs(text)
-
-
-def test_dimacs_files(tmp_path):
-    cnf = Cnf()
-    a = cnf.new_var()
-    cnf.add_clause([a])
-    path = tmp_path / "f.cnf"
-    write_dimacs_file(cnf, path)
-    assert parse_dimacs_file(path).clauses == [(a,)]
 
 
 # -------------------------------------------------------------------- DPLL

@@ -8,7 +8,8 @@ from repro.circuits import load_circuit
 from repro.errors import CnfError
 from repro.netlist import GateType, Netlist
 from repro.sat import CdclSolver, Cnf, encode_netlist
-from repro.sim import simulate_bits
+
+from reference.netlist import bits, simulate_bits
 
 
 def test_encoding_var_map(c17):
@@ -25,9 +26,9 @@ def test_forced_output_yields_valid_input(c17):
     enc = encode_netlist(c17)
     result = CdclSolver(enc.cnf).solve([enc.lit("G23", True)])
     assert result.is_sat
-    bits = {s: np.array([int(result.model[enc.var_of[s]])]) for s in c17.inputs}
-    sim = simulate_bits(c17, bits)
-    assert int(sim.bits("G23")[0]) == 1
+    inputs = {s: np.array([int(result.model[enc.var_of[s]])]) for s in c17.inputs}
+    sim = simulate_bits(c17, inputs)
+    assert int(bits(sim, "G23")[0]) == 1
 
 
 def test_unsatisfiable_output_combination():
@@ -95,10 +96,10 @@ def test_models_match_simulation_on_random_circuits(n_gates, seed):
     circuit = load_circuit(f"rand_{n_gates}_{seed}")
     enc = encode_netlist(circuit)
     rng = np.random.default_rng(seed)
-    bits = {s: np.array([int(rng.integers(0, 2))]) for s in circuit.inputs}
-    sim = simulate_bits(circuit, bits)
-    assumptions = [enc.lit(s, bool(bits[s][0])) for s in circuit.inputs]
+    inputs = {s: np.array([int(rng.integers(0, 2))]) for s in circuit.inputs}
+    sim = simulate_bits(circuit, inputs)
+    assumptions = [enc.lit(s, bool(inputs[s][0])) for s in circuit.inputs]
     result = CdclSolver(enc.cnf).solve(assumptions)
     assert result.is_sat, "fully constrained circuit must be satisfiable"
     for gate_name in circuit.gates:
-        assert result.model[enc.var_of[gate_name]] == bool(sim.bits(gate_name)[0])
+        assert result.model[enc.var_of[gate_name]] == bool(bits(sim, gate_name)[0])
