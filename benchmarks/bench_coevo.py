@@ -75,7 +75,7 @@ def _attacker_population(n_unique: int, duplicates: int) -> list:
     return [g for g in unique for _ in range(duplicates)]
 
 
-def run_coevo_bench(out_json: str | None = None) -> dict:
+def run_batched_attacker_scoring(out_json: str | None = None) -> dict:
     scale = _scale()
     n_unique = scaled(_N_UNIQUE, minimum=2)
     duplicates = max(2, scaled(_DUPLICATES, minimum=2))
@@ -151,7 +151,9 @@ def run_coevo_bench(out_json: str | None = None) -> dict:
 
 
 def test_coevo_speed(benchmark):
-    report = benchmark.pedantic(run_coevo_bench, rounds=1, iterations=1)
+    report = benchmark.pedantic(
+        run_batched_attacker_scoring, rounds=1, iterations=1
+    )
     print_header(
         "COEVO",
         "Batched attacker-generation scoring vs per-attacker loop",
@@ -165,6 +167,6 @@ def test_coevo_speed(benchmark):
 
 if __name__ == "__main__":
     out = os.environ.get("BENCH_COEVO_OUT", "BENCH_coevo.json")
-    summary = run_coevo_bench(out_json=out)
+    summary = run_batched_attacker_scoring(out_json=out)
     print(json.dumps(summary, indent=2))
     print(f"wrote {out}")

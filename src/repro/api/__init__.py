@@ -31,12 +31,6 @@ from repro.api.artifacts import (
     read_manifest,
     read_results,
 )
-from repro.api.coevo import (
-    COEVO_NAMESPACE,
-    CoevoRunResult,
-    CoevoSpec,
-    run_coevo,
-)
 from repro.api.engines import DEFAULT_ATTACK_SEED, EngineOutcome, SpecFitness
 from repro.api.runner import (
     EXPERIMENT_NAMESPACE,
@@ -50,10 +44,6 @@ from repro.api.spec import ExperimentSpec, SweepSpec
 __all__ = [
     "ExperimentSpec",
     "SweepSpec",
-    "CoevoSpec",
-    "CoevoRunResult",
-    "run_coevo",
-    "COEVO_NAMESPACE",
     "RunResult",
     "SweepResult",
     "run_experiment",

@@ -19,6 +19,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.coevo.engine import CoevoEngine
+from repro.coevo.genome import baseline_genome
 from repro.ec.alternatives import HillClimber, RandomSearch, SimulatedAnnealing
 from repro.ec.autolock import AutoLock, AutoLockConfig
 from repro.ec.evaluator import Evaluator, evaluator_scope
@@ -54,8 +56,8 @@ class EngineOutcome:
 
     ``record`` is the JSON-safe summary written to run artifacts; ``raw``
     keeps the engine's native result object (GaResult, AutoLockResult,
-    Nsga2Result, SearchResult) for programmatic consumers like the
-    benchmarks.
+    Nsga2Result, CoevoResult, SearchResult) for programmatic consumers
+    like the benchmarks.
     """
 
     engine: str
@@ -81,20 +83,30 @@ def _config_from_params(
     and may not be overridden; unknown names raise :class:`SpecError`
     listing the accepted ones.
     """
-    names = {f.name for f in dataclasses.fields(config_cls)}
+    _check_params(
+        params, {f.name for f in dataclasses.fields(config_cls)},
+        reserved=reserved, kind=kind,
+    )
+    return config_cls(**fixed, **params)
+
+
+def _check_params(
+    params: dict[str, Any], names, *, reserved: tuple[str, ...], kind: str
+) -> None:
+    """Reject engine_params that override spec-level fields or that the
+    engine does not accept (:class:`SpecError` listing the accepted)."""
     clash = set(params) & set(reserved)
     if clash:
         raise SpecError(
             f"{kind} engine_params may not override spec-level fields: "
             f"{sorted(clash)}"
         )
-    unknown = set(params) - names
+    unknown = set(params) - set(names)
     if unknown:
         raise SpecError(
             f"unknown {kind} engine_params: {sorted(unknown)}; "
-            f"accepted: {sorted(names - set(reserved))}"
+            f"accepted: {sorted(set(names) - set(reserved))}"
         )
-    return config_cls(**fixed, **params)
 
 
 def _fitness_cache(spec, circuit: Netlist, attack_seed: int) -> FitnessCache:
@@ -336,6 +348,100 @@ class Nsga2Engine:
                     list(objs) for objs in result.front_objectives
                 ],
                 "evaluations": result.evaluations,
+            },
+            raw=result,
+        )
+
+
+#: CoevoEngine knobs a coevo spec sets through ``engine_params``.
+_COEVO_PARAMS = (
+    "epochs", "lock_population", "lock_generations", "attacker_population",
+    "elite_size", "panel_size", "hall_size", "mutation_rate",
+)
+
+
+@register_engine("coevo")
+class ArmsRaceEngine:
+    """Adversarial co-evolution (`repro.coevo`): lock GA vs attacker panel.
+
+    ``spec.attack`` + ``spec.attack_params`` override the epoch-0
+    attacker genome (:func:`~repro.coevo.genome.baseline_genome`); the
+    champion is the final epoch's lock elite. With a ``cache_path`` every
+    finished epoch checkpoints to the store under the spec fingerprint,
+    so an interrupted run resumes at the first unfinished epoch.
+    """
+
+    name = "coevo"
+
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
+            ) -> EngineOutcome:
+        if spec.resolved_async_mode():
+            raise SpecError(
+                "the coevo engine runs its lock GA sync-generational so "
+                "records are independent of the worker count; set "
+                "async_mode=false"
+            )
+        if spec.attack is None or "attack" in spec.attack_params:
+            raise SpecError(
+                "the coevo engine takes its baseline attack from spec.attack "
+                "and the other attacker-genome fields from attack_params"
+            )
+        _check_params(
+            spec.engine_params, _COEVO_PARAMS,
+            reserved=("key_length", "seed", "attack_seed", "alphabet",
+                      "async_mode", "workers", "cache_path"),
+            kind="coevo",
+        )
+        baseline = baseline_genome({**spec.attack_params, "attack": spec.attack})
+        # One open store shared by every cache of the run (epoch
+        # checkpoints, both fitness sides, duels); None keeps them in memory.
+        store = None
+        if spec.cache_path is not None:
+            from repro.store import open_store
+
+            store = open_store(spec.cache_path)
+
+        def cache_factory(namespace: str) -> FitnessCache:
+            return FitnessCache(
+                path=spec.cache_path, backend=store, namespace=namespace
+            )
+
+        try:
+            engine = CoevoEngine(
+                circuit,
+                key_length=spec.key_length,
+                alphabet=spec.resolved_alphabet(),
+                seed=spec.seed,
+                attack_seed=_attack_seed(spec),
+                baseline=baseline,
+                cache_factory=cache_factory,
+                memo=None if store is None else cache_factory(cache_namespace(
+                    circuit.name, role="coevo-epochs", spec=spec.fingerprint()
+                )),
+                **spec.engine_params,
+            )
+            with _evaluator_scope(spec, evaluator) as evaluator:
+                result = engine.run(evaluator)
+        finally:
+            if store is not None:
+                store.close()
+        last = result.epochs[-1]
+        return EngineOutcome(
+            engine=self.name,
+            best_genotype=result.best_lock_genotype,
+            best_fitness=result.best_lock_fitness,
+            locked=lock_with_genes(circuit, result.best_lock_genotype),
+            fresh_evaluations=result.fresh_evaluations,
+            cache_hits=result.cache_hits,
+            record={
+                "epochs": [epoch.to_record() for epoch in result.epochs],
+                "best_genotype": last.lock_best,
+                "best_fitness": result.best_lock_fitness,
+                "best_attacker": last.attacker_best,
+                "elite_vs_best": last.elite_vs_best,
+                "epoch0_vs_best": last.epoch0_vs_best,
+                "improvement": result.improvement,
+                "replayed_epochs": result.replayed_epochs,
             },
             raw=result,
         )

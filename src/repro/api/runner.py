@@ -61,8 +61,9 @@ EXPERIMENT_NAMESPACE = "experiment"
 #: record keys that vary run-to-run without changing the result; stripped
 #: by :meth:`RunResult.deterministic_record` (any ``*_s`` timing field
 #: plus cache provenance and cache-warmth accounting — hit/miss/fresh
-#: counters depend on which sibling runs already populated the shared
-#: store, not on what the experiment computed).
+#: counters and the coevo engine's resumed-epoch count depend on which
+#: runs already populated the shared store, not on what the experiment
+#: computed).
 _NONDETERMINISTIC_KEYS = (
     "from_cache",
     "fresh_evaluations",
@@ -70,6 +71,7 @@ _NONDETERMINISTIC_KEYS = (
     "cache_misses",
     "fitness_evaluations",
     "report_evaluations",
+    "replayed_epochs",
 )
 
 

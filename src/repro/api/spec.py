@@ -75,8 +75,9 @@ class ExperimentSpec:
     ``engine=None`` runs the *static* pipeline: lock the circuit with
     ``scheme`` and (if ``attack`` is set) attack the result once. A
     non-``None`` engine instead evolves a locking with that search
-    engine, using ``attack`` as the fitness oracle. ``metrics`` are
-    computed on the final locked design either way.
+    engine, using ``attack`` as the fitness oracle (for ``coevo``, as
+    the epoch-0 attacker the attacker population evolves from).
+    ``metrics`` are computed on the final locked design either way.
     """
 
     circuit: str

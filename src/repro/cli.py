@@ -274,7 +274,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_coevo(args: argparse.Namespace) -> int:
     import json
 
-    from repro.api import CoevoSpec, run_coevo
+    from repro.api import ExperimentSpec, run_experiment
     from repro.errors import SpecError
 
     alphabet = _parse_alphabet(args.alphabet)
@@ -291,24 +291,34 @@ def _cmd_coevo(args: argparse.Namespace) -> int:
             )
     if args.predictor is not None:
         attacker["predictor"] = args.predictor
-    spec = CoevoSpec(
+    spec = ExperimentSpec(
         circuit=args.circuit,
         key_length=args.key_length,
-        epochs=args.epochs,
-        lock_population=args.lock_pop,
-        lock_generations=args.lock_generations,
-        attacker_population=args.attacker_pop,
-        attacker=attacker,
+        attack=attacker.pop("attack", "muxlink"),
+        attack_params=attacker,
+        engine="coevo",
+        engine_params={
+            "epochs": args.epochs,
+            "lock_population": args.lock_pop,
+            "lock_generations": args.lock_generations,
+            "attacker_population": args.attacker_pop,
+        },
         seed=args.seed,
         workers=args.workers,
+        async_mode=False,
         cache_path=args.cache,
         trace=args.trace,
+        **({"alphabet": alphabet} if alphabet is not None else {}),
     )
-    if alphabet is not None:
-        spec = spec.with_updates(alphabet=alphabet)
-    result = run_coevo(spec, out_dir=args.out)
+    result = run_experiment(spec, out_dir=args.out)
     print(result.describe())
-    for epoch in result.record["epochs"]:
+    record = result.record["engine"]
+    print(
+        f"  elite_vs_best={record['elite_vs_best']:.3f} "
+        f"improvement={record['improvement']:+.3f} "
+        f"best_attacker={record['best_attacker']['attack']}"
+    )
+    for epoch in record["epochs"]:
         best = epoch["attacker_best"]
         attack = best["attack"]
         if attack == "muxlink":
@@ -321,7 +331,7 @@ def _cmd_coevo(args: argparse.Namespace) -> int:
             f"epoch0_vs_best={epoch['epoch0_vs_best']:.3f}"
         )
     if args.out:
-        print(f"artifacts: {result.results_path} + {result.manifest_path}")
+        print(f"artifacts: {args.out}/results.jsonl + manifest.json")
     return 0
 
 
@@ -829,7 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_coevo.add_argument(
         "--out", default=None, metavar="DIR",
-        help="write per-epoch JSONL records (both populations) + manifest",
+        help="write the run record (every epoch, both populations) as "
+        "results.jsonl + manifest",
     )
     _add_alphabet_flag(p_coevo)
     _add_trace_flag(p_coevo)

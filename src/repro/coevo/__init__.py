@@ -10,9 +10,10 @@ attack choice, predictor choice and hyperparameters drawn from the
 accuracy against the current lock elite, scored in one batched evaluator
 pass per generation.
 
-See :mod:`repro.coevo.engine` for the arms-race driver and
-:mod:`repro.api.coevo` for the declarative :class:`CoevoSpec` front end
-(``autolock coevo`` on the CLI).
+See :mod:`repro.coevo.engine` for the arms-race driver. Declaratively
+it is the ``coevo`` search engine of :mod:`repro.api.engines`:
+``ExperimentSpec(engine="coevo", …)`` runs through ``run_experiment``,
+sweeps and distributed campaigns (``autolock coevo`` on the CLI).
 """
 
 from repro.coevo.engine import (

@@ -27,6 +27,7 @@ evaluations and resumes at the first unfinished one.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -211,8 +212,8 @@ class CoevoEpoch:
 
     ``to_record`` is JSON-safe and fully deterministic — it doubles as
     the resume checkpoint (``next_attacker_population`` carries the bred
-    population the next epoch starts from) and as the per-epoch JSONL
-    artifact line.
+    population the next epoch starts from) and as one entry of the run
+    record's ``engine.epochs`` list.
     """
 
     epoch: int
@@ -284,7 +285,9 @@ class CoevoEngine:
     the attacker side, plus a duel cache for the cross-epoch
     comparisons. ``memo`` is the epoch-checkpoint cache; when it is
     backed by a store, a restarted run replays finished epochs from it
-    with zero recomputation.
+    with zero recomputation. The ``coevo`` engine adapter in
+    :mod:`repro.api.engines` builds one from an ``ExperimentSpec`` and
+    scopes ``memo`` to the spec fingerprint.
     """
 
     def __init__(
@@ -318,16 +321,29 @@ class CoevoEngine:
             raise EvolutionError(
                 "need panel_size >= 1 and hall_size >= panel_size"
             )
+        if not 0.0 < mutation_rate <= 1.0:
+            raise EvolutionError(
+                f"mutation_rate must be in (0, 1], got {mutation_rate}"
+            )
+        # The per-epoch lock GA, validated here; each epoch swaps the seed.
+        self._ga_config = GaConfig(
+            key_length=key_length,
+            population_size=lock_population,
+            generations=lock_generations,
+            elitism=min(2, lock_population - 1),
+            # Pinned sync-generational: the order-preserving batched
+            # evaluator supplies the parallelism, so the trajectory is
+            # identical at any worker count (async steady-state would
+            # resolve True on an AsyncEvaluator and break that).
+            async_mode=False,
+            alphabet=alphabet,
+        )
         self.original = original
-        self.key_length = key_length
         self.epochs = epochs
-        self.lock_population = lock_population
-        self.lock_generations = lock_generations
         self.attacker_population = attacker_population
         self.elite_size = elite_size
         self.panel_size = panel_size
         self.hall_size = hall_size
-        self.alphabet = alphabet
         self.seed = seed
         self.attack_seed = attack_seed
         self.baseline = baseline if baseline is not None else baseline_genome()
@@ -404,19 +420,7 @@ class CoevoEngine:
             attack_seed=self.attack_seed,
             cache=self._cache_factory(namespace),
         )
-        config = GaConfig(
-            key_length=self.key_length,
-            population_size=self.lock_population,
-            generations=self.lock_generations,
-            elitism=min(2, self.lock_population - 1),
-            seed=ga_seed,
-            # Pinned sync-generational: the order-preserving batched
-            # evaluator supplies the parallelism, so the trajectory is
-            # identical at any worker count (async steady-state would
-            # resolve True on an AsyncEvaluator and break that).
-            async_mode=False,
-            alphabet=self.alphabet,
-        )
+        config = dataclasses.replace(self._ga_config, seed=ga_seed)
         started = time.perf_counter()
         with obs_trace.span("coevo.lock_phase", epoch=epoch):
             result = GeneticAlgorithm(config).run(

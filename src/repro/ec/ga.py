@@ -92,6 +92,8 @@ class GaConfig:
         object.__setattr__(self, "alphabet", resolve_alphabet(self.alphabet))
         if self.population_size < 2:
             raise EvolutionError("population_size must be >= 2")
+        if self.generations < 1:
+            raise EvolutionError("generations must be >= 1")
         if self.elitism >= self.population_size:
             raise EvolutionError("elitism must be smaller than the population")
         if self.selection not in SELECTIONS:

@@ -1,39 +1,55 @@
 """Adversarial co-evolution: genomes, the arms race, resume, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.api import CoevoSpec, run_coevo
-from repro.api.coevo import COEVO_NAMESPACE
-from repro.coevo import GENOME_FIELDS, AttackerGenome
+from repro.api import (
+    EXPERIMENT_NAMESPACE,
+    ExperimentSpec,
+    SweepSpec,
+    read_results,
+    run_experiment,
+    run_sweep,
+)
+from repro.coevo import AttackerGenome
 from repro.coevo.genome import baseline_genome
 from repro.ec.fitness import FitnessCache
 from repro.ec.genotype import genotype_key
-from repro.errors import RegistryError, SpecError
+from repro.errors import EvolutionError, RegistryError, SpecError
 from repro.utils.rng import derive_rng
 
 #: small but real arms race: three epochs on the registered 100-gate
 #: circuit, muxlink/bayes baseline — the seed is chosen so the epoch-0
 #: elite measurably loses to the final best attacker (see
 #: test_arms_race_hardens_locks).
-BASE = dict(
+EPOCHS = 3
+BASE = ExperimentSpec(
     circuit="rand_100_7",
     key_length=8,
-    epochs=3,
-    lock_population=8,
-    lock_generations=3,
-    attacker_population=4,
-    elite_size=1,
-    panel_size=2,
-    hall_size=4,
+    engine="coevo",
+    engine_params=dict(
+        epochs=EPOCHS,
+        lock_population=8,
+        lock_generations=3,
+        attacker_population=4,
+        elite_size=1,
+        panel_size=2,
+        hall_size=4,
+    ),
     seed=7,
+    # The lock GA is sync-generational at any worker count.
+    async_mode=False,
 )
 
 
 @pytest.fixture(scope="module")
-def serial_run():
-    return run_coevo(CoevoSpec(**BASE, workers=1))
+def serial_run(tmp_path_factory):
+    """One cold serial run on a fresh store, with artifacts."""
+    root = tmp_path_factory.mktemp("coevo")
+    spec = BASE.with_updates(cache_path=str(root / "coevo.sqlite"))
+    return run_experiment(spec, out_dir=root / "artifacts")
 
 
 # ------------------------------------------------------------------ genome
@@ -96,96 +112,152 @@ def test_saam_registered():
 def test_arms_race_hardens_locks(serial_run):
     """Epoch-N elite strictly beats the epoch-0 elite against the
     epoch-N best attacker — the subsystem's acceptance criterion."""
-    epochs = serial_run.result.epochs
+    epochs = serial_run.engine_result.epochs
     assert len(epochs) >= 3
     last = epochs[-1]
     assert last.elite_vs_best < last.epoch0_vs_best
-    assert serial_run.improvement > 0
-    assert serial_run.record["improvement"] == pytest.approx(
+    record = serial_run.record["engine"]
+    assert record["improvement"] > 0
+    assert record["improvement"] == pytest.approx(
         last.epoch0_vs_best - last.elite_vs_best
     )
+    # The champion is the final lock elite, so the locked design rebuilds.
+    assert record["best_genotype"] == last.lock_best
+    assert serial_run.rebuild_locked() is serial_run.locked
 
 
 def test_epoch_records_carry_both_populations(serial_run):
-    for epoch in serial_run.record["epochs"]:
-        assert len(epoch["attacker_population"]) == BASE["attacker_population"]
+    attackers = BASE.engine_params["attacker_population"]
+    for epoch in serial_run.record["engine"]["epochs"]:
+        assert len(epoch["attacker_population"]) == attackers
         assert epoch["lock_hall"] and epoch["panel"]
         for entry in epoch["attacker_population"]:
             AttackerGenome.from_dict(entry["genome"]).validate()
         for entry in epoch["lock_hall"]:
-            assert len(entry["genotype"]) == BASE["key_length"]
+            assert len(entry["genotype"]) == BASE.key_length
 
 
 def test_worker_count_byte_identical(serial_run):
-    parallel = run_coevo(CoevoSpec(**BASE, workers=4))
-    a = [e.to_record() for e in serial_run.result.epochs]
-    b = [e.to_record() for e in parallel.result.epochs]
+    parallel = run_experiment(BASE.with_updates(workers=4))
+    a = serial_run.record["engine"]["epochs"]
+    b = parallel.record["engine"]["epochs"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert parallel.fingerprint == serial_run.fingerprint
 
 
-def test_warm_replay_and_epoch_resume(tmp_path):
-    cache = tmp_path / "coevo.sqlite"
-    spec = CoevoSpec(**BASE, cache_path=str(cache))
-    cold = run_coevo(spec)
-    assert cold.fresh_evaluations > 0 and not cold.from_cache
+def test_warm_replay_and_epoch_resume(serial_run):
+    spec = serial_run.spec
+    assert serial_run.fresh_evaluations > 0 and not serial_run.from_cache
+    cold_epochs = serial_run.record["engine"]["epochs"]
 
-    warm = run_coevo(spec)
+    warm = run_experiment(spec)
     assert warm.from_cache and warm.fresh_evaluations == 0
-    assert warm.record["epochs"] == [
-        e.to_record() for e in cold.result.epochs
-    ]
+    assert warm.record["engine"]["epochs"] == cold_epochs
 
-    # Drop only the run-level memo: the per-epoch checkpoints must
+    # Drop only the finished record: the per-epoch checkpoints must
     # restore the whole trajectory with zero fresh evaluations.
-    FitnessCache(path=cache, namespace=COEVO_NAMESPACE).wipe_disk()
-    resumed = run_coevo(spec)
+    FitnessCache(
+        path=spec.cache_path, namespace=EXPERIMENT_NAMESPACE
+    ).wipe_disk()
+    resumed = run_experiment(spec)
     assert not resumed.from_cache
-    assert resumed.result.replayed_epochs == BASE["epochs"]
+    assert resumed.record["engine"]["replayed_epochs"] == EPOCHS
     assert resumed.fresh_evaluations == 0
-    assert [e.to_record() for e in resumed.result.epochs] == [
-        e.to_record() for e in cold.result.epochs
-    ]
+    assert resumed.record["engine"]["epochs"] == cold_epochs
 
 
-def test_artifacts_one_line_per_epoch(tmp_path, serial_run):
-    out = tmp_path / "artifacts"
-    result = run_coevo(CoevoSpec(**BASE), out_dir=out)
-    lines = [
-        json.loads(line)
-        for line in result.results_path.read_text().splitlines()
+def test_artifacts_one_record_with_every_epoch(serial_run):
+    lines = read_results(Path(serial_run.record["manifest"]).parent)
+    assert len(lines) == 1
+    (record,) = lines
+    assert record["fingerprint"] == serial_run.fingerprint
+    assert [e["epoch"] for e in record["engine"]["epochs"]] == list(
+        range(EPOCHS)
+    )
+
+
+def test_coevo_sweep_points_replay_from_the_store(tmp_path):
+    sweep = SweepSpec(
+        base=ExperimentSpec(
+            circuit="rand_100_7", key_length=8, engine="coevo",
+            engine_params=dict(
+                epochs=1, lock_population=4, lock_generations=1,
+                attacker_population=2,
+            ),
+            async_mode=False,
+        ),
+        axes={"seed": [1, 2]},
+        cache_path=str(tmp_path / "sweep.sqlite"),
+    )
+    cold = run_sweep(sweep)
+    assert cold.fresh_evaluations > 0 and cold.n_from_cache == 0
+    warm = run_sweep(sweep)
+    assert warm.fresh_evaluations == 0 and warm.n_from_cache == 2
+    assert [r.record["engine"]["epochs"] for r in warm.results] == [
+        r.record["engine"]["epochs"] for r in cold.results
     ]
-    assert [l["kind"] for l in lines] == ["coevo-epoch"] * BASE["epochs"] + [
-        "coevo-summary"
-    ]
-    assert lines[-1]["fingerprint"] == serial_run.fingerprint
 
 
 # --------------------------------------------------------------------- spec
 def test_spec_unknown_fields_rejected():
-    with pytest.raises(SpecError, match="unknown CoevoSpec fields"):
-        CoevoSpec.from_dict({"circuit": "c17", "bogus": 1})
+    with pytest.raises(SpecError, match="unknown ExperimentSpec fields"):
+        ExperimentSpec.from_dict({"circuit": "c17", "engine": "coevo", "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    ("params", "error", "match"),
+    [
+        ({"bogus": 1}, SpecError, "unknown coevo engine_params"),
+        ({"seed": 3}, SpecError, "may not override spec-level fields"),
+        ({"key_length": 4}, SpecError, "may not override spec-level fields"),
+        ({"mutation_rate": 0.0}, EvolutionError, "mutation_rate"),
+        ({"lock_generations": 0}, EvolutionError, "generations must be >= 1"),
+        ({"hall_size": 1}, EvolutionError, "hall_size >= panel_size"),
+    ],
+)
+def test_bad_engine_params_rejected(params, error, match):
+    spec = BASE.with_updates(engine_params={**BASE.engine_params, **params})
+    with pytest.raises(error, match=match):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize(
+    "updates", [{"attack": None}, {"attack_params": {"attack": "saam"}}]
+)
+def test_baseline_attack_comes_from_spec_attack(updates):
+    with pytest.raises(SpecError, match="baseline attack from spec.attack"):
+        run_experiment(BASE.with_updates(**updates))
+
+
+@pytest.mark.parametrize(
+    "updates", [{"async_mode": True}, {"async_mode": None, "workers": 2}]
+)
+def test_async_mode_rejected(updates):
+    spec = BASE.with_updates(**updates)
+    assert spec.resolved_async_mode()
+    with pytest.raises(SpecError, match="async_mode=false"):
+        run_experiment(spec)
 
 
 def test_spec_fingerprint_ignores_execution_knobs():
-    a = CoevoSpec(**BASE)
-    b = a.with_updates(workers=8, cache_path="x.sqlite", tag="t", trace="t.jsonl")
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != a.with_updates(seed=8).fingerprint()
+    b = BASE.with_updates(
+        workers=8, cache_path="x.sqlite", tag="t", trace="t.jsonl"
+    )
+    assert BASE.fingerprint() == b.fingerprint()
+    assert BASE.fingerprint() != BASE.with_updates(seed=8).fingerprint()
 
 
 def test_spec_fingerprint_resolves_attacker_defaults():
-    explicit = CoevoSpec(**BASE, attacker={"attack": "muxlink"})
-    assert explicit.fingerprint() == CoevoSpec(**BASE).fingerprint()
+    explicit = BASE.with_updates(attack="muxlink")
+    assert explicit.fingerprint() == BASE.fingerprint()
     assert (
-        CoevoSpec(**BASE, attacker={"attack": "saam"}).fingerprint()
-        != CoevoSpec(**BASE).fingerprint()
+        BASE.with_updates(attack="saam").fingerprint() != BASE.fingerprint()
     )
 
 
 def test_spec_json_roundtrip():
-    spec = CoevoSpec(**BASE, attacker={"attack": "saam"})
-    assert CoevoSpec.from_json(spec.to_json()) == spec
+    spec = BASE.with_updates(attack="saam", attack_params={"kind_read": False})
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
 # ---------------------------------------------------------------------- cli

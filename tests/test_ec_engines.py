@@ -42,6 +42,14 @@ def test_ga_config_validation():
         GaConfig(crossover_rate=1.5)
 
 
+@pytest.mark.parametrize("generations", [0, -1])
+def test_ga_config_rejects_generations_below_one(generations):
+    # Both loop modes must run a generation; at 0 they would disagree
+    # on how much of the initial population gets evaluated.
+    with pytest.raises(EvolutionError, match="generations must be >= 1"):
+        GaConfig(generations=generations, population_size=4)
+
+
 def test_ga_minimises_key_bits(rand100):
     config = GaConfig(
         key_length=10,

@@ -35,7 +35,7 @@ def test_builtin_predictors_registered():
 
 def test_builtin_engines_registered():
     assert available_engines() == [
-        "autolock", "ga", "hill_climber", "nsga2", "random_search",
+        "autolock", "coevo", "ga", "hill_climber", "nsga2", "random_search",
         "simulated_annealing",
     ]
 

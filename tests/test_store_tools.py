@@ -140,16 +140,33 @@ def _seed_record(tmp_path):
 
 def test_store_gc_drops_unresolvable_records_and_compacts(tmp_path, capsys):
     store_path, spec = _seed_record(tmp_path)
+    # Two co-evolution records in the same namespace: one stays live,
+    # the other goes stale once its stored spec.seed is edited.
+    coevo, stale_coevo = (
+        ExperimentSpec(
+            circuit="rand_100_7", key_length=4, engine="coevo",
+            engine_params={"epochs": 1, "lock_population": 4,
+                           "lock_generations": 1, "attacker_population": 2},
+            async_mode=False, seed=seed, cache_path=str(store_path),
+        )
+        for seed in (1, 2)
+    )
+    run_experiment(coevo)
+    run_experiment(stale_coevo)
     store = SQLiteStore(store_path)
     # Stale records: a fingerprint that no longer matches its stored spec
-    # (schema drift), a spec naming a de-registered plugin, and garbage.
+    # (schema drift), a spec naming a de-registered plugin, garbage, and
+    # the edited coevo record.
     drifted = dict(store.get(EXPERIMENT_NAMESPACE, _record_key(spec)))
+    edited = dict(store.get(EXPERIMENT_NAMESPACE, _record_key(stale_coevo)))
+    edited["spec"] = dict(edited["spec"], seed=3)
     store.put_many(EXPERIMENT_NAMESPACE, {
         '[["spec","0000000000000000"]]': drifted,
         '[["spec","1111111111111111"]]': {
             "spec": {"circuit": "rand_150_5", "attack": "laser"},
         },
         "not-a-spec-key": {"spec": {}},
+        _record_key(stale_coevo): edited,
     })
     # Fitness namespaces must never be collected.
     store.put_many("rand_150_5|fitness", {"k": 0.5})
@@ -162,20 +179,23 @@ def test_store_gc_drops_unresolvable_records_and_compacts(tmp_path, capsys):
 
     assert main(["store", "gc", str(store_path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["examined"] == 4
-    assert report["dropped"] == 3
-    assert report["kept"] == 1
+    assert report["examined"] == 6
+    assert report["dropped"] == 4
+    assert report["kept"] == 2
     assert report["bytes_reclaimed"] > 0, "VACUUM must reclaim the bloat"
 
     store = SQLiteStore(store_path)
     assert store.get(EXPERIMENT_NAMESPACE, _record_key(spec)) is not None
+    assert store.get(EXPERIMENT_NAMESPACE, _record_key(coevo)) is not None
+    assert store.get(EXPERIMENT_NAMESPACE, _record_key(stale_coevo)) is None
     assert store.get(EXPERIMENT_NAMESPACE, "not-a-spec-key") is None
     assert store.get("rand_150_5|fitness", "k") == 0.5
     store.close()
 
-    # The surviving record still replays with zero fresh evaluations.
-    warm = run_experiment(spec)
-    assert warm.from_cache and warm.fresh_evaluations == 0
+    # The surviving records still replay with zero fresh evaluations.
+    for live in (spec, coevo):
+        warm = run_experiment(live)
+        assert warm.from_cache and warm.fresh_evaluations == 0
 
 
 def test_store_gc_missing_store_exits_2(tmp_path, capsys):
