@@ -27,9 +27,6 @@ from typing import Any, Mapping
 
 from repro.circuits import known_circuit
 from repro.errors import LockingError, SpecError
-# The canonical default lives with the primitives: specs must elide the
-# same alphabet the engines actually resolve, or fingerprints would
-# silently cover a different search space.
 from repro.locking.primitives import (
     DEFAULT_ALPHABET,
     normalize_alphabet,
@@ -106,9 +103,7 @@ class ExperimentSpec:
     #: locking-primitive alphabet engine genotypes compose
     #: (``repro.registry.PRIMITIVES``); order matters — it indexes the
     #: per-gene kind draws. The *resolved* alphabet feeds the
-    #: fingerprint (see :meth:`resolved_alphabet`): the default
-    #: ``("mux",)`` is elided, so pre-alphabet fingerprints — and the
-    #: experiment records cached under them — remain valid.
+    #: fingerprint (see :meth:`resolved_alphabet`).
     alphabet: tuple[str, ...] = DEFAULT_ALPHABET
     workers: int = 1
     #: experiment store (SQLite file or campaign-server URL) holding the
@@ -270,21 +265,13 @@ class ExperimentSpec:
         mode determines the result — but the resolved value is the same
         at any worker count (async integrates completions in submission
         order), which keeps fingerprints execution-independent.
-
-        ``alphabet`` is likewise recorded resolved, with the default
-        ``("mux",)`` elided entirely: the pre-alphabet search space
-        fingerprints exactly as it always did, so existing experiment
-        caches stay warm across the alphabet refactor.
+        ``alphabet`` is always present, the default ``("mux",)`` included.
         """
         data = self.to_dict()
         for key in _EXECUTION_FIELDS:
             data.pop(key, None)
         data["async_mode"] = self.resolved_async_mode()
-        resolved = self.resolved_alphabet()
-        if resolved == DEFAULT_ALPHABET:
-            data.pop("alphabet", None)
-        else:
-            data["alphabet"] = list(resolved)
+        data["alphabet"] = list(self.resolved_alphabet())
         return data
 
     def fingerprint(self) -> str:
@@ -449,35 +436,18 @@ class SweepSpec:
 
     # -- identity -------------------------------------------------------
     def fingerprint(self) -> str:
-        """Stable hex digest of the sweep's result-determining content.
+        """Stable hex digest of the expanded points' fingerprints, in order.
 
-        Covers the base spec's deterministic fields plus the axes — not
-        the name, worker counts, or store location — so the same sweep
-        resumed from a different machine or with a different worker
-        count lands on the same ``sweep_points`` queue rows. One caveat:
-        for engine points whose ``async_mode`` is unset, the worker
-        count picks the loop mode, which changes the points' results and
-        fingerprints — so the resolved per-point modes are folded in
-        here whenever any point runs steady-state, keeping a sweep's id
-        and its queue rows consistent. Distributed engine campaigns that
-        want resume to survive worker-count changes should pin
-        ``async_mode`` explicitly.
+        Point fingerprints leave out the name, worker counts and store
+        location but include each point's resolved loop mode, so the
+        sweep's id and its ``sweep_points`` queue rows change exactly
+        when some point's result would. (For engine points with
+        ``async_mode`` unset the worker count picks that mode; distributed
+        engine campaigns that want resume to survive worker-count
+        changes should pin ``async_mode``.)
         """
-        content: dict[str, Any] = {
-            "base": self.base.deterministic_dict(),
-            "axes": {k: list(v) for k, v in self.axes.items()},
-        }
-        if self.async_mode is not None:
-            # A sweep-level loop-mode override changes every point's
-            # resolved mode (and therefore its records) — a different
-            # sweep, unlike worker counts or store locations.
-            content["async_mode"] = self.async_mode
-        else:
-            resolved = [spec.resolved_async_mode() for spec in self.expand()]
-            if any(resolved):
-                content["resolved_async_points"] = resolved
-        canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        points = [spec.fingerprint() for spec in self.expand()]
+        return hashlib.sha256(json.dumps(points).encode()).hexdigest()[:16]
 
     # -- serialisation --------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

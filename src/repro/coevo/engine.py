@@ -48,6 +48,7 @@ from repro.ec.fitness import (
 )
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import genotype_key
+from repro.ec.loop import HALL_SIZE
 from repro.errors import EvolutionError
 from repro.locking.delta import DeltaRelocker
 from repro.locking.genome_lock import genotype_from_record, genotype_record
@@ -314,9 +315,9 @@ class CoevoEngine:
             raise EvolutionError("epochs must be >= 1")
         if attacker_population < 2:
             raise EvolutionError("attacker_population must be >= 2")
-        if not 1 <= elite_size <= 5:
-            # the GA hall the elite is drawn from keeps 5 entries
-            raise EvolutionError("elite_size must be in [1, 5]")
+        if not 1 <= elite_size <= HALL_SIZE:
+            # the elite is drawn from the lock GA's hall of fame
+            raise EvolutionError(f"elite_size must be in [1, {HALL_SIZE}]")
         if panel_size < 1 or hall_size < panel_size:
             raise EvolutionError(
                 "need panel_size >= 1 and hall_size >= panel_size"
@@ -331,11 +332,6 @@ class CoevoEngine:
             population_size=lock_population,
             generations=lock_generations,
             elitism=min(2, lock_population - 1),
-            # Pinned sync-generational: the order-preserving batched
-            # evaluator supplies the parallelism, so the trajectory is
-            # identical at any worker count (async steady-state would
-            # resolve True on an AsyncEvaluator and break that).
-            async_mode=False,
             alphabet=alphabet,
         )
         self.original = original

@@ -51,7 +51,6 @@ from repro.ec.loop import (
     SelectionPolicy,
     SurvivalPolicy,
     VariationPolicy,
-    resolve_async,
 )
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
@@ -104,7 +103,6 @@ __all__ = [
     "SelectionPolicy",
     "VariationPolicy",
     "SurvivalPolicy",
-    "resolve_async",
     "GaConfig",
     "GaResult",
     "GenerationStats",

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 from repro.ec.evaluator import Evaluator, SerialEvaluator
 from repro.ec.genotype import random_genotype, repair_genotype
-from repro.ec.loop import LoopPolicy, LoopState, SearchLoop, resolve_async
+from repro.ec.loop import LoopPolicy, LoopState, SearchLoop
 from repro.ec.operators import MutationConfig, mutate
 from repro.errors import EvolutionError
 from repro.locking.primitives import DEFAULT_ALPHABET, resolve_alphabet
@@ -185,17 +185,15 @@ class _TrajectorySearch:
         """Search lockings of ``original``; same contract as the GA's run.
 
         The serial default reproduces the historical single-trajectory
-        loop exactly; an :class:`~repro.ec.evaluator.AsyncEvaluator`
-        enables steady-state pipelining where the search semantics allow
-        it (random search; the sequential searches stay one-in-flight).
+        loop exactly; ``async_mode=True`` on an
+        :class:`~repro.ec.evaluator.AsyncEvaluator` pipelines where the
+        search semantics allow it (random search; the sequential
+        searches stay one-in-flight).
         """
         rng = derive_rng(self.seed)
         evaluator = evaluator if evaluator is not None else SerialEvaluator()
         policy = self._policy(original)
-        loop = SearchLoop(
-            policy, evaluator,
-            async_mode=resolve_async(self.async_mode, evaluator),
-        )
+        loop = SearchLoop(policy, evaluator, async_mode=self.async_mode)
         state = loop.run(fitness, rng)
         return policy.result(state)
 
@@ -210,7 +208,7 @@ class RandomSearch(_TrajectorySearch):
         key_length: int,
         evaluations: int = 100,
         seed: int = 0,
-        async_mode: bool | None = None,
+        async_mode: bool = False,
         alphabet: tuple[str, ...] = DEFAULT_ALPHABET,
     ):
         self.key_length = key_length
@@ -253,7 +251,7 @@ class HillClimber(_TrajectorySearch):
         evaluations: int = 100,
         mutation: MutationConfig | None = None,
         seed: int = 0,
-        async_mode: bool | None = None,
+        async_mode: bool = False,
         alphabet: tuple[str, ...] = DEFAULT_ALPHABET,
     ):
         self.key_length = key_length
@@ -293,12 +291,13 @@ class _HillClimberPolicy(TrajectoryPolicy):
         return candidate_fit < current_fit
 
 
-class SimulatedAnnealing(_TrajectorySearch):
+class SimulatedAnnealing(HillClimber):
     """Metropolis acceptance with a geometric cooling schedule.
 
-    Temperature starts at ``t_start`` (in fitness units — attack accuracy
-    lives in [0, 1], so 0.05-0.2 is a sensible range) and decays by
-    ``cooling`` per step toward ``t_end``.
+    Proposals (and the default mutation) are the hill climber's; only
+    the acceptance rule differs. Temperature starts at ``t_start`` (in
+    fitness units — attack accuracy lives in [0, 1], so 0.05-0.2 is a
+    sensible range) and decays by ``cooling`` per step toward ``t_end``.
     """
 
     name = "simulated_annealing"
@@ -311,27 +310,24 @@ class SimulatedAnnealing(_TrajectorySearch):
         t_end: float = 0.005,
         mutation: MutationConfig | None = None,
         seed: int = 0,
-        async_mode: bool | None = None,
+        async_mode: bool = False,
         alphabet: tuple[str, ...] = DEFAULT_ALPHABET,
     ):
         if t_start <= 0 or t_end <= 0 or t_end > t_start:
             raise EvolutionError(
                 f"need 0 < t_end <= t_start, got t_start={t_start}, t_end={t_end}"
             )
-        self.key_length = key_length
-        self.evaluations = _validated_budget(evaluations)
+        super().__init__(
+            key_length, evaluations, mutation, seed, async_mode, alphabet
+        )
         self.t_start = t_start
         self.t_end = t_end
-        self.mutation = mutation or MutationConfig(0.1, 0.15, 0.15)
-        self.seed = seed
-        self.async_mode = async_mode
-        self.alphabet = resolve_alphabet(alphabet)
 
     def _policy(self, original: Netlist) -> TrajectoryPolicy:
         return _AnnealingPolicy(self, original)
 
 
-class _AnnealingPolicy(TrajectoryPolicy):
+class _AnnealingPolicy(_HillClimberPolicy):
     """Metropolis acceptance; the geometric schedule cools once per step.
 
     The uphill-acceptance variate is only drawn for worsening moves —
@@ -344,21 +340,6 @@ class _AnnealingPolicy(TrajectoryPolicy):
         steps = max(1, searcher.evaluations - 1)
         self._cooling = (searcher.t_end / searcher.t_start) ** (1.0 / steps)
         self._temperature = searcher.t_start
-
-    def propose(self, current, rng) -> Genotype:
-        if current is None:
-            return random_genotype(
-                self.original, self.searcher.key_length, rng,
-                alphabet=self.searcher.alphabet,
-            )
-        return repair_genotype(
-            self.original,
-            mutate(
-                self.original, current, self.searcher.mutation, rng,
-                alphabet=self.searcher.alphabet,
-            ),
-            rng,
-        )
 
     def challenge(self, current_fit, candidate_fit, rng) -> bool:
         delta = candidate_fit - current_fit

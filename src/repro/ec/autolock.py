@@ -44,15 +44,15 @@ class AutoLockConfig:
     ``workers >= 2`` fans fitness evaluation out across that many worker
     processes (see :mod:`repro.ec.evaluator`); the default stays serial
     and bit-identical to the historical loop. ``async_mode`` selects the
-    GA loop mode: ``None`` (default) runs the steady-state pipeline
-    whenever ``workers >= 2`` and the sync-generational loop otherwise;
-    ``False`` pins sync (byte-identical to serial at any worker count),
-    ``True`` pins steady state (deterministic at any worker count —
-    completions integrate in submission order). ``cache_path`` points the
-    fitness *and* report caches at an experiment store (a SQLite file or
-    a campaign-server URL) persisted across runs, namespaced by circuit +
-    attack configuration, so repeated runs and benchmark sweeps reuse
-    prior attack evaluations.
+    GA loop mode: ``False`` (default) runs the sync-generational loop
+    (byte-identical to serial at any worker count), ``True`` the
+    steady-state pipeline (deterministic at any worker count —
+    completions integrate in submission order). Only
+    ``ExperimentSpec.resolved_async_mode`` derives the mode from the
+    worker count. ``cache_path`` points the fitness *and* report caches
+    at an experiment store (a SQLite file or a campaign-server URL)
+    persisted across runs, namespaced by circuit + attack configuration,
+    so repeated runs and benchmark sweeps reuse prior attack evaluations.
     """
 
     key_length: int = 32
@@ -68,7 +68,7 @@ class AutoLockConfig:
     report_ensemble: int = 3
     seed: int = 0
     workers: int = 1
-    async_mode: bool | None = None
+    async_mode: bool = False
     async_backlog: int | str | None = None
     cache_path: str | Path | None = None
     #: locking-primitive alphabet the genotype composes (see
@@ -79,13 +79,7 @@ class AutoLockConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", resolve_alphabet(self.alphabet))
 
-    def resolved_async_mode(self) -> bool:
-        """The loop mode this config runs: explicit, else workers-derived."""
-        if self.async_mode is not None:
-            return bool(self.async_mode)
-        return bool(self.workers and self.workers >= 2)
-
-    def ga_config(self, async_mode: bool | None = None) -> GaConfig:
+    def ga_config(self) -> GaConfig:
         return GaConfig(
             key_length=self.key_length,
             population_size=self.population_size,
@@ -95,9 +89,7 @@ class AutoLockConfig:
             mutation=self.mutation,
             elitism=self.elitism,
             seed=self.seed,
-            async_mode=(
-                self.resolved_async_mode() if async_mode is None else async_mode
-            ),
+            async_mode=self.async_mode,
             async_backlog=self.async_backlog,
             alphabet=self.alphabet,
         )
@@ -197,14 +189,14 @@ class AutoLock:
             attack_seed=seeds[2],
             cache=report_cache,
         )
-        # One resolution rule whether the evaluator is owned or injected:
-        # the config decides the loop mode (workers-derived when unset),
-        # so identical configs always walk identical trajectories. An
-        # injected evaluator that cannot serve the resolved mode raises
-        # (SearchLoop names the fix) instead of silently changing it.
-        use_async = cfg.resolved_async_mode()
-        ga = GeneticAlgorithm(cfg.ga_config(async_mode=use_async))
-        with evaluator_scope(evaluator, cfg.workers, use_async) as evaluator:
+        # The config decides the loop mode whether the evaluator is owned
+        # or injected, so identical configs always walk identical
+        # trajectories. An injected evaluator that cannot serve the mode
+        # raises (SearchLoop names the fix) instead of silently changing it.
+        ga = GeneticAlgorithm(cfg.ga_config())
+        with evaluator_scope(
+            evaluator, cfg.workers, cfg.async_mode
+        ) as evaluator:
             result = ga.run(
                 original, fitness, initial_population=initial,
                 evaluator=evaluator,

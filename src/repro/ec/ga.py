@@ -9,11 +9,12 @@ experiment (E7) sweeps.
 Two execution modes, both driven by the shared
 :class:`~repro.ec.loop.SearchLoop`:
 
-* **sync generational** (``async_mode=False``, the serial default) —
-  byte-identical to the historical hand-rolled loop: evaluate the whole
-  population, keep ``elitism`` champions, breed the rest, repeat;
-* **async steady-state** (``async_mode=True``; the default whenever the
-  evaluator accepts future submissions) — keep the worker pool saturated
+* **sync generational** (``async_mode=False``, the default on any
+  evaluator) — byte-identical to the historical hand-rolled loop:
+  evaluate the whole population, keep ``elitism`` champions, breed the
+  rest, repeat;
+* **async steady-state** (``async_mode=True``; needs a future-capable
+  evaluator such as the pool's) — keep the worker pool saturated
   by breeding one replacement per completed evaluation, integrating
   completions in submission order so the trajectory is deterministic at
   any worker count. Survival is replace-worst; history entries summarise
@@ -36,7 +37,7 @@ from repro.ec.loop import (
     LoopState,
     OperatorSelection,
     SearchLoop,
-    resolve_async,
+    check_async_backlog,
     update_hall,
 )
 from repro.ec.operators import (
@@ -57,15 +58,16 @@ Genotype = list  # heterogeneous primitive genes (repro.locking.primitives)
 class GaConfig:
     """GA hyper-parameters (paper defaults are deliberately untuned).
 
-    ``async_mode`` selects the loop mode: ``False`` pins the historical
-    sync-generational behaviour, ``True`` the steady-state pipeline, and
-    ``None`` (default) follows the evaluator — steady-state iff it is
-    future-capable. ``async_backlog`` bounds in-flight evaluations in
-    steady-state mode (default: ``population_size``); raising it trades
-    parent freshness for saturation under strongly skewed attack costs.
-    The string ``"auto"`` sizes the backlog at run time from observed
-    evaluation latencies (see :class:`~repro.ec.loop.BacklogTuner`) —
-    the trajectory then depends on machine timing, so it is opt-in.
+    ``async_mode`` selects the loop mode: ``False`` (default) runs the
+    historical sync-generational loop on any evaluator, ``True`` the
+    steady-state pipeline (which needs a future-capable evaluator); the
+    evaluator never picks the mode. ``async_backlog`` bounds in-flight
+    evaluations in steady-state mode (default: ``population_size``);
+    raising it trades parent freshness for saturation under strongly
+    skewed attack costs. The string ``"auto"`` sizes the backlog at run
+    time from observed evaluation latencies (see
+    :class:`~repro.ec.loop.BacklogTuner`) — the trajectory then depends
+    on machine timing, so it is opt-in.
 
     ``alphabet`` names the locking primitives the genotype may compose
     (``repro.registry.PRIMITIVES``); the default ``("mux",)`` reproduces
@@ -84,7 +86,7 @@ class GaConfig:
     target_fitness: float | None = None
     patience: int | None = None
     seed: int = 0
-    async_mode: bool | None = None
+    async_mode: bool = False
     async_backlog: int | str | None = None
     alphabet: tuple[str, ...] = DEFAULT_ALPHABET
 
@@ -110,14 +112,7 @@ class GaConfig:
             )
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise EvolutionError("crossover_rate must be in [0, 1]")
-        if isinstance(self.async_backlog, str):
-            if self.async_backlog != "auto":
-                raise EvolutionError(
-                    f"async_backlog must be an int or 'auto', "
-                    f"got {self.async_backlog!r}"
-                )
-        elif self.async_backlog is not None and self.async_backlog < 1:
-            raise EvolutionError("async_backlog must be >= 1")
+        check_async_backlog(self.async_backlog)
 
     @property
     def mutation_config(self) -> MutationConfig:
@@ -361,9 +356,8 @@ class GeneticAlgorithm:
         :class:`SerialEvaluator` reproduces the historical per-genome
         loop exactly, and the pool evaluator
         :class:`~repro.ec.evaluator.AsyncEvaluator` fans batches out
-        across worker processes and enables the steady-state mode (the
-        default for it unless ``config.async_mode`` pins one;
-        :func:`~repro.ec.evaluator.open_evaluator` picks between the
+        across worker processes and can serve ``config.async_mode=True``
+        (:func:`~repro.ec.evaluator.open_evaluator` picks between the
         two). The caller owns the evaluator's lifetime (close any pool
         you pass in).
         """
@@ -371,9 +365,6 @@ class GeneticAlgorithm:
         rng = derive_rng(cfg.seed)
         evaluator = evaluator if evaluator is not None else SerialEvaluator()
         policy = GaPolicy(cfg, original, initial_population)
-        loop = SearchLoop(
-            policy, evaluator,
-            async_mode=resolve_async(cfg.async_mode, evaluator),
-        )
+        loop = SearchLoop(policy, evaluator, async_mode=cfg.async_mode)
         state = loop.run(fitness, rng)
         return policy.result(state)

@@ -43,11 +43,8 @@ from repro.utils.rng import derive_rng
 
 
 def genotype_key(genes: Sequence[Gene]) -> tuple:
-    """Canonical hashable key of a genotype (for fitness caching).
-
-    MUX genes keep their historical untagged 5-tuples, so caches written
-    before the alphabet refactor stay valid; other kinds are tagged.
-    """
+    """Canonical hashable key of a genotype (for fitness caching); every
+    gene's tuple starts with its kind."""
     return tuple(g.key_tuple() for g in genes)
 
 

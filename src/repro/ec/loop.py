@@ -211,13 +211,28 @@ class ElitistGenerational:
         return population, values
 
 
+#: entries a GA hall of fame keeps (co-evolution draws its lock elites
+#: from it, so it also bounds ``CoevoEngine``'s ``elite_size``).
+HALL_SIZE = 5
+
+
+def check_async_backlog(backlog: int | str | None) -> None:
+    """Reject an ``async_backlog`` that is not ``None``, ``"auto"`` or >= 1."""
+    if isinstance(backlog, str):
+        if backlog != "auto":
+            raise EvolutionError(
+                f"async_backlog must be an int or 'auto', got {backlog!r}"
+            )
+    elif backlog is not None and backlog < 1:
+        raise EvolutionError("async_backlog must be >= 1")
+
+
 def update_hall(
     hall: list[tuple[float, Genotype]],
     population: Sequence[Genotype],
     values: Sequence[float],
-    size: int = 5,
 ) -> None:
-    """Merge ``population`` into a deduplicated best-``size`` hall of fame."""
+    """Merge ``population`` into a deduplicated best-:data:`HALL_SIZE` hall."""
     for genes, fit in zip(population, values):
         hall.append((fit, list(genes)))
     seen: set[tuple] = set()
@@ -227,7 +242,7 @@ def update_hall(
         if key not in seen:
             seen.add(key)
             unique.append((fit, genes))
-    hall[:] = unique[:size]
+    hall[:] = unique[:HALL_SIZE]
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +421,6 @@ class BacklogTuner:
         return max(self.floor, min(self.ceiling, raw))
 
 
-def resolve_async(async_mode: bool | None, evaluator: Evaluator) -> bool:
-    """Resolve a config's tri-state ``async_mode`` against an evaluator.
-
-    ``None`` means *follow the evaluator*: steady-state iff it can take
-    future submissions (an :class:`~repro.ec.evaluator.AsyncEvaluator`).
-    """
-    if async_mode is None:
-        return supports_async(evaluator)
-    return bool(async_mode)
-
-
 @dataclass
 class LoopState:
     """What one :meth:`SearchLoop.run` produced (policy holds the rest)."""
@@ -440,12 +444,9 @@ def _flush_fitness_cache(fitness) -> None:
 class SearchLoop:
     """Drives one :class:`LoopPolicy` to completion; see the module doc.
 
-    The caller owns the evaluator's lifetime. ``async_mode=True`` needs a
-    future-capable evaluator (:class:`~repro.ec.evaluator.AsyncEvaluator`);
-    ``max_pending`` overrides the policy's ``async_backlog`` (tests and
-    benchmarks only — the default keeps trajectories worker-independent).
-    Either may be the string ``"auto"`` to let a :class:`BacklogTuner`
-    size the backlog from observed evaluation latencies.
+    The caller owns the evaluator's lifetime. ``async_mode`` is a plain
+    bool (the mode never follows the evaluator); ``True`` needs a
+    future-capable evaluator (:class:`~repro.ec.evaluator.AsyncEvaluator`).
     """
 
     def __init__(
@@ -454,10 +455,13 @@ class SearchLoop:
         evaluator: Evaluator | None = None,
         *,
         async_mode: bool = False,
-        max_pending: int | str | None = None,
     ) -> None:
         self.policy = policy
         self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
+        if not isinstance(async_mode, bool):
+            raise EvolutionError(
+                f"async_mode must be True or False, got {async_mode!r}"
+            )
         if async_mode and not supports_async(self.evaluator):
             raise EvolutionError(
                 "async_mode needs a future-capable evaluator; got "
@@ -465,7 +469,6 @@ class SearchLoop:
                 "or run with async_mode=False"
             )
         self.async_mode = async_mode
-        self.max_pending = max_pending
 
     def run(self, fitness, rng) -> LoopState:
         try:
@@ -541,11 +544,7 @@ class SearchLoop:
         evaluator = self.evaluator
         started = time.perf_counter()
         budget = policy.max_evaluations
-        max_pending = (
-            self.max_pending
-            if self.max_pending is not None
-            else policy.async_backlog
-        )
+        max_pending = policy.async_backlog
         tuner: BacklogTuner | None = None
         if policy.sequential_breeding:
             max_pending = 1

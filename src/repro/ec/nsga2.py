@@ -25,7 +25,7 @@ from repro.ec.loop import (
     LoopPolicy,
     LoopState,
     SearchLoop,
-    resolve_async,
+    check_async_backlog,
 )
 from repro.ec.operators import CROSSOVERS, MUTATIONS, MutationConfig
 from repro.errors import EvolutionError
@@ -169,7 +169,7 @@ class Nsga2Config:
     crossover_rate: float = 0.9
     mutation: str | MutationConfig = "default"
     seed: int = 0
-    async_mode: bool | None = None
+    async_mode: bool = False
     async_backlog: int | str | None = None
     #: locking-primitive alphabet (see ``repro.registry.PRIMITIVES``).
     alphabet: tuple[str, ...] = DEFAULT_ALPHABET
@@ -182,14 +182,7 @@ class Nsga2Config:
             raise EvolutionError(f"unknown crossover {self.crossover!r}")
         if isinstance(self.mutation, str) and self.mutation not in MUTATIONS:
             raise EvolutionError(f"unknown mutation {self.mutation!r}")
-        if isinstance(self.async_backlog, str):
-            if self.async_backlog != "auto":
-                raise EvolutionError(
-                    f"async_backlog must be an int or 'auto', "
-                    f"got {self.async_backlog!r}"
-                )
-        elif self.async_backlog is not None and self.async_backlog < 1:
-            raise EvolutionError("async_backlog must be >= 1")
+        check_async_backlog(self.async_backlog)
 
     @property
     def mutation_config(self) -> MutationConfig:
@@ -343,16 +336,13 @@ class Nsga2:
 
         ``evaluator`` semantics match :meth:`GeneticAlgorithm.run`: the
         serial default preserves the historical loop byte-for-byte, an
-        :class:`~repro.ec.evaluator.AsyncEvaluator` enables steady-state
-        mode, and the caller owns any pool passed in.
+        :class:`~repro.ec.evaluator.AsyncEvaluator` can serve
+        ``config.async_mode=True``, and the caller owns any pool passed in.
         """
         cfg = self.config
         rng = derive_rng(cfg.seed)
         evaluator = evaluator if evaluator is not None else SerialEvaluator()
         policy = Nsga2Policy(cfg, original)
-        loop = SearchLoop(
-            policy, evaluator,
-            async_mode=resolve_async(cfg.async_mode, evaluator),
-        )
+        loop = SearchLoop(policy, evaluator, async_mode=cfg.async_mode)
         state = loop.run(fitness, rng)
         return policy.result(state, state.wall_s)

@@ -74,9 +74,8 @@ class MuxGene:
         return ((self.f_i, self.g_i), (self.f_j, self.g_j))
 
     def key_tuple(self) -> tuple:
-        """Canonical hashable identity; untagged for historical cache
-        compatibility (the other primitives' tuples are kind-tagged)."""
-        return (self.f_i, self.g_i, self.f_j, self.g_j, self.k)
+        """Canonical hashable identity, kind-tagged like every gene's."""
+        return (self.kind, self.f_i, self.g_i, self.f_j, self.g_j, self.k)
 
 
 @dataclass(frozen=True)

@@ -162,16 +162,15 @@ def genotype_record(genes: Sequence[Gene] | None) -> list[dict] | None:
 
 
 def genotype_from_record(data: Sequence[dict] | None) -> list[Gene] | None:
-    """Rebuild a genotype from its record form.
-
-    Records written before the alphabet refactor carry no ``kind`` tag;
-    they decode as the historical MUX genes.
-    """
+    """Rebuild a genotype from its record form; every gene record must
+    name its primitive ``kind``."""
     if data is None:
         return None
     genes: list[Gene] = []
     for record in data:
         record = dict(record)
-        kind = record.pop("kind", "mux")
+        kind = record.pop("kind", None)
+        if kind is None:
+            raise LockingError(f"gene record {record!r} carries no 'kind'")
         genes.append(get_primitive(kind).gene_from_record(record))
     return genes

@@ -64,9 +64,8 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.registry import PRIMITIVES, register_primitive
 
-#: the historical single-scheme search space; every alphabet knob
-#: defaults to this so pre-alphabet trajectories and fingerprints are
-#: reproduced bit-for-bit.
+#: the paper's single-scheme D-MUX search space; every alphabet knob
+#: defaults to it.
 DEFAULT_ALPHABET: tuple[str, ...] = ("mux",)
 
 

@@ -192,6 +192,26 @@ def test_sweep_fingerprint_tracks_resolved_point_modes():
     )
 
 
+def test_sweep_fingerprint_is_its_points_fingerprints_in_order():
+    """Two sweeps that expand to the same points, in the same order, are
+    the same sweep; reordering the points makes a different one."""
+    a = SweepSpec(
+        base=ExperimentSpec(circuit="c17", key_length=2, engine="ga", seed=0),
+        axes={"seed": [0, 1]},
+    )
+    b = SweepSpec(
+        base=ExperimentSpec(circuit="c17", key_length=2, engine="ga", seed=5),
+        axes={"seed": [0, 1]},
+        name="other",
+    )
+    assert [s.fingerprint() for s in a.expand()] == [
+        s.fingerprint() for s in b.expand()
+    ]
+    assert a.fingerprint() == b.fingerprint()
+    reordered = dataclasses.replace(a, axes={"seed": [1, 0]})
+    assert reordered.fingerprint() != a.fingerprint()
+
+
 def test_sweep_async_mode_applies_to_every_point_and_sweep_id():
     base = ExperimentSpec(circuit="c17", key_length=2, engine="ga")
     plain = SweepSpec(base=base, axes={"seed": [0, 1]})

@@ -1,5 +1,8 @@
 """Alternative single-trajectory optimisers (research plan bullet 5)."""
 
+import dataclasses
+import zlib
+
 import pytest
 
 from repro.circuits import load_circuit
@@ -74,3 +77,43 @@ def test_determinism(circuit):
     )
     assert a.best_fitness == b.best_fitness
     assert a.trajectory == b.trajectory
+
+
+def gene_fitness(genes):
+    """A rugged landscape: each gene's key bit plus a hash of its fields."""
+    return sum(
+        g.k + zlib.crc32(repr(dataclasses.astuple(g)).encode()) % 1000 / 1000
+        for g in genes
+    ) / (2 * len(genes))
+
+
+#: best-so-far trajectories of ``gene_fitness`` on rand_100_7 (K=8, 30
+#: evaluations, seed 11), captured before annealing reused the hill
+#: climber's proposal rule and default mutation.
+HILL_TRAJECTORY = [
+    0.5890625, 0.53725, 0.4743125, 0.4743125, 0.4743125, 0.4743125,
+    0.4670625, 0.4670625, 0.4670625, 0.407625, 0.407625, 0.3716875,
+    0.3716875, 0.3716875, 0.3716875, 0.3716875, 0.3716875, 0.3716875,
+    0.36575, 0.36575, 0.36575, 0.31175, 0.31175, 0.3045625, 0.3045625,
+    0.3045625, 0.3045625, 0.3044375, 0.3044375, 0.3044375,
+]
+ANNEAL_TRAJECTORY = [
+    0.5890625, 0.53725, 0.4743125, 0.4743125, 0.4529375, 0.4469375,
+    0.40575, 0.3503125, 0.3503125, 0.33625, 0.33625, 0.27575, 0.27575,
+    0.27575, 0.27575, 0.27575, 0.27575, 0.27575, 0.27575, 0.27575,
+    0.27575, 0.27575, 0.27575, 0.27575, 0.27575, 0.1815, 0.1815, 0.1815,
+    0.1815, 0.1815,
+]
+
+
+@pytest.mark.parametrize(
+    "searcher_cls, golden",
+    [(HillClimber, HILL_TRAJECTORY), (SimulatedAnnealing, ANNEAL_TRAJECTORY)],
+    ids=["hill", "anneal"],
+)
+def test_sequential_search_trajectory_golden(searcher_cls, golden):
+    result = searcher_cls(key_length=8, evaluations=30, seed=11).run(
+        load_circuit("rand_100_7"), gene_fitness
+    )
+    assert result.trajectory == pytest.approx(golden, abs=1e-12)
+    assert result.best_fitness == pytest.approx(golden[-1], abs=1e-12)

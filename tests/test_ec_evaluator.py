@@ -92,12 +92,8 @@ def _ga_run(circuit, evaluator, cache):
         circuit, "muxlink", {"predictor": "bayes", "ensemble": 1},
         attack_seed=5, cache=cache,
     )
-    # Pinned to the generational loop: an AsyncEvaluator would otherwise
-    # resolve ``async_mode=None`` to steady state.
-    config = GaConfig(
-        key_length=6, population_size=6, generations=4, seed=9,
-        async_mode=False,
-    )
+    # The generational loop (the config default) on either evaluator.
+    config = GaConfig(key_length=6, population_size=6, generations=4, seed=9)
     result = GeneticAlgorithm(config).run(circuit, fitness, evaluator=evaluator)
     return result, fitness
 
@@ -136,8 +132,7 @@ def test_process_pool_nsga2_matches_serial_exactly(circuit):
             attack_seed=7,
         )
         config = Nsga2Config(
-            key_length=5, population_size=6, generations=3, seed=13,
-            async_mode=False,
+            key_length=5, population_size=6, generations=3, seed=13
         )
         return Nsga2(config).run(circuit, fitness, evaluator=evaluator)
 
@@ -463,9 +458,9 @@ def test_autolock_warm_disk_cache_skips_all_attacks(circuit, tmp_path):
 def test_autolock_workers_match_serial(circuit, tmp_path):
     """Pool-sync mode stays byte-identical to serial at any worker count.
 
-    ``workers >= 2`` defaults to the steady-state loop these days, so the
-    sync-generational contract is pinned with ``async_mode=False`` (the
-    async determinism contract lives in ``test_ec_loop.py``).
+    ``async_mode=False`` is the config default; it is spelled out here
+    because the test pins the sync-generational contract (the async
+    determinism contract lives in ``test_ec_loop.py``).
     """
     base = dict(
         key_length=6,
@@ -505,7 +500,7 @@ def test_async_result_returns_after_the_merge(circuit):
 #: of the config below, captured while the report stage still ran serially
 #: in the parent: running it on the GA's pool must not move any of it.
 REPORT_RUN_HISTORY = {
-    None: [
+    True: [
         (0, 1 / 3, 0.6041666666666666, 0.17052818274734272, 2, 5),
         (1, 1 / 3, 1 / 3, 0.0, 2, 2),
         (2, 1 / 3, 1 / 3, 0.0, 0, 1),
@@ -518,7 +513,7 @@ REPORT_RUN_HISTORY = {
 }
 
 
-@pytest.mark.parametrize("async_mode", [None, False], ids=["async", "sync"])
+@pytest.mark.parametrize("async_mode", [True, False], ids=["async", "sync"])
 def test_autolock_report_on_the_pool_matches_a_serial_report(
     circuit, async_mode
 ):

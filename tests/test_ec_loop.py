@@ -17,6 +17,7 @@ propagating.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 
@@ -49,7 +50,11 @@ from test_ec_determinism import (
 
 
 def _champion_sha(genes) -> str:
-    return hashlib.sha256(repr(genotype_key(genes)).encode()).hexdigest()
+    """Digest of the champion's gene fields; unlike ``genotype_key`` it
+    leaves out the kind tag, so the goldens do not follow the cache-key
+    format."""
+    genes = tuple(dataclasses.astuple(g) for g in genes)
+    return hashlib.sha256(repr(genes).encode()).hexdigest()
 
 
 #: AutoLock golden, captured on the pre-refactor (hand-rolled loop)
@@ -162,10 +167,12 @@ def test_async_nsga2_deterministic_across_worker_counts():
 
 
 def test_async_autolock_serial_replay_matches_parallel():
-    """AutoLockConfig(workers=2) defaults to steady state; a 1-worker
-    async replay of the same seed must land on the same champion set."""
+    """A 2-worker steady-state run and a 1-worker async replay of the
+    same seed must land on the same champion set."""
     circuit = load_circuit("rand_150_5")
-    parallel = AutoLock(_autolock_config(workers=2)).run(circuit)
+    parallel = AutoLock(
+        _autolock_config(workers=2, async_mode=True)
+    ).run(circuit)
     replay = AutoLock(
         _autolock_config(workers=1, async_mode=True)
     ).run(circuit)
@@ -267,6 +274,20 @@ def test_async_mode_requires_future_capable_evaluator():
         GeneticAlgorithm(config).run(
             circuit, ones_fitness, evaluator=SerialEvaluator()
         )
+
+
+def test_async_mode_none_is_rejected_not_run_sync():
+    """The loop mode is a plain bool: the old ``None`` ("follow the
+    evaluator") fails loudly on any evaluator instead of running sync."""
+    circuit = load_circuit("rand_100_7")
+    config = GaConfig(
+        key_length=4, population_size=4, generations=2, async_mode=None,
+    )
+    with AsyncEvaluator(workers=2) as evaluator:
+        with pytest.raises(EvolutionError, match="async_mode"):
+            GeneticAlgorithm(config).run(
+                circuit, ones_fitness, evaluator=evaluator
+            )
 
 
 def test_async_config_validation():

@@ -109,15 +109,18 @@ def test_sample_apply_decode_roundtrip(rand100, kind):
     assert len(work) - len(rand100) == primitive.overhead_gates(gene)
 
 
-def test_mux_gene_key_tuple_is_untagged_for_cache_compat():
-    gene = MuxGene("a", "b", "c", "d", 1)
-    assert gene.key_tuple() == ("a", "b", "c", "d", 1)
-    assert genotype_key([gene]) == (("a", "b", "c", "d", 1),)
-
-
-def test_keygate_gene_key_tuples_are_tagged():
-    assert XorGene("a", "b", 0).key_tuple() == ("xor", "a", "b", 0)
-    assert AndOrGene("a", "b", 1).key_tuple() == ("and_or", "a", "b", 1)
+@pytest.mark.parametrize(
+    "gene, expected",
+    [
+        (MuxGene("a", "b", "c", "d", 1), ("mux", "a", "b", "c", "d", 1)),
+        (XorGene("a", "b", 0), ("xor", "a", "b", 0)),
+        (AndOrGene("a", "b", 1), ("and_or", "a", "b", 1)),
+    ],
+    ids=["mux", "xor", "and_or"],
+)
+def test_gene_key_tuple_starts_with_its_kind(gene, expected):
+    assert gene.key_tuple() == expected
+    assert genotype_key([gene]) == (expected,)
 
 
 def test_keygate_genes_validate_key_bit():
@@ -377,34 +380,10 @@ def test_genotype_record_names_kinds_and_roundtrips(rand100):
     assert genotype_key(again) == genotype_key(genes)
 
 
-def test_legacy_untagged_records_decode_as_mux():
+def test_kindless_gene_record_raises():
     record = [{"f_i": "a", "g_i": "b", "f_j": "c", "g_j": "d", "k": 1}]
-    (gene,) = genotype_from_record(record)
-    assert isinstance(gene, MuxGene) and gene.kind == "mux"
-
-
-#: pre-refactor fingerprints, captured on the seed implementation: the
-#: alphabet field must not perturb them (default alphabet is elided).
-PRE_ALPHABET_ENGINE_FP = "ff3be1e879591c14"
-PRE_ALPHABET_STATIC_FP = "f1000c8592e853d8"
-PRE_ALPHABET_SWEEP_FP = "470350c04b3f6f1f"
-
-
-def test_default_alphabet_preserves_pre_refactor_fingerprints():
-    engine = ExperimentSpec(
-        circuit="rand_150_5", key_length=4, engine="ga", attack="muxlink",
-        attack_params={"predictor": "bayes"}, seed=3,
-    )
-    static = ExperimentSpec(circuit="rand_100_7", key_length=8, seed=1)
-    sweep = SweepSpec(base=static, axes={"key_length": [4, 6]})
-    assert engine.fingerprint() == PRE_ALPHABET_ENGINE_FP
-    assert static.fingerprint() == PRE_ALPHABET_STATIC_FP
-    assert sweep.fingerprint() == PRE_ALPHABET_SWEEP_FP
-    # explicit default == implicit default
-    assert (
-        engine.with_updates(alphabet=("mux",)).fingerprint()
-        == engine.fingerprint()
-    )
+    with pytest.raises(LockingError, match="kind"):
+        genotype_from_record(record)
 
 
 def test_alphabet_feeds_fingerprint_resolved():
@@ -419,8 +398,13 @@ def test_alphabet_feeds_fingerprint_resolved():
         mixed.fingerprint()
         != engine.with_updates(alphabet=("xor", "mux")).fingerprint()
     )
-    assert "alphabet" in mixed.deterministic_dict()
-    assert "alphabet" not in engine.deterministic_dict()
+    assert mixed.deterministic_dict()["alphabet"] == ["mux", "xor"]
+    assert engine.deterministic_dict()["alphabet"] == ["mux"]
+    # explicit default == implicit default
+    assert (
+        engine.with_updates(alphabet=("mux",)).fingerprint()
+        == engine.fingerprint()
+    )
 
 
 def test_alphabet_null_means_default():
