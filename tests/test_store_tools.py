@@ -203,6 +203,23 @@ def test_store_gc_missing_store_exits_2(tmp_path, capsys):
     assert "no store at" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [
+    ["status"], ["retry", "deadbeef"], ["gc"],
+], ids=["status", "retry", "gc"])
+def test_store_verbs_on_a_corrupt_file_exit_2(tmp_path, capsys, verb):
+    """A file that is not a SQLite database is one ``error: cannot …``
+    line naming it, never a traceback."""
+    bad = tmp_path / "bad.sqlite"
+    bad.write_bytes(b"this is not a sqlite database, just bytes\n" * 64)
+    assert main(["store", verb[0], str(bad), *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: cannot ")
+    assert str(bad) in lines[0]
+    assert "Traceback" not in err
+
+
 def test_queue_retry_failed_api(tmp_path):
     """Direct store.retry_failed: only failed rows flip, budget resets."""
     store = SQLiteStore(tmp_path / "q.sqlite")
