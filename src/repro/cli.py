@@ -54,21 +54,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_lock(args: argparse.Namespace) -> int:
     from repro.circuits import load_circuit
-    from repro.errors import RegistryError
     from repro.io import save_locked_design
-    from repro.registry import SCHEMES, available_schemes, create_scheme
+    from repro.registry import SCHEMES
 
     scheme_params = {}
     if args.strategy is not None:
         scheme_params["strategy"] = args.strategy
-    try:
-        scheme = create_scheme(args.scheme, **scheme_params)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.scheme not in SCHEMES:  # name problem, not a parameter problem
-            print(f"available schemes: {', '.join(available_schemes())}",
-                  file=sys.stderr)
-        return 2
+    scheme = SCHEMES.create(args.scheme, **scheme_params)
     circuit = load_circuit(args.circuit)
     locked = scheme.lock(circuit, args.key_length, seed_or_rng=args.seed)
     sidecar = save_locked_design(locked, args.output)
@@ -78,23 +70,15 @@ def _cmd_lock(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    from repro.errors import RegistryError
     from repro.io import load_locked_design
-    from repro.registry import ATTACKS, available_attacks, create_attack
+    from repro.registry import ATTACKS
 
     attack_params = {}
     if args.predictor is not None:
         attack_params["predictor"] = args.predictor
     if args.ensemble is not None:
         attack_params["ensemble"] = args.ensemble
-    try:
-        attack = create_attack(args.attack, **attack_params)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.attack not in ATTACKS:  # name problem, not a parameter problem
-            print(f"available attacks: {', '.join(available_attacks())}",
-                  file=sys.stderr)
-        return 2
+    attack = ATTACKS.create(args.attack, **attack_params)
     locked = load_locked_design(args.design)
     report = attack.run(locked, seed_or_rng=args.seed)
     print(report.as_row())
@@ -120,29 +104,33 @@ def _print_autolock_result(result, cache_path) -> None:
         print(f"fitness cache: {cache_path}")
 
 
-def _parse_alphabet(value: str | None) -> tuple[str, ...] | None:
-    """Parse ``--alphabet mux,xor,...`` against the PRIMITIVES registry.
+def _spec_overrides(args: argparse.Namespace) -> dict:
+    """Spec fields set by the shared experiment flags that were given.
 
-    Returns ``None`` when the flag was not given; an unknown name raises
-    :class:`~repro.errors.RegistryError` listing the registered
-    primitives — every subcommand maps that to exit code 2, the same
-    contract as unknown ``--attack`` / ``--scheme`` names.
+    A flag left at ``None`` keeps the spec's value. ``--alphabet`` is
+    resolved here against the PRIMITIVES registry, so an unknown name
+    raises :class:`~repro.errors.RegistryError` (and an empty list
+    :class:`~repro.errors.LockingError`) before any spec file is read —
+    both exit 2, like unknown ``--attack`` / ``--scheme`` names.
     """
-    if value is None:
-        return None
-    from repro.locking.primitives import resolve_alphabet
+    fields = {
+        "workers": args.workers,
+        "cache_path": args.cache,
+        "async_mode": getattr(args, "async_mode", None),  # coevo has none
+        "trace": args.trace,
+    }
+    if args.alphabet is not None:
+        from repro.locking.primitives import resolve_alphabet
 
-    names = tuple(n.strip() for n in value.split(",") if n.strip())
-    # raises LockingError (empty/duplicates) or RegistryError (unknown
-    # name, listing the registered primitives) — both map to exit 2.
-    return resolve_alphabet(names or ())
+        names = tuple(n.strip() for n in args.alphabet.split(",") if n.strip())
+        fields["alphabet"] = resolve_alphabet(names)
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
     from repro.io import save_locked_design
 
-    alphabet = _parse_alphabet(args.alphabet)
     spec = ExperimentSpec(
         circuit=args.circuit,
         key_length=args.key_length,
@@ -154,12 +142,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             "generations": args.generations,
         },
         seed=args.seed,
-        # Historical CLI contract: workers < 2 (incl. 0/negative) = serial.
-        workers=max(1, args.workers),
-        async_mode=args.async_mode,
-        cache_path=args.cache,
-        trace=args.trace,
-        **({"alphabet": alphabet} if alphabet is not None else {}),
+        **_spec_overrides(args),
     )
     result = run_experiment(spec)
     if result.from_cache:
@@ -182,18 +165,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
 
-    alphabet = _parse_alphabet(args.alphabet)
-    spec = ExperimentSpec.from_file(args.spec)
-    if args.workers is not None:
-        spec = spec.with_updates(workers=args.workers)
-    if args.cache is not None:
-        spec = spec.with_updates(cache_path=args.cache)
-    if args.async_mode is not None:
-        spec = spec.with_updates(async_mode=args.async_mode)
-    if args.trace is not None:
-        spec = spec.with_updates(trace=args.trace)
-    if alphabet is not None:
-        spec = spec.with_updates(alphabet=alphabet)
+    overrides = _spec_overrides(args)
+    spec = ExperimentSpec.from_file(args.spec).with_updates(**overrides)
     result = run_experiment(spec, out_dir=args.out)
     print(result.describe())
     for name, value in result.metrics.items():
@@ -208,19 +181,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import SweepSpec, run_sweep
     from repro.errors import SpecError
 
-    alphabet = _parse_alphabet(args.alphabet)
-    sweep = SweepSpec.from_file(args.spec)
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.cache is not None:
-        overrides["cache_path"] = args.cache
-    if args.async_mode is not None:
-        overrides["async_mode"] = args.async_mode
-    if args.trace is not None:
-        overrides["trace"] = args.trace
-    if overrides:
-        sweep = dataclasses.replace(sweep, **overrides)
+    overrides = _spec_overrides(args)
+    alphabet = overrides.pop("alphabet", None)
+    sweep = dataclasses.replace(SweepSpec.from_file(args.spec), **overrides)
     if alphabet is not None:
         from repro.api.spec import MERGE_AXIS_PREFIX
 
@@ -277,7 +240,7 @@ def _cmd_coevo(args: argparse.Namespace) -> int:
     from repro.api import ExperimentSpec, run_experiment
     from repro.errors import SpecError
 
-    alphabet = _parse_alphabet(args.alphabet)
+    overrides = _spec_overrides(args)
     attacker: dict = {}
     if args.attacker is not None:
         try:
@@ -304,11 +267,8 @@ def _cmd_coevo(args: argparse.Namespace) -> int:
             "attacker_population": args.attacker_pop,
         },
         seed=args.seed,
-        workers=args.workers,
         async_mode=False,
-        cache_path=args.cache,
-        trace=args.trace,
-        **({"alphabet": alphabet} if alphabet is not None else {}),
+        **overrides,
     )
     result = run_experiment(spec, out_dir=args.out)
     print(result.describe())
@@ -435,26 +395,41 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_status(args: argparse.Namespace) -> int:
-    import json as _json
+def _with_store(args: argparse.Namespace, action: str, fn):
+    """Run ``fn(args.path)`` for a ``store`` verb and return its result.
+
+    Exports ``--token``, refuses a missing local file (opening a SQLite
+    store creates it, and inspecting a typo'd path must not fabricate an
+    empty database; a URL has no local file, so reachability surfaces
+    from ``fn``), and turns any store failure into one
+    ``error: cannot <action> '<path>': …`` line through :func:`main`.
+    """
     import sqlite3
     from pathlib import Path
 
-    from repro.store import is_url, open_store
+    from repro.errors import StoreError
+    from repro.store import is_url
 
     _apply_token(args.token)
     if not is_url(args.path) and not Path(args.path).exists():
-        # Opening a sqlite store creates the file; a read-only inspection
-        # of a typo'd path must not fabricate an empty database. (URLs
-        # have no local file — reachability surfaces as a StoreError.)
-        print(f"error: no store at {args.path!r}", file=sys.stderr)
-        return 2
+        raise StoreError(f"no store at {args.path!r}")
     try:
-        store = open_store(args.path)
-        status = store.status()
+        return fn(args.path)
     except (ReproError, sqlite3.DatabaseError) as exc:
-        print(f"error: cannot read store {args.path!r}: {exc}", file=sys.stderr)
-        return 2
+        raise StoreError(f"cannot {action} {args.path!r}: {exc}") from exc
+
+
+def _cmd_store_status(args: argparse.Namespace) -> int:
+    import json as _json
+    from contextlib import closing
+
+    from repro.store import open_store
+
+    def read_status(path):
+        with closing(open_store(path)) as store:
+            return store.status()
+
+    status = _with_store(args, "read store", read_status)
     if args.json:
         print(_json.dumps(status, indent=2, sort_keys=True))
         return 0
@@ -501,30 +476,21 @@ def _cmd_store_retry(args: argparse.Namespace) -> int:
     has nothing failed to retry; 2 = missing or unreadable store, or
     unknown sweep id.
     """
-    import sqlite3
-    from pathlib import Path
+    from contextlib import closing
 
-    from repro.store import is_url, open_store
+    from repro.errors import StoreError
+    from repro.store import open_store
 
-    _apply_token(args.token)
-    if not is_url(args.path) and not Path(args.path).exists():
-        print(f"error: no store at {args.path!r}", file=sys.stderr)
-        return 2
-    try:
-        store = open_store(args.path)
-        counts = store.queue_counts(args.sweep_id)
-        if not counts:
-            print(
-                f"error: store has no sweep {args.sweep_id!r} "
-                "(see `autolock store status`)",
-                file=sys.stderr,
-            )
-            return 2
-        requeued = store.retry_failed(args.sweep_id)
-        store.close()
-    except (ReproError, sqlite3.DatabaseError) as exc:
-        print(f"error: cannot retry on {args.path!r}: {exc}", file=sys.stderr)
-        return 2
+    def retry(path):
+        with closing(open_store(path)) as store:
+            counts = store.queue_counts(args.sweep_id)
+            return counts, store.retry_failed(args.sweep_id) if counts else 0
+
+    counts, requeued = _with_store(args, "retry on", retry)
+    if not counts:
+        raise StoreError(
+            f"store has no sweep {args.sweep_id!r} (see `autolock store status`)"
+        )
     if requeued == 0:
         print(
             f"sweep {args.sweep_id}: no failed points to retry "
@@ -541,20 +507,10 @@ def _cmd_store_retry(args: argparse.Namespace) -> int:
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
     import json as _json
-    import sqlite3
-    from pathlib import Path
 
-    from repro.store import gc_store, is_url
+    from repro.store import gc_store
 
-    _apply_token(args.token)
-    if not is_url(args.path) and not Path(args.path).exists():
-        print(f"error: no store at {args.path!r}", file=sys.stderr)
-        return 2
-    try:
-        report = gc_store(args.path)
-    except (ReproError, sqlite3.DatabaseError) as exc:
-        print(f"error: cannot gc store {args.path!r}: {exc}", file=sys.stderr)
-        return 2
+    report = _with_store(args, "gc store", gc_store)
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -641,28 +597,6 @@ def _add_token_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
-    """``--trace``: write a JSONL span trace of the run."""
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write nested timing spans to this JSONL file (summarise "
-        "with `autolock trace summarize PATH`); worker processes derive "
-        "per-worker files from the same stem. Excluded from experiment "
-        "fingerprints — results are byte-identical with or without it.",
-    )
-
-
-def _add_alphabet_flag(parser: argparse.ArgumentParser) -> None:
-    """``--alphabet``: the locking-primitive alphabet engines compose."""
-    parser.add_argument(
-        "--alphabet", default=None, metavar="P1,P2,...",
-        help="comma-separated locking primitives the genotype may compose "
-        "(see `autolock plugins`; default mux — the paper's pure D-MUX "
-        "search space). The resolved alphabet feeds the experiment "
-        "fingerprint; the default leaves fingerprints unchanged.",
-    )
-
-
 def _add_loop_mode_flags(parser: argparse.ArgumentParser) -> None:
     """``--async`` / ``--sync``: pick the engine search-loop mode."""
     mode = parser.add_mutually_exclusive_group()
@@ -687,6 +621,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags shared through argparse parents: every verb that takes one
+    # holds the same Action. ``None`` keeps the spec's value (see
+    # _spec_overrides).
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="write nested timing spans to this JSONL file (summarise "
+        "with `autolock trace summarize PATH`); worker processes derive "
+        "per-worker files from the same stem. Excluded from experiment "
+        "fingerprints — results are byte-identical with or without it.",
+    )
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="evaluation worker processes, >= 1 (default: the spec's "
+        "value; 1 = serial). For a given loop mode the record is "
+        "byte-identical at any worker count.",
+    )
+    experiment.add_argument(
+        "--cache", default=None, metavar="PATH",
+        help="experiment store (a SQLite file or a campaign-server URL) "
+        "persisting attack evaluations, epoch checkpoints and finished "
+        "records; a repeated or interrupted run replays them instead of "
+        "recomputing (delete the file to start fresh)",
+    )
+    experiment.add_argument(
+        "--alphabet", default=None, metavar="P1,P2,...",
+        help="comma-separated locking primitives the genotype may compose "
+        "(see `autolock plugins`; default mux — the paper's pure D-MUX "
+        "search space). The resolved alphabet feeds the experiment "
+        "fingerprint.",
+    )
+    experiment_flags = [experiment, trace]
 
     p_info = sub.add_parser("info", help="benchmark circuit statistics")
     p_info.add_argument("circuit", nargs="?", help="circuit name (default: all)")
@@ -721,7 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.set_defaults(func=_cmd_attack)
 
-    p_evolve = sub.add_parser("evolve", help="run the AutoLock pipeline")
+    p_evolve = sub.add_parser(
+        "evolve", help="run the AutoLock pipeline", parents=experiment_flags
+    )
     p_evolve.add_argument("circuit")
     p_evolve.add_argument("--key-length", type=int, default=32)
     p_evolve.add_argument("--population", type=int, default=12)
@@ -730,51 +700,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictor", choices=["bayes", "mlp", "gnn"], default="mlp"
     )
     p_evolve.add_argument("--seed", type=int, default=0)
-    p_evolve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fitness-evaluation worker processes (default 1 = serial)",
-    )
-    p_evolve.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="persist attack evaluations to this experiment store (a SQLite "
-        "file or a campaign-server URL) and reuse them on repeated runs "
-        "(delete the file to start fresh)",
-    )
     p_evolve.add_argument("--output", default=None)
-    _add_alphabet_flag(p_evolve)
     _add_loop_mode_flags(p_evolve)
-    _add_trace_flag(p_evolve)
     p_evolve.set_defaults(func=_cmd_evolve)
 
     p_run = sub.add_parser(
-        "run", help="execute a declarative experiment spec (JSON file)"
+        "run", help="execute a declarative experiment spec (JSON file)",
+        parents=experiment_flags,
     )
     p_run.add_argument("spec", help="path to an ExperimentSpec JSON file")
     p_run.add_argument(
         "--out", default=None, metavar="DIR",
         help="write results.jsonl + manifest.json artifacts to DIR",
     )
-    p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("--cache", default=None, metavar="PATH")
-    _add_alphabet_flag(p_run)
     _add_loop_mode_flags(p_run)
-    _add_trace_flag(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
-        "sweep", help="execute a sweep spec (JSON file) over a shared pool"
+        "sweep", help="execute a sweep spec (JSON file) over a shared pool",
+        parents=experiment_flags,
     )
     p_sweep.add_argument("spec", help="path to a SweepSpec JSON file")
     p_sweep.add_argument(
         "--out", default=None, metavar="DIR",
         help="write results.jsonl + manifest.json artifacts to DIR",
     )
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--cache", default=None, metavar="PATH")
     p_sweep.add_argument(
         "--workers-distributed", type=int, default=None, metavar="N",
         help="distribute sweep *points* across N local worker processes "
@@ -787,15 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
         "rescheduled — finished experiment records replay from the store "
         "either way, with zero fresh attack evaluations",
     )
-    _add_alphabet_flag(p_sweep)
     _add_loop_mode_flags(p_sweep)
-    _add_trace_flag(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_coevo = sub.add_parser(
         "coevo",
         help="adversarial co-evolution: attacker panels vs. the lock "
         "population",
+        parents=experiment_flags,
     )
     p_coevo.add_argument("circuit")
     p_coevo.add_argument("--key-length", type=int, default=16)
@@ -828,22 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_coevo.add_argument("--seed", type=int, default=0)
     p_coevo.add_argument(
-        "--workers", type=int, default=1,
-        help="evaluation worker processes shared by both sides "
-        "(default 1 = serial; the trajectory is byte-identical either way)",
-    )
-    p_coevo.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="persist epoch checkpoints and evaluations to this store; "
-        "an interrupted run resumes with zero recomputation",
-    )
-    p_coevo.add_argument(
         "--out", default=None, metavar="DIR",
         help="write the run record (every epoch, both populations) as "
         "results.jsonl + manifest",
     )
-    _add_alphabet_flag(p_coevo)
-    _add_trace_flag(p_coevo)
     p_coevo.set_defaults(func=_cmd_coevo)
 
     p_worker = sub.add_parser(
@@ -854,6 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
         "also enqueues idempotently) or at an existing queue "
         "(STORE --sweep-id ID). Run any number of these, on any machine "
         "that can reach the store file.",
+        parents=[trace],
     )
     p_worker.add_argument(
         "store_path", nargs="?", default=None,
@@ -889,7 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         "environment variable, else INFO)",
     )
     _add_token_flag(p_worker)
-    _add_trace_flag(p_worker)
     p_worker.set_defaults(func=_cmd_worker)
 
     p_serve = sub.add_parser(

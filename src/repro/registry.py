@@ -1,19 +1,25 @@
 """String-keyed plugin registries for the experiment layer.
 
-Every extensible component family — locking schemes, attacks, MuxLink
-link predictors, search engines, design metrics — registers its concrete
-implementations here under a short name. The declarative experiment API
-(:mod:`repro.api`) and the CLI resolve those names at run time, so adding
-a scenario means registering one class, not editing dispatch chains in a
-dozen entry points::
+Every extensible component family — locking schemes, locking
+primitives, attacks, MuxLink link predictors, search engines, design
+metrics, store backends — registers its concrete implementations here
+under a short name. The declarative experiment API (:mod:`repro.api`)
+and the CLI resolve those names at run time, so adding a scenario means
+registering one class, not editing dispatch chains in a dozen entry
+points::
 
-    from repro.registry import register_attack, create_attack
+    from repro.registry import ATTACKS, register_attack
 
     @register_attack("my_attack")
     class MyAttack(Attack):
         ...
 
-    attack = create_attack("my_attack", budget=100)
+    attack = ATTACKS.create("my_attack", budget=100)
+    ATTACKS.available()  # [..., "my_attack", ...]
+
+The lookup API is each registry's own :meth:`Registry.create`,
+:meth:`Registry.get` and :meth:`Registry.available`; ``create_scheme``,
+``create_attack`` and ``create_engine`` are shorthands for the first.
 
 Registries populate lazily: the first lookup imports the provider
 modules, whose import-time decorators self-register the built-ins. This
@@ -163,64 +169,14 @@ def create_scheme(name: str, **kwargs):
     return SCHEMES.create(name, **kwargs)
 
 
-def create_primitive(name: str, **kwargs):
-    """Instantiate the locking primitive registered under ``name``."""
-    return PRIMITIVES.create(name, **kwargs)
-
-
 def create_attack(name: str, **kwargs):
     """Instantiate the attack registered under ``name``."""
     return ATTACKS.create(name, **kwargs)
 
 
-def create_predictor(name: str, **kwargs):
-    """Instantiate the MuxLink link predictor registered under ``name``."""
-    return PREDICTORS.create(name, **kwargs)
-
-
 def create_engine(name: str, **kwargs):
     """Instantiate the search-engine adapter registered under ``name``."""
     return ENGINES.create(name, **kwargs)
-
-
-def create_store(name: str, **kwargs):
-    """Instantiate the store backend registered under ``name``."""
-    return STORES.create(name, **kwargs)
-
-
-def available_stores() -> list[str]:
-    """Registered store-backend names."""
-    return STORES.available()
-
-
-def available_schemes() -> list[str]:
-    """Registered locking-scheme names."""
-    return SCHEMES.available()
-
-
-def available_primitives() -> list[str]:
-    """Registered locking-primitive names."""
-    return PRIMITIVES.available()
-
-
-def available_attacks() -> list[str]:
-    """Registered attack names."""
-    return ATTACKS.available()
-
-
-def available_predictors() -> list[str]:
-    """Registered link-predictor names."""
-    return PREDICTORS.available()
-
-
-def available_engines() -> list[str]:
-    """Registered search-engine names."""
-    return ENGINES.available()
-
-
-def available_metrics() -> list[str]:
-    """Registered metric names."""
-    return METRICS.available()
 
 
 __all__ = [
@@ -240,16 +196,6 @@ __all__ = [
     "register_metric",
     "register_store",
     "create_scheme",
-    "create_primitive",
     "create_attack",
-    "create_predictor",
     "create_engine",
-    "create_store",
-    "available_schemes",
-    "available_primitives",
-    "available_attacks",
-    "available_predictors",
-    "available_engines",
-    "available_metrics",
-    "available_stores",
 ]

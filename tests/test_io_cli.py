@@ -1,5 +1,6 @@
 """Design serialisation and the command-line interface."""
 
+import argparse
 import json
 import os
 import re
@@ -85,6 +86,24 @@ def test_parser_requires_command():
         parser.parse_args([])
 
 
+@pytest.mark.parametrize(
+    "flag", ["--workers", "--cache", "--alphabet", "--trace"]
+)
+def test_shared_experiment_flags_are_declared_once(flag):
+    """evolve / run / sweep / coevo take the shared flags from one parent
+    parser, so each verb holds the very same Action object."""
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = [
+        sub.choices[verb]._option_string_actions[flag]
+        for verb in ("evolve", "run", "sweep", "coevo")
+    ]
+    assert all(action is actions[0] for action in actions)
+    assert actions[0].default is None
+
+
 def test_cli_info(capsys):
     assert main(["info", "c17"]) == 0
     out = capsys.readouterr().out
@@ -133,16 +152,26 @@ def test_cli_attack_unknown_name_exits_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown attack 'mystery'" in err
     assert "muxlink" in err and "random" in err and "sat" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
-def test_cli_evolve_workers_zero_means_serial(capsys):
-    """Historical contract: --workers < 2 (incl. 0) runs serially."""
-    assert main([
-        "evolve", "rand_100_9", "--key-length", "4", "--population", "4",
-        "--generations", "2", "--predictor", "bayes", "--seed", "2",
-        "--workers", "0",
-    ]) == 0
-    assert "AutoLock on rand_100_9" in capsys.readouterr().out
+@pytest.mark.parametrize("verb", ["evolve", "coevo", "run"])
+def test_cli_workers_below_one_exits_2(tmp_path, capsys, verb):
+    """``--workers`` must be >= 1 on every experiment verb: 0 is refused
+    by the spec's own check, never silently read as serial."""
+    if verb == "run":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "circuit": "rand_100_9", "key_length": 4, "engine": "ga",
+            "engine_params": {"population_size": 4, "generations": 1},
+            "attack": "muxlink", "attack_params": {"predictor": "bayes"},
+        }))
+        argv = ["run", str(spec)]
+    else:
+        argv = [verb, "rand_100_9", "--key-length", "4"]
+    assert main([*argv, "--workers", "0"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_lock_unknown_scheme_exits_nonzero(capsys):
@@ -150,6 +179,8 @@ def test_cli_lock_unknown_scheme_exits_nonzero(capsys):
     err = capsys.readouterr().err
     assert "unknown locking scheme 'alien'" in err
     assert "dmux" in err and "rll" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def test_cli_evolve(tmp_path, capsys):

@@ -46,7 +46,7 @@ from repro.locking.primitives import (
     resolve_alphabet,
 )
 from repro.netlist import write_verilog
-from repro.registry import PRIMITIVES, available_primitives
+from repro.registry import PRIMITIVES
 from repro.sim import check_equivalence
 
 from reference.netlist import validate_netlist
@@ -61,7 +61,7 @@ def rand100():
 
 # ------------------------------------------------------------- registry
 def test_builtin_primitives_registered():
-    assert {"mux", "xor", "and_or"} <= set(available_primitives())
+    assert {"mux", "xor", "and_or"} <= set(PRIMITIVES.available())
 
 
 def test_primitive_instances_are_shared():

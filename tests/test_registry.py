@@ -5,43 +5,42 @@ import pytest
 from repro import registry
 from repro.errors import RegistryError
 from repro.registry import (
+    ATTACKS,
+    ENGINES,
+    METRICS,
+    PREDICTORS,
+    SCHEMES,
     Registry,
-    available_attacks,
-    available_engines,
-    available_metrics,
-    available_predictors,
-    available_schemes,
     create_attack,
     create_engine,
-    create_predictor,
     create_scheme,
 )
 
 
 # ------------------------------------------------------------- built-ins
 def test_builtin_schemes_registered():
-    assert available_schemes() == ["dmux", "rll"]
+    assert SCHEMES.available() == ["dmux", "rll"]
 
 
 def test_builtin_attacks_registered():
-    assert available_attacks() == [
+    assert ATTACKS.available() == [
         "muxlink", "random", "saam", "sat", "scope", "snapshot"
     ]
 
 
 def test_builtin_predictors_registered():
-    assert available_predictors() == ["bayes", "gnn", "mlp"]
+    assert PREDICTORS.available() == ["bayes", "gnn", "mlp"]
 
 
 def test_builtin_engines_registered():
-    assert available_engines() == [
+    assert ENGINES.available() == [
         "autolock", "coevo", "ga", "hill_climber", "nsga2", "random_search",
         "simulated_annealing",
     ]
 
 
 def test_builtin_metrics_registered():
-    assert available_metrics() == [
+    assert METRICS.available() == [
         "corruption", "equivalence", "overhead", "stats",
     ]
 
@@ -59,11 +58,11 @@ def test_create_attack_with_params():
 
 
 def test_create_predictor():
-    assert create_predictor("bayes").name == "bayes"
+    assert PREDICTORS.create("bayes").name == "bayes"
 
 
 def test_create_engine_adapters_carry_names():
-    for name in available_engines():
+    for name in ENGINES.available():
         assert create_engine(name).name == name
 
 
@@ -81,8 +80,8 @@ def test_bad_constructor_params_wrapped():
 def test_registry_contains_and_len():
     assert "muxlink" in registry.ATTACKS
     assert "nope" not in registry.ATTACKS
-    assert len(registry.ATTACKS) == len(available_attacks())
-    assert list(registry.ATTACKS) == available_attacks()
+    assert len(registry.ATTACKS) == len(ATTACKS.available())
+    assert list(registry.ATTACKS) == ATTACKS.available()
 
 
 # --------------------------------------------------- custom registration

@@ -203,21 +203,39 @@ def test_store_gc_missing_store_exits_2(tmp_path, capsys):
     assert "no store at" in capsys.readouterr().err
 
 
+def _malformed_sqlite(path):
+    """A store file with a valid SQLite header whose pages past the
+    first are overwritten: opening works, the first query raises
+    ``sqlite3.DatabaseError`` ("database disk image is malformed")."""
+    store = SQLiteStore(path)
+    store.put_many("ns", {f"k{i}": {"v": "x" * 200} for i in range(100)})
+    store.close()
+    data = bytearray(path.read_bytes())
+    page_size = int.from_bytes(data[16:18], "big")
+    data[page_size:] = b"\xab" * (len(data) - page_size)
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize("verb", [
     ["status"], ["retry", "deadbeef"], ["gc"],
 ], ids=["status", "retry", "gc"])
 def test_store_verbs_on_a_corrupt_file_exit_2(tmp_path, capsys, verb):
-    """A file that is not a SQLite database is one ``error: cannot …``
-    line naming it, never a traceback."""
-    bad = tmp_path / "bad.sqlite"
-    bad.write_bytes(b"this is not a sqlite database, just bytes\n" * 64)
-    assert main(["store", verb[0], str(bad), *verb[1:]]) == 2
-    err = capsys.readouterr().err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1, err
-    assert lines[0].startswith("error: cannot ")
-    assert str(bad) in lines[0]
-    assert "Traceback" not in err
+    """A file that is not a SQLite database, and one whose pages are
+    malformed, each give one ``error: cannot …`` line naming the file,
+    never a traceback."""
+    garbage = tmp_path / "bad.sqlite"
+    garbage.write_bytes(b"this is not a sqlite database, just bytes\n" * 64)
+    malformed = tmp_path / "malformed.sqlite"
+    _malformed_sqlite(malformed)
+    for bad in (garbage, malformed):
+        assert main(["store", verb[0], str(bad), *verb[1:]]) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: cannot ")
+        assert str(bad) in lines[0]
+        assert "Traceback" not in err
+    assert "malformed" in lines[0]
 
 
 def test_queue_retry_failed_api(tmp_path):
