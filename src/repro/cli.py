@@ -29,13 +29,15 @@ All component names are resolved through :mod:`repro.registry`, so a
 newly registered plugin is immediately usable from every subcommand. Any
 :class:`~repro.errors.ReproError` a subcommand raises (unknown circuit,
 bad spec, unreadable store, ...) prints as ``error: <message>`` and exits
-with code 2.
+with code 2. A reader that closes the pipe early (``autolock info | head
+-1``) ends the command with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from repro._version import __version__
@@ -948,14 +950,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; a :class:`ReproError` exits 2 with its message."""
+    """CLI entry point; a :class:`ReproError` exits 2 with its message,
+    and a reader that closes the pipe early exits 1 in silence."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # ``autolock info | head -1``: point stdout at devnull so the
+        # interpreter's exit-time flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,7 +8,10 @@ Input: original netlist (ON) and desired key length (K). The pipeline
 4. re-evaluates baseline and champion with an independent, stronger
    attack configuration (ensembled predictor, optionally the GNN), so the
    reported improvement is not an artefact of overfitting the fitness
-   oracle.
+   oracle. On a pool evaluator the initial population's report attacks
+   are queued before the GA starts and run alongside it, filling the
+   workers the GA leaves idle; the champion's follows the GA. A serial
+   evaluator scores all of them in one batch after the GA.
 
 The headline quantity is ``accuracy_drop_pp``: percentage points between
 the mean initial-population attack accuracy and the champion's — the
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ec.evaluator import Evaluator, evaluator_scope
+from repro.ec.evaluator import Evaluator, evaluator_scope, supports_async
 from repro.ec.fitness import FitnessCache, SpecFitness, cache_namespace
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import random_genotype
@@ -197,15 +200,33 @@ class AutoLock:
         with evaluator_scope(
             evaluator, cfg.workers, cfg.async_mode
         ) as evaluator:
-            result = ga.run(
-                original, fitness, initial_population=initial,
-                evaluator=evaluator,
+            # Step 4 on the GA's evaluator. The initial population's report
+            # does not depend on the GA, so a pool runs it alongside the GA.
+            alongside = supports_async(evaluator)
+            pending = (
+                [evaluator.submit(g, report) for g in initial]
+                if alongside else []
             )
-            # Step 4 on the GA's still-open evaluator: a pool evaluator
-            # spreads the report attacks over its workers.
-            report_accs, _ = evaluator.evaluate(
-                initial + [result.best_genotype], report
-            )
+            try:
+                result = ga.run(
+                    original, fitness, initial_population=initial,
+                    evaluator=evaluator,
+                )
+                if alongside:
+                    pending.append(
+                        evaluator.submit(result.best_genotype, report)
+                    )
+                    report_accs = [future.result() for future in pending]
+                else:
+                    report_accs, _ = evaluator.evaluate(
+                        initial + [result.best_genotype], report
+                    )
+            finally:
+                # On an error, cancel what has not started: only this
+                # run's own report attacks, since a shared pool may be
+                # running other callers' work.
+                for future in pending:
+                    future.cancel()
 
         # Step 3: decode champion genotype -> locked netlist.
         locked = lock_with_genes(original, result.best_genotype)

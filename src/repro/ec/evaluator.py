@@ -41,6 +41,7 @@ import tempfile
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -181,20 +182,36 @@ class SerialEvaluator(Evaluator):
 
 
 # -- worker-process plumbing -----------------------------------------------
-#: per-worker-process cache of the most recently loaded fitness snapshot:
-#: ``(epoch, fitness)``. Tasks carry the epoch + blob path; a worker
-#: reloads only when its cached epoch is stale, so one long-lived pool
-#: serves many successive fitness functions (a sweep's per-spec oracles).
-_WORKER_STATE: tuple[int, Fitness] | None = None
+#: per-worker-process ``epoch -> fitness`` snapshots, oldest first. Tasks
+#: carry the epoch + blob path; a worker loads a blob only for an epoch it
+#: does not hold. Two slots fit the two fitness functions an AutoLock run
+#: keeps live (GA and report); a sweep's later ones evict the oldest.
+_WORKER_FITNESSES: dict[int, Fitness] = {}
+_WORKER_SLOTS = 2
 
 
 def _eval_epoch(task: "tuple[int, str, Genotype]"):
-    global _WORKER_STATE
     epoch, blob_path, genes = task
-    if _WORKER_STATE is None or _WORKER_STATE[0] != epoch:
+    fitness = _WORKER_FITNESSES.get(epoch)
+    if fitness is None:
         with open(blob_path, "rb") as fh:
-            _WORKER_STATE = (epoch, pickle.load(fh))
-    return _WORKER_STATE[1](genes)
+            fitness = pickle.load(fh)
+        if len(_WORKER_FITNESSES) >= _WORKER_SLOTS:
+            del _WORKER_FITNESSES[next(iter(_WORKER_FITNESSES))]
+        _WORKER_FITNESSES[epoch] = fitness
+    return fitness(genes)
+
+
+def _release_blob(staged: dict, key: int, path: str) -> None:
+    """Finalizer of a staged fitness: forget its entry, unlink its blob.
+
+    No task names the blob by then: each in-flight task's merge callback
+    holds the fitness alive. It may run on any thread, before the id can
+    be reused.
+    """
+    staged.pop(key, None)
+    with contextlib.suppress(OSError):
+        os.unlink(path)
 
 
 class _TaskFuture(Future):
@@ -240,12 +257,13 @@ class AsyncEvaluator(Evaluator):
     Two entry points share one dispatch path (:meth:`_dispatch`):
 
     * :meth:`evaluate` takes a whole population (the generational loop's
-      barrier, the AutoLock report stage), dispatches each distinct
-      genotype once, and returns the values in population order;
+      barrier), dispatches each distinct genotype once, and returns the
+      values in population order;
     * :meth:`submit` takes one genotype and returns a future at once, so
       the steady-state :class:`repro.ec.loop.SearchLoop` keeps breeding
       while the pool works, keeping every worker busy even when
-      per-candidate attack costs are wildly skewed.
+      per-candidate attack costs are wildly skewed, and AutoLock's report
+      attacks queue up alongside its GA.
 
     Dispatch consults the fitness cache first (a hit is an
     already-completed future, with the hit recorded exactly like the
@@ -259,16 +277,21 @@ class AsyncEvaluator(Evaluator):
     even if the driving loop has already stopped — while ``evaluate``
     merges in memory and flushes once per batch.
 
-    The fitness function is pickled once per *epoch* — each distinct
-    fitness object the dispatcher sends — into a blob file under a
-    private temp directory; tasks carry ``(epoch, blob_path, genes)`` and
-    each worker reloads the blob only when its cached epoch is stale.
-    The worker processes stay alive across fitness changes, so a sweep
-    that runs many specs through one shared evaluator pays process
-    startup once, not once per spec. The snapshot deliberately excludes
-    later in-place mutation of the dispatcher's fitness (its warming
-    cache, its counters), which workers never need: they only ever see
-    genotypes the dispatcher's cache missed.
+    Each fitness object is pickled once, the first time it is
+    dispatched, into its own blob file under a private temp directory,
+    under its own *epoch*. It keeps that epoch and blob while it is
+    alive, so dispatches that interleave fitness functions (an AutoLock
+    run's report attacks queued alongside its GA) never re-ship a blob;
+    the blob is unlinked when the fitness is released, or at
+    :meth:`close`. Tasks carry ``(epoch, blob_path, genes)``, and each
+    worker keeps the two most recently loaded epochs, loading a blob
+    only for an epoch it does not hold. The worker processes stay alive
+    across fitness changes, so a sweep that runs many specs through one
+    shared evaluator pays process startup once, not once per spec. The
+    snapshot deliberately excludes later in-place mutation of the
+    dispatcher's fitness (its warming cache, its counters), which workers
+    never need: they only ever see genotypes the dispatcher's cache
+    missed.
 
     Cancelling a returned future cancels its pool task if it has not
     started; :meth:`cancel_pending` does so for every dispatch, and
@@ -284,11 +307,12 @@ class AsyncEvaluator(Evaluator):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_fitness: Fitness | None = None
         self._warned_unpicklable = False
         self._epoch = 0
         self._blob_dir: str | None = None
-        self._blob_path: str | None = None
+        #: id(fitness) -> (weakref to it, its epoch, its blob path), for
+        #: every staged fitness still alive.
+        self._staged: dict[int, tuple[Callable, int, str]] = {}
         #: (epoch, genotype key) -> in-flight future; epoch-scoped so a
         #: straggler from one fitness can never answer for the next one.
         self._inflight: dict[tuple, Future] = {}
@@ -387,7 +411,8 @@ class AsyncEvaluator(Evaluator):
             cached = cache.get(key)  # records the hit/miss
             if cached is not None:
                 return _done(cached), "hit"
-        if not self._stage_fitness(fitness):
+        staged = self._stage_fitness(fitness)
+        if staged is None:
             # Unpicklable fitness: evaluate inline, right now. The fitness
             # consulted its own cache (recording a second miss for the
             # lookup above) and bumped its own counters — undo the dupe.
@@ -395,7 +420,8 @@ class AsyncEvaluator(Evaluator):
             if cache is not None:
                 cache.misses -= 1
             return _done(value), "fresh"
-        inflight_key = (self._epoch, key)
+        epoch, blob_path = staged
+        inflight_key = (epoch, key)
         with self._inflight_lock:
             shared = self._inflight.get(inflight_key)
         if shared is not None:
@@ -409,7 +435,7 @@ class AsyncEvaluator(Evaluator):
             return shared, "shared"
 
         pool = self._ensure_pool()
-        task = pool.submit(_eval_epoch, (self._epoch, self._blob_path, genes))
+        task = pool.submit(_eval_epoch, (epoch, blob_path, genes))
         future = _TaskFuture(task)
         with self._inflight_lock:
             self._inflight[inflight_key] = future
@@ -440,10 +466,11 @@ class AsyncEvaluator(Evaluator):
         task.add_done_callback(_merge)
         return future, "fresh"
 
-    def _stage_fitness(self, fitness: Fitness) -> bool:
-        """Stage ``fitness`` for worker dispatch; False when unpicklable."""
-        if self._blob_path is not None and fitness is self._pool_fitness:
-            return True
+    def _stage_fitness(self, fitness: Fitness) -> tuple[int, str] | None:
+        """``fitness``'s ``(epoch, blob path)``; None when unpicklable."""
+        entry = self._staged.get(id(fitness))
+        if entry is not None and entry[0]() is fitness:
+            return entry[1], entry[2]
         try:
             blob = pickle.dumps(fitness)
         except Exception:
@@ -456,24 +483,26 @@ class AsyncEvaluator(Evaluator):
                     stacklevel=4,
                 )
                 self._warned_unpicklable = True
-            return False
-        # New fitness: bump the epoch and stage its blob; the live
-        # worker processes pick it up on their next task instead of
-        # the whole executor restarting per spec.
+            return None
+        # New fitness: a new epoch and blob; the live worker processes
+        # load it on their first task for it instead of the whole
+        # executor restarting per spec.
         if self._blob_dir is None:
             self._blob_dir = tempfile.mkdtemp(prefix="repro-eval-")
         self._epoch += 1
-        new_blob = os.path.join(self._blob_dir, f"fitness-{self._epoch}.pkl")
-        with open(new_blob, "wb") as fh:
+        path = os.path.join(self._blob_dir, f"fitness-{self._epoch}.pkl")
+        with open(path, "wb") as fh:
             fh.write(blob)
-        if self._blob_path is not None:
-            # Workers mid-load hold the old file open via their own
-            # handle; unlink is safe on POSIX and merely unclutters.
-            with contextlib.suppress(OSError):
-                os.unlink(self._blob_path)
-        self._blob_path = new_blob
-        self._pool_fitness = fitness
-        return True
+        try:
+            ref = weakref.ref(fitness)
+            weakref.finalize(
+                fitness, _release_blob, self._staged, id(fitness), path
+            )
+        except TypeError:
+            # Not weak-referenceable: hold it, and its blob, until close().
+            ref = lambda: fitness  # noqa: E731
+        self._staged[id(fitness)] = (ref, self._epoch, path)
+        return self._epoch, path
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -496,11 +525,10 @@ class AsyncEvaluator(Evaluator):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-            self._pool_fitness = None
+        self._staged.clear()
         if self._blob_dir is not None:
             shutil.rmtree(self._blob_dir, ignore_errors=True)
             self._blob_dir = None
-            self._blob_path = None
 
 
 def open_evaluator(

@@ -170,10 +170,6 @@ def enabled() -> bool:
     return _TRACER is not None
 
 
-def current_tracer() -> Tracer | None:
-    return _TRACER
-
-
 def start_tracing(path: Union[str, Path], **attrs: Any) -> Tracer:
     """Install the process-wide tracer. Raises if one is already active."""
     global _TRACER

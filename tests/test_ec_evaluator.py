@@ -11,6 +11,8 @@ repeated runs into pure lookups.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import os
 import pickle
 import time
 
@@ -33,6 +35,7 @@ from repro.ec import (
     SpecFitness,
     cache_namespace,
 )
+from repro.ec import autolock as autolock_module
 from repro.ec.evaluator import open_evaluator
 from repro.ec.fitness import MultiObjectiveFitness
 from repro.ec.genotype import genotype_key, random_genotype
@@ -51,9 +54,12 @@ def _strip_timing(stats):
 class CountingFitness:
     """Cache-fronted, picklable fitness that counts real evaluations."""
 
-    def __init__(self, cache: FitnessCache | None = None) -> None:
+    def __init__(
+        self, cache: FitnessCache | None = None, offset: float = 0.0
+    ) -> None:
         self.cache = cache if cache is not None else FitnessCache()
         self.evaluations = 0
+        self.offset = offset
 
     def __call__(self, genes) -> float:
         key = genotype_key(genes)
@@ -61,7 +67,7 @@ class CountingFitness:
         if cached is not None:
             return float(cached)
         self.evaluations += 1
-        value = sum(g.k for g in genes) / len(genes)
+        value = sum(g.k for g in genes) / len(genes) + self.offset
         self.cache.put(key, value)
         return value
 
@@ -72,6 +78,23 @@ class SlowPutCache(FitnessCache):
     def put(self, key, value, flush: bool = True) -> None:
         time.sleep(0.05)
         super().put(key, value, flush)
+
+
+class SleepyFitness:
+    """Picklable, cache-less fitness that sleeps before answering and
+    appends one line per call to ``calls`` (when given)."""
+
+    def __init__(self, seconds: float, offset: float = 0.0, calls=None):
+        self.seconds = seconds
+        self.offset = offset
+        self.calls = calls
+
+    def __call__(self, genes) -> float:
+        if self.calls is not None:
+            with open(self.calls, "a") as fh:
+                fh.write("call\n")
+        time.sleep(self.seconds)
+        return sum(g.k for g in genes) / len(genes) + self.offset
 
 
 class PidFitness:
@@ -236,6 +259,92 @@ def test_pool_worker_processes_survive_fitness_change(circuit):
     assert len(pids_first | pids_second) <= 2, (
         "fitness change must not respawn the worker processes"
     )
+
+
+def test_interleaved_fitnesses_stage_one_blob_each(circuit):
+    """Switching between live fitness functions never re-ships a blob;
+    a released fitness's blob goes, a live one's stays, close() clears
+    the rest."""
+    genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in (20, 21, 22)]
+    fit_a, fit_b = CountingFitness(), CountingFitness(offset=10.0)
+    order = [(fit_a, genomes[0]), (fit_b, genomes[1]), (fit_a, genomes[2])]
+    want = [
+        CountingFitness(offset=fitness.offset)(genes) for fitness, genes in order
+    ]
+    with AsyncEvaluator(workers=2) as evaluator:
+        epoch0 = evaluator._epoch
+        futures = [evaluator.submit(genes, fitness) for fitness, genes in order]
+        assert [future.result() for future in futures] == want
+        assert evaluator._epoch == epoch0 + 2, "one epoch per fitness object"
+
+        blob_a = evaluator._staged[id(fit_a)][2]
+        blob_b = evaluator._staged[id(fit_b)][2]
+        blob_dir = evaluator._blob_dir
+        assert os.path.exists(blob_a) and os.path.exists(blob_b)
+        del futures, order, fit_b
+        gc.collect()
+        assert not os.path.exists(blob_b), "a released fitness keeps no blob"
+        assert os.path.exists(blob_a), "a live fitness keeps its blob"
+        assert len(evaluator._staged) == 1
+    assert not os.path.exists(blob_dir)
+
+
+def test_released_fitness_still_answers_its_running_task(circuit):
+    """The caller's last reference to a fitness goes while its task waits
+    behind other work: the task still loads the blob and answers."""
+    genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in (23, 24, 25)]
+    fitness = SleepyFitness(0.0, offset=5.0)
+    want = fitness(genomes[2])
+    with AsyncEvaluator(workers=2) as evaluator:
+        busy = SleepyFitness(0.5)
+        blockers = [evaluator.submit(g, busy) for g in genomes[:2]]
+        future = evaluator.submit(genomes[2], fitness)
+        blob = evaluator._staged[id(fitness)][2]
+        del fitness
+        gc.collect()
+        assert future.result() == want
+        assert [b.result() for b in blockers] == [
+            SleepyFitness(0.0)(g) for g in genomes[:2]
+        ]
+        del future
+        gc.collect()
+        assert not os.path.exists(blob), "the blob goes once its task is done"
+
+
+def test_ga_error_cancels_only_its_own_queued_report_attacks(
+    circuit, tmp_path, monkeypatch
+):
+    """AutoLock queues its report attacks before the GA; when the GA
+    fails, the report attacks that have not started are cancelled, and
+    another caller's work on the shared pool still runs."""
+    calls = tmp_path / "report_calls.txt"
+    calls.touch()
+
+    def spec_fitness(original, attack, params, attack_seed, cache):
+        if params["predictor"] == "mlp":  # the report oracle
+            return SleepyFitness(0.5, calls=str(calls))
+
+        def failing(genes):  # unpicklable, so it fails in the parent at once
+            raise RuntimeError("fitness attack failed")
+
+        return failing
+
+    monkeypatch.setattr(autolock_module, "SpecFitness", spec_fitness)
+    config = AutoLockConfig(
+        key_length=4, population_size=8, generations=1,
+        fitness_predictor="bayes", report_predictor="mlp", report_ensemble=1,
+        seed=3, workers=2,
+    )
+    genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in (26, 27, 28)]
+    other = SleepyFitness(1.0, offset=7.0)
+    with AsyncEvaluator(workers=2) as shared:
+        # Another caller's work: two running tasks and one queued one.
+        theirs = [shared.submit(g, other) for g in genomes]
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            with pytest.raises(RuntimeError, match="fitness attack failed"):
+                AutoLock(config).run(circuit, evaluator=shared)
+        assert [f.result() for f in theirs] == [other(g) for g in genomes]
+    assert len(calls.read_text().splitlines()) <= shared.workers
 
 
 def test_unpicklable_cached_fitness_accounting_matches_serial(circuit):

@@ -313,6 +313,26 @@ def test_cli_unknown_circuit_exits_2_without_traceback(verb):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_info_survives_a_reader_that_closes_the_pipe():
+    """``autolock info | head -1``: the reader closes the pipe after one
+    line, and the CLI exits non-zero with nothing on stderr."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")  # one write per line
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "info"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.readline().startswith("c17")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) != 0
+    assert stderr == ""
+
+
 def test_cli_evolve_on_a_json_cache_exits_2_naming_it(tmp_path, capsys):
     """JSON fitness caches are no longer read: a clear error, not a
     sqlite3 traceback, and the old file is left untouched."""
