@@ -1,5 +1,7 @@
 """MuxLink building blocks: observed graph, DRNL subgraphs, features."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,3 +393,32 @@ def test_mlp_stacked_forward_bitwise_equals_per_row(rll_locked, keygate_cols):
     assert np.array_equal(predictor.score_links(pairs[:1]), want[:1])
     empty = predictor.score_links([])
     assert empty.shape == (0,)
+
+
+# ------------------------------------------------------- end-to-end golden
+MLP_ATTACK_SHA = "dd108f3f460bf183c3015e5625e707a435de2c7e4bdbd9efa27042f5c17d8b56"
+
+
+def test_mlp_attack_golden_dmux():
+    """Golden pin of a whole MLP MuxLink attack: features, training,
+    scoring and the ensemble vote. The digest covers the per-bit margins,
+    the per-MUX site scores, the last member's final training loss and
+    the guessed bits, so any drift in the link-feature extractor shows
+    up here as well as in its per-link differential."""
+    from repro.attacks.muxlink import MuxLinkAttack
+
+    locked = DMuxLocking("shared").lock(
+        load_circuit("rand_200_3"), 12, seed_or_rng=5
+    )
+    report = MuxLinkAttack(predictor="mlp", ensemble=3).run(
+        locked, seed_or_rng=9
+    )
+    extra = report.extra
+    assert extra["n_sites"] == 24 and extra["ensemble"] == 3
+    pinned = (
+        sorted(extra["margins"].items()),
+        sorted(extra["site_scores"].items()),
+        extra["final_train_loss"],
+        sorted(report.guesses.items()),
+    )
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == MLP_ATTACK_SHA
