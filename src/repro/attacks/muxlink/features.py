@@ -48,19 +48,45 @@ def type_index(gtype: str) -> int:
 
 
 def graph_type_indices(graph: ObservedGraph) -> np.ndarray:
-    """Per-node :func:`type_index` array, cached on the graph.
-
-    Gate types never change after construction, so the cache needs no
-    invalidation beyond a length check (nodes are append-only).
-    """
-    gtypes = graph.gtypes
-    cached = getattr(graph, "_gtype_idx", None)
-    if cached is None or len(cached) != len(gtypes):
-        cached = np.fromiter(
-            (type_index(t) for t in gtypes), dtype=np.intp, count=len(gtypes)
+    """Per-node :func:`type_index` array, cached on the graph."""
+    graph.drop_stale_caches()
+    if graph._gtype_idx is None:
+        graph._gtype_idx = np.fromiter(
+            map(type_index, graph.gtypes), dtype=np.intp, count=graph.n_nodes
         )
-        graph._gtype_idx = cached
-    return cached
+    return graph._gtype_idx
+
+
+def _node_terms(graph: ObservedGraph) -> tuple[np.ndarray, list[float]]:
+    """Neighbour-type counts and Adamic-Adar terms, cached on the graph.
+
+    The counts are one ``(n_nodes, N_TYPES)`` float64 row per node; the
+    Adamic-Adar term of a node is ``1/log1p(degree)``, 0.0 at degree
+    <= 1 (such a node never sits between two distinct endpoints).
+    """
+    gtype_idx = graph_type_indices(graph)
+    if graph._type_hist is None:
+        indptr, indices = graph.csr()
+        n, degrees = graph.n_nodes, np.diff(indptr)
+        slots = np.repeat(np.arange(n) * N_TYPES, degrees) + gtype_idx[indices]
+        counts = np.bincount(slots, minlength=n * N_TYPES)
+        graph._type_hist = counts.reshape(n, N_TYPES).astype(np.float64)
+        inv = np.zeros(n)
+        np.divide(1.0, np.log1p(degrees), out=inv, where=degrees > 1)
+        graph._inv_log_deg = inv.tolist()
+    return graph._type_hist, graph._inv_log_deg
+
+
+def _two_hops(adj: list[set[int]], src: int, hidden: int = -1) -> set[int]:
+    """The nodes other than ``src`` that end a 2-hop walk from ``src``.
+
+    With ``adj[src]`` this is the radius-2 ball of ``src``, by level.
+    ``hidden`` names a neighbour of ``src`` whose wire to ``src`` is not
+    walked — the mask on a candidate link that is itself an observed wire.
+    """
+    far = set().union(*[adj[w] for w in adj[src] if w != hidden])
+    far.discard(src)
+    return far
 
 
 #: extra per-node feature slots beyond type/DRNL one-hots: log-degree plus
@@ -159,42 +185,6 @@ def feature_group_slices(keygate_cols: bool = False) -> dict[str, slice]:
     return groups
 
 
-def _bounded_distances_to(
-    adj: list[set[int]],
-    src: int,
-    targets: set[int],
-    limit: int = 4,
-    hidden: int | None = None,
-) -> dict[int, int]:
-    """BFS distances from ``src`` to each target, truncated at ``limit``.
-
-    Targets farther than ``limit`` are absent; read with
-    ``dmap.get(node, limit + 1)`` (the observed graph is undirected, so
-    distance is symmetric). ``hidden`` names a neighbour of ``src``
-    whose wire to ``src`` is not walked — the mask on a candidate link
-    that is itself an observed wire. The walk stops as soon as every
-    target is resolved: at ``limit`` hops a neighbourhood can cover most
-    of the circuit, so the early exit is what makes the extractor cheap.
-    """
-    level = [w for w in adj[src] if w != hidden]
-    dist = dict.fromkeys(level, 1)
-    dist[src] = 0
-    remaining = len(targets - dist.keys())
-    for d in range(2, limit + 1):
-        if not remaining or not level:
-            break
-        next_level: list[int] = []
-        for node in level:
-            for nxt in adj[node]:
-                if nxt not in dist:
-                    dist[nxt] = d
-                    next_level.append(nxt)
-                    if nxt in targets:
-                        remaining -= 1
-        level = next_level
-    return dist
-
-
 def link_feature_matrix(
     graph: ObservedGraph,
     pairs: list[tuple[int, int]],
@@ -214,9 +204,8 @@ def link_feature_matrix(
     predicted must not be visible. The graph is never mutated; instead
     both degrees drop by one, the union by two, each endpoint's
     neighbour-type histogram drops the other endpoint's type, and the
-    pair's distance BFS skips the wire. Common neighbours are unchanged
-    (there are no self-loops). Unmasked pairs share one early-exit
-    distance BFS per consumer.
+    pair's two radius-2 balls skip the wire (and are not cached).
+    Common neighbours are unchanged (there are no self-loops).
 
     The level delta one-hot has slots [Δ<=-2, Δ=-1, Δ=0, Δ=1, Δ=2, Δ=3,
     Δ>=4] around the ideal wire delta of 1: true wires sit at Δ≈1, while
@@ -229,51 +218,51 @@ def link_feature_matrix(
         return out
     adj = graph.adj
     gtype_idx = graph_type_indices(graph)
+    type_hist, inv_log_deg = _node_terms(graph)
+    balls = graph._balls
     col = {name: s.start for name, s in feature_group_slices().items()}
     us = np.fromiter((u for u, _ in pairs), dtype=np.intp, count=n)
     vs = np.fromiter((v for _, v in pairs), dtype=np.intp, count=n)
     masked = [v in adj[u] for u, v in pairs]
 
-    by_consumer: dict[int, set[int]] = {}
-    for (u, v), m in zip(pairs, masked):
-        if not m:
-            by_consumer.setdefault(v, set()).add(u)
-    dmaps = {
-        v: _bounded_distances_to(adj, v, targets)
-        for v, targets in by_consumer.items()
-    }
-    dist = np.fromiter(
-        (
-            _bounded_distances_to(adj, v, {u}, hidden=u).get(u, 5)
-            if m
-            else dmaps[v].get(u, 5)
-            for (u, v), m in zip(pairs, masked)
-        ),
-        dtype=np.intp,
-        count=n,
-    )
+    def far(node: int) -> set[int]:
+        if node not in balls:
+            balls[node] = _two_hops(adj, node)
+        return balls[node]
 
-    # Adamic-Adar terms are summed in the iteration order of the set
-    # adj[u] & adj[v], as in the per-link reference extractor, so the
-    # sums agree bit for bit.
-    n_common = np.empty(n, dtype=np.int64)
-    adamic_adar = np.empty(n, dtype=np.float64)
-    inv_log_deg: dict[int, float] = {}
-    for row, (u, v) in enumerate(pairs):
+    dist: list[int] = []
+    n_common: list[int] = []
+    adamic_adar: list[float] = []
+    for (u, v), m in zip(pairs, masked):
         common = adj[u] & adj[v]
-        n_common[row] = len(common)
-        aa = 0
+        # Meet in the middle: a path of k <= 4 hops has a midpoint at most
+        # 2 hops from each end, so d(u, v) is the least k at which the
+        # radius-2 balls' levels meet. Adjacent pairs are masked, so k = 1
+        # never occurs; a masked pair's balls skip the wire, uncached.
+        if u == v:
+            dist.append(0)
+        elif common:
+            dist.append(2)
+        else:
+            far_u = _two_hops(adj, u, v) if m else far(u)
+            if not far_u.isdisjoint(adj[v]):
+                dist.append(3)
+            else:
+                far_v = _two_hops(adj, v, u) if m else far(v)
+                dist.append(5 if far_u.isdisjoint(far_v) else 4)
+        # Adamic-Adar terms are summed in the iteration order of the set
+        # adj[u] & adj[v], as in the per-link reference extractor, so the
+        # sums agree bit for bit.
+        n_common.append(len(common))
+        aa = 0.0
         for w in common:
-            if len(adj[w]) > 1:
-                term = inv_log_deg.get(w)
-                if term is None:
-                    term = inv_log_deg[w] = 1.0 / np.log1p(len(adj[w]))
-                aa = aa + term
-        adamic_adar[row] = aa
+            aa += inv_log_deg[w]
+        adamic_adar.append(aa)
 
     mask = np.array(masked, dtype=np.int64)
-    deg_u = np.fromiter((len(adj[u]) for u, _ in pairs), np.int64, n) - mask
-    deg_v = np.fromiter((len(adj[v]) for _, v in pairs), np.int64, n) - mask
+    degrees = np.diff(graph.csr()[0])
+    deg_u, deg_v = degrees[us] - mask, degrees[vs] - mask
+    n_common = np.array(n_common, dtype=np.int64)
     n_union = deg_u + deg_v - n_common
     rows = np.arange(n)
     out[rows, gtype_idx[us]] = 1.0
@@ -286,7 +275,7 @@ def link_feature_matrix(
     out[:, c + 0] = n_common
     np.divide(n_common, n_union, out=out[:, c + 1], where=n_union > 0)
     out[:, c + 2] = adamic_adar
-    out[rows, col["distance"] + dist] = 1.0
+    out[rows, col["distance"] + np.array(dist, dtype=np.intp)] = 1.0
     levels = np.asarray(graph.levels, dtype=np.int64)
     lev_u, lev_v = levels[us], levels[vs]
     out[rows, col["level_delta"] + np.clip(lev_v - lev_u + 2, 0, 6)] = 1.0
@@ -295,19 +284,8 @@ def link_feature_matrix(
     out[:, c + 0] = lev_u / max_level
     out[:, c + 1] = lev_v / max_level
 
-    counts: dict[int, np.ndarray] = {}
-
-    def type_counts(node: int) -> np.ndarray:
-        h = counts.get(node)
-        if h is None:
-            h = counts[node] = np.bincount(
-                gtype_idx[list(adj[node])], minlength=N_TYPES
-            )
-        return h
-
     edge_rows = np.flatnonzero(mask)
-    hist_u = np.array([type_counts(u) for u, _ in pairs], dtype=np.float64)
-    hist_v = np.array([type_counts(v) for _, v in pairs], dtype=np.float64)
+    hist_u, hist_v = type_hist[us], type_hist[vs]
     hist_u[edge_rows, gtype_idx[vs[edge_rows]]] -= 1.0
     hist_v[edge_rows, gtype_idx[us[edge_rows]]] -= 1.0
     c = col["hist"]

@@ -77,11 +77,19 @@ class ObservedGraph:
     #: nodes whose dropped fanin was a key input. Empty on pure-MUX
     #: designs, so pre-keygate behaviour (and every golden) is untouched.
     keygate_kinds: dict[int, str] = field(default_factory=dict)
-    #: bumped on every adjacency mutation; invalidates the CSR snapshot.
+    #: bumped on every node or wire added; :meth:`drop_stale_caches` then
+    #: drops every derived cache below (CSR snapshot, per-node type index,
+    #: neighbour-type counts, Adamic-Adar terms, the 2-hop level of each
+    #: node's radius-2 ball), so none of them describes an older graph.
     _adj_version: int = field(default=0, repr=False)
-    _csr_cache: tuple[int, np.ndarray, np.ndarray] | None = field(
+    _cache_version: int = field(default=0, repr=False)
+    _csr_cache: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
+    _gtype_idx: np.ndarray | None = field(default=None, repr=False)
+    _type_hist: np.ndarray | None = field(default=None, repr=False)
+    _inv_log_deg: list[float] | None = field(default=None, repr=False)
+    _balls: dict[int, set[int]] = field(default_factory=dict, repr=False)
 
     def add_node(self, name: str, gtype: str, gate: bool) -> int:
         if name in self.index:
@@ -92,6 +100,7 @@ class ObservedGraph:
         self.gtypes.append(gtype)
         self.adj.append(set())
         self.is_gate.append(gate)
+        self._adj_version += 1
         return idx
 
     def add_edge(self, u: int, v: int) -> None:
@@ -134,18 +143,26 @@ class ObservedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
+    def drop_stale_caches(self) -> None:
+        """Drop every derived cache built before the last node or wire."""
+        if self._cache_version != self._adj_version:
+            self._csr_cache = self._gtype_idx = None
+            self._type_hist = self._inv_log_deg = None
+            self._balls = {}
+            self._cache_version = self._adj_version
+
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR snapshot of the undirected adjacency: ``(indptr, indices)``.
 
         Row ``i``'s neighbours are ``indices[indptr[i]:indptr[i+1]]``,
-        sorted ascending. Rebuilt lazily when :meth:`add_edge` changes
-        the adjacency, so bulk callers — the batched subgraph extractor,
-        the stacked GNN feature builder — amortise one build across a
-        whole population of link queries.
+        sorted ascending. Rebuilt lazily after a node or wire is added, so
+        bulk callers — the batched subgraph extractor, the stacked GNN
+        feature builder — amortise one build across a whole population
+        of link queries.
         """
-        cache = self._csr_cache
-        if cache is not None and cache[0] == self._adj_version:
-            return cache[1], cache[2]
+        self.drop_stale_caches()
+        if self._csr_cache is not None:
+            return self._csr_cache
         n = self.n_nodes
         counts = np.fromiter(
             (len(s) for s in self.adj), dtype=np.int64, count=n
@@ -155,7 +172,7 @@ class ObservedGraph:
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         for i, nbrs in enumerate(self.adj):
             indices[indptr[i] : indptr[i + 1]] = sorted(nbrs)
-        self._csr_cache = (self._adj_version, indptr, indices)
+        self._csr_cache = (indptr, indices)
         return indptr, indices
 
 

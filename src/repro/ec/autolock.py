@@ -222,9 +222,9 @@ class AutoLock:
                         initial + [result.best_genotype], report
                     )
             finally:
-                # On an error, cancel what has not started: only this
-                # run's own report attacks, since a shared pool may be
-                # running other callers' work.
+                # On an error, cancel this run's own report attacks (a
+                # shared pool may be running other callers' work); one
+                # already handed to a worker still runs and is cached.
                 for future in pending:
                     future.cancel()
 

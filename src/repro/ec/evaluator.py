@@ -222,7 +222,9 @@ class _TaskFuture(Future):
     caller whose ``result()`` returns always sees the value merged and
     counted. CPython wakes ``result()`` waiters *before* it runs
     done-callbacks, which is why the pool's own future cannot be handed
-    out. :meth:`cancel` reaches the pool task.
+    out. :meth:`cancel` reaches the pool task, but a task the pool has
+    already handed to a worker may still run; its value then merges
+    into the cache as usual.
     """
 
     def __init__(self, task: Future) -> None:
@@ -293,12 +295,15 @@ class AsyncEvaluator(Evaluator):
     never need: they only ever see genotypes the dispatcher's cache
     missed.
 
-    Cancelling a returned future cancels its pool task if it has not
-    started; :meth:`cancel_pending` does so for every dispatch, and
-    :meth:`close` cancels then shuts the pool down. ``workers=None``
-    uses ``os.cpu_count()``. Unpicklable fitness callables fall back to
-    in-process evaluation (the future comes back resolved) with a
-    one-time warning — results are still correct, just not parallel.
+    Cancelling a returned future stops its pool task only while the pool
+    holds it: ``ProcessPoolExecutor`` hands a few tasks ahead to its
+    workers, and such a task may still run, its value merging into the
+    cache as usual. :meth:`cancel_pending` cancels every dispatch and
+    counts the ones it stopped. :meth:`close` cancels, then shuts the
+    pool down. ``workers=None`` uses ``os.cpu_count()``. Unpicklable
+    fitness callables fall back to in-process evaluation (the future
+    comes back resolved) with a one-time warning — results are still
+    correct, just not parallel.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -510,10 +515,10 @@ class AsyncEvaluator(Evaluator):
         return self._pool
 
     def cancel_pending(self) -> int:
-        """Cancel queued-but-unstarted dispatches; returns how many.
+        """Cancel every dispatch; returns how many were really stopped.
 
-        Already-running evaluations cannot be interrupted — they finish
-        and their results still merge into the fitness cache via the
+        A task already handed to a worker, like a running one, finishes:
+        its value still merges into the fitness cache via the
         done-callback, so no paid-for attack run is ever discarded.
         """
         with self._inflight_lock:

@@ -34,10 +34,10 @@ count, scheduling, and actual completion timing. That is what lets the
 same spec fingerprint cover an async run at any parallelism: replaying
 it serially reproduces the identical champion set.
 
-Budget exhaustion (or early convergence) cancels queued-but-unstarted
-evaluations; anything already running is harvested into the fitness
-cache, and a raised attack error flushes dirty cache entries before
-propagating — a crash mid-run never loses paid-for evaluations.
+Budget exhaustion (or early convergence) cancels the evaluations in
+flight; one the pool already handed to a worker, like one running, still
+runs and is harvested into the fitness cache, and a raised attack error
+flushes dirty cache entries before propagating — a crash mid-run never loses paid-for evaluations.
 """
 
 from __future__ import annotations
@@ -600,11 +600,11 @@ class SearchLoop:
                 _BACKLOG.set(len(pending))
         finally:
             # Budget exhaustion / convergence / error with work still in
-            # flight: cancel what has not started. Only this loop's own
-            # submissions — a shared evaluator may be running other
-            # callers' work. Running tasks finish on their own and their
-            # results still land in the fitness cache via the evaluator's
-            # merge callback.
+            # flight: cancel it. Only this loop's own submissions — a
+            # shared evaluator may be running other callers' work. A task
+            # already handed to a worker may still run; it and the running
+            # ones finish on their own and their results still land in the
+            # fitness cache via the evaluator's merge callback.
             for _, future in pending:
                 future.cancel()
         return LoopState(

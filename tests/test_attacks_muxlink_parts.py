@@ -219,6 +219,74 @@ def test_link_feature_matrix_equals_per_link_oracle(
             assert got[row, distance + 1] == 0.0, "masked wire leaked distance 1"
 
 
+@pytest.mark.parametrize(
+    ("gates", "seed"), [(150, 1), (260, 7), (400, 3)], ids=str
+)
+def test_link_feature_matrix_distance_slots_on_large_locks(gates, seed):
+    """On larger locks the batched extractor equals the per-link oracle on
+    every observed wire (masked), every MUX query link, self pairs and
+    random pairs, and the distance column hits every reachable slot —
+    including masked wires whose detour is exactly 3 or 4 hops, the
+    cases the radius-2 balls only meet through a midpoint. Slot 1 is
+    never hit: an adjacent pair is an observed wire, so it is masked."""
+    graph, queries = _locked_graph(gates, seed, "dmux")
+    rng = np.random.default_rng(seed)
+    wires = list(graph.directed_edges)
+    pairs = wires + [(v, u) for u, v in wires[::5]]
+    for q in queries:
+        for consumer in q.consumers:
+            c = graph.index[consumer]
+            pairs += [(graph.index[q.d0], c), (graph.index[q.d1], c)]
+    nodes = rng.integers(0, graph.n_nodes, size=(60, 2))
+    pairs += [(int(u), int(u)) for u, _ in nodes[:10]]
+    pairs += [(int(u), int(v)) for u, v in nodes]
+
+    got = link_feature_matrix(graph, pairs)
+
+    assert np.array_equal(got, _oracle_rows(graph, pairs))
+    distance = feature_group_slices()["distance"]
+    slots = got[:, distance].argmax(axis=1)
+    assert set(slots.tolist()) == {0, 2, 3, 4, 5}
+    masked = np.array([graph.has_edge(u, v) for u, v in pairs])
+    assert {3, 4} <= set(slots[masked].tolist())
+    selves = np.array([u == v for u, v in pairs])
+    assert np.all(slots[selves] == 0)
+
+
+def test_link_feature_matrix_follows_graph_mutation():
+    """The per-graph caches (radius-2 balls, neighbour-type counts,
+    Adamic-Adar terms, type indices, CSR) are dropped when a node or a
+    wire is added: rows built after the mutation equal the oracle on the
+    mutated graph, not the cached state."""
+    graph, _ = _locked_graph(150, 2, "dmux")
+    a = graph.directed_edges[0][0]
+    farther = feature_group_slices()["distance"].start + 5
+    b = next(
+        b
+        for b in range(graph.n_nodes)
+        if link_feature_vector(graph, a, b)[farther]
+    )
+    near_a, near_b = sorted(graph.adj[a]), sorted(graph.adj[b])
+    pairs = [(a, b), (b, a), (a, a)]
+    pairs += [(x, b) for x in near_a] + [(a, y) for y in near_b]
+
+    def rows_match_oracle():
+        graph.compute_levels()
+        got = link_feature_matrix(graph, pairs)
+        assert np.array_equal(got, _oracle_rows(graph, pairs))
+        return got
+
+    before = rows_match_oracle()
+    graph.add_edge(a, b)
+    assert not np.array_equal(rows_match_oracle(), before)
+    fresh = graph.add_node("fresh", "XNOR", gate=True)
+    pairs += [(fresh, a), (fresh, fresh)]
+    rows_match_oracle()
+    graph.add_edge(a, fresh)
+    pairs += [(near_a[0], fresh), (fresh, b)]
+    rows_match_oracle()
+
+
 def test_link_feature_vector_shape(dmux_locked):
     graph, queries = extract_observed(dmux_locked.netlist)
     q = queries[0]

@@ -347,6 +347,39 @@ def test_ga_error_cancels_only_its_own_queued_report_attacks(
     assert len(calls.read_text().splitlines()) <= shared.workers
 
 
+class SleepyCountingFitness(CountingFitness):
+    """Cache-fronted, picklable fitness that sleeps before answering."""
+
+    def __init__(self, seconds: float) -> None:
+        super().__init__()
+        self.seconds = seconds
+
+    def __call__(self, genes) -> float:
+        time.sleep(self.seconds)
+        return super().__call__(genes)
+
+
+def test_cancel_pending_counts_only_what_it_stopped(circuit):
+    """``ProcessPoolExecutor`` hands some tasks to its workers' call
+    queue ahead of time, and those can no longer be cancelled. Every
+    future is either cancelled or resolves with its value cached, and
+    ``cancel_pending`` returns the number it really cancelled."""
+    genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in range(40, 48)]
+    assert len({genotype_key(g) for g in genomes}) == 8
+    fitness = SleepyCountingFitness(0.3)
+    with AsyncEvaluator(workers=2) as evaluator:
+        futures = [evaluator.submit(g, fitness) for g in genomes]
+        futures[0].result()
+        stopped = evaluator.cancel_pending()
+        cancelled = [f for f in futures if f.cancelled()]
+        assert stopped == len(cancelled) < len(futures)
+        for genes, future in zip(genomes, futures):
+            if not future.cancelled():
+                value = sum(g.k for g in genes) / len(genes)
+                assert future.result() == value
+                assert fitness.cache.get(genotype_key(genes)) == value
+
+
 def test_unpicklable_cached_fitness_accounting_matches_serial(circuit):
     """The in-process fallback must not double-count evaluations/misses."""
     genes_a = random_genotype(circuit, 4, seed_or_rng=7)
