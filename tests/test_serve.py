@@ -209,6 +209,34 @@ def test_slow_heartbeat_loses_lease_requeued_once_zombie_rejected(server):
     assert store.complete("s", "fp", "sibling") is True
 
 
+def test_raw_complete_naming_require_lease_false_never_completes(server):
+    """A zombie cannot opt out of the lease check: a raw complete that
+    names ``"require_lease": false`` leaves the sibling's lease alone."""
+    store = HttpStore(server.url)
+    store.enqueue_points("s", {"fp": {"x": 1}})
+    store.claim("s", "zombie", 0.05)
+    time.sleep(0.15)
+    assert store.claim("s", "sibling", 30.0).fingerprint == "fp"
+
+    body = {
+        "sweep_id": "s", "fingerprint": "fp", "worker_id": "zombie",
+        "require_lease": False,
+    }
+    request = urllib.request.Request(
+        server.url + "/api/queue/complete",
+        data=json.dumps(body).encode(),
+        headers={"Authorization": f"Bearer {TOKEN}"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=5) as response:
+            assert json.loads(response.read())["result"] is False
+    except urllib.error.HTTPError as exc:
+        assert 400 <= exc.code < 500
+    [row] = store.points("s")
+    assert row["status"] == "claimed" and row["worker_id"] == "sibling"
+
+
 # ------------------------------------------------------------- streaming
 def test_stream_replays_history_then_delivers_live(server):
     store = HttpStore(server.url)

@@ -19,7 +19,20 @@ import pytest
 from repro.ec.fitness import FitnessCache
 from repro.errors import StoreError
 from repro.registry import STORES, register_store
+from repro.serve import CampaignServer, HttpStore
 from repro.store import SQLiteStore, open_store
+
+TOKEN = "store-contract-token"
+
+
+@pytest.fixture
+def store(tmp_path):
+    """The store the contract tests below run against: a local SQLite
+    file here, an :class:`HttpStore` in :class:`TestHttpStoreContract`."""
+    store = SQLiteStore(tmp_path / "q.sqlite")
+    yield store
+    store.close()
+
 
 # ------------------------------------------------------------ factory
 def test_open_store_opens_sqlite_whatever_the_suffix(tmp_path):
@@ -75,8 +88,7 @@ def test_non_sqlite_file_is_refused_naming_the_path(tmp_path):
 
 
 # ------------------------------------------------------ kv round trips
-def test_kv_round_trip_and_namespacing(tmp_path):
-    store = open_store(tmp_path / "s.sqlite")
+def test_kv_round_trip_and_namespacing(store):
     store.put_many("ns1", {"a": 0.5, "b": [1, 2]})
     store.put_many("ns2", {"a": {"nested": True}})
     assert store.get("ns1", "a") == 0.5
@@ -90,7 +102,6 @@ def test_kv_round_trip_and_namespacing(tmp_path):
     assert store.get("ns2", "a") == {"nested": True}
     status = store.status()
     assert status["entries"] == 1 and "ns2" in status["namespaces"]
-    store.close()
 
 
 def test_sqlite_store_pickles_by_path(tmp_path):
@@ -142,8 +153,7 @@ def test_two_processes_hammering_one_sqlite_store_lose_nothing(tmp_path):
 
 
 # ------------------------------------------------------------ the queue
-def test_claim_is_exclusive_and_ordered(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_claim_is_exclusive_and_ordered(store):
     assert store.enqueue_points("sw", {"p1": {"a": 1}, "p2": {"a": 2}}) == 2
     # Idempotent: re-offering the same points adds nothing.
     assert store.enqueue_points("sw", {"p1": {"a": 1}, "p2": {"a": 2}}) == 0
@@ -159,11 +169,9 @@ def test_claim_is_exclusive_and_ordered(tmp_path):
     assert store.queue_counts("sw") == {"done": 2}
     rows = {p["fingerprint"]: p for p in store.points("sw")}
     assert rows["p1"]["fresh_evaluations"] == 3
-    store.close()
 
 
-def test_lease_expiry_requeues_and_reclaims(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_lease_expiry_requeues_and_reclaims(store):
     store.enqueue_points("sw", {"p1": {}})
     stale = store.claim("sw", "w1", ttl=0.05)
     assert stale is not None
@@ -173,42 +181,34 @@ def test_lease_expiry_requeues_and_reclaims(tmp_path):
     fresh = store.claim("sw", "w2", ttl=60)
     assert fresh is not None and fresh.worker_id == "w2"
     assert fresh.attempts == 2, "attempt count survives the requeue"
-    store.close()
 
 
-def test_expired_lease_is_directly_claimable_without_requeue(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_expired_lease_is_directly_claimable_without_requeue(store):
     store.enqueue_points("sw", {"p1": {}})
     store.claim("sw", "w1", ttl=0.01)
     time.sleep(0.05)
     taken = store.claim("sw", "w2", ttl=60)
     assert taken is not None and taken.worker_id == "w2"
-    store.close()
 
 
-def test_heartbeat_extends_only_held_leases(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_heartbeat_extends_only_held_leases(store):
     store.enqueue_points("sw", {"p1": {}})
     point = store.claim("sw", "w1", ttl=0.2)
     assert store.heartbeat("sw", point.fingerprint, "w1", ttl=60) is True
     assert store.heartbeat("sw", point.fingerprint, "w2", ttl=60) is False
     assert store.requeue_expired("sw") == 0, "renewed lease must not expire"
-    store.close()
 
 
-def test_release_worker_requeues_only_that_workers_claims(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_release_worker_requeues_only_that_workers_claims(store):
     store.enqueue_points("sw", {"p1": {}, "p2": {}})
     store.claim("sw", "dead", ttl=3600)
     store.claim("sw", "alive", ttl=3600)
     assert store.release_worker("sw", "dead") == 1
     counts = store.queue_counts("sw")
     assert counts == {"pending": 1, "claimed": 1}
-    store.close()
 
 
-def test_fail_requeues_until_max_attempts_then_parks(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_fail_requeues_until_max_attempts_then_parks(store):
     store.enqueue_points("sw", {"p1": {}})
     point = store.claim("sw", "w1", ttl=60)
     assert (
@@ -224,13 +224,11 @@ def test_fail_requeues_until_max_attempts_then_parks(tmp_path):
     assert store.claim("sw", "w1", ttl=60) is None
     rows = store.points("sw")
     assert rows[0]["status"] == "failed" and "boom again" in rows[0]["error"]
-    store.close()
 
 
-def test_fail_from_a_stolen_lease_cannot_clobber_the_row(tmp_path):
+def test_fail_from_a_stolen_lease_cannot_clobber_the_row(store):
     """A stalled worker whose lease expired and was re-claimed (or even
     completed) by a sibling must not flip the row when it finally errors."""
-    store = SQLiteStore(tmp_path / "q.sqlite")
     store.enqueue_points("sw", {"p1": {}})
     store.claim("sw", "slow", ttl=0.01)
     time.sleep(0.05)
@@ -251,16 +249,74 @@ def test_fail_from_a_stolen_lease_cannot_clobber_the_row(tmp_path):
     rows = {p["fingerprint"]: p for p in store.points("sw")}
     assert rows["p2"]["status"] == "claimed"
     assert rows["p2"]["worker_id"] == "fast"
-    store.close()
 
 
-def test_mark_done_precompletes_points(tmp_path):
-    store = SQLiteStore(tmp_path / "q.sqlite")
+def test_mark_done_precompletes_points(store):
     store.enqueue_points("sw", {"p1": {}, "p2": {}})
     assert store.mark_done("sw", ["p1"]) == 1
     assert store.mark_done("sw", ["p1"]) == 0, "already done: no flip"
     assert store.claim("sw", "w1", ttl=60).fingerprint == "p2"
-    store.close()
+
+
+def test_complete_from_a_non_holder_checks_the_lease_over_http(store):
+    """A local store checks the lease only under ``require_lease=True``;
+    the campaign server checks it on every complete."""
+    store.enqueue_points("sw", {"p1": {}})
+    store.claim("sw", "holder", ttl=60)
+    assert (
+        store.complete("sw", "p1", "stranger", require_lease=True) is False
+    )
+    [row] = store.points("sw")
+    assert row["status"] == "claimed" and row["worker_id"] == "holder"
+    over_http = isinstance(store, HttpStore)
+    assert store.complete("sw", "p1", "stranger") is not over_http
+    [row] = store.points("sw")
+    assert row["status"] == ("claimed" if over_http else "done")
+
+
+class TestHttpStoreContract:
+    """The store contract above, through an :class:`HttpStore` in front
+    of a :class:`CampaignServer` (the SQLite ids stay unsuffixed)."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        server = CampaignServer(tmp_path / "q.sqlite", token=TOKEN, port=0)
+        server.start()
+        store = HttpStore(server.url, token=TOKEN)
+        yield store
+        store.close()
+        server.stop()
+
+    test_kv_round_trip_and_namespacing = staticmethod(
+        test_kv_round_trip_and_namespacing
+    )
+    test_claim_is_exclusive_and_ordered = staticmethod(
+        test_claim_is_exclusive_and_ordered
+    )
+    test_lease_expiry_requeues_and_reclaims = staticmethod(
+        test_lease_expiry_requeues_and_reclaims
+    )
+    test_expired_lease_is_directly_claimable_without_requeue = staticmethod(
+        test_expired_lease_is_directly_claimable_without_requeue
+    )
+    test_heartbeat_extends_only_held_leases = staticmethod(
+        test_heartbeat_extends_only_held_leases
+    )
+    test_release_worker_requeues_only_that_workers_claims = staticmethod(
+        test_release_worker_requeues_only_that_workers_claims
+    )
+    test_fail_requeues_until_max_attempts_then_parks = staticmethod(
+        test_fail_requeues_until_max_attempts_then_parks
+    )
+    test_fail_from_a_stolen_lease_cannot_clobber_the_row = staticmethod(
+        test_fail_from_a_stolen_lease_cannot_clobber_the_row
+    )
+    test_mark_done_precompletes_points = staticmethod(
+        test_mark_done_precompletes_points
+    )
+    test_complete_from_a_non_holder_checks_the_lease_over_http = staticmethod(
+        test_complete_from_a_non_holder_checks_the_lease_over_http
+    )
 
 
 # ------------------------------------- FitnessCache on a sqlite backend
