@@ -6,8 +6,9 @@ Registered under :data:`repro.registry.STORES` as ``"http"``, so
 :class:`SweepScheduler`, :class:`Worker`, ``run_sweep``, ``store
 status``) — speaks to a remote :class:`~repro.serve.server.CampaignServer`
 with zero call-site changes. Every
-:class:`~repro.store.base.StoreBackend` method maps to one JSON POST
-against the server's ``/api/…`` endpoints; the server serialises them
+:class:`~repro.store.base.StoreBackend` method but ``close`` is one JSON
+POST to ``/api/kv/<method>`` or ``/api/queue/<method>`` under its own
+name, its keyword arguments as the body; the server serialises them
 onto its backing SQLite store, so N machines of workers share one
 campaign exactly like N local processes share one SQLite file.
 
@@ -246,49 +247,39 @@ class HttpStore:
             f"{route} ({response.status}): {detail or response.reason}"
         ) from None
 
-    def _call(self, op: str, payload: dict | None = None) -> Any:
-        reply = self._request(f"/api/{op}", payload or {})
-        return None if reply is None else reply.get("result")
+    def _call(self, family: str, method: str, **arguments: Any) -> Any:
+        """Call one served :class:`~repro.store.base.StoreBackend`
+        method: ``POST /api/<family>/<method>`` with the arguments as
+        the JSON body."""
+        return self._request(f"/api/{family}/{method}", arguments)["result"]
 
     # -- key/value ------------------------------------------------------
     def load_namespace(self, namespace: str) -> dict[str, Any]:
-        return self._call("kv/load", {"namespace": namespace}) or {}
+        return self._call("kv", "load_namespace", namespace=namespace)
 
     def get(self, namespace: str, key: str) -> Any | None:
-        return self._call("kv/get", {"namespace": namespace, "key": key})
+        return self._call("kv", "get", namespace=namespace, key=key)
 
     def put_many(self, namespace: str, entries: Mapping[str, Any]) -> None:
-        if not entries:
-            return
-        self._call("kv/put", {"namespace": namespace, "entries": dict(entries)})
+        self._call("kv", "put_many", namespace=namespace, entries=entries)
 
     def wipe_namespace(self, namespace: str) -> None:
-        self._call("kv/wipe", {"namespace": namespace})
+        self._call("kv", "wipe_namespace", namespace=namespace)
 
     def delete_many(self, namespace: str, keys: list[str]) -> int:
-        if not keys:
-            return 0
-        return int(
-            self._call("kv/delete", {"namespace": namespace, "keys": list(keys)})
-        )
+        return self._call("kv", "delete_many", namespace=namespace, keys=keys)
 
     def vacuum(self) -> None:
-        self._call("kv/vacuum")
+        self._call("kv", "vacuum")
 
     def disk_usage(self) -> int:
-        return int(self._call("kv/disk-usage"))
+        return self._call("kv", "disk_usage")
 
     def namespaces(self) -> list[str]:
-        return list(self._call("kv/namespaces") or [])
+        return self._call("kv", "namespaces")
 
     def status(self) -> dict[str, Any]:
-        return self._call("kv/status")
-
-    def entry_updated_at(self, namespace: str, key: str) -> float | None:
-        """Last write time of one entry (zero-recompute assertions)."""
-        return self._call(
-            "kv/entry-updated-at", {"namespace": namespace, "key": key}
-        )
+        return self._call("kv", "status")
 
     def close(self) -> None:
         """Release the persistent keep-alive connection, if any.
@@ -309,69 +300,46 @@ class HttpStore:
         self, sweep_id: str, points: Mapping[str, Mapping[str, Any]],
         *, reset: bool = False,
     ) -> int:
-        return int(
-            self._call(
-                "queue/enqueue",
-                {
-                    "sweep_id": sweep_id,
-                    "points": {k: dict(v) for k, v in points.items()},
-                    "reset": reset,
-                },
-            )
+        return self._call(
+            "queue", "enqueue_points",
+            sweep_id=sweep_id, points=points, reset=reset,
         )
 
     def claim(
         self, sweep_id: str, worker_id: str, ttl: float
     ) -> ClaimedPoint | None:
         row = self._call(
-            "queue/claim",
-            {"sweep_id": sweep_id, "worker_id": worker_id, "ttl": ttl},
+            "queue", "claim", sweep_id=sweep_id, worker_id=worker_id, ttl=ttl
         )
         return ClaimedPoint(**row) if row is not None else None
 
     def heartbeat(
         self, sweep_id: str, fingerprint: str, worker_id: str, ttl: float
     ) -> bool:
-        return bool(
-            self._call(
-                "queue/heartbeat",
-                {
-                    "sweep_id": sweep_id,
-                    "fingerprint": fingerprint,
-                    "worker_id": worker_id,
-                    "ttl": ttl,
-                },
-            )
+        return self._call(
+            "queue", "heartbeat", sweep_id=sweep_id, fingerprint=fingerprint,
+            worker_id=worker_id, ttl=ttl,
         )
 
     def complete(
         self, sweep_id: str, fingerprint: str, worker_id: str,
         *, fresh_evaluations: int = 0, require_lease: bool = True,
     ) -> bool:
-        """Report a finished point; the server *always* verifies the lease.
+        """Report a finished point; the server *always* verifies the lease,
+        so ``require_lease`` is not sent.
 
         Returns ``False`` when the server rejected the completion (this
         worker's lease expired and a sibling owns the point now) — the
         record in the kv namespaces is untouched either way.
         """
-        return bool(
-            self._call(
-                "queue/complete",
-                {
-                    "sweep_id": sweep_id,
-                    "fingerprint": fingerprint,
-                    "worker_id": worker_id,
-                    "fresh_evaluations": fresh_evaluations,
-                },
-            )
+        return self._call(
+            "queue", "complete", sweep_id=sweep_id, fingerprint=fingerprint,
+            worker_id=worker_id, fresh_evaluations=fresh_evaluations,
         )
 
     def release_worker(self, sweep_id: str, worker_id: str) -> int:
-        return int(
-            self._call(
-                "queue/release-worker",
-                {"sweep_id": sweep_id, "worker_id": worker_id},
-            )
+        return self._call(
+            "queue", "release_worker", sweep_id=sweep_id, worker_id=worker_id
         )
 
     def fail(
@@ -379,35 +347,26 @@ class HttpStore:
         *, max_attempts: int = 3,
     ) -> str:
         return self._call(
-            "queue/fail",
-            {
-                "sweep_id": sweep_id,
-                "fingerprint": fingerprint,
-                "worker_id": worker_id,
-                "error": error,
-                "max_attempts": max_attempts,
-            },
+            "queue", "fail", sweep_id=sweep_id, fingerprint=fingerprint,
+            worker_id=worker_id, error=error, max_attempts=max_attempts,
         )
 
     def requeue_expired(self, sweep_id: str) -> int:
-        return int(self._call("queue/requeue-expired", {"sweep_id": sweep_id}))
+        return self._call("queue", "requeue_expired", sweep_id=sweep_id)
 
     def retry_failed(self, sweep_id: str) -> int:
-        return int(self._call("queue/retry-failed", {"sweep_id": sweep_id}))
+        return self._call("queue", "retry_failed", sweep_id=sweep_id)
 
     def queue_counts(self, sweep_id: str) -> dict[str, int]:
-        return self._call("queue/counts", {"sweep_id": sweep_id}) or {}
+        return self._call("queue", "queue_counts", sweep_id=sweep_id)
 
     def mark_done(self, sweep_id: str, fingerprints: list[str]) -> int:
-        return int(
-            self._call(
-                "queue/mark-done",
-                {"sweep_id": sweep_id, "fingerprints": list(fingerprints)},
-            )
+        return self._call(
+            "queue", "mark_done", sweep_id=sweep_id, fingerprints=fingerprints
         )
 
     def points(self, sweep_id: str) -> list[dict[str, Any]]:
-        return list(self._call("queue/points", {"sweep_id": sweep_id}) or [])
+        return self._call("queue", "points", sweep_id=sweep_id)
 
     # -- streaming results ---------------------------------------------
     def stream_results(

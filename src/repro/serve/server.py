@@ -5,15 +5,16 @@ HTTP (``ThreadingHTTPServer`` + JSON), so any machine that can reach the
 port can join a sweep campaign — no shared filesystem, no extra
 dependencies. It exposes:
 
-* ``POST /api/kv/<op>`` — the key/value half of the
-  :class:`~repro.store.base.StoreBackend` protocol (load/get/put/delete/
-  wipe/namespaces/vacuum/disk-usage/status/entry-updated-at);
-* ``POST /api/queue/<op>`` — its work-queue half (enqueue/claim/
-  heartbeat/complete/fail/release-worker/requeue-expired/retry-failed/
-  counts/mark-done/points). ``complete`` always verifies the lease
-  (``require_lease=True`` on the backing store): a zombie worker whose
-  lease expired gets a clean rejection instead of scribbling over a
-  sibling's row;
+* ``POST /api/kv/<method>`` and ``POST /api/queue/<method>`` — the
+  key/value and work-queue halves of the
+  :class:`~repro.store.base.StoreBackend` protocol, named by its method
+  names (:data:`~repro.store.base.SERVED_METHODS`); the JSON body holds
+  the keyword arguments and the reply ``{"result": …}`` the return
+  value. A body the method's signature does not take gets a 400 JSON
+  error, an unserved method a 404. ``complete`` always verifies the
+  lease (``require_lease=True`` on the backing store): a zombie worker
+  whose lease expired gets a clean rejection instead of scribbling over
+  a sibling's row;
 * ``GET /stream/results`` — a chunked, byte-offset-resumable tail of the
   campaign's ``results.jsonl``: every experiment record the server has
   seen land in the experiment namespace, replayed from ``?offset=N`` and
@@ -36,12 +37,15 @@ writer at a time.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import hmac
 import html
+import inspect
 import json
 import threading
 import time
+import typing
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -51,7 +55,13 @@ from urllib.parse import parse_qs, urlsplit
 from repro._version import __version__
 from repro.errors import ReproError, StoreError
 from repro.obs import metrics as obs_metrics
-from repro.store.base import STATUS_CLAIMED, is_url, open_store
+from repro.store.base import (
+    SERVED_METHODS,
+    STATUS_CLAIMED,
+    StoreBackend,
+    is_url,
+    open_store,
+)
 
 _REQUESTS = obs_metrics.METRICS.counter(
     "autolock_http_requests_total",
@@ -91,6 +101,29 @@ RESULTS_NAMESPACE = "experiment"
 
 #: how many recent completion timestamps feed the throughput readout.
 _THROUGHPUT_WINDOW_S = 300.0
+
+#: each served method's argument types: the request schema is the
+#: :class:`StoreBackend` signature.
+_WIRE_HINTS = {
+    method: typing.get_type_hints(getattr(StoreBackend, method))
+    for methods in SERVED_METHODS.values()
+    for method in methods
+}
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether a decoded JSON ``value`` has the type ``hint`` names."""
+    if hint is Any:
+        return True
+    origin = typing.get_origin(hint) or hint
+    args = typing.get_args(hint)
+    if not isinstance(value, (int, float) if origin is float else origin):
+        return False
+    if origin is list:
+        return all(_fits(item, args[0]) for item in value)
+    if origin is collections.abc.Mapping:
+        return all(_fits(item, args[1]) for item in value.values())
+    return True
 
 
 class CampaignServer:
@@ -140,6 +173,15 @@ class CampaignServer:
         #: themselves live in worker processes on other machines.
         self._cache_hits = 0
         self._cache_misses = 0
+        #: served methods the server adds behaviour to; every other one
+        #: goes straight to the backing store.
+        self._hooks = {
+            "get": self._get,
+            "put_many": self._put_many,
+            "complete": self._complete,
+            "claim": self._claim,
+            "status": self.status,
+        }
         self.started_at = time.time()
         self._httpd = _CampaignHTTPServer((host, port), _CampaignHandler)
         self._httpd.campaign = self
@@ -197,111 +239,73 @@ class CampaignServer:
             entry["last_seen"] = time.time()
             entry["requests"] = int(entry["requests"]) + 1
 
-    def kv_op(self, op: str, payload: dict[str, Any]) -> Any:
-        with self._store_lock:
-            store = self.store
-            if op == "load":
-                return store.load_namespace(payload["namespace"])
-            if op == "get":
-                value = store.get(payload["namespace"], payload["key"])
-                result = "miss" if value is None else "hit"
-                _SERVER_CACHE_LOOKUPS.inc(result=result)
-                if value is None:
-                    self._cache_misses += 1
-                else:
-                    self._cache_hits += 1
-                return value
-            if op == "put":
-                return self._put_many(
-                    payload["namespace"], payload["entries"]
-                )
-            if op == "delete":
-                return store.delete_many(
-                    payload["namespace"], list(payload["keys"])
-                )
-            if op == "wipe":
-                return store.wipe_namespace(payload["namespace"])
-            if op == "namespaces":
-                return store.namespaces()
-            if op == "vacuum":
-                return store.vacuum()
-            if op == "disk-usage":
-                return store.disk_usage()
-            if op == "entry-updated-at":
-                return store.entry_updated_at(
-                    payload["namespace"], payload["key"]
-                )
-            if op == "status":
-                return self.status()
-        raise KeyError(op)
+    def store_op(self, family: str, method: str, payload: Any) -> Any:
+        """Serve ``POST /api/<family>/<method>``: call that store method
+        with the JSON ``payload`` as its keyword arguments.
 
-    def queue_op(self, op: str, payload: dict[str, Any]) -> Any:
+        Raises :class:`KeyError` for a method the family does not serve
+        and :class:`ValueError` for a payload the method does not take:
+        not an object, or an argument missing, unknown or of the wrong
+        JSON type for the :class:`StoreBackend` signature.
+        """
+        if method not in SERVED_METHODS.get(family, ()):
+            raise KeyError(f"{family}/{method}")
+        call = self._hooks.get(method) or getattr(self.store, method)
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"the body must be a JSON object, got {type(payload).__name__}"
+            )
+        try:
+            inspect.signature(call).bind(**payload)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+        hints = _WIRE_HINTS[method]
+        for name, value in payload.items():
+            if not _fits(value, hints[name]):
+                raise ValueError(
+                    f"argument {name!r} must be "
+                    f"{inspect.formatannotation(hints[name])}"
+                )
         with self._store_lock:
-            store = self.store
-            if op == "enqueue":
-                return store.enqueue_points(
-                    payload["sweep_id"],
-                    payload["points"],
-                    reset=bool(payload.get("reset", False)),
-                )
-            if op == "claim":
-                point = store.claim(
-                    payload["sweep_id"],
-                    payload["worker_id"],
-                    float(payload["ttl"]),
-                )
-                return None if point is None else dataclasses.asdict(point)
-            if op == "heartbeat":
-                return store.heartbeat(
-                    payload["sweep_id"],
-                    payload["fingerprint"],
-                    payload["worker_id"],
-                    float(payload["ttl"]),
-                )
-            if op == "complete":
-                done = store.complete(
-                    payload["sweep_id"],
-                    payload["fingerprint"],
-                    payload["worker_id"],
-                    fresh_evaluations=int(
-                        payload.get("fresh_evaluations", 0)
-                    ),
-                    require_lease=True,
-                )
-                if done:
-                    now = time.time()
-                    self._completions.append(now)
-                    while (
-                        self._completions
-                        and self._completions[0] < now - _THROUGHPUT_WINDOW_S
-                    ):
-                        self._completions.popleft()
-                return done
-            if op == "fail":
-                return store.fail(
-                    payload["sweep_id"],
-                    payload["fingerprint"],
-                    payload["worker_id"],
-                    payload["error"],
-                    max_attempts=int(payload.get("max_attempts", 3)),
-                )
-            if op == "release-worker":
-                return store.release_worker(
-                    payload["sweep_id"], payload["worker_id"]
-                )
-            if op == "requeue-expired":
-                return store.requeue_expired(payload["sweep_id"])
-            if op == "retry-failed":
-                return store.retry_failed(payload["sweep_id"])
-            if op == "counts":
-                return store.queue_counts(payload["sweep_id"])
-            if op == "mark-done":
-                return store.mark_done(
-                    payload["sweep_id"], list(payload["fingerprints"])
-                )
-            if op == "points":
-                return store.points(payload["sweep_id"])
-        raise KeyError(op)
+            return call(**payload)
+
+    # -- served methods the server adds behaviour to -------------------
+    def _get(self, namespace: str, key: str) -> Any | None:
+        """A kv get, counted in the hit/miss ledger."""
+        value = self.store.get(namespace, key)
+        _SERVER_CACHE_LOOKUPS.inc(result="miss" if value is None else "hit")
+        if value is None:
+            self._cache_misses += 1
+        else:
+            self._cache_hits += 1
+        return value
+
+    def _claim(
+        self, sweep_id: str, worker_id: str, ttl: float
+    ) -> dict[str, Any] | None:
+        point = self.store.claim(sweep_id, worker_id, ttl)
+        return None if point is None else dataclasses.asdict(point)
+
+    def _complete(
+        self, sweep_id: str, fingerprint: str, worker_id: str,
+        *, fresh_evaluations: int = 0,
+    ) -> bool:
+        """Complete under the caller's lease only, so a zombie worker
+        whose lease expired cannot scribble over a sibling's row; the
+        payload cannot name ``require_lease``."""
+        done = self.store.complete(
+            sweep_id, fingerprint, worker_id,
+            fresh_evaluations=fresh_evaluations, require_lease=True,
+        )
+        if done:
+            now = time.time()
+            self._completions.append(now)
+            while (
+                self._completions
+                and self._completions[0] < now - _THROUGHPUT_WINDOW_S
+            ):
+                self._completions.popleft()
+        return done
 
     # -- results log ----------------------------------------------------
     def _put_many(self, namespace: str, entries: dict[str, Any]) -> None:
@@ -598,13 +602,8 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(raw_body or b"{}")
-            group, _, op = route[len("/api/"):].partition("/")
-            if group == "kv":
-                result = self.campaign.kv_op(op, payload)
-            elif group == "queue":
-                result = self.campaign.queue_op(op, payload)
-            else:
-                raise KeyError(group)
+            family, _, method = route[len("/api/"):].partition("/")
+            result = self.campaign.store_op(family, method, payload)
         except KeyError as exc:
             self._send_json(404, {"error": f"unknown operation: {exc}"})
             return

@@ -180,6 +180,23 @@ class StoreBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: The store surface a campaign server serves, by route family: ``POST
+#: /api/<family>/<method>`` calls that :class:`StoreBackend` method with
+#: the JSON body as its keyword arguments. Every protocol method except
+#: ``close`` is served.
+SERVED_METHODS: dict[str, tuple[str, ...]] = {
+    "kv": (
+        "load_namespace", "get", "put_many", "wipe_namespace",
+        "delete_many", "vacuum", "disk_usage", "namespaces", "status",
+    ),
+    "queue": (
+        "enqueue_points", "claim", "heartbeat", "complete",
+        "release_worker", "fail", "requeue_expired", "retry_failed",
+        "queue_counts", "mark_done", "points",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ClaimedPoint:
     """One work-queue point leased to a worker."""

@@ -314,14 +314,6 @@ class SQLiteStore:
             "fresh_evaluations": int(fresh[0][0]) if fresh else 0,
         }
 
-    def entry_updated_at(self, namespace: str, key: str) -> float | None:
-        """Last write time of one entry (zero-recompute assertions)."""
-        rows = self._query(
-            "SELECT updated_at FROM kv WHERE namespace = ? AND key = ?",
-            (namespace, key),
-        )
-        return rows[0][0] if rows else None
-
     # -- work queue -----------------------------------------------------
     def enqueue_points(
         self, sweep_id: str, points: Mapping[str, Mapping[str, Any]],

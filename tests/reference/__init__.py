@@ -13,4 +13,6 @@ against them.
 ``netlist`` holds the checkers the runtime itself never needs: whole-
 netlist validation, the 0/1-vector simulator front end, and the MUX
 sites of a D-MUX insertion record.
+``store`` reads an entry's last write time straight from a SQLite
+store file, for the zero-recompute assertions.
 """

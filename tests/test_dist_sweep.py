@@ -20,6 +20,8 @@ from repro.dist.scheduler import _record_key
 from repro.errors import StoreError
 from repro.store import SQLiteStore
 
+from reference.store import entry_updated_at
+
 
 def _static_sweep(cache_path, n_points: int = 3) -> SweepSpec:
     return SweepSpec(
@@ -129,8 +131,8 @@ def test_killed_sweep_resumes_with_zero_recomputation(tmp_path):
     done_spec = next(
         s for s in sweep.expand() if s.fingerprint() == done_fp[0]
     )
-    record_written_at = store.entry_updated_at(
-        EXPERIMENT_NAMESPACE, _record_key(done_spec)
+    record_written_at = entry_updated_at(
+        store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
     )
     completed_at = rows[done_fp[0]]["completed_at"]
     assert record_written_at is not None
@@ -151,7 +153,9 @@ def test_killed_sweep_resumes_with_zero_recomputation(tmp_path):
         "resume touched the finished point's queue row"
     )
     assert (
-        store.entry_updated_at(EXPERIMENT_NAMESPACE, _record_key(done_spec))
+        entry_updated_at(
+            store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
+        )
         == record_written_at
     ), "resume rewrote the finished point's experiment record"
     store.close()

@@ -11,6 +11,7 @@ replays history then delivers new records live.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -27,6 +28,8 @@ from repro.dist.worker import retry_with_backoff
 from repro.errors import RegistryError, StoreError
 from repro.serve import TOKEN_ENV, CampaignServer, HttpStore
 from repro.store import SQLiteStore, is_url, open_store
+
+from reference.store import entry_updated_at
 
 TOKEN = "test-campaign-token"
 
@@ -110,8 +113,8 @@ def test_killed_campaign_resumes_with_zero_recomputation(server):
     done_spec = next(
         s for s in sweep.expand() if s.fingerprint() == done_fp[0]
     )
-    written_at = store.entry_updated_at(
-        EXPERIMENT_NAMESPACE, _record_key(done_spec)
+    written_at = entry_updated_at(
+        server.store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
     )
     assert written_at is not None
 
@@ -124,7 +127,9 @@ def test_killed_campaign_resumes_with_zero_recomputation(server):
         "resume recomputed an already-completed point"
     )
     assert (
-        store.entry_updated_at(EXPERIMENT_NAMESPACE, _record_key(done_spec))
+        entry_updated_at(
+            server.store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
+        )
         == written_at
     ), "resume rewrote the finished point's experiment record"
 
@@ -228,13 +233,54 @@ def test_raw_complete_naming_require_lease_false_never_completes(server):
         headers={"Authorization": f"Bearer {TOKEN}"},
         method="POST",
     )
-    try:
-        with urllib.request.urlopen(request, timeout=5) as response:
-            assert json.loads(response.read())["result"] is False
-    except urllib.error.HTTPError as exc:
-        assert 400 <= exc.code < 500
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=5)
+    assert excinfo.value.code == 400
+    assert "require_lease" in json.loads(excinfo.value.read())["error"]
     [row] = store.points("s")
     assert row["status"] == "claimed" and row["worker_id"] == "sibling"
+
+
+# ------------------------------------------------- malformed requests
+@pytest.mark.parametrize(
+    ("route", "body", "code", "named"),
+    [
+        ("/api/kv/get", {"namespace": "n"}, 400, "key"),
+        ("/api/kv/get", {"namespace": "n", "key": "k", "bogus": 1}, 400,
+         "bogus"),
+        ("/api/kv/get", {"namespace": {"a": 1}, "key": "k"}, 400,
+         "namespace"),
+        ("/api/queue/mark_done", {"sweep_id": "s", "fingerprints": [1]},
+         400, "fingerprints"),
+        ("/api/kv/namespaces", [], 400, "JSON object"),
+        ("/api/kv/bogus", {}, 404, "kv/bogus"),
+        ("/api/kv/disk-usage", {}, 404, "kv/disk-usage"),
+        ("/api/kv/claim", {}, 404, "kv/claim"),
+        ("/api/kv/close", {}, 404, "kv/close"),
+    ],
+    ids=[
+        "missing-argument", "unknown-argument", "wrong-type",
+        "wrong-item-type", "non-object-body", "unknown-method",
+        "old-op-name", "wrong-family", "unserved-close",
+    ],
+)
+def test_malformed_store_request_is_a_json_4xx(
+    server, route, body, code, named
+):
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+    headers = {"Authorization": f"Bearer {TOKEN}"}
+    try:
+        conn.request("POST", route, body=json.dumps(body), headers=headers)
+        response = conn.getresponse()
+        assert response.status == code
+        assert named in json.loads(response.read())["error"]
+        # The connection survives: a valid request follows on it.
+        conn.request("POST", "/api/kv/namespaces", body="{}", headers=headers)
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read()) == {"result": []}
+    finally:
+        conn.close()
 
 
 # ------------------------------------------------------------- streaming

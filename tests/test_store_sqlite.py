@@ -20,7 +20,8 @@ from repro.ec.fitness import FitnessCache
 from repro.errors import StoreError
 from repro.registry import STORES, register_store
 from repro.serve import CampaignServer, HttpStore
-from repro.store import SQLiteStore, open_store
+from repro.store import SQLiteStore, StoreBackend, open_store
+from repro.store.base import SERVED_METHODS
 
 TOKEN = "store-contract-token"
 
@@ -272,6 +273,16 @@ def test_complete_from_a_non_holder_checks_the_lease_over_http(store):
     assert store.complete("sw", "p1", "stranger") is not over_http
     [row] = store.points("sw")
     assert row["status"] == ("claimed" if over_http else "done")
+
+
+def test_served_methods_are_the_protocol_minus_close():
+    served = [m for methods in SERVED_METHODS.values() for m in methods]
+    protocol = [name for name in vars(StoreBackend) if not name.startswith("_")]
+    assert sorted(served) == sorted(set(protocol) - {"close"})
+    assert len(served) == len(set(served)), "one route per method"
+    for backend in (HttpStore, SQLiteStore):
+        for method in served:
+            assert method in vars(backend), (backend.__name__, method)
 
 
 class TestHttpStoreContract:
