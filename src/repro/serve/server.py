@@ -7,7 +7,7 @@ dependencies. It exposes:
 
 * ``POST /api/kv/<method>`` and ``POST /api/queue/<method>`` — the
   key/value and work-queue halves of the
-  :class:`~repro.store.base.StoreBackend` protocol, named by its method
+  :class:`~repro.store.base.StoreBackend` protocol under its method
   names (:data:`~repro.store.base.SERVED_METHODS`); the JSON body holds
   the keyword arguments and the reply ``{"result": …}`` the return
   value. A body the method's signature does not take gets a 400 JSON
