@@ -1,5 +1,6 @@
 """Adversarial co-evolution: genomes, the arms race, resume, CLI."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -196,6 +197,37 @@ def test_coevo_sweep_points_replay_from_the_store(tmp_path):
     assert [r.record["engine"]["epochs"] for r in warm.results] == [
         r.record["engine"]["epochs"] for r in cold.results
     ]
+
+
+#: mixed-alphabet arms race: XOR and AND/OR genes are scope-scored, and
+#: epochs 1 and 2 score locks against 2-attacker panels.
+MIXED = ExperimentSpec(
+    circuit="rand_150_5",
+    key_length=6,
+    engine="coevo",
+    attack="muxlink",
+    attack_params={"predictor": "bayes"},
+    alphabet=("mux", "xor", "and_or"),
+    seed=3,
+    engine_params={
+        "epochs": 3,
+        "lock_population": 4,
+        "lock_generations": 2,
+        "attacker_population": 3,
+    },
+)
+
+
+def test_mixed_alphabet_record_golden():
+    result = run_experiment(MIXED)
+    blob = json.dumps(result.deterministic_record(), sort_keys=True)
+    assert [len(e["panel"]) for e in result.record["engine"]["epochs"]] == [
+        1, 2, 2,
+    ]
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "c8f55db9db14003463198ca9625cc665b654c371456eec190259fde6833d4075"
+    )
+    assert (result.fresh_evaluations, result.cache_hits) == (29, 10)
 
 
 # --------------------------------------------------------------------- spec
