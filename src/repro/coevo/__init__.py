@@ -2,8 +2,9 @@
 
 Two populations evolve in alternating epochs. The *lock* side reuses the
 existing genotypes, operators and :class:`~repro.ec.ga.GeneticAlgorithm`
-unchanged; its fitness is resilience against a hall-of-fame panel of the
-strongest attackers seen so far. The *attacker* side evolves
+unchanged; it is scored by :class:`~repro.ec.fitness.SpecFitness` over a
+hall-of-fame panel of the strongest attackers seen so far (mean attack
+accuracy, lower = more resilient). The *attacker* side evolves
 :class:`~repro.coevo.genome.AttackerGenome` configuration vectors —
 attack choice, predictor choice and hyperparameters drawn from the
 ``ATTACKS``/``PREDICTORS`` registries — whose fitness is key-recovery
@@ -20,7 +21,6 @@ from repro.coevo.engine import (
     CoevoEngine,
     CoevoEpoch,
     CoevoResult,
-    LockVsPanelFitness,
     AttackerVsEliteFitness,
 )
 from repro.coevo.genome import (
@@ -37,5 +37,4 @@ __all__ = [
     "CoevoResult",
     "GENOME_FIELDS",
     "GenomeField",
-    "LockVsPanelFitness",
 ]

@@ -4,10 +4,10 @@ Each epoch runs two phases on top of the existing machinery:
 
 1. **Lock phase** — the unchanged :class:`~repro.ec.ga.GeneticAlgorithm`
    (sync-generational, warm-started from the previous epoch's hall)
-   evolves lock genotypes against :class:`LockVsPanelFitness`: mean
-   attack accuracy over the current *panel* — the strongest attackers in
-   the hall of fame, not just the single current best, which is the
-   classic defence against co-evolutionary cycling.
+   evolves lock genotypes against :class:`~repro.ec.fitness.SpecFitness`
+   over the current *panel*: mean attack accuracy against the strongest
+   attackers in the hall of fame, not just the single current best, which
+   is the classic defence against co-evolutionary cycling.
 2. **Attacker phase** — one batched ``evaluator.evaluate`` pass scores
    the whole attacker population (each genome wrapped as a one-gene
    genotype) with :class:`AttackerVsEliteFitness`: ``1 − mean accuracy``
@@ -43,6 +43,7 @@ from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     FRESH_EVALUATIONS,
     FitnessCache,
+    SpecFitness,
     cache_namespace,
     resilience_accuracy,
 )
@@ -98,60 +99,6 @@ def _fingerprint(payload: Any) -> str:
     """Short stable fingerprint of a JSON-safe payload (namespace scoping)."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-class LockVsPanelFitness:
-    """Lock fitness: mean attack accuracy over the attacker panel.
-
-    Minimised — a lock that every panel attacker reads at 0.5 is at the
-    information floor. The cache namespace must be scoped to the panel
-    (the engine fingerprints it), because the same genotype scores
-    differently against different panels. Picklable for the process-pool
-    evaluators; attack objects are built lazily per process.
-    """
-
-    def __init__(
-        self,
-        original: Netlist,
-        panel: Sequence[AttackerGenome],
-        attack_seed: int = DEFAULT_ATTACK_SEED,
-        cache: FitnessCache | None = None,
-    ) -> None:
-        if not panel:
-            raise EvolutionError("attacker panel must not be empty")
-        self.original = original
-        self.panel = tuple(panel)
-        self.attack_seed = attack_seed
-        self.cache = cache if cache is not None else FitnessCache()
-        self._relocker = DeltaRelocker(original)
-        self._scope = ScopeAttack()
-        self._attacks: list | None = None
-        self.evaluations = 0
-
-    def _panel_attacks(self) -> list:
-        if self._attacks is None:
-            self._attacks = [
-                _create(genome) for genome in self.panel
-            ]
-        return self._attacks
-
-    def __call__(self, genes: Sequence[Gene]) -> float:
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return float(cached)
-        locked = self._relocker.lock(genes)
-        total = 0.0
-        for attack in self._panel_attacks():
-            report = attack.run(locked, seed_or_rng=self.attack_seed)
-            total += resilience_accuracy(
-                locked, genes, report, self._scope, self.attack_seed
-            )
-        value = total / len(self.panel)
-        self.evaluations += 1
-        FRESH_EVALUATIONS.inc()
-        self.cache.put(key, value)
-        return value
 
 
 class AttackerVsEliteFitness:
@@ -404,17 +351,18 @@ class CoevoEngine:
         ga_seed: int,
         evaluator: Evaluator,
     ) -> GaResult:
+        # One genotype scores differently against different panels.
         namespace = cache_namespace(
             self.original.name,
             role="coevo-lock",
             attack_seed=self.attack_seed,
             panel=_fingerprint([list(g.key_tuple()) for g in panel]),
         )
-        fitness = LockVsPanelFitness(
+        fitness = SpecFitness(
             self.original,
-            panel,
             attack_seed=self.attack_seed,
             cache=self._cache_factory(namespace),
+            panel=[genome.to_attack() for genome in panel],
         )
         config = dataclasses.replace(self._ga_config, seed=ga_seed)
         started = time.perf_counter()

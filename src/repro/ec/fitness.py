@@ -31,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.attacks.muxlink.attack import MuxLinkAttack
 from repro.attacks.scope import ScopeAttack
@@ -66,13 +66,6 @@ FRESH_EVALUATIONS = obs_metrics.METRICS.counter(
 #: deterministic function of the genotype and cache entries are shared
 #: between the classic and the spec-driven APIs.
 DEFAULT_ATTACK_SEED = 0xA070
-
-
-class FitnessFunction(Protocol):
-    """Maps a genotype to a scalar (minimised) or vector (NSGA-II)."""
-
-    def __call__(self, genes: Sequence[Gene]) -> float | tuple[float, ...]:
-        ...  # pragma: no cover - protocol
 
 
 def scope_scored_bits(genes: Sequence[Gene]) -> list[bool]:
@@ -136,19 +129,28 @@ def resilience_accuracy(
     if not any(scope_bits):
         return float(link_report.accuracy)
     if scope_report is None:
-        scope_report = scope_attack.run(
-            locked,
-            seed_or_rng=attack_seed,
-            # Propagate constants only for the scope-scored bits;
-            # link-scored bits never read the scope report, so paying
-            # for them is waste.
-            key_names=[
-                name
-                for name, from_scope in zip(locked.key.names, scope_bits)
-                if from_scope
-            ],
+        scope_report = _scope_report(
+            locked, scope_bits, scope_attack, attack_seed
         )
     return composite_accuracy(locked, scope_bits, link_report, scope_report)
+
+
+def _scope_report(locked, scope_bits, scope_attack, attack_seed):
+    """Run ``scope_attack`` on the scope-scored key bits of ``locked``
+    (None when no bit is scope-scored)."""
+    if not any(scope_bits):
+        return None
+    return scope_attack.run(
+        locked,
+        seed_or_rng=attack_seed,
+        # Propagate constants only for the scope-scored bits; link-scored
+        # bits never read the scope report, so paying for them is waste.
+        key_names=[
+            name
+            for name, from_scope in zip(locked.key.names, scope_bits)
+            if from_scope
+        ],
+    )
 
 
 def cache_namespace(circuit_name: str, **attack_config) -> str:
@@ -328,10 +330,13 @@ class SpecFitness:
     scope-scored genes with the oracle-less constant-propagation
     heuristic and aggregate both into one accuracy (see the module
     docstring); pure link-scored genotypes keep the historical
-    single-attack value bit-for-bit. Deterministic per genotype (fixed
-    ``attack_seed``) and cache-fronted; plain attributes keep it
-    picklable for the :class:`~repro.ec.evaluator.AsyncEvaluator` worker
-    path.
+    single-attack value bit-for-bit. ``panel`` replaces ``attack`` /
+    ``attack_params`` with ``(attack, params)`` pairs (as
+    :meth:`~repro.coevo.genome.AttackerGenome.to_attack` returns) and
+    scores their mean accuracy, in panel order. Deterministic per
+    genotype (fixed ``attack_seed``) and cache-fronted; plain attributes
+    keep it picklable for the :class:`~repro.ec.evaluator.AsyncEvaluator`
+    worker path.
     """
 
     def __init__(
@@ -341,14 +346,20 @@ class SpecFitness:
         attack_params: dict | None = None,
         attack_seed: int = DEFAULT_ATTACK_SEED,
         cache: FitnessCache | None = None,
+        panel: Sequence[tuple[str, dict]] | None = None,
     ) -> None:
+        if panel is None:
+            panel = [(attack, attack_params or {})]
+        if not panel:
+            raise ValueError("attack panel must not be empty")
         self.original = original
-        self.attack_name = attack
-        self.attack_params = dict(attack_params or {})
+        self.panel = tuple((name, dict(params)) for name, params in panel)
         self.attack_seed = attack_seed
         self.cache = cache if cache is not None else FitnessCache()
         self._relocker = DeltaRelocker(original)
-        self._attack = create_attack(attack, **self.attack_params)
+        self._attacks = [
+            create_attack(name, **params) for name, params in self.panel
+        ]
         self._scope = ScopeAttack()
         self.evaluations = 0
 
@@ -358,10 +369,21 @@ class SpecFitness:
         if cached is not None:
             return float(cached)
         locked = self._relocker.lock(genes)
-        report = self._attack.run(locked, seed_or_rng=self.attack_seed)
-        value = resilience_accuracy(
-            locked, genes, report, self._scope, self.attack_seed
+        reports = [
+            attack.run(locked, seed_or_rng=self.attack_seed)
+            for attack in self._attacks
+        ]
+        # One constant-propagation run serves every panel member.
+        scope_report = _scope_report(
+            locked, scope_scored_bits(genes), self._scope, self.attack_seed
         )
+        total = 0.0
+        for report in reports:
+            total += resilience_accuracy(
+                locked, genes, report, self._scope, self.attack_seed,
+                scope_report=scope_report,
+            )
+        value = total / len(reports)
         self.evaluations += 1
         FRESH_EVALUATIONS.inc()
         self.cache.put(key, value)

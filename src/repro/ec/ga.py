@@ -164,10 +164,6 @@ class GaResult:
     def initial_best(self) -> float:
         return self.history[0].best if self.history else float("nan")
 
-    @property
-    def initial_mean(self) -> float:
-        return self.history[0].mean if self.history else float("nan")
-
 
 class GaPolicy(LoopPolicy):
     """The GA as selection/variation/survival strategies plus bookkeeping.

@@ -11,14 +11,16 @@ dependencies. It exposes:
   names (:data:`~repro.store.base.SERVED_METHODS`); the JSON body holds
   the keyword arguments and the reply ``{"result": …}`` the return
   value. A body the method's signature does not take gets a 400 JSON
-  error, an unserved method a 404. ``complete`` always verifies the
-  lease (``require_lease=True`` on the backing store): a zombie worker
-  whose lease expired gets a clean rejection instead of scribbling over
-  a sibling's row;
+  error, an unserved method a 404, and a ``Content-Length`` that is not
+  a byte count a 400 that closes the connection. ``complete`` always
+  verifies the lease (``require_lease=True`` on the backing store): a
+  zombie worker whose lease expired gets a clean rejection instead of
+  scribbling over a sibling's row;
 * ``GET /stream/results`` — a chunked, byte-offset-resumable tail of the
   campaign's ``results.jsonl``: every experiment record the server has
   seen land in the experiment namespace, replayed from ``?offset=N`` and
-  then streamed live while workers complete points;
+  then streamed live while workers complete points (``?follow=0`` stops
+  at the end of the log; a bad ``offset`` or ``follow`` is a 400);
 * ``GET /status`` — the live dashboard: JSON with ``?format=json``,
   otherwise a plain auto-refreshing HTML view of per-sweep
   pending/leased/done/failed counts, per-worker lease ages and
@@ -511,11 +513,13 @@ class _CampaignHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # campaign traffic is high-rate; the dashboard is the log
 
-    def _send_json(self, code: int, payload: Any) -> None:
+    def _send_json(self, code: int, payload: Any, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also sets close_connection: the socket is dropped
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -592,8 +596,15 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         # Drain the body *before* any early return (auth reject, unknown
         # endpoint): unread bytes would desynchronise a keep-alive
         # connection, corrupting the client's next request.
-        length = int(self.headers.get("Content-Length", "0"))
-        raw_body = self.rfile.read(length)
+        header = self.headers.get("Content-Length", "0")
+        if not header.strip().isdecimal():
+            # The body's end is unknown, so the connection cannot carry
+            # another request: answer, then close it.
+            self._send_json(
+                400, {"error": f"bad Content-Length: {header!r}"}, close=True
+            )
+            return
+        raw_body = self.rfile.read(int(header))
         if not self._authorized(query):
             return
         route = self._route(parts.path)
@@ -657,20 +668,24 @@ class _CampaignHandler(BaseHTTPRequestHandler):
 
     def _stream_results(self, query: dict[str, list[str]]) -> None:
         campaign = self.campaign
-        offset = int(query.get("offset", ["0"])[0])
-        follow = bool(int(query.get("follow", ["1"])[0]))
+        offset = query.get("offset", ["0"])[0]
+        follow = query.get("follow", ["1"])[0]
+        if not offset.isdecimal() or follow not in ("0", "1"):
+            error = f"bad stream query: offset={offset!r}, follow={follow!r}"
+            self._send_json(400, {"error": error})
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
         try:
             with campaign.results_path.open("rb") as fh:
-                fh.seek(offset)
+                fh.seek(int(offset))
                 while not campaign._shutting_down.is_set():
                     data = fh.read()
                     if data:
                         self._write_chunk(data)
-                    elif not follow:
+                    elif follow == "0":
                         break
                     else:
                         with campaign._results_cond:

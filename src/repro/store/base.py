@@ -18,7 +18,6 @@ implementation from the location alone:
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Protocol, runtime_checkable
@@ -207,10 +206,6 @@ class ClaimedPoint:
     worker_id: str = ""
     lease_expires: float = 0.0
     attempts: int = 1
-
-    @property
-    def lease_remaining_s(self) -> float:
-        return max(0.0, self.lease_expires - time.time())
 
 
 def open_store(path: str | Path) -> StoreBackend:

@@ -15,4 +15,7 @@ netlist validation, the 0/1-vector simulator front end, and the MUX
 sites of a D-MUX insertion record.
 ``store`` reads an entry's last write time straight from a SQLite
 store file, for the zero-recompute assertions.
+``fitness`` scores a lock against an attacker panel with one constant-
+propagation run per panel member, the oracle for the shared scope run
+of ``SpecFitness(panel=...)``.
 """

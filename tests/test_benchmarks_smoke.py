@@ -74,11 +74,16 @@ def _load_bench(module_name: str):
 
 @pytest.mark.bench_smoke
 @pytest.mark.parametrize("module_name,entry", BENCH_ENTRY_POINTS)
-def test_bench_entry_point_smoke(module_name, entry, monkeypatch):
+def test_bench_entry_point_smoke(module_name, entry, monkeypatch, tmp_path):
     import repro.api.runner as api_runner
     from repro.circuits import load_circuit
 
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+    # The one bench that always writes its report: keep it out of the
+    # working directory.
+    monkeypatch.setenv(
+        "BENCH_SERVE_OUT", str(tmp_path / "BENCH_campaign_service.json")
+    )
     tiny = load_circuit(TINY_CIRCUIT)
     module = _load_bench(module_name)
 

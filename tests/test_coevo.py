@@ -14,12 +14,16 @@ from repro.api import (
     run_experiment,
     run_sweep,
 )
+from repro.attacks.scope import ScopeAttack
+from repro.circuits import load_circuit
 from repro.coevo import AttackerGenome
 from repro.coevo.genome import baseline_genome
-from repro.ec.fitness import FitnessCache
-from repro.ec.genotype import genotype_key
+from repro.ec.fitness import FitnessCache, SpecFitness, scope_scored_bits
+from repro.ec.genotype import genotype_key, random_genotype
 from repro.errors import EvolutionError, RegistryError, SpecError
 from repro.utils.rng import derive_rng
+
+from reference.fitness import LockVsPanelFitness
 
 #: small but real arms race: three epochs on the registered 100-gate
 #: circuit, muxlink/bayes baseline — the seed is chosen so the epoch-0
@@ -317,3 +321,91 @@ def test_cli_rejects_bad_attacker_json(capsys):
 
     assert main(["coevo", "rand_100_7", "--attacker", "{not json"]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ panel fitness
+#: the attackers the panel tests draw from: link prediction (with and
+#: without key-gate awareness), structural SAAM, and constant propagation.
+PANEL_GENOMES = {
+    "bayes": baseline_genome({"predictor": "bayes"}),
+    "bayes-keygates": baseline_genome(
+        {"predictor": "bayes", "keygates": True}
+    ),
+    "saam": baseline_genome({"attack": "saam"}),
+    "scope": baseline_genome({"attack": "scope"}),
+}
+PANELS = (
+    ("bayes",),
+    ("saam", "scope"),
+    ("bayes-keygates", "saam", "scope"),
+)
+
+
+@pytest.fixture(scope="module")
+def rand150():
+    return load_circuit("rand_150_5")
+
+
+@pytest.mark.parametrize(
+    "alphabet", [("mux",), ("mux", "xor", "and_or"), ("xor",)],
+    ids=["mux", "mixed", "xor"],
+)
+def test_panel_fitness_matches_reference(rand150, alphabet):
+    """SpecFitness over a panel equals the per-member-scope oracle bit
+    for bit, at every panel size."""
+    genotypes = [
+        random_genotype(rand150, 6, seed, alphabet=alphabet)
+        for seed in range(6)
+    ]
+    for names in PANELS:
+        panel = [PANEL_GENOMES[name] for name in names]
+        reference = LockVsPanelFitness(rand150, panel)
+        fitness = SpecFitness(
+            rand150, panel=[genome.to_attack() for genome in panel]
+        )
+        for genes in genotypes:
+            assert fitness(genes) == reference(genes), (names, genes)
+        assert fitness.evaluations == len(genotypes)
+
+
+def test_panel_of_one_is_the_single_attack_fitness(rand150):
+    genome = PANEL_GENOMES["bayes-keygates"]
+    name, params = genome.to_attack()
+    single = SpecFitness(rand150, name, params)
+    panel = SpecFitness(rand150, panel=[genome.to_attack()])
+    for seed in range(4):
+        genes = random_genotype(
+            rand150, 6, seed, alphabet=("mux", "xor", "and_or")
+        )
+        assert panel(genes) == single(genes)
+
+
+def test_panel_fitness_runs_scope_once_per_design(rand150, monkeypatch):
+    """One constant-propagation run per fresh evaluation serves the
+    whole panel; cache hits run nothing."""
+    keyed_runs = []
+    run = ScopeAttack.run
+
+    def counting_run(self, locked, *args, **kwargs):
+        if kwargs.get("key_names") is not None:
+            keyed_runs.append(kwargs["key_names"])
+        return run(self, locked, *args, **kwargs)
+
+    monkeypatch.setattr(ScopeAttack, "run", counting_run)
+    genes = next(
+        g
+        for g in (
+            random_genotype(rand150, 6, seed, alphabet=("mux", "xor"))
+            for seed in range(20)
+        )
+        if 0 < sum(scope_scored_bits(g)) < len(g)
+    )
+    panel = [PANEL_GENOMES[name] for name in PANELS[-1]]
+    fitness = SpecFitness(
+        rand150, panel=[genome.to_attack() for genome in panel]
+    )
+    fitness(genes)
+    assert len(keyed_runs) == 1
+    assert len(keyed_runs[0]) == sum(scope_scored_bits(genes))
+    fitness(genes)
+    assert len(keyed_runs) == 1 and fitness.evaluations == 1

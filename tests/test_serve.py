@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -281,6 +282,40 @@ def test_malformed_store_request_is_a_json_4xx(
         assert json.loads(response.read()) == {"result": []}
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize(
+    ("request_head", "closes"),
+    [
+        ("POST /api/kv/namespaces HTTP/1.1\r\nContent-Length: abc", True),
+        ("POST /api/kv/namespaces HTTP/1.1\r\nContent-Length: -5", True),
+        ("GET /stream/results?offset=abc HTTP/1.1", False),
+        ("GET /stream/results?offset=-1 HTTP/1.1", False),
+        ("GET /stream/results?follow=yes HTTP/1.1", False),
+    ],
+    ids=[
+        "content-length-abc", "content-length-negative", "offset-abc",
+        "offset-negative", "follow-yes",
+    ],
+)
+def test_malformed_framing_is_a_json_400(server, request_head, closes):
+    raw = (
+        f"{request_head}\r\nHost: localhost\r\n"
+        f"Authorization: Bearer {TOKEN}\r\n\r\n"
+    )
+    with socket.create_connection(
+        (server.host, server.port), timeout=5
+    ) as sock:
+        sock.sendall(raw.encode("ascii"))
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        assert response.status == 400
+        assert response.getheader("Content-Type") == "application/json"
+        assert "bad" in json.loads(response.read())["error"]
+        if closes:
+            # The body's end is unknown: the server hangs up.
+            assert response.getheader("Connection") == "close"
+            assert sock.recv(1) == b""
 
 
 # ------------------------------------------------------------- streaming
