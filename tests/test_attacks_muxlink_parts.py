@@ -490,3 +490,52 @@ def test_mlp_attack_golden_dmux():
         sorted(report.guesses.items()),
     )
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == MLP_ATTACK_SHA
+
+
+GNN_ATTACK_SHA = {
+    "dmux": "9e3a42c9b6e510f1672ccff61ebfe57e3ed94d914220677fdb9c1127db1e9ca8",
+    "mixed-keygates": (
+        "bc29a552eea68d21284e1ae71d5aedce4e8cb95851c34a7b07973a8dc839145a"
+    ),
+}
+
+
+def test_gnn_attack_golden():
+    """Golden pin of a whole GNN MuxLink attack on a D-MUX lock and on a
+    mixed-alphabet lock scored with ``keygates=True``: subgraph
+    extraction, the sparse conv products of training and scoring, and
+    the vote. The digest covers the per-bit margins, the per-MUX site
+    scores, the final training loss and the guessed bits."""
+    from repro.attacks.muxlink import MuxLinkAttack
+    from repro.ec.genotype import random_genotype
+    from repro.locking.genome_lock import lock_with_genes
+
+    circuit = load_circuit("rand_200_3")
+    locks = {
+        "dmux": (DMuxLocking("shared").lock(circuit, 12, seed_or_rng=5), {}),
+        "mixed-keygates": (
+            lock_with_genes(
+                circuit,
+                random_genotype(
+                    circuit, 12, 4, alphabet=("mux", "xor", "and_or")
+                ),
+            ),
+            {"keygates": True},
+        ),
+    }
+    digests = {}
+    for name, (locked, params) in locks.items():
+        report = MuxLinkAttack(predictor="gnn", **params).run(
+            locked, seed_or_rng=9
+        )
+        extra = report.extra
+        pinned = (
+            sorted(extra["margins"].items()),
+            sorted(extra["site_scores"].items()),
+            extra["final_train_loss"],
+            sorted(report.guesses.items()),
+        )
+        digests[name] = hashlib.sha256(repr(pinned).encode()).hexdigest()
+        if params:
+            assert extra["n_sites"] > 0 and extra["n_keygate_sites"] > 0
+    assert digests == GNN_ATTACK_SHA
