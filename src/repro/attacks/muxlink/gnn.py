@@ -17,21 +17,25 @@ with gradients ``dW_l = (S Z_{l-1})^T dA`` and
 ``Z_0 = X`` are the node features, a constant, so layer 0 takes
 ``S X`` pre-aggregated and its input gradient is never formed: a step
 of an L-layer stack costs ``2(L-1)`` sparse products (4 for the default
-three layers).
+three layers), half with ``S`` and half with ``S^T``.
 
 Scoring and training are batched and prepared once: a fit (or one
 ``score_links`` call) extracts its enclosing subgraphs in one
 vectorised pass, then builds their features, one block-diagonal sparse
 operator over their row-normalised adjacencies (:class:`_BlockDiagAdj`)
 and ``S X`` — once, not per step. A training minibatch slices its
-blocks out of those with :meth:`_BlockDiagAdj.select`; the conv stack
-runs once over the stacked node set, and the centre+mean readout feeds
-the MLP head one ``(B, 3·emb)`` batch. Two references live in
-``tests/reference/`` as differential oracles: a trainer that rebuilds
-features and operators per minibatch (bitwise equal), and the
-one-subgraph-at-a-time dense path (the batched reductions reassociate
-floating-point sums, so the two agree to ~1e-9 in the logits, not
-bitwise).
+blocks out of those with :meth:`_BlockDiagAdj.select`, one orientation
+only: every block is symmetric, so ``S^T`` shares the slice's CSR
+pattern, and one segment-sum plan (:class:`_SegmentPlan`, built on the
+step's first product) serves all four products. The conv stack runs
+once over the stacked node set, and the centre+mean readout feeds the
+MLP head one ``(B, 3·emb)`` batch. Three references live in
+``tests/reference/`` as differential oracles: the ``reduceat`` product
+and ``lexsort`` transpose (bitwise equal), a trainer that rebuilds
+features and operators per minibatch and uses them (bitwise equal),
+and the one-subgraph-at-a-time dense path (the batched reductions
+reassociate floating-point sums, so the two agree to ~1e-9 in the
+logits, not bitwise).
 """
 
 from __future__ import annotations
@@ -88,22 +92,87 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
 
 
+#: rows of at most this many terms are summed by :class:`_SegmentPlan`.
+#: ``np.add.reduceat`` sums a row of n terms as ``c0 + pairwise(c1..)``,
+#: and numpy's pairwise sum is a plain left-to-right loop below 8 terms;
+#: from 8 on it switches to 8 accumulators, so longer rows keep it.
+_SHORT = 8
+_NEG_K = -np.arange(_SHORT + 1)
+
+
+class _SegmentPlan:
+    """How :meth:`_BlockDiagAdj.__matmul__` sums each row's terms.
+
+    Built from the sparsity pattern alone, so ``s`` and ``s.T`` (same
+    ``indptr`` and ``indices``) share one. Rows are stably sorted by
+    non-zero count, longest first: the rows owning a ``k``-th term are
+    then a prefix of the short rows (at most :data:`_SHORT` terms).
+    ``perm`` lists CSR positions term-major — every short row's term 0,
+    then term 1 of the first rows that have one, ... up to term 7 (the
+    ``(rows, slice)`` pairs in ``terms``) — then the long rows' ranges
+    back to back, summed by ``np.add.reduceat`` at ``long_starts`` from
+    ``long_at`` on. ``cols`` is ``indices[perm]``; ``unsort`` takes the
+    sorted row sums back to row order.
+    """
+
+    __slots__ = ("perm", "cols", "n_short", "terms", "long_at",
+                 "long_starts", "unsort")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        neg = indptr[:-1] - indptr[1:]
+        by_count = np.argsort(neg, kind="stable")
+        # more[k] = rows with more than k terms
+        more = np.searchsorted(neg[by_count], _NEG_K).tolist()
+        n_long = more[_SHORT]
+        self.n_short = at = more[0] - n_long
+        first = indptr[by_count[n_long:]]
+        parts = [first]
+        self.terms: list[tuple[int, slice]] = []
+        for k in range(1, _SHORT):
+            rows = more[k] - n_long
+            if not rows:
+                break
+            parts.append(first[:rows] + k)
+            self.terms.append((rows, slice(at, at + rows)))
+            at += rows
+        self.long_at = at
+        self.long_starts = None
+        if n_long:
+            long_rows = by_count[:n_long]
+            lo, hi = indptr[long_rows], indptr[long_rows + 1]
+            self.long_starts = np.cumsum(hi - lo) - (hi - lo)
+            parts.append(_ranges(lo, hi))
+        self.perm = np.concatenate(parts)
+        self.cols = indices[self.perm]
+        self.unsort = np.empty_like(by_count)
+        self.unsort[by_count] = np.arange(by_count.size)
+
+
 class _BlockDiagAdj:
     """Block-diagonal row-normalised adjacency over stacked subgraphs.
 
     CSR-encoded so a batch of B subgraphs costs one sparse matmul per
     conv layer instead of B dense ones. Supports ``s @ z`` and
-    ``s.T @ z`` (via the cached transposed operator), which is all
-    :class:`_GraphConvStack` needs — the stack runs unchanged over a
-    single dense adjacency or a whole batch. Every row and column holds
-    at least the self-loop, so ``np.add.reduceat`` segment sums are
-    well-defined in both orientations. ``offsets[b]`` is block ``b``'s
-    first row (``offsets[-1] == n``): a block's rows and nonzeros are one
-    contiguous range of both ``s`` and ``s.T``, which :meth:`select`
-    slices.
+    ``s.T @ z``, which is all :class:`_GraphConvStack` needs — the stack
+    runs unchanged over a single dense adjacency or a whole batch.
+    ``offsets[b]`` is block ``b``'s first row (``offsets[-1] == n``): a
+    block's rows and nonzeros are one contiguous range, which
+    :meth:`select` slices.
+
+    Every block is symmetric (:attr:`EnclosingSubgraph.adj` plus
+    self-loops), so ``s.T`` has the ``indptr`` and ``indices`` of ``s``
+    and shares its :class:`_SegmentPlan`. Its data is ``diag(s)`` at the
+    column, ``1/deg_j``, which row ``j`` of ``s`` holds in every non-zero.
+
+    A product sums each row's terms in ``np.add.reduceat``'s order, so
+    it is bit for bit the plain CSR segment sum: ``c0 + ((c1 + c2) +
+    …)`` for rows of up to :data:`_SHORT` terms, one vector operation
+    per term index over a prefix of the count-sorted rows, and
+    ``np.add.reduceat`` itself over the longer rows only.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "offsets", "_t")
+    __slots__ = ("n", "indptr", "indices", "data", "offsets", "_t", "_plan",
+                 "_vals")
 
     def __init__(
         self,
@@ -118,6 +187,8 @@ class _BlockDiagAdj:
         self.data = data
         self.offsets = offsets
         self._t: _BlockDiagAdj | None = None
+        self._plan: _SegmentPlan | None = None
+        self._vals: np.ndarray | None = None
 
     @classmethod
     def from_subgraphs(cls, subs: list[EnclosingSubgraph]) -> _BlockDiagAdj:
@@ -138,51 +209,66 @@ class _BlockDiagAdj:
         # appended in order, so (cols, data) is already CSR-sorted.
         return cls(indptr, np.concatenate(cols_l), np.concatenate(data_l), offsets)
 
+    @property
+    def plan(self) -> _SegmentPlan:
+        if self._plan is None:
+            self._plan = _SegmentPlan(self.indptr, self.indices)
+        return self._plan
+
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        contrib = z.take(self.indices, axis=0)
-        contrib *= self.data[:, None]
-        return np.add.reduceat(contrib, self.indptr[:-1], axis=0)
+        plan = self.plan
+        if self._vals is None:
+            self._vals = self.data[plan.perm][:, None]
+        contrib = z.take(plan.cols, axis=0)
+        contrib *= self._vals
+        sums = contrib[: plan.n_short]
+        if plan.terms:
+            (rows, at), *rest = plan.terms
+            tail = contrib[at]
+            for rows_k, at_k in rest:
+                tail[:rows_k] += contrib[at_k]
+            sums[:rows] += tail
+        if plan.long_starts is not None:
+            long_sums = np.add.reduceat(
+                contrib[plan.long_at :], plan.long_starts, axis=0
+            )
+            sums = np.concatenate([long_sums, sums])
+        return sums.take(plan.unsort, axis=0)
 
     @property
     def T(self) -> _BlockDiagAdj:
         if self._t is None:
-            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            order = np.lexsort((rows, self.indices))
-            counts = np.bincount(self.indices, minlength=self.n)
-            t_indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=t_indptr[1:])
             self._t = _BlockDiagAdj(
-                t_indptr, rows[order], self.data[order], self.offsets
+                self.indptr,
+                self.indices,
+                self.data[self.indptr[:-1]][self.indices],
+                self.offsets,
             )
-            self._t._t = self
+            self._t._plan, self._t._t = self.plan, self
         return self._t
 
     def select(self, blocks: np.ndarray) -> tuple[_BlockDiagAdj, np.ndarray]:
         """The operator over ``blocks`` (in that order) and its rows here.
 
         Array for array equal to :meth:`from_subgraphs` over the chosen
-        subgraphs, in both orientations (the transpose comes attached):
-        each block's row and nonzero ranges of ``self`` and ``self.T``
-        are concatenated and re-offset, with no ``nonzero`` or
-        ``lexsort``. The second value indexes this operator's rows, for
-        gathering row-aligned data such as layer 0's ``S X``.
+        subgraphs, in both orientations: each block's row and nonzero
+        ranges are concatenated and re-offset, with no ``nonzero``. Its
+        transpose follows from the symmetric-block rule and shares its
+        one :class:`_SegmentPlan`, so a training step builds one
+        orientation and one plan for its four sparse products. The
+        second value indexes this operator's rows, for gathering
+        row-aligned data such as layer 0's ``S X``.
         """
         lo, hi = self.offsets[blocks], self.offsets[blocks + 1]
         offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
         np.cumsum(hi - lo, out=offsets[1:])
         rows = _ranges(lo, hi)
-        shift = offsets[:-1] - lo
-        picked = []
-        for op in (self, self.T):
-            nz_lo, nz_hi = op.indptr[lo], op.indptr[hi]
-            nz = _ranges(nz_lo, nz_hi)
-            indptr = np.zeros(rows.size + 1, dtype=np.int64)
-            np.cumsum(op.indptr[rows + 1] - op.indptr[rows], out=indptr[1:])
-            indices = op.indices[nz] + np.repeat(shift, nz_hi - nz_lo)
-            picked.append(_BlockDiagAdj(indptr, indices, op.data[nz], offsets))
-        s, t = picked
-        s._t, t._t = t, s
-        return s, rows
+        nz_lo, nz_hi = self.indptr[lo], self.indptr[hi]
+        nz = _ranges(nz_lo, nz_hi)
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(self.indptr[rows + 1] - self.indptr[rows], out=indptr[1:])
+        indices = self.indices[nz] + np.repeat(offsets[:-1] - lo, nz_hi - nz_lo)
+        return _BlockDiagAdj(indptr, indices, self.data[nz], offsets), rows
 
 
 class _GraphConvStack:

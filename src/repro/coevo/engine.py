@@ -231,7 +231,9 @@ class CoevoEngine:
     ``cache_factory(namespace)`` supplies the (optionally persistent)
     fitness caches — panel-scoped for the lock side, elite-scoped for
     the attacker side, plus a duel cache for the cross-epoch
-    comparisons. ``memo`` is the epoch-checkpoint cache; when it is
+    comparisons. It is called once per namespace: a phase whose
+    namespace repeats an earlier epoch's reuses that cache, so a run
+    without a store recomputes nothing a store-backed run would replay. ``memo`` is the epoch-checkpoint cache; when it is
     backed by a store, a restarted run replays finished epochs from it
     with zero recomputation. The ``coevo`` engine adapter in
     :mod:`repro.api.engines` builds one from an ``ExperimentSpec`` and
@@ -295,14 +297,21 @@ class CoevoEngine:
         self._cache_factory = cache_factory or (
             lambda namespace: FitnessCache(namespace=namespace)
         )
+        self._caches: dict[str, FitnessCache] = {}
         self.memo = memo
-        self._duel_cache = self._cache_factory(
+        self._duel_cache = self._cache(
             cache_namespace(
                 original.name, role="coevo-duel", attack_seed=attack_seed
             )
         )
         self.fresh_evaluations = 0
         self.cache_hits = 0
+
+    def _cache(self, namespace: str) -> FitnessCache:
+        """The run's one fitness cache for ``namespace``."""
+        if namespace not in self._caches:
+            self._caches[namespace] = self._cache_factory(namespace)
+        return self._caches[namespace]
 
     # -- shared duel rule ----------------------------------------------
     def _duel(self, genes: Sequence[Gene], genome: AttackerGenome) -> float:
@@ -361,9 +370,10 @@ class CoevoEngine:
         fitness = SpecFitness(
             self.original,
             attack_seed=self.attack_seed,
-            cache=self._cache_factory(namespace),
+            cache=self._cache(namespace),
             panel=[genome.to_attack() for genome in panel],
         )
+        hits = fitness.cache.hits
         config = dataclasses.replace(self._ga_config, seed=ga_seed)
         started = time.perf_counter()
         with obs_trace.span("coevo.lock_phase", epoch=epoch):
@@ -375,7 +385,7 @@ class CoevoEngine:
             )
         _EVAL_SECONDS.observe(time.perf_counter() - started, side="lock")
         self.fresh_evaluations += fitness.evaluations
-        self.cache_hits += fitness.cache.hits
+        self.cache_hits += fitness.cache.hits - hits
         return result
 
     def _attacker_phase(
@@ -395,8 +405,9 @@ class CoevoEngine:
             self.original,
             elites,
             attack_seed=self.attack_seed,
-            cache=self._cache_factory(namespace),
+            cache=self._cache(namespace),
         )
+        hits = fitness.cache.hits
         started = time.perf_counter()
         with obs_trace.span(
             "coevo.attacker_phase", epoch=epoch, population=len(population)
@@ -407,7 +418,7 @@ class CoevoEngine:
             )
         _EVAL_SECONDS.observe(time.perf_counter() - started, side="attacker")
         self.fresh_evaluations += fitness.evaluations
-        self.cache_hits += fitness.cache.hits
+        self.cache_hits += fitness.cache.hits - hits
         return [float(v) for v in values]
 
     def _breed_attackers(

@@ -19,11 +19,17 @@
   :class:`~repro.attacks.muxlink.gnn.GnnLinkPredictor`'s own weights.
   The batched path reassociates floating-point sums, so it matches
   these to ~1e-9, not bitwise.
+* :func:`block_diag_matmul` / :func:`block_diag_transpose` — a CSR
+  product as one ``np.add.reduceat`` over every row, and the transpose
+  by a ``lexsort`` of the non-zeros by column. Oracles for the
+  segment-sum plan of ``_BlockDiagAdj @ z`` and for its symmetric-block
+  transpose (bitwise equality).
 * :func:`gnn_fit_rebuild` / :func:`gnn_score_links_rebuild` — the
   block-diagonal trainer and scorer that rebuild the features and the
   sparse operator for every minibatch and run all ``2L`` sparse products
   of an L-layer step (layer 0's ``S @ X`` and its discarded input
-  gradient included). Oracle for the per-fit prepared operators of
+  gradient included) through the two oracles above. Oracle for the
+  per-fit prepared operators and the sparse products of
   :meth:`~repro.attacks.muxlink.gnn.GnnLinkPredictor.fit` and
   :meth:`~repro.attacks.muxlink.gnn.GnnLinkPredictor.score_links`
   (bitwise equality).
@@ -368,6 +374,23 @@ def gnn_fit(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
         predictor.train_history.append(float(np.mean(losses)))
 
 
+def block_diag_matmul(op: _BlockDiagAdj, z: np.ndarray) -> np.ndarray:
+    """``op @ z`` as one ``np.add.reduceat`` over the CSR row segments."""
+    contrib = z.take(op.indices, axis=0)
+    contrib *= op.data[:, None]
+    return np.add.reduceat(contrib, op.indptr[:-1], axis=0)
+
+
+def block_diag_transpose(op: _BlockDiagAdj) -> _BlockDiagAdj:
+    """``op.T`` in CSR, by a ``lexsort`` of the non-zeros by column."""
+    rows = np.repeat(np.arange(op.n), np.diff(op.indptr))
+    order = np.lexsort((rows, op.indices))
+    counts = np.bincount(op.indices, minlength=op.n)
+    t_indptr = np.zeros(op.n + 1, dtype=np.int64)
+    np.cumsum(counts, out=t_indptr[1:])
+    return _BlockDiagAdj(t_indptr, rows[order], op.data[order], op.offsets)
+
+
 def _rebuild_forward(
     predictor, subs: list[EnclosingSubgraph], train: bool
 ) -> tuple[np.ndarray, dict]:
@@ -377,7 +400,7 @@ def _rebuild_forward(
     z = x
     cache, outs = [], []
     for w in predictor._conv.weights:
-        sz = s @ z
+        sz = block_diag_matmul(s, z)
         z = np.tanh(sz @ w.value)
         cache.append((sz, z))
         outs.append(z)
@@ -388,7 +411,7 @@ def _rebuild_forward(
     means = np.add.reduceat(h, offsets, axis=0) / counts[:, None]
     readout = np.concatenate([h[offsets], h[offsets + 1], means], axis=1)
     logits = predictor._head.forward(readout, train=train)[:, 0]
-    ctx = {"s": s, "cache": cache, "counts": counts, "offsets": offsets}
+    ctx = {"s_t": block_diag_transpose(s), "cache": cache, "counts": counts, "offsets": offsets}
     return logits, ctx
 
 
@@ -409,7 +432,7 @@ def _rebuild_backward(predictor, d_logits: np.ndarray, ctx: dict) -> None:
         dz = chunk if carry is None else chunk + carry
         da = dz * (1.0 - z**2)
         weights[layer].grad += sz.T @ da
-        carry = ctx["s"].T @ (da @ weights[layer].value.T)
+        carry = block_diag_matmul(ctx["s_t"], da @ weights[layer].value.T)
 
 
 def gnn_fit_rebuild(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
@@ -418,7 +441,7 @@ def gnn_fit_rebuild(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
     Same RNG stream, minibatches of 8 and Adam steps as the prepared
     trainer; every step stacks its subgraphs' features, builds their
     block-diagonal operator (and its transpose) from scratch, and runs
-    every sparse product of the stack.
+    every sparse product of the stack as a plain ``reduceat``.
     """
     rng = derive_rng(seed_or_rng)
     predictor._graph = graph

@@ -1,12 +1,15 @@
 """GNN link predictor internals: hand-derived gradients vs finite
 differences, the prepared trainer vs the per-minibatch rebuild (bitwise),
-and the batched pipeline vs the per-link reference."""
+the sparse products vs the plain ``reduceat`` product (bitwise), and the
+batched pipeline vs the per-link reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference.muxlink import (
+    block_diag_matmul,
+    block_diag_transpose,
     extract_enclosing_subgraph,
     gnn_fit,
     gnn_fit_rebuild,
@@ -15,6 +18,7 @@ from reference.muxlink import (
     subgraph_feature_matrix,
 )
 from repro.attacks.muxlink.features import subgraph_feature_matrix_stack
+from repro.attacks.muxlink import gnn
 from repro.attacks.muxlink.gnn import (
     GnnLinkPredictor,
     _BlockDiagAdj,
@@ -399,7 +403,7 @@ def test_select_equals_from_subgraphs_both_orientations(graph, data):
     )
     got, rows = whole.select(blocks)
     want = _BlockDiagAdj.from_subgraphs([subs[int(b)] for b in blocks])
-    for g_op, w_op in ((got, want), (got.T, want.T)):
+    for g_op, w_op in ((got, want), (got.T, block_diag_transpose(want))):
         assert np.array_equal(g_op.indptr, w_op.indptr)
         assert np.array_equal(g_op.indices, w_op.indices)
         assert np.array_equal(_bits(g_op.data), _bits(w_op.data))
@@ -427,14 +431,94 @@ def test_training_step_runs_four_sparse_products(monkeypatch):
     s, rows = s_all.select(np.array([3, 0, 7]))
     calls = []
     matmul = _BlockDiagAdj.__matmul__
+    plans = []
 
     def counted(self, z):
         calls.append(self)
         return matmul(self, z)
 
+    class CountedPlan(gnn._SegmentPlan):
+        def __init__(self, *args):
+            plans.append(self)
+            super().__init__(*args)
+
     monkeypatch.setattr(_BlockDiagAdj, "__matmul__", counted)
+    monkeypatch.setattr(gnn, "_SegmentPlan", CountedPlan)
     logits, ctx = predictor._forward_batch(s, sx_all[rows], train=True)
     assert len(calls) == 2
     predictor._backward_batch(np.ones_like(logits), ctx)
     assert len(calls) == 4
     assert calls[2] is calls[3] is s.T
+    # S and S^T share the step's one segment-sum plan
+    assert len(plans) == 1 and s.plan is s.T.plan is plans[0]
+
+
+@st.composite
+def _hub_graphs(draw):
+    """Small observed graphs with 1-3 hub nodes of degree >= 9, so a hub's
+    operator row holds 9+ terms (8+ with the candidate edge masked, plus
+    the self-loop) and reaches the ``reduceat`` branch."""
+    n = draw(st.integers(12, 40))
+    g = ObservedGraph()
+    for i in range(n):
+        g.add_node(f"n{i}", "AND" if i % 3 else "XOR", gate=True)
+    index = st.integers(0, n - 1)
+    hubs = draw(st.lists(index, min_size=1, max_size=3, unique=True))
+    for hub in hubs:
+        others = [v for v in range(n) if v != hub]
+        spokes = draw(
+            st.lists(st.sampled_from(others), min_size=9, max_size=n - 1,
+                     unique=True)
+        )
+        for v in spokes:
+            g.add_edge(hub, v)
+    for u, v in draw(
+        st.lists(st.tuples(index, index), max_size=2 * n)
+    ):
+        g.add_edge(u, v)
+    g.compute_levels()
+    return g, hubs
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_hubs=_hub_graphs(), data=st.data())
+def test_sparse_products_bitwise_equal_reduceat(graph_hubs, data):
+    """``op @ z`` and ``op.T @ z`` equal the plain ``reduceat`` product
+    over the ``lexsort`` transpose bit for bit, on whole operators and on
+    ``select``ions in both orientations, with rows of 1 to 9+ terms and
+    signed zeros in ``z``."""
+    graph, hubs = graph_hubs
+    index = st.integers(0, graph.n_nodes - 1)
+    pairs = [(hubs[0], (hubs[0] + 1) % graph.n_nodes)] + data.draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+            max_size=12,
+        )
+    )
+    subs = extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=100)
+    whole = _BlockDiagAdj.from_subgraphs(subs)
+    assert np.diff(whole.indptr).max() > gnn._SHORT  # a reduceat row
+    blocks = np.array(
+        data.draw(
+            st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=10)
+        ),
+        dtype=np.int64,
+    )
+    picked, _ = whole.select(blocks)
+    want = _BlockDiagAdj.from_subgraphs([subs[int(b)] for b in blocks])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    width = data.draw(st.sampled_from([1, 3, 32]))
+    for op, ref in ((whole, whole), (picked, want)):
+        ref_t = block_diag_transpose(ref)
+        for got, w_op in ((op, ref), (op.T, ref_t)):
+            assert np.array_equal(got.indptr, w_op.indptr)
+            assert np.array_equal(got.indices, w_op.indices)
+            assert np.array_equal(_bits(got.data), _bits(w_op.data))
+        z = rng.normal(size=(op.n, width))
+        z[rng.random(z.shape) < 0.2] = 0.0
+        z[rng.random(z.shape) < 0.2] = -0.0
+        assert np.array_equal(_bits(op @ z), _bits(block_diag_matmul(ref, z)))
+        assert np.array_equal(
+            _bits(op.T @ z), _bits(block_diag_matmul(ref_t, z))
+        )
+        assert op.plan is op.T.plan
