@@ -97,7 +97,6 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 #: and numpy's pairwise sum is a plain left-to-right loop below 8 terms;
 #: from 8 on it switches to 8 accumulators, so longer rows keep it.
 _SHORT = 8
-_NEG_K = -np.arange(_SHORT + 1)
 
 
 class _SegmentPlan:
@@ -122,7 +121,7 @@ class _SegmentPlan:
         neg = indptr[:-1] - indptr[1:]
         by_count = np.argsort(neg, kind="stable")
         # more[k] = rows with more than k terms
-        more = np.searchsorted(neg[by_count], _NEG_K).tolist()
+        more = np.searchsorted(neg[by_count], -np.arange(_SHORT + 1)).tolist()
         n_long = more[_SHORT]
         self.n_short = at = more[0] - n_long
         first = indptr[by_count[n_long:]]

@@ -233,9 +233,10 @@ class CoevoEngine:
     the attacker side, plus a duel cache for the cross-epoch
     comparisons. It is called once per namespace: a phase whose
     namespace repeats an earlier epoch's reuses that cache, so a run
-    without a store recomputes nothing a store-backed run would replay. ``memo`` is the epoch-checkpoint cache; when it is
-    backed by a store, a restarted run replays finished epochs from it
-    with zero recomputation. The ``coevo`` engine adapter in
+    without a store recomputes nothing a store-backed run would replay.
+    ``memo`` is the epoch-checkpoint cache; when it is backed by a
+    store, a restarted run replays finished epochs from it with zero
+    recomputation. The ``coevo`` engine adapter in
     :mod:`repro.api.engines` builds one from an ``ExperimentSpec`` and
     scopes ``memo`` to the spec fingerprint.
     """
