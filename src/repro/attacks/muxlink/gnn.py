@@ -31,7 +31,7 @@ step's first product) serves all four products. The conv stack runs
 once over the stacked node set, and the centre+mean readout feeds the
 MLP head one ``(B, 3·emb)`` batch. Three references live in
 ``tests/reference/`` as differential oracles: the ``reduceat`` product
-and ``lexsort`` transpose (bitwise equal), a trainer that rebuilds
+and column-sorted transpose (bitwise equal), a trainer that rebuilds
 features and operators per minibatch and uses them (bitwise equal),
 and the one-subgraph-at-a-time dense path (the batched reductions
 reassociate floating-point sums, so the two agree to ~1e-9 in the
@@ -170,8 +170,7 @@ class _BlockDiagAdj:
     ``np.add.reduceat`` itself over the longer rows only.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "offsets", "_t", "_plan",
-                 "_vals")
+    __slots__ = ("n", "indptr", "indices", "data", "offsets", "_t", "_plan")
 
     def __init__(
         self,
@@ -187,7 +186,6 @@ class _BlockDiagAdj:
         self.offsets = offsets
         self._t: _BlockDiagAdj | None = None
         self._plan: _SegmentPlan | None = None
-        self._vals: np.ndarray | None = None
 
     @classmethod
     def from_subgraphs(cls, subs: list[EnclosingSubgraph]) -> _BlockDiagAdj:
@@ -216,10 +214,8 @@ class _BlockDiagAdj:
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         plan = self.plan
-        if self._vals is None:
-            self._vals = self.data[plan.perm][:, None]
         contrib = z.take(plan.cols, axis=0)
-        contrib *= self._vals
+        contrib *= self.data[plan.perm][:, None]
         sums = contrib[: plan.n_short]
         if plan.terms:
             (rows, at), *rest = plan.terms
