@@ -137,12 +137,6 @@ def _spec_fitness(spec, circuit: Netlist, attack_seed: int) -> SpecFitness:
     )
 
 
-def _evaluator_scope(spec, evaluator: Evaluator | None):
-    return evaluator_scope(
-        evaluator, spec.workers, spec.resolved_async_mode()
-    )
-
-
 # ---------------------------------------------------------------------------
 # adapters
 # ---------------------------------------------------------------------------
@@ -163,7 +157,7 @@ class GaEngine:
             alphabet=spec.resolved_alphabet(),
         )
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
-        with _evaluator_scope(spec, evaluator) as evaluator:
+        with evaluator_scope(evaluator, spec.workers) as evaluator:
             result = GeneticAlgorithm(config).run(
                 circuit, fitness, evaluator=evaluator
             )
@@ -326,7 +320,7 @@ class Nsga2Engine:
             **fitness_kwargs,
             **predictor_kwargs,
         )
-        with _evaluator_scope(spec, evaluator) as evaluator:
+        with evaluator_scope(evaluator, spec.workers) as evaluator:
             result = Nsga2(config).run(circuit, fitness, evaluator=evaluator)
         champion_idx = min(
             range(len(result.front_objectives)),
@@ -420,7 +414,7 @@ class ArmsRaceEngine:
                 )),
                 **spec.engine_params,
             )
-            with _evaluator_scope(spec, evaluator) as evaluator:
+            with evaluator_scope(evaluator, spec.workers) as evaluator:
                 result = engine.run(evaluator)
         finally:
             if store is not None:
@@ -452,10 +446,10 @@ class TrajectorySearchEngine:
 
     Wraps :class:`RandomSearch` / :class:`HillClimber` /
     :class:`SimulatedAnnealing` behind the uniform engine interface.
-    The searchers drive the shared search loop, so a future-capable
-    ``evaluator`` plus ``spec.async_mode`` enables steady-state
-    pipelining where the search semantics allow it (random search); the
-    sequential searches run one evaluation at a time either way.
+    The searchers drive the shared search loop, so ``spec.async_mode``
+    enables steady-state pipelining on any evaluator where the search
+    semantics allow it (random search); the sequential searches run one
+    evaluation at a time either way.
     """
 
     def __init__(self, searcher_cls) -> None:
@@ -486,7 +480,7 @@ class TrajectorySearchEngine:
                 f"unknown {self.name} engine_params {sorted(params)}: {exc}"
             ) from exc
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
-        with _evaluator_scope(spec, evaluator) as evaluator:
+        with evaluator_scope(evaluator, spec.workers) as evaluator:
             result = searcher.run(circuit, fitness, evaluator=evaluator)
         return EngineOutcome(
             engine=self.name,

@@ -457,8 +457,7 @@ def run_sweep(
         if not owns_evaluator:
             return evaluator  # caller-provided: one evaluator for all
         chosen = open_evaluator(
-            workers, spec.resolved_async_mode(),
-            search=spec.engine is not None, shared=pool,
+            workers, search=spec.engine is not None, shared=pool
         )
         if isinstance(chosen, AsyncEvaluator):
             pool = chosen

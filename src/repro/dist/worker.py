@@ -296,7 +296,7 @@ class Worker:
                         cache_path=str(self.store_path), trace=None
                     )
                     evaluator = open_evaluator(
-                        spec.workers, spec.resolved_async_mode(),
+                        spec.workers,
                         search=spec.engine is not None,
                         shared=shared_evaluator,
                     )

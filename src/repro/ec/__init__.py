@@ -41,7 +41,6 @@ from repro.ec.evaluator import (
     Evaluator,
     SerialEvaluator,
     open_evaluator,
-    supports_async,
 )
 from repro.ec.loop import (
     BacklogTuner,
@@ -95,7 +94,6 @@ __all__ = [
     "SerialEvaluator",
     "AsyncEvaluator",
     "open_evaluator",
-    "supports_async",
     "BacklogTuner",
     "SearchLoop",
     "LoopPolicy",

@@ -8,10 +8,10 @@ Input: original netlist (ON) and desired key length (K). The pipeline
 4. re-evaluates baseline and champion with an independent, stronger
    attack configuration (ensembled predictor, optionally the GNN), so the
    reported improvement is not an artefact of overfitting the fitness
-   oracle. On a pool evaluator the initial population's report attacks
-   are queued before the GA starts and run alongside it, filling the
-   workers the GA leaves idle; the champion's follows the GA. A serial
-   evaluator scores all of them in one batch after the GA.
+   oracle. The initial population's report attacks are submitted before
+   the GA starts (on a pool they run alongside it, filling the workers
+   the GA leaves idle; a serial evaluator scores them right away); the
+   champion's follows the GA.
 
 The headline quantity is ``accuracy_drop_pp``: percentage points between
 the mean initial-population attack accuracy and the champion's — the
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ec.evaluator import Evaluator, evaluator_scope, supports_async
+from repro.ec.evaluator import Evaluator, evaluator_scope
 from repro.ec.fitness import FitnessCache, SpecFitness, cache_namespace
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import random_genotype
@@ -194,33 +194,20 @@ class AutoLock:
         )
         # The config decides the loop mode whether the evaluator is owned
         # or injected, so identical configs always walk identical
-        # trajectories. An injected evaluator that cannot serve the mode
-        # raises (SearchLoop names the fix) instead of silently changing it.
+        # trajectories; every evaluator serves both modes.
         ga = GeneticAlgorithm(cfg.ga_config())
-        with evaluator_scope(
-            evaluator, cfg.workers, cfg.async_mode
-        ) as evaluator:
+        with evaluator_scope(evaluator, cfg.workers) as evaluator:
             # Step 4 on the GA's evaluator. The initial population's report
-            # does not depend on the GA, so a pool runs it alongside the GA.
-            alongside = supports_async(evaluator)
-            pending = (
-                [evaluator.submit(g, report) for g in initial]
-                if alongside else []
-            )
+            # does not depend on the GA, so it is submitted first: a pool
+            # runs it alongside the GA, a serial evaluator before it.
+            pending = [evaluator.submit(g, report) for g in initial]
             try:
                 result = ga.run(
                     original, fitness, initial_population=initial,
                     evaluator=evaluator,
                 )
-                if alongside:
-                    pending.append(
-                        evaluator.submit(result.best_genotype, report)
-                    )
-                    report_accs = [future.result() for future in pending]
-                else:
-                    report_accs, _ = evaluator.evaluate(
-                        initial + [result.best_genotype], report
-                    )
+                pending.append(evaluator.submit(result.best_genotype, report))
+                report_accs = [future.result() for future in pending]
             finally:
                 # On an error, cancel this run's own report attacks (a
                 # shared pool may be running other callers' work); one

@@ -13,22 +13,25 @@ pipeline:
 4. fan the remaining misses out — serially, or across worker processes —
    and merge the results back through the cache.
 
-Both evaluators are *observationally identical* to the historical
-per-genome loop: fitness functions are deterministic per genotype (fixed
-attack seed), so dispatch order and process boundaries cannot change any
-value, and the cache hit/miss counters are replayed so accounting matches
-the serial semantics exactly. ``tests/test_ec_evaluator.py`` locks this
-down with byte-for-byte result equivalence on fixed seeds.
+Every evaluator is *observationally identical* to a per-genome loop:
+fitness functions are deterministic per genotype (fixed attack seed), so
+dispatch order and process boundaries cannot change any value, and the
+cache hit/miss counters are replayed so accounting matches the serial
+semantics exactly. ``tests/test_ec_evaluator.py`` locks this down with
+byte-for-byte result equivalence on fixed seeds.
 
-:class:`SerialEvaluator` is the in-process default. :class:`AsyncEvaluator`
-is the one pool evaluator: its batch :meth:`~AsyncEvaluator.evaluate` and
-its futures :meth:`~AsyncEvaluator.submit` (what the steady-state
-:class:`~repro.ec.loop.SearchLoop` drives) share one dispatch path, so
-one instance serves sync and async points of the same sweep.
-:func:`open_evaluator` is the one rule that picks between the two
-(:func:`evaluator_scope` applies it when no shared evaluator is given).
-Fitness callables that cannot be pickled (lambdas, closures) degrade
-gracefully to in-process evaluation.
+:class:`Evaluator` writes the two entry points once: the batch
+:meth:`~Evaluator.evaluate` (the generational loop's barrier) and the
+futures :meth:`~Evaluator.submit` (what the steady-state
+:class:`~repro.ec.loop.SearchLoop` drives). A subclass supplies one
+``_dispatch``, so every evaluator serves both loop modes and the mode
+never picks the evaluator. :class:`SerialEvaluator` runs the fitness
+inline and returns finished futures; :class:`AsyncEvaluator` is the one
+pool evaluator, so one instance serves sync and async points of the
+same sweep. :func:`open_evaluator` is the one rule that picks between
+the two (:func:`evaluator_scope` applies it when no shared evaluator is
+given). Fitness callables that cannot be pickled (lambdas, closures)
+degrade gracefully to in-process evaluation on the pool.
 """
 
 from __future__ import annotations
@@ -74,11 +77,6 @@ _DEDUPED = obs_metrics.METRICS.counter(
 )
 
 
-def supports_async(evaluator: object) -> bool:
-    """True if ``evaluator`` exposes the future-returning ``submit`` API."""
-    return callable(getattr(evaluator, "submit", None))
-
-
 @dataclass(frozen=True)
 class BatchStats:
     """Accounting for one population evaluation."""
@@ -107,20 +105,113 @@ class BatchStats:
 
 
 class Evaluator:
-    """Evaluates a population against a fitness function.
+    """Evaluates genotypes against a fitness function, in both loop modes.
 
-    Subclasses implement :meth:`evaluate`; the base class provides
-    lifetime management and aggregate statistics. Evaluators are context
-    managers; callers that create one own its :meth:`close`.
+    :meth:`evaluate` (a whole population, the generational loop's
+    barrier) and :meth:`submit` (one genotype, a future at once, what
+    the steady-state :class:`~repro.ec.loop.SearchLoop` drives) are
+    written once, here, over the subclass's :meth:`_dispatch`, so every
+    evaluator serves both loop modes. Evaluators are context managers;
+    callers that create one own its :meth:`close`.
     """
+
+    #: the ``evaluator`` label of this class's metrics.
+    label = ""
 
     def __init__(self) -> None:
         self.total = BatchStats()
 
+    def submit(self, genes: Genotype, fitness: Fitness) -> Future:
+        """Schedule one genotype; returns a future with its fitness value."""
+        started = time.perf_counter()
+        future, outcome = self._dispatch(
+            genotype_key(genes), genes, fitness, flush=True
+        )
+        fresh = outcome == "fresh"
+        if fresh:
+            _DISPATCHED.inc(evaluator=self.label)
+        elif outcome == "shared":
+            _DEDUPED.inc(evaluator=self.label)
+        self._record(BatchStats(
+            size=1, cache_hits=int(not fresh), dispatched=int(fresh),
+            wall_s=time.perf_counter() - started,
+        ))
+        return future
+
     def evaluate(
         self, population: Sequence[Genotype], fitness: Fitness
     ) -> tuple[list, BatchStats]:
-        """Return fitness values in population order plus batch stats."""
+        """Return fitness values in population order plus batch stats.
+
+        Each distinct genotype is dispatched once; repeats are answered
+        from the first one's value.
+        """
+        started = time.perf_counter()
+        cache = getattr(fitness, "cache", None)
+        hits0 = getattr(cache, "hits", 0)
+
+        keys = [genotype_key(g) for g in population]
+        futures: dict[tuple, Future] = {}
+        duplicates: list[tuple] = []
+        dispatched = shared = 0
+        for key, genes in zip(keys, population):
+            if key in futures:
+                duplicates.append(key)
+                continue
+            futures[key], outcome = self._dispatch(
+                key, genes, fitness, flush=False
+            )
+            dispatched += outcome == "fresh"
+            shared += outcome == "shared"
+
+        # Wait for every sibling before raising the first failure: the
+        # ones that completed cost a full attack run each and have merged
+        # into the cache, so the single flush below persists them.
+        results: dict[tuple, object] = {}
+        failure: Exception | None = None
+        for key, future in futures.items():
+            try:
+                results[key] = future.result()
+            except Exception as exc:  # raised below, after the flush
+                if failure is None:
+                    failure = exc
+        try:
+            if hasattr(cache, "flush"):
+                cache.flush()
+        finally:
+            if failure is not None:
+                raise failure
+
+        # Replay duplicate lookups so hit/miss counters match a
+        # per-genome loop, where every repeat lands in the warm cache.
+        if cache is not None:
+            for key in duplicates:
+                cache.get(key)
+
+        stats = BatchStats(
+            size=len(population),
+            cache_hits=getattr(cache, "hits", 0) - hits0,
+            dispatched=dispatched,
+            wall_s=time.perf_counter() - started,
+        )
+        _BATCH_SECONDS.observe(stats.wall_s, evaluator=self.label)
+        if dispatched:
+            _DISPATCHED.inc(dispatched, evaluator=self.label)
+        if duplicates or shared:
+            _DEDUPED.inc(len(duplicates) + shared, evaluator=self.label)
+        return [results[key] for key in keys], self._record(stats)
+
+    def _dispatch(
+        self, key: tuple, genes: Genotype, fitness: Fitness, flush: bool
+    ) -> tuple[Future, str]:
+        """Route one genotype; returns its future and how it was answered.
+
+        The outcome is ``"hit"`` (fitness cache), ``"shared"`` (coalesced
+        onto an in-flight duplicate) or ``"fresh"`` (the fitness ran).
+        The fitness cache's hit/miss counters stay those of a per-genome
+        loop; evaluator accounting is the caller's. ``flush`` asks for a
+        fresh value to be written through to the cache's store at once.
+        """
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial default
@@ -132,53 +223,31 @@ class Evaluator:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _counters(fitness: Fitness) -> tuple[int, int, int]:
-        """Snapshot (cache hits, cache misses, evaluations) if exposed."""
-        cache = getattr(fitness, "cache", None)
-        return (
-            getattr(cache, "hits", 0),
-            getattr(cache, "misses", 0),
-            getattr(fitness, "evaluations", 0),
-        )
-
     def _record(self, stats: BatchStats) -> BatchStats:
         self.total = self.total.merged(stats)
         return stats
 
 
 class SerialEvaluator(Evaluator):
-    """In-order, in-process evaluation — the exact historical behaviour.
+    """In-order, in-process evaluation.
 
-    Each genome is passed straight to ``fitness`` (which consults its own
-    cache), so call order, RNG interaction and counter updates are
-    bit-identical to the pre-evaluator per-genome loop.
+    Each dispatch calls ``fitness`` right away (it consults its own
+    cache and writes a fresh value through) and hands back a finished
+    future, so a search walks the same trajectory as on the pool. A
+    fitness error propagates from the dispatching call.
     """
 
-    def evaluate(
-        self, population: Sequence[Genotype], fitness: Fitness
-    ) -> tuple[list, BatchStats]:
-        started = time.perf_counter()
-        hits0, _, evals0 = self._counters(fitness)
-        if obs_trace.enabled():
-            values = []
-            for genes in population:
-                with obs_trace.span("eval.candidate"):
-                    values.append(fitness(genes))
-        else:
-            values = [fitness(genes) for genes in population]
-        hits1, _, evals1 = self._counters(fitness)
-        stats = BatchStats(
-            size=len(population),
-            cache_hits=hits1 - hits0,
-            dispatched=evals1 - evals0,
-            wall_s=time.perf_counter() - started,
-        )
-        _BATCH_SECONDS.observe(stats.wall_s, evaluator="serial")
-        if stats.dispatched:
-            _DISPATCHED.inc(stats.dispatched, evaluator="serial")
-        return values, self._record(stats)
+    label = "serial"
+
+    def _dispatch(
+        self, key: tuple, genes: Genotype, fitness: Fitness, flush: bool
+    ) -> tuple[Future, str]:
+        cache = getattr(fitness, "cache", None)
+        hits = getattr(cache, "hits", 0)
+        with obs_trace.span("eval.candidate"):
+            value = fitness(genes)
+        hit = getattr(cache, "hits", 0) > hits
+        return _done(value), "hit" if hit else "fresh"
 
 
 # -- worker-process plumbing -----------------------------------------------
@@ -256,28 +325,21 @@ def _done(value) -> Future:
 class AsyncEvaluator(Evaluator):
     """Deduped, cache-fronted fan-out across keep-alive worker processes.
 
-    Two entry points share one dispatch path (:meth:`_dispatch`):
-
-    * :meth:`evaluate` takes a whole population (the generational loop's
-      barrier), dispatches each distinct genotype once, and returns the
-      values in population order;
-    * :meth:`submit` takes one genotype and returns a future at once, so
-      the steady-state :class:`repro.ec.loop.SearchLoop` keeps breeding
-      while the pool works, keeping every worker busy even when
-      per-candidate attack costs are wildly skewed, and AutoLock's report
-      attacks queue up alongside its GA.
-
-    Dispatch consults the fitness cache first (a hit is an
+    Its :meth:`_dispatch` consults the fitness cache first (a hit is an
     already-completed future, with the hit recorded exactly like the
     serial loop would), coalesces in-flight duplicates of the same
     genotype onto one future, and otherwise ships the genotype to the
-    pool. A fresh value merges back into the dispatcher-side cache from a
-    done-callback, before the in-flight entry goes away and before the
-    returned future resolves, so once ``result()`` returns the value is
-    cached and counted. ``submit`` merges write-through — each value
-    costs a full attack run, so it lands on disk the moment it exists,
-    even if the driving loop has already stopped — while ``evaluate``
-    merges in memory and flushes once per batch.
+    pool, so :meth:`~Evaluator.submit` returns while the pool works:
+    the steady-state loop keeps breeding, keeping every worker busy
+    even when per-candidate attack costs are wildly skewed, and
+    AutoLock's report attacks queue up alongside its GA. A fresh value
+    merges back into the dispatcher-side cache from a done-callback,
+    before the in-flight entry goes away and before the returned future
+    resolves, so once ``result()`` returns the value is cached and
+    counted. ``submit`` merges write-through — each value costs a full
+    attack run, so it lands on disk the moment it exists, even if the
+    driving loop has already stopped — while ``evaluate`` merges in
+    memory and flushes once per batch.
 
     Each fitness object is pickled once, the first time it is
     dispatched, into its own blob file under a private temp directory,
@@ -306,6 +368,8 @@ class AsyncEvaluator(Evaluator):
     correct, just not parallel.
     """
 
+    label = "pool"
+
     def __init__(self, workers: int | None = None) -> None:
         super().__init__()
         if workers is not None and workers < 1:
@@ -324,92 +388,12 @@ class AsyncEvaluator(Evaluator):
         self._inflight_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def submit(self, genes: Genotype, fitness: Fitness) -> Future:
-        """Schedule one genotype; returns a future with its fitness value."""
-        started = time.perf_counter()
-        future, outcome = self._dispatch(
-            genotype_key(genes), genes, fitness, flush=True
-        )
-        fresh = outcome == "fresh"
-        if fresh:
-            _DISPATCHED.inc(evaluator="async")
-        elif outcome == "shared":
-            _DEDUPED.inc(evaluator="async")
-        self._record(BatchStats(
-            size=1, cache_hits=int(not fresh), dispatched=int(fresh),
-            wall_s=time.perf_counter() - started,
-        ))
-        return future
-
-    def evaluate(
-        self, population: Sequence[Genotype], fitness: Fitness
-    ) -> tuple[list, BatchStats]:
-        started = time.perf_counter()
-        cache = getattr(fitness, "cache", None)
-        hits0 = getattr(cache, "hits", 0)
-
-        keys = [genotype_key(g) for g in population]
-        futures: dict[tuple, Future] = {}
-        duplicates: list[tuple] = []
-        dispatched = shared = 0
-        for key, genes in zip(keys, population):
-            if key in futures:
-                duplicates.append(key)
-                continue
-            futures[key], outcome = self._dispatch(
-                key, genes, fitness, flush=False
-            )
-            dispatched += outcome == "fresh"
-            shared += outcome == "shared"
-
-        # Wait for every sibling before raising the first failure: the
-        # ones that completed cost a full attack run each and have merged
-        # into the cache, so the single flush below persists them.
-        results: dict[tuple, object] = {}
-        failure: Exception | None = None
-        for key, future in futures.items():
-            try:
-                results[key] = future.result()
-            except Exception as exc:  # raised below, after the flush
-                if failure is None:
-                    failure = exc
-        try:
-            if hasattr(cache, "flush"):
-                cache.flush()
-        finally:
-            if failure is not None:
-                raise failure
-
-        # Replay duplicate lookups so hit/miss counters match the serial
-        # loop, where every repeat genome lands in the (now warm) cache.
-        if cache is not None:
-            for key in duplicates:
-                cache.get(key)
-
-        stats = BatchStats(
-            size=len(population),
-            cache_hits=getattr(cache, "hits", 0) - hits0,
-            dispatched=dispatched,
-            wall_s=time.perf_counter() - started,
-        )
-        _BATCH_SECONDS.observe(stats.wall_s, evaluator="pool")
-        if dispatched:
-            _DISPATCHED.inc(dispatched, evaluator="pool")
-        if duplicates or shared:
-            _DEDUPED.inc(len(duplicates) + shared, evaluator="pool")
-        return [results[key] for key in keys], self._record(stats)
-
     def _dispatch(
         self, key: tuple, genes: Genotype, fitness: Fitness, flush: bool
     ) -> tuple[Future, str]:
-        """Route one genotype; returns its future and how it was answered.
-
-        The outcome is ``"hit"`` (fitness cache), ``"shared"`` (coalesced
-        onto an in-flight duplicate) or ``"fresh"`` (pool task, or the
-        in-process fallback). The fitness cache's hit/miss counters are
-        kept serial-exact here; evaluator accounting is the caller's.
-        ``flush`` is the merge's write-through flag.
-        """
+        """:meth:`Evaluator._dispatch` over the pool: a ``"fresh"``
+        outcome is a pool task, or the in-process fallback, and
+        ``flush`` is the merge's write-through flag."""
         started = time.perf_counter()
         cache = getattr(fitness, "cache", None)
         if cache is not None:
@@ -538,26 +522,23 @@ class AsyncEvaluator(Evaluator):
 
 def open_evaluator(
     workers: int | None,
-    async_mode: bool = False,
     *,
     search: bool = True,
     shared: AsyncEvaluator | None = None,
 ) -> Evaluator:
     """The evaluator a run needs: the one serial-vs-pool rule.
 
-    A run gets the pool evaluator iff it asks for ``workers >= 2`` or
-    runs the steady-state loop (``async_mode``), whose futures only the
-    pool serves; anything else gets a :class:`SerialEvaluator`, and so
-    does a run with no search loop (``search=False``: a static sweep
-    point evaluates no populations). ``shared`` is the caller's open
-    pool: it is returned when it has enough workers, and otherwise
-    closed and replaced by a bigger one — results are worker-count
-    independent, so resizing mid-sweep is safe. The caller owns what
-    comes back.
+    A run gets the pool evaluator iff it runs a search with
+    ``workers >= 2``; anything else gets a :class:`SerialEvaluator`,
+    whatever its loop mode, and so does a run with no search loop
+    (``search=False``: a static sweep point evaluates no populations).
+    ``shared`` is the caller's open pool: it is returned when it has
+    enough workers, and otherwise closed and replaced by a bigger one —
+    results are worker-count independent, so resizing mid-sweep is
+    safe. The caller owns what comes back.
     """
-    if not search or not (async_mode or (workers or 0) >= 2):
+    if not search or (workers or 0) < 2:
         return SerialEvaluator()
-    workers = max(1, workers or 1)
     if shared is not None:
         if shared.workers >= workers:
             return shared
@@ -567,14 +548,12 @@ def open_evaluator(
 
 @contextlib.contextmanager
 def evaluator_scope(
-    evaluator: Evaluator | None,
-    workers: int | None = None,
-    async_mode: bool = False,
+    evaluator: Evaluator | None, workers: int | None = None
 ) -> Iterator[Evaluator]:
     """Use an injected ``evaluator`` as is (its owner closes it), or
     :func:`open_evaluator` one for the block and close it afterwards."""
     if evaluator is not None:
         yield evaluator
         return
-    with open_evaluator(workers, async_mode) as owned:
+    with open_evaluator(workers) as owned:
         yield owned

@@ -13,8 +13,8 @@ Two execution modes, both driven by the shared
   evaluator) — byte-identical to the historical hand-rolled loop:
   evaluate the whole population, keep ``elitism`` champions, breed the
   rest, repeat;
-* **async steady-state** (``async_mode=True``; needs a future-capable
-  evaluator such as the pool's) — keep the worker pool saturated
+* **async steady-state** (``async_mode=True``, on any evaluator) — keep
+  a worker pool saturated
   by breeding one replacement per completed evaluation, integrating
   completions in submission order so the trajectory is deterministic at
   any worker count. Survival is replace-worst; history entries summarise
@@ -60,8 +60,8 @@ class GaConfig:
 
     ``async_mode`` selects the loop mode: ``False`` (default) runs the
     historical sync-generational loop on any evaluator, ``True`` the
-    steady-state pipeline (which needs a future-capable evaluator); the
-    evaluator never picks the mode. ``async_backlog`` bounds in-flight
+    steady-state pipeline on any evaluator; the evaluator never picks
+    the mode. ``async_backlog`` bounds in-flight
     evaluations in steady-state mode (default: ``population_size``);
     raising it trades parent freshness for saturation under strongly
     skewed attack costs. The string ``"auto"`` sizes the backlog at run
@@ -348,14 +348,13 @@ class GeneticAlgorithm:
         tests and by warm-started experiments); its genotypes are
         repaired, and the population is padded/truncated to size.
 
-        ``evaluator`` runs the fitness evaluation; the default
-        :class:`SerialEvaluator` reproduces the historical per-genome
-        loop exactly, and the pool evaluator
-        :class:`~repro.ec.evaluator.AsyncEvaluator` fans batches out
-        across worker processes and can serve ``config.async_mode=True``
-        (:func:`~repro.ec.evaluator.open_evaluator` picks between the
-        two). The caller owns the evaluator's lifetime (close any pool
-        you pass in).
+        ``evaluator`` runs the fitness evaluation; the default is an
+        in-process :class:`SerialEvaluator`, and the pool evaluator
+        :class:`~repro.ec.evaluator.AsyncEvaluator` fans the work out
+        across worker processes (:func:`~repro.ec.evaluator.open_evaluator`
+        picks between the two). Either serves both values of
+        ``config.async_mode`` and walks the same trajectory. The caller
+        owns the evaluator's lifetime (close any pool you pass in).
         """
         cfg = self.config
         rng = derive_rng(cfg.seed)

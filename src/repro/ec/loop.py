@@ -24,10 +24,13 @@ batches, same bookkeeping (``tests/test_ec_determinism.py`` and
 ``tests/test_ec_loop.py`` pin this against the golden trajectories).
 
 **async** (``async_mode=True``) is the steady-state pipeline: the loop
-keeps up to ``policy.async_backlog`` evaluations in flight on an
-:class:`~repro.ec.evaluator.AsyncEvaluator` and breeds a replacement the
-moment any evaluation completes, so the worker pool never idles at a
-generation barrier while one slow attack run finishes. Completions are
+keeps up to ``policy.async_backlog`` evaluations submitted to the
+evaluator and breeds a replacement the moment any evaluation completes,
+so a worker pool never idles at a generation barrier while one slow
+attack run finishes. Sync mode drives the evaluator's ``evaluate`` and
+async mode its ``submit``; every evaluator has both, so either mode runs
+on a :class:`~repro.ec.evaluator.SerialEvaluator` (whose futures come
+back finished) or on the pool. Completions are
 **integrated in submission order** (FIFO), which makes the whole
 trajectory a deterministic function of the seed — independent of worker
 count, scheduling, and actual completion timing. That is what lets the
@@ -52,12 +55,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.ec.evaluator import (
-    BatchStats,
-    Evaluator,
-    SerialEvaluator,
-    supports_async,
-)
+from repro.ec.evaluator import BatchStats, Evaluator, SerialEvaluator
 from repro.ec.genotype import genotype_key, repair_genotype
 from repro.ec.operators import SELECTIONS, MutationConfig, mutate
 from repro.errors import EvolutionError
@@ -445,8 +443,8 @@ class SearchLoop:
     """Drives one :class:`LoopPolicy` to completion; see the module doc.
 
     The caller owns the evaluator's lifetime. ``async_mode`` is a plain
-    bool (the mode never follows the evaluator); ``True`` needs a
-    future-capable evaluator (:class:`~repro.ec.evaluator.AsyncEvaluator`).
+    bool; every evaluator serves both modes, so the mode never follows
+    the evaluator and the evaluator never limits the mode.
     """
 
     def __init__(
@@ -461,12 +459,6 @@ class SearchLoop:
         if not isinstance(async_mode, bool):
             raise EvolutionError(
                 f"async_mode must be True or False, got {async_mode!r}"
-            )
-        if async_mode and not supports_async(self.evaluator):
-            raise EvolutionError(
-                "async_mode needs a future-capable evaluator; got "
-                f"{type(self.evaluator).__name__} — pass an AsyncEvaluator "
-                "or run with async_mode=False"
             )
         self.async_mode = async_mode
 

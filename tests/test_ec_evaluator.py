@@ -11,14 +11,18 @@ repeated runs into pure lookups.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
+import multiprocessing
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.runner import run_experiment
 from repro.api.spec import ExperimentSpec
 from repro.circuits import load_circuit
 from repro.ec import (
@@ -36,10 +40,13 @@ from repro.ec import (
     cache_namespace,
 )
 from repro.ec import autolock as autolock_module
+from repro.ec import evaluator as evaluator_module
 from repro.ec.evaluator import open_evaluator
 from repro.ec.fitness import MultiObjectiveFitness
 from repro.ec.genotype import genotype_key, random_genotype
 from repro.utils.rng import derive_rng, spawn_seeds
+
+from test_ec_determinism import ones_fitness
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +174,29 @@ def test_process_pool_nsga2_matches_serial_exactly(circuit):
     assert pooled.front_objectives == serial.front_objectives
     assert pooled.evaluations == serial.evaluations
     assert pooled.history == serial.history
+
+
+def test_cacheless_fitness_history_counters_match_across_evaluators():
+    """A plain function has no cache and no counters, so an evaluator can
+    only count what it dispatched: each generation's misses are its
+    distinct genotypes, on either evaluator."""
+    circuit = load_circuit("rand_100_7")
+    config = GaConfig(
+        key_length=6, population_size=6, generations=3,
+        mutation="key_only", seed=4,
+    )
+
+    def run(evaluator):
+        result = GeneticAlgorithm(config).run(
+            circuit, ones_fitness, evaluator=evaluator
+        )
+        return [(s.cache_hits, s.cache_misses) for s in result.history]
+
+    serial = run(SerialEvaluator())
+    with AsyncEvaluator(workers=2) as evaluator:
+        pooled = run(evaluator)
+    # Generation 1 breeds one repeat: dispatched once, and no cache to hit.
+    assert serial == pooled == [(0, 6), (0, 5), (0, 6)]
 
 
 # ------------------------------------------------- dedupe + accounting
@@ -504,12 +534,9 @@ def test_open_evaluator_rule(engine, workers, async_mode):
         circuit="c17", key_length=2, engine=engine, attack="muxlink",
         workers=workers, async_mode=async_mode,
     )
-    wants_pool = engine is not None and (
-        workers >= 2 or (async_mode if async_mode is not None else False)
-    )
+    wants_pool = engine is not None and workers >= 2
     with open_evaluator(
-        spec.workers, spec.resolved_async_mode(),
-        search=spec.engine is not None,
+        spec.workers, search=spec.engine is not None
     ) as evaluator:
         if wants_pool:
             assert type(evaluator) is AsyncEvaluator
@@ -521,7 +548,6 @@ def test_open_evaluator_rule(engine, workers, async_mode):
 def test_open_evaluator_reuses_or_grows_the_shared_pool():
     with AsyncEvaluator(workers=2) as small:
         assert open_evaluator(2, shared=small) is small
-        assert open_evaluator(1, True, shared=small) is small
         with open_evaluator(4, shared=small) as grown:
             assert grown is not small and grown.workers == 4
         assert type(open_evaluator(1, shared=small)) is SerialEvaluator
@@ -622,6 +648,41 @@ def test_autolock_workers_match_serial(circuit, tmp_path):
     assert pooled.ga.best_genotype == serial.ga.best_genotype
     assert pooled.ga.hall_of_fame == serial.ga.hall_of_fame
     assert pooled.fitness_evaluations == serial.fitness_evaluations
+
+
+#: a sync AutoLock spec over the mixed alphabet, small enough for three
+#: pool start-ups.
+MIXED_AUTOLOCK = ExperimentSpec(
+    circuit="rand_150_5", key_length=6, engine="autolock",
+    attack="muxlink", attack_params={"predictor": "bayes"},
+    alphabet=("mux", "xor", "and_or"), async_mode=False, seed=5,
+    engine_params={
+        "population_size": 4, "generations": 2,
+        "report_predictor": "bayes", "report_ensemble": 1,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_autolock_serial_record():
+    return run_experiment(MIXED_AUTOLOCK).deterministic_record()
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_pool_record_independent_of_start_method(
+    monkeypatch, mixed_autolock_serial_record, method
+):
+    """The pool takes the platform's start method (Python 3.14 moves
+    Linux from fork to forkserver); a 2-worker run gives the serial
+    record under each."""
+    monkeypatch.setattr(
+        evaluator_module, "ProcessPoolExecutor",
+        functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+        ),
+    )
+    pooled = run_experiment(MIXED_AUTOLOCK.with_updates(workers=2))
+    assert pooled.deterministic_record() == mixed_autolock_serial_record
 
 
 # ------------------------------------------ futures over the shared pool

@@ -121,31 +121,72 @@ def test_sync_autolock_reproduces_prerefactor_golden():
 
 
 # --------------------------------------------------- async determinism
+class CachedFitness:
+    """Picklable, cache-fronted wrapper keeping SpecFitness's counters."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.cache = FitnessCache()
+        self.evaluations = 0
+
+    def __call__(self, genes):
+        key = genotype_key(genes)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
+        self.evaluations += 1
+        value = self.fn(genes)
+        self.cache.put(key, value)
+        return value
+
+
+def _async_runs(run, fn):
+    """``run(evaluator, fitness)`` in-process, then on 1- and 3-worker
+    pools; each result with its fitness counters."""
+    runs = []
+    for evaluator in (
+        SerialEvaluator(), AsyncEvaluator(workers=1), AsyncEvaluator(workers=3)
+    ):
+        fitness = CachedFitness(fn)
+        with evaluator:
+            result = run(evaluator, fitness)
+        counters = (
+            fitness.evaluations, fitness.cache.hits, fitness.cache.misses
+        )
+        runs.append((result, counters))
+    return runs
+
+
 def test_async_ga_deterministic_across_worker_counts():
     """Steady state integrates completions in submission order, so the
-    trajectory — not just the champion — is identical at any parallelism,
-    including a 1-worker serial replay."""
+    trajectory — not just the champion — and its accounting are identical
+    at any parallelism, including an in-process serial run."""
     circuit = load_circuit("rand_100_7")
     config = GaConfig(
         key_length=10, population_size=8, generations=6,
         mutation="key_only", seed=42, async_mode=True,
     )
 
-    def run(workers: int):
-        with AsyncEvaluator(workers=workers) as evaluator:
-            return GeneticAlgorithm(config).run(
-                circuit, ones_fitness, evaluator=evaluator
-            )
+    def run(evaluator, fitness):
+        return GeneticAlgorithm(config).run(
+            circuit, fitness, evaluator=evaluator
+        )
 
-    replay = run(1)
-    parallel = run(3)
-    assert parallel.hall_of_fame == replay.hall_of_fame
-    assert parallel.best_genotype == replay.best_genotype
-    assert parallel.best_fitness == replay.best_fitness
-    assert [
-        (s.best, s.mean, s.std) for s in parallel.history
-    ] == [(s.best, s.mean, s.std) for s in replay.history]
-    assert parallel.evaluations == replay.evaluations == 6 * 8
+    (serial, counters), *pooled = _async_runs(run, ones_fitness)
+    assert serial.evaluations == 6 * 8
+    for result, pool_counters in pooled:
+        assert result.hall_of_fame == serial.hall_of_fame
+        assert result.best_genotype == serial.best_genotype
+        assert result.best_fitness == serial.best_fitness
+        assert [
+            (s.best, s.mean, s.std, s.cache_hits, s.cache_misses)
+            for s in result.history
+        ] == [
+            (s.best, s.mean, s.std, s.cache_hits, s.cache_misses)
+            for s in serial.history
+        ]
+        assert result.evaluations == serial.evaluations
+        assert pool_counters == counters
 
 
 def test_async_nsga2_deterministic_across_worker_counts():
@@ -155,15 +196,16 @@ def test_async_nsga2_deterministic_across_worker_counts():
         async_mode=True,
     )
 
-    def run(workers: int):
-        with AsyncEvaluator(workers=workers) as evaluator:
-            return Nsga2(config).run(circuit, two_objectives, evaluator=evaluator)
+    def run(evaluator, fitness):
+        return Nsga2(config).run(circuit, fitness, evaluator=evaluator)
 
-    replay = run(1)
-    parallel = run(3)
-    assert parallel.front_objectives == replay.front_objectives
-    assert parallel.front_genotypes == replay.front_genotypes
-    assert len(parallel.history) == config.generations
+    (serial, counters), *pooled = _async_runs(run, two_objectives)
+    assert len(serial.history) == config.generations
+    for result, pool_counters in pooled:
+        assert result.front_objectives == serial.front_objectives
+        assert result.front_genotypes == serial.front_genotypes
+        assert result.history == serial.history
+        assert pool_counters == counters
 
 
 def test_async_autolock_serial_replay_matches_parallel():
@@ -263,17 +305,6 @@ def test_async_early_stop_cancels_only_the_loops_own_work():
         assert [f.result() for f in futures] == [
             ones_fitness(g) for g in outside
         ]
-
-
-def test_async_mode_requires_future_capable_evaluator():
-    circuit = load_circuit("rand_100_7")
-    config = GaConfig(
-        key_length=4, population_size=4, generations=2, async_mode=True,
-    )
-    with pytest.raises(EvolutionError, match="future-capable"):
-        GeneticAlgorithm(config).run(
-            circuit, ones_fitness, evaluator=SerialEvaluator()
-        )
 
 
 def test_async_mode_none_is_rejected_not_run_sync():
