@@ -36,7 +36,7 @@ except ImportError:  # direct `python benchmarks/bench_....py` execution
     from conftest import print_header, scaled
 
 from repro.circuits import load_circuit
-from repro.ec import AsyncEvaluator, FitnessCache, GaConfig, GeneticAlgorithm
+from repro.ec import AsyncEvaluator, CachedFitness, GaConfig, GeneticAlgorithm
 from repro.ec.genotype import genotype_key
 
 _CIRCUIT = "rand_150_5"
@@ -54,7 +54,7 @@ def _scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
-class SkewedCostFitness:
+class SkewedCostFitness(CachedFitness):
     """Picklable fitness with deterministic, strongly skewed eval cost.
 
     A stable hash of the genotype decides whether this candidate is one
@@ -64,24 +64,17 @@ class SkewedCostFitness:
     """
 
     def __init__(self, base_s: float, slow_s: float, slow_every: int) -> None:
+        super().__init__()
         self.base_s = base_s
         self.slow_s = slow_s
         self.slow_every = slow_every
-        self.cache = FitnessCache()
-        self.evaluations = 0
 
-    def __call__(self, genes) -> float:
+    def score(self, genes) -> float:
         key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return float(cached)
         digest = hashlib.md5(repr(key).encode()).hexdigest()
         slow = int(digest, 16) % self.slow_every == 0
         time.sleep(self.slow_s if slow else self.base_s)
-        self.evaluations += 1
-        value = sum(g.k for g in genes) / len(genes)
-        self.cache.put(key, value)
-        return value
+        return sum(g.k for g in genes) / len(genes)
 
 
 def _run_mode(circuit, async_mode: bool, *, population, generations, workers,

@@ -41,14 +41,13 @@ from repro.coevo.genome import AttackerGenome, baseline_genome
 from repro.ec.evaluator import Evaluator, evaluator_scope
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
-    FRESH_EVALUATIONS,
+    CachedFitness,
     FitnessCache,
     SpecFitness,
     cache_namespace,
     resilience_accuracy,
 )
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
-from repro.ec.genotype import genotype_key
 from repro.ec.loop import HALL_SIZE
 from repro.errors import EvolutionError
 from repro.locking.delta import DeltaRelocker
@@ -101,7 +100,7 @@ def _fingerprint(payload: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-class AttackerVsEliteFitness:
+class AttackerVsEliteFitness(CachedFitness):
     """Attacker fitness: ``1 − mean accuracy`` against the lock elite.
 
     Minimised (stronger attacker = lower value), keeping one convention
@@ -120,25 +119,20 @@ class AttackerVsEliteFitness:
     ) -> None:
         if not elites:
             raise EvolutionError("lock elite must not be empty")
+        super().__init__(cache)
         self.original = original
         self.elites = [list(genes) for genes in elites]
         self.attack_seed = attack_seed
-        self.cache = cache if cache is not None else FitnessCache()
         self._relocker = DeltaRelocker(original)
         self._scope = ScopeAttack()
         self._locked: list | None = None
-        self.evaluations = 0
 
     def _locked_elites(self) -> list:
         if self._locked is None:
             self._locked = [(self._relocker.lock(g), g) for g in self.elites]
         return self._locked
 
-    def __call__(self, genes: Sequence) -> float:
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return float(cached)
+    def score(self, genes: Sequence) -> float:
         (genome,) = genes
         attack = _create(genome)
         total = 0.0
@@ -147,11 +141,31 @@ class AttackerVsEliteFitness:
             total += resilience_accuracy(
                 locked, lock_genes, report, self._scope, self.attack_seed
             )
-        value = 1.0 - total / len(self.elites)
-        self.evaluations += 1
-        FRESH_EVALUATIONS.inc()
-        self.cache.put(key, value)
-        return value
+        return 1.0 - total / len(self.elites)
+
+
+class DuelFitness(CachedFitness):
+    """Accuracy of one attacker genome against one lock genotype.
+
+    A duel's genotype is the lock genes followed by the attacker genome,
+    so its :func:`~repro.ec.genotype.genotype_key` keys the duel cache.
+    """
+
+    def __init__(
+        self, original: Netlist, attack_seed: int, cache: FitnessCache
+    ) -> None:
+        super().__init__(cache)
+        self.attack_seed = attack_seed
+        self._relocker = DeltaRelocker(original)
+        self._scope = ScopeAttack()
+
+    def score(self, genes: Sequence) -> float:
+        *lock_genes, genome = genes
+        locked = self._relocker.lock(lock_genes)
+        report = _create(genome).run(locked, seed_or_rng=self.attack_seed)
+        return resilience_accuracy(
+            locked, lock_genes, report, self._scope, self.attack_seed
+        )
 
 
 @dataclass
@@ -294,44 +308,24 @@ class CoevoEngine:
         self.attack_seed = attack_seed
         self.baseline = baseline if baseline is not None else baseline_genome()
         self.mutation_rate = float(mutation_rate)
-        self._relocker = DeltaRelocker(original)
         self._cache_factory = cache_factory or (
             lambda namespace: FitnessCache(namespace=namespace)
         )
         self._caches: dict[str, FitnessCache] = {}
         self.memo = memo
-        self._duel_cache = self._cache(
+        self._duels = DuelFitness(original, attack_seed, self._cache(
             cache_namespace(
                 original.name, role="coevo-duel", attack_seed=attack_seed
             )
-        )
+        ))
+        #: the lock and attacker phases' count; the duels keep their own.
         self.fresh_evaluations = 0
-        self.cache_hits = 0
 
     def _cache(self, namespace: str) -> FitnessCache:
         """The run's one fitness cache for ``namespace``."""
         if namespace not in self._caches:
             self._caches[namespace] = self._cache_factory(namespace)
         return self._caches[namespace]
-
-    # -- shared duel rule ----------------------------------------------
-    def _duel(self, genes: Sequence[Gene], genome: AttackerGenome) -> float:
-        """Accuracy of one attacker genome against one lock genotype."""
-        key = genotype_key(genes) + (genome.key_tuple(),)
-        cached = self._duel_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return float(cached)
-        locked = self._relocker.lock(genes)
-        attack = _create(genome)
-        report = attack.run(locked, seed_or_rng=self.attack_seed)
-        value = resilience_accuracy(
-            locked, genes, report, ScopeAttack(), self.attack_seed
-        )
-        self.fresh_evaluations += 1
-        FRESH_EVALUATIONS.inc()
-        self._duel_cache.put(key, value)
-        return value
 
     # -- hall maintenance ----------------------------------------------
     def _update_attacker_hall(
@@ -374,7 +368,6 @@ class CoevoEngine:
             cache=self._cache(namespace),
             panel=[genome.to_attack() for genome in panel],
         )
-        hits = fitness.cache.hits
         config = dataclasses.replace(self._ga_config, seed=ga_seed)
         started = time.perf_counter()
         with obs_trace.span("coevo.lock_phase", epoch=epoch):
@@ -386,7 +379,6 @@ class CoevoEngine:
             )
         _EVAL_SECONDS.observe(time.perf_counter() - started, side="lock")
         self.fresh_evaluations += fitness.evaluations
-        self.cache_hits += fitness.cache.hits - hits
         return result
 
     def _attacker_phase(
@@ -408,7 +400,6 @@ class CoevoEngine:
             attack_seed=self.attack_seed,
             cache=self._cache(namespace),
         )
-        hits = fitness.cache.hits
         started = time.perf_counter()
         with obs_trace.span(
             "coevo.attacker_phase", epoch=epoch, population=len(population)
@@ -419,7 +410,6 @@ class CoevoEngine:
             )
         _EVAL_SECONDS.observe(time.perf_counter() - started, side="attacker")
         self.fresh_evaluations += fitness.evaluations
-        self.cache_hits += fitness.cache.hits - hits
         return [float(v) for v in values]
 
     def _breed_attackers(
@@ -518,8 +508,10 @@ class CoevoEngine:
 
                     # The arms-race scoreboard: the current elite and the
                     # epoch-0 elite, both against the current best attacker.
-                    elite_vs_best = self._duel(elites[0], best_attacker)
-                    epoch0_vs_best = self._duel(epoch0_elite, best_attacker)
+                    elite_vs_best = self._duels([*elites[0], best_attacker])
+                    epoch0_vs_best = self._duels(
+                        [*epoch0_elite, best_attacker]
+                    )
 
                     done = CoevoEpoch(
                         epoch=epoch,
@@ -568,8 +560,11 @@ class CoevoEngine:
             best_lock_fitness=last.lock_best_fitness,
             best_attacker=AttackerGenome.from_dict(last.attacker_best),
             best_attacker_fitness=last.attacker_best_fitness,
-            fresh_evaluations=self.fresh_evaluations,
-            cache_hits=self.cache_hits,
+            fresh_evaluations=(
+                self.fresh_evaluations + self._duels.evaluations
+            ),
+            # Every fitness cache of the run is one of these.
+            cache_hits=sum(cache.hits for cache in self._caches.values()),
             replayed_epochs=replayed,
         )
 

@@ -53,6 +53,7 @@ from repro.ec.loop import (
 )
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
+    CachedFitness,
     FitnessCache,
     MultiObjectiveFitness,
     SpecFitness,
@@ -85,6 +86,7 @@ __all__ = [
     "MUTATIONS",
     "SELECTIONS",
     "DEFAULT_ATTACK_SEED",
+    "CachedFitness",
     "FitnessCache",
     "MultiObjectiveFitness",
     "SpecFitness",

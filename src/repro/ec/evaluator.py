@@ -11,27 +11,24 @@ pipeline:
 3. answer what it can from the fitness function's :class:`FitnessCache`
    (optionally persistent across runs),
 4. fan the remaining misses out — serially, or across worker processes —
-   and merge the results back through the cache.
+   running only ``fitness.score``, and hand each value to
+   ``fitness.record`` in the dispatching process, which counts and
+   caches it (:class:`~repro.ec.fitness.CachedFitness`; any other
+   callable is called as is and never memoised).
 
 Every evaluator is *observationally identical* to a per-genome loop:
 fitness functions are deterministic per genotype (fixed attack seed), so
-dispatch order and process boundaries cannot change any value, and the
-cache hit/miss counters are replayed so accounting matches the serial
-semantics exactly. ``tests/test_ec_evaluator.py`` locks this down with
-byte-for-byte result equivalence on fixed seeds.
+dispatch order and process boundaries cannot change any value, and each
+lookup is counted once, as the serial loop would count it.
+``tests/test_ec_evaluator.py`` locks this down with byte-for-byte result
+equivalence on fixed seeds.
 
-:class:`Evaluator` writes the two entry points once: the batch
-:meth:`~Evaluator.evaluate` (the generational loop's barrier) and the
-futures :meth:`~Evaluator.submit` (what the steady-state
-:class:`~repro.ec.loop.SearchLoop` drives). A subclass supplies one
-``_dispatch``, so every evaluator serves both loop modes and the mode
-never picks the evaluator. :class:`SerialEvaluator` runs the fitness
-inline and returns finished futures; :class:`AsyncEvaluator` is the one
-pool evaluator, so one instance serves sync and async points of the
-same sweep. :func:`open_evaluator` is the one rule that picks between
-the two (:func:`evaluator_scope` applies it when no shared evaluator is
-given). Fitness callables that cannot be pickled (lambdas, closures)
-degrade gracefully to in-process evaluation on the pool.
+:class:`Evaluator` writes the batch :meth:`~Evaluator.evaluate` and the
+futures :meth:`~Evaluator.submit` once, over a subclass's ``_dispatch``,
+so every evaluator serves both loop modes and the mode never picks the
+evaluator. :func:`open_evaluator` is the one rule that picks the
+in-process :class:`SerialEvaluator` or the pool's :class:`AsyncEvaluator`
+(:func:`evaluator_scope` applies it when no shared evaluator is given).
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from repro.ec.fitness import CachedFitness
 from repro.ec.genotype import genotype_key
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -147,7 +145,7 @@ class Evaluator:
         from the first one's value.
         """
         started = time.perf_counter()
-        cache = getattr(fitness, "cache", None)
+        cache = fitness.cache if isinstance(fitness, CachedFitness) else None
         hits0 = getattr(cache, "hits", 0)
 
         keys = [genotype_key(g) for g in population]
@@ -166,21 +164,23 @@ class Evaluator:
 
         # Wait for every sibling before raising the first failure: the
         # ones that completed cost a full attack run each and have merged
-        # into the cache, so the single flush below persists them.
+        # into the cache, so the single flush below persists them. A
+        # broken pool sets one exception instance on all its futures, and
+        # each read re-raises it onto its own traceback: keep the first's.
         results: dict[tuple, object] = {}
-        failure: Exception | None = None
+        failure: tuple | None = None
         for key, future in futures.items():
             try:
                 results[key] = future.result()
             except Exception as exc:  # raised below, after the flush
                 if failure is None:
-                    failure = exc
+                    failure = exc, exc.__traceback__
         try:
-            if hasattr(cache, "flush"):
+            if cache is not None:
                 cache.flush()
         finally:
             if failure is not None:
-                raise failure
+                raise failure[0].with_traceback(failure[1])
 
         # Replay duplicate lookups so hit/miss counters match a
         # per-genome loop, where every repeat lands in the warm cache.
@@ -207,9 +207,9 @@ class Evaluator:
         """Route one genotype; returns its future and how it was answered.
 
         The outcome is ``"hit"`` (fitness cache), ``"shared"`` (coalesced
-        onto an in-flight duplicate) or ``"fresh"`` (the fitness ran).
-        The fitness cache's hit/miss counters stay those of a per-genome
-        loop; evaluator accounting is the caller's. ``flush`` asks for a
+        onto an in-flight duplicate) or ``"fresh"`` (the fitness scored
+        it). Each dispatch counts one cache lookup, as a per-genome loop
+        would; evaluator accounting is the caller's. ``flush`` asks for a
         fresh value to be written through to the cache's store at once.
         """
         raise NotImplementedError
@@ -231,8 +231,9 @@ class Evaluator:
 class SerialEvaluator(Evaluator):
     """In-order, in-process evaluation.
 
-    Each dispatch calls ``fitness`` right away (it consults its own
-    cache and writes a fresh value through) and hands back a finished
+    Each dispatch calls ``fitness`` right away (a
+    :class:`~repro.ec.fitness.CachedFitness` looks up, or scores and
+    records the value, written through) and hands back a finished
     future, so a search walks the same trajectory as on the pool. A
     fitness error propagates from the dispatching call.
     """
@@ -242,7 +243,7 @@ class SerialEvaluator(Evaluator):
     def _dispatch(
         self, key: tuple, genes: Genotype, fitness: Fitness, flush: bool
     ) -> tuple[Future, str]:
-        cache = getattr(fitness, "cache", None)
+        cache = fitness.cache if isinstance(fitness, CachedFitness) else None
         hits = getattr(cache, "hits", 0)
         with obs_trace.span("eval.candidate"):
             value = fitness(genes)
@@ -268,6 +269,9 @@ def _eval_epoch(task: "tuple[int, str, Genotype]"):
         if len(_WORKER_FITNESSES) >= _WORKER_SLOTS:
             del _WORKER_FITNESSES[next(iter(_WORKER_FITNESSES))]
         _WORKER_FITNESSES[epoch] = fitness
+    # The dispatcher looked the genotype up and records the value.
+    if isinstance(fitness, CachedFitness):
+        return fitness.score(genes)
     return fitness(genes)
 
 
@@ -325,21 +329,21 @@ def _done(value) -> Future:
 class AsyncEvaluator(Evaluator):
     """Deduped, cache-fronted fan-out across keep-alive worker processes.
 
-    Its :meth:`_dispatch` consults the fitness cache first (a hit is an
-    already-completed future, with the hit recorded exactly like the
-    serial loop would), coalesces in-flight duplicates of the same
-    genotype onto one future, and otherwise ships the genotype to the
-    pool, so :meth:`~Evaluator.submit` returns while the pool works:
-    the steady-state loop keeps breeding, keeping every worker busy
-    even when per-candidate attack costs are wildly skewed, and
-    AutoLock's report attacks queue up alongside its GA. A fresh value
-    merges back into the dispatcher-side cache from a done-callback,
-    before the in-flight entry goes away and before the returned future
-    resolves, so once ``result()`` returns the value is cached and
-    counted. ``submit`` merges write-through — each value costs a full
-    attack run, so it lands on disk the moment it exists, even if the
-    driving loop has already stopped — while ``evaluate`` merges in
-    memory and flushes once per batch.
+    Its :meth:`_dispatch` coalesces an in-flight duplicate of the same
+    genotype onto its future (counting the hit the serial loop's warm
+    cache would give), answers a cache hit with a finished future, and
+    otherwise ships the genotype to the pool, whose worker runs only
+    ``fitness.score``. So :meth:`~Evaluator.submit` returns while the
+    pool works: the steady-state loop keeps breeding, keeping every
+    worker busy even when per-candidate attack costs are wildly skewed,
+    and AutoLock's report attacks queue up alongside its GA. A
+    done-callback hands each value to ``fitness.record`` before the
+    in-flight entry goes away and before the returned future resolves,
+    so once ``result()`` returns the value is cached and counted.
+    ``submit`` records write-through — each value costs a full attack
+    run, so it lands on disk the moment it exists, even if the driving
+    loop has already stopped — while ``evaluate`` records in memory and
+    flushes once per batch.
 
     Each fitness object is pickled once, the first time it is
     dispatched, into its own blob file under a private temp directory,
@@ -351,11 +355,8 @@ class AsyncEvaluator(Evaluator):
     worker keeps the two most recently loaded epochs, loading a blob
     only for an epoch it does not hold. The worker processes stay alive
     across fitness changes, so a sweep that runs many specs through one
-    shared evaluator pays process startup once, not once per spec. The
-    snapshot deliberately excludes later in-place mutation of the
-    dispatcher's fitness (its warming cache, its counters), which workers
-    never need: they only ever see genotypes the dispatcher's cache
-    missed.
+    shared evaluator pays process startup once, not once per spec.
+    Workers never read a snapshot's cache or counters: they only score.
 
     Cancelling a returned future stops its pool task only while the pool
     holds it: ``ProcessPoolExecutor`` hands a few tasks ahead to its
@@ -363,9 +364,9 @@ class AsyncEvaluator(Evaluator):
     cache as usual. :meth:`cancel_pending` cancels every dispatch and
     counts the ones it stopped. :meth:`close` cancels, then shuts the
     pool down. ``workers=None`` uses ``os.cpu_count()``. Unpicklable
-    fitness callables fall back to in-process evaluation (the future
-    comes back resolved) with a one-time warning — results are still
-    correct, just not parallel.
+    fitness callables (lambdas, closures) fall back to in-process
+    evaluation, as on the serial evaluator, with a one-time warning —
+    results are still correct, just not parallel.
     """
 
     label = "pool"
@@ -395,33 +396,25 @@ class AsyncEvaluator(Evaluator):
         outcome is a pool task, or the in-process fallback, and
         ``flush`` is the merge's write-through flag."""
         started = time.perf_counter()
-        cache = getattr(fitness, "cache", None)
-        if cache is not None:
-            cached = cache.get(key)  # records the hit/miss
-            if cached is not None:
-                return _done(cached), "hit"
         staged = self._stage_fitness(fitness)
         if staged is None:
-            # Unpicklable fitness: evaluate inline, right now. The fitness
-            # consulted its own cache (recording a second miss for the
-            # lookup above) and bumped its own counters — undo the dupe.
-            value = fitness(genes)
-            if cache is not None:
-                cache.misses -= 1
-            return _done(value), "fresh"
+            # Unpicklable fitness: evaluate in this process, right now.
+            return SerialEvaluator()._dispatch(key, genes, fitness, flush)
         epoch, blob_path = staged
         inflight_key = (epoch, key)
+        memo = isinstance(fitness, CachedFitness)
         with self._inflight_lock:
             shared = self._inflight.get(inflight_key)
         if shared is not None:
             # An identical genotype is already being evaluated: share its
             # future instead of paying a second attack run. The serial
-            # loop would have found the (by then warm) cache — replay
-            # that accounting.
-            if cache is not None:
-                cache.misses -= 1
-                cache.hits += 1
+            # loop would have found it in the warm cache.
+            if memo:
+                fitness.cache.count_lookup(hit=True)
             return shared, "shared"
+        cached = fitness.cache.get(key) if memo else None
+        if cached is not None:
+            return _done(cached), "hit"
 
         pool = self._ensure_pool()
         task = pool.submit(_eval_epoch, (epoch, blob_path, genes))
@@ -437,15 +430,13 @@ class AsyncEvaluator(Evaluator):
                 # Worker processes keep their own registries, so the
                 # dispatcher is where per-evaluation latency is seen.
                 _SUBMIT_SECONDS.observe(time.perf_counter() - started)
-                if cache is not None:
-                    # Merged *before* the in-flight entry goes away, so a
-                    # concurrent duplicate dispatch always finds the value
-                    # in one of the two places (put() only touches disk
-                    # when the cache has a path and ``flush`` is set).
+                if memo:
+                    # Recorded *before* the in-flight entry goes away, so
+                    # a concurrent duplicate dispatch always finds the
+                    # value in one of the two places (put() only touches
+                    # disk when the cache has a path and ``flush`` is set).
                     with contextlib.suppress(Exception):
-                        cache.put(key, value, flush=flush)
-                if hasattr(fitness, "evaluations"):
-                    fitness.evaluations += 1
+                        fitness.record(key, value, flush=flush)
             finally:
                 with self._inflight_lock:
                     if self._inflight.get(inflight_key) is future:

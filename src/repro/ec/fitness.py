@@ -17,11 +17,13 @@ trajectories are unchanged.
 
 Evaluations are deterministic per genotype (fixed attack seed) and cached
 by canonical genotype key, since crossover routinely recreates previously
-seen individuals. The cache is thread-safe (population evaluators merge
-worker results from the dispatching thread) and can persist to an
-experiment store (a SQLite file or a campaign-server URL) shared across
-runs and processes, namespaced by circuit + attack configuration so
-benchmark sweeps never mix incompatible evaluations.
+seen individuals; :class:`CachedFitness` is the one memo path, which
+every fitness here and in :mod:`repro.coevo` subclasses. The cache is
+thread-safe (population evaluators merge worker results from the
+dispatching thread) and can persist to an experiment store (a SQLite
+file or a campaign-server URL) shared across runs and processes,
+namespaced by circuit + attack configuration so benchmark sweeps never
+mix incompatible evaluations.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ _CACHE_FLUSH_SECONDS = obs_metrics.METRICS.histogram(
     "autolock_cache_flush_seconds",
     "Wall time flushing dirty FitnessCache entries to the backend",
 )
-#: every fresh (non-cached) attack-backed evaluation increments this —
-#: the GA/NSGA-II fitnesses here, the co-evolution fitnesses and duels,
-#: and the AutoLock report stage (a :class:`SpecFitness`).
+#: :meth:`CachedFitness.record` increments this, in the dispatching
+#: process, for every fresh evaluation of every fitness: the GA/NSGA-II
+#: and co-evolution fitnesses and duels, and the AutoLock report stage.
 FRESH_EVALUATIONS = obs_metrics.METRICS.counter(
     "autolock_fresh_evaluations_total",
     "Fresh (non-cached) attack-backed fitness evaluations",
@@ -279,29 +281,26 @@ class FitnessCache:
 
     # -- memo protocol --------------------------------------------------
     def get(self, key: tuple):
-        # ``hits``/``misses`` stay raw ints — evaluators deliberately
-        # rewind them to replay serial accounting — while the registry
-        # counters below are the monotonic operational view.
+        """The memoised value of ``key`` (None on a miss), counted."""
         with self._lock:
-            if key in self.store:
-                self.hits += 1
-                _CACHE_LOOKUPS.inc(namespace=self.namespace, result="hit")
-                return self.store[key]
-            if self._store_backend is not None:
+            value = self.store.get(key)
+            if value is None and self._store_backend is not None:
                 # Another process may have written this entry since our
                 # snapshot — one cheap indexed lookup beats an attack run.
                 value = self._store_backend.get(self.namespace, _key_to_str(key))
                 if value is not None:
-                    value = self._decode(value)
-                    self.store[key] = value
-                    self.hits += 1
-                    _CACHE_LOOKUPS.inc(
-                        namespace=self.namespace, result="hit"
-                    )
-                    return value
-            self.misses += 1
-            _CACHE_LOOKUPS.inc(namespace=self.namespace, result="miss")
-            return None
+                    value = self.store[key] = self._decode(value)
+            self.count_lookup(hit=value is not None)
+            return value
+
+    def count_lookup(self, hit: bool) -> None:
+        """Count one lookup (an evaluator counts an in-flight hit)."""
+        with self._lock:
+            self.hits += hit
+            self.misses += not hit
+        _CACHE_LOOKUPS.inc(
+            namespace=self.namespace, result="hit" if hit else "miss"
+        )
 
     def put(self, key: tuple, value, flush: bool = True) -> None:
         """Memoise ``value``; write-through to disk unless ``flush=False``.
@@ -321,7 +320,42 @@ class FitnessCache:
         return len(self.store)
 
 
-class SpecFitness:
+class CachedFitness:
+    """A fitness function fronted by a :class:`FitnessCache`.
+
+    A subclass writes :meth:`score`, a deterministic function of the
+    genotype. A call looks the genotype up and, on a miss, scores it and
+    hands the value to :meth:`record`. The evaluators split those steps:
+    they look up and record in the dispatching process, and run only
+    :meth:`score` where the work goes (in a pool worker's copy, say).
+    """
+
+    def __init__(self, cache: FitnessCache | None = None) -> None:
+        self.cache = cache if cache is not None else FitnessCache()
+        self.evaluations = 0
+
+    def score(self, genes: Sequence):
+        """The fitness value of ``genes``, computed afresh."""
+        raise NotImplementedError
+
+    def record(self, key: tuple, value, flush: bool = True) -> None:
+        """Count one fresh evaluation, then memoise its value (written
+        through unless ``flush=False``), so a failed store write counts."""
+        self.evaluations += 1
+        FRESH_EVALUATIONS.inc()
+        self.cache.put(key, value, flush=flush)
+
+    def __call__(self, genes: Sequence):
+        key = genotype_key(genes)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
+        value = self.score(genes)
+        self.record(key, value)
+        return value
+
+
+class SpecFitness(CachedFitness):
     """Scalar fitness = attack accuracy of the decoded phenotype.
 
     The attack is resolved through the attack registry, so *any*
@@ -354,20 +388,15 @@ class SpecFitness:
             raise ValueError("attack panel must not be empty")
         self.original = original
         self.panel = tuple((name, dict(params)) for name, params in panel)
+        super().__init__(cache)
         self.attack_seed = attack_seed
-        self.cache = cache if cache is not None else FitnessCache()
         self._relocker = DeltaRelocker(original)
         self._attacks = [
             create_attack(name, **params) for name, params in self.panel
         ]
         self._scope = ScopeAttack()
-        self.evaluations = 0
 
-    def __call__(self, genes: Sequence[Gene]) -> float:
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return float(cached)
+    def score(self, genes: Sequence[Gene]) -> float:
         locked = self._relocker.lock(genes)
         reports = [
             attack.run(locked, seed_or_rng=self.attack_seed)
@@ -383,14 +412,10 @@ class SpecFitness:
                 locked, genes, report, self._scope, self.attack_seed,
                 scope_report=scope_report,
             )
-        value = total / len(reports)
-        self.evaluations += 1
-        FRESH_EVALUATIONS.inc()
-        self.cache.put(key, value)
-        return value
+        return total / len(reports)
 
 
-class MultiObjectiveFitness:
+class MultiObjectiveFitness(CachedFitness):
     """Vector fitness for NSGA-II (all components minimised).
 
     Available objectives (picked by name, order preserved):
@@ -447,13 +472,12 @@ class MultiObjectiveFitness:
         self.attack_seed = attack_seed
         self.corruption_patterns = corruption_patterns
         self.corruption_keys = corruption_keys
-        self.cache = cache if cache is not None else FitnessCache()
+        super().__init__(cache)
         self._relocker = DeltaRelocker(original)
         self._attack = MuxLinkAttack(predictor=predictor, **predictor_kwargs)
         self._scope = ScopeAttack()
         self._base_area = max(1e-9, area_estimate(original))
         self._base_depth = max(1, original.depth())
-        self.evaluations = 0
 
     @property
     def n_objectives(self) -> int:
@@ -481,11 +505,7 @@ class MultiObjectiveFitness:
             )
         return total / self.corruption_keys
 
-    def __call__(self, genes: Sequence[Gene]) -> tuple[float, ...]:
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return tuple(cached)
+    def score(self, genes: Sequence[Gene]) -> tuple[float, ...]:
         locked = self._relocker.lock(genes)
         values: dict[str, float] = {}
         # A full scope report serves both the "scope" objective and the
@@ -514,8 +534,4 @@ class MultiObjectiveFitness:
             ) / self._base_area
         if scope_report is not None:
             values["scope"] = float(scope_report.score.coverage)
-        self.evaluations += 1
-        FRESH_EVALUATIONS.inc()
-        result = tuple(values[name] for name in self.objectives)
-        self.cache.put(key, result)
-        return result
+        return tuple(values[name] for name in self.objectives)

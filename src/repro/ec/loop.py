@@ -56,6 +56,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.ec.evaluator import BatchStats, Evaluator, SerialEvaluator
+from repro.ec.fitness import CachedFitness
 from repro.ec.genotype import genotype_key, repair_genotype
 from repro.ec.operators import SELECTIONS, MutationConfig, mutate
 from repro.errors import EvolutionError
@@ -430,15 +431,6 @@ class LoopState:
     wall_s: float = 0.0
 
 
-def _flush_fitness_cache(fitness) -> None:
-    """Best-effort flush of a fitness function's dirty cache entries."""
-    cache = getattr(fitness, "cache", None)
-    flush = getattr(cache, "flush", None)
-    if callable(flush):
-        with contextlib.suppress(Exception):
-            flush()
-
-
 class SearchLoop:
     """Drives one :class:`LoopPolicy` to completion; see the module doc.
 
@@ -472,8 +464,11 @@ class SearchLoop:
         finally:
             # A raised attack error (or an interrupt) must not lose the
             # evaluations already paid for: flush dirty cache entries
-            # before propagating. Harmless no-op on the success path.
-            _flush_fitness_cache(fitness)
+            # (best effort) before propagating. Harmless no-op on the
+            # success path.
+            if isinstance(fitness, CachedFitness):
+                with contextlib.suppress(Exception):
+                    fitness.cache.flush()
 
     # -- sync: the shared generational loop -----------------------------
     def _run_sync(self, fitness, rng) -> LoopState:

@@ -17,7 +17,9 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from repro.ec import (
     AutoLock,
     AutoLockConfig,
     BatchStats,
+    CachedFitness,
     FitnessCache,
     GaConfig,
     GeneticAlgorithm,
@@ -58,25 +61,17 @@ def _strip_timing(stats):
     return dataclasses.replace(stats, elapsed_s=0.0, eval_wall_s=0.0)
 
 
-class CountingFitness:
+class CountingFitness(CachedFitness):
     """Cache-fronted, picklable fitness that counts real evaluations."""
 
     def __init__(
         self, cache: FitnessCache | None = None, offset: float = 0.0
     ) -> None:
-        self.cache = cache if cache is not None else FitnessCache()
-        self.evaluations = 0
+        super().__init__(cache)
         self.offset = offset
 
-    def __call__(self, genes) -> float:
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return float(cached)
-        self.evaluations += 1
-        value = sum(g.k for g in genes) / len(genes) + self.offset
-        self.cache.put(key, value)
-        return value
+    def score(self, genes) -> float:
+        return sum(g.k for g in genes) / len(genes) + self.offset
 
 
 class SlowPutCache(FitnessCache):
@@ -384,9 +379,9 @@ class SleepyCountingFitness(CountingFitness):
         super().__init__()
         self.seconds = seconds
 
-    def __call__(self, genes) -> float:
+    def score(self, genes) -> float:
         time.sleep(self.seconds)
-        return super().__call__(genes)
+        return super().score(genes)
 
 
 def test_cancel_pending_counts_only_what_it_stopped(circuit):
@@ -410,6 +405,18 @@ def test_cancel_pending_counts_only_what_it_stopped(circuit):
                 assert fitness.cache.get(genotype_key(genes)) == value
 
 
+class LambdaFitness(CachedFitness):
+    """Cache-fronted fitness scoring with ``fn``; a lambda makes it
+    unpicklable."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def score(self, genes) -> float:
+        return self.fn(genes)
+
+
 def test_unpicklable_cached_fitness_accounting_matches_serial(circuit):
     """The in-process fallback must not double-count evaluations/misses."""
     genes_a = random_genotype(circuit, 4, seed_or_rng=7)
@@ -419,12 +426,10 @@ def test_unpicklable_cached_fitness_accounting_matches_serial(circuit):
     serial_fit = CountingFitness()
     SerialEvaluator().evaluate(population, serial_fit)
 
-    inner = CountingFitness()
-    unpicklable = lambda genes: inner(genes)  # noqa: E731
-    unpicklable.cache = inner.cache
+    inner = LambdaFitness(lambda genes: serial_fit.score(genes))
     with AsyncEvaluator(workers=2) as evaluator:
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            _, stats = evaluator.evaluate(population, unpicklable)
+            _, stats = evaluator.evaluate(population, inner)
 
     assert inner.evaluations == serial_fit.evaluations == 2
     assert inner.cache.misses == serial_fit.cache.misses == 2
@@ -441,6 +446,37 @@ def test_unpicklable_fitness_falls_back_in_process(circuit):
             values, stats = evaluator.evaluate([genes], fitness)
     assert values == [0.25] and len(calls) == 1
     assert stats.dispatched == 1
+
+
+class SharedFailureEvaluator(evaluator_module.Evaluator):
+    """Fails every dispatch with one shared exception instance, as a
+    broken ``ProcessPoolExecutor`` does to all its pending futures."""
+
+    def __init__(self, error: BaseException) -> None:
+        super().__init__()
+        self.error = error
+
+    def _dispatch(self, key, genes, fitness, flush):
+        future = Future()
+        future.set_exception(self.error)
+        return future, "fresh"
+
+
+def test_shared_sibling_failure_raised_once(circuit):
+    """Reading the failed siblings must not stack their frames onto the
+    shared exception's traceback: it is raised once, whatever the batch
+    size."""
+
+    def frames(siblings: int) -> int:
+        population = [
+            random_genotype(circuit, 4, seed_or_rng=s) for s in range(siblings)
+        ]
+        evaluator = SharedFailureEvaluator(BrokenProcessPool("pool died"))
+        with pytest.raises(BrokenProcessPool) as raised:
+            evaluator.evaluate(population, CountingFitness())
+        return len(traceback.extract_tb(raised.value.__traceback__))
+
+    assert frames(1) == frames(4)
 
 
 def test_process_pool_rejects_bad_worker_count():

@@ -29,6 +29,7 @@ from repro.ec import (
     AutoLock,
     AutoLockConfig,
     BacklogTuner,
+    CachedFitness,
     FitnessCache,
     GaConfig,
     GeneticAlgorithm,
@@ -121,23 +122,15 @@ def test_sync_autolock_reproduces_prerefactor_golden():
 
 
 # --------------------------------------------------- async determinism
-class CachedFitness:
-    """Picklable, cache-fronted wrapper keeping SpecFitness's counters."""
+class FnFitness(CachedFitness):
+    """Picklable, cache-fronted wrapper scoring with ``fn``."""
 
     def __init__(self, fn) -> None:
+        super().__init__()
         self.fn = fn
-        self.cache = FitnessCache()
-        self.evaluations = 0
 
-    def __call__(self, genes):
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        self.evaluations += 1
-        value = self.fn(genes)
-        self.cache.put(key, value)
-        return value
+    def score(self, genes):
+        return self.fn(genes)
 
 
 def _async_runs(run, fn):
@@ -147,7 +140,7 @@ def _async_runs(run, fn):
     for evaluator in (
         SerialEvaluator(), AsyncEvaluator(workers=1), AsyncEvaluator(workers=3)
     ):
-        fitness = CachedFitness(fn)
+        fitness = FnFitness(fn)
         with evaluator:
             result = run(evaluator, fitness)
         counters = (
@@ -382,30 +375,26 @@ def test_async_ga_runs_with_auto_backlog():
 
 
 # ------------------------------------------- crash-safe cache flushing
-class ExplodingFitness:
+class ExplodingFitness(CachedFitness):
     """Cache-fronted fitness that batches its writes and then crashes.
 
     Mimics an engine fitness whose persistence relies on a later flush
-    (``put(flush=False)``): without the loop's flush-on-exception, every
-    evaluation paid for before the crash would be lost.
+    (``record`` never writes through): without the loop's
+    flush-on-exception, every evaluation paid for before the crash would
+    be lost.
     """
 
     def __init__(self, cache: FitnessCache, explode_after: int) -> None:
-        self.cache = cache
+        super().__init__(cache)
         self.explode_after = explode_after
-        self.evaluations = 0
 
-    def __call__(self, genes) -> float:
-        key = genotype_key(genes)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return float(cached)
+    def score(self, genes) -> float:
         if self.evaluations >= self.explode_after:
             raise RuntimeError("attack backend crashed")
-        self.evaluations += 1
-        value = ones_fitness(genes)
-        self.cache.put(key, value, flush=False)
-        return value
+        return ones_fitness(genes)
+
+    def record(self, key, value, flush: bool = True) -> None:
+        super().record(key, value, flush=False)
 
 
 def test_engine_crash_flushes_dirty_cache_entries(tmp_path):
@@ -425,15 +414,14 @@ def test_engine_crash_flushes_dirty_cache_entries(tmp_path):
     )
 
 
-class PoisonFitness:
+class PoisonFitness(CachedFitness):
     """Picklable fitness that crashes on one specific genotype."""
 
     def __init__(self, poison: tuple, cache: FitnessCache) -> None:
+        super().__init__(cache)
         self.poison = poison
-        self.cache = cache
-        self.evaluations = 0
 
-    def __call__(self, genes) -> float:
+    def score(self, genes) -> float:
         if genotype_key(genes) == self.poison:
             raise RuntimeError("poisoned genotype")
         return ones_fitness(genes)

@@ -400,29 +400,35 @@ def test_forked_child_drops_inherited_tracer_and_traces_itself(tmp_path):
 def test_fresh_evaluation_counter_covers_every_attack_backed_evaluation():
     """``autolock_fresh_evaluations_total`` counts every fresh attack run:
     the AutoLock GA fitness *and* its report stage, and every co-evolution
-    fitness and duel (serial, so every evaluation happens in-process)."""
+    fitness and duel, in-process and on a two-worker pool alike (a pool
+    worker scores; the dispatching process counts)."""
     from repro.circuits import load_circuit
     from repro.coevo import CoevoEngine
+    from repro.ec import AsyncEvaluator, SerialEvaluator
     from repro.ec.autolock import AutoLock, AutoLockConfig
     from repro.ec.fitness import FRESH_EVALUATIONS
 
     circuit = load_circuit("rand_100_7")
-    before = FRESH_EVALUATIONS.value()
-    result = AutoLock(AutoLockConfig(
-        key_length=4, population_size=4, generations=1,
-        fitness_predictor="bayes", report_predictor="bayes",
-        report_ensemble=1, seed=3, workers=1,
-    )).run(circuit)
-    assert result.report_evaluations > 0
-    assert FRESH_EVALUATIONS.value() - before == (
-        result.fitness_evaluations + result.report_evaluations
-    )
+    for workers in (1, 2):
+        before = FRESH_EVALUATIONS.value()
+        result = AutoLock(AutoLockConfig(
+            key_length=4, population_size=4, generations=1,
+            fitness_predictor="bayes", report_predictor="bayes",
+            report_ensemble=1, seed=3, workers=workers,
+        )).run(circuit)
+        assert result.report_evaluations > 0
+        assert FRESH_EVALUATIONS.value() - before == (
+            result.fitness_evaluations + result.report_evaluations
+        )
 
-    before = FRESH_EVALUATIONS.value()
-    coevo = CoevoEngine(
-        circuit, key_length=4, epochs=1, lock_population=4,
-        lock_generations=1, attacker_population=2, elite_size=1,
-        panel_size=1, hall_size=2, seed=3,
-    ).run()
-    assert coevo.fresh_evaluations > 0
-    assert FRESH_EVALUATIONS.value() - before == coevo.fresh_evaluations
+        before = FRESH_EVALUATIONS.value()
+        with (
+            SerialEvaluator() if workers == 1 else AsyncEvaluator(workers)
+        ) as evaluator:
+            coevo = CoevoEngine(
+                circuit, key_length=4, epochs=1, lock_population=4,
+                lock_generations=1, attacker_population=2, elite_size=1,
+                panel_size=1, hall_size=2, seed=3,
+            ).run(evaluator)
+        assert coevo.fresh_evaluations > 0
+        assert FRESH_EVALUATIONS.value() - before == coevo.fresh_evaluations
