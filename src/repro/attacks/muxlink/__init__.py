@@ -22,7 +22,7 @@ from repro.attacks.muxlink.gnn import GnnLinkPredictor
 from repro.attacks.muxlink.graph import MuxQuery, ObservedGraph, extract_observed
 from repro.attacks.muxlink.mlp_predictor import MlpLinkPredictor
 from repro.attacks.muxlink.subgraph import (
-    EnclosingSubgraph,
+    SubgraphBatch,
     drnl_from_distances,
     extract_enclosing_subgraphs,
 )
@@ -35,7 +35,7 @@ __all__ = [
     "MuxQuery",
     "ObservedGraph",
     "extract_observed",
-    "EnclosingSubgraph",
+    "SubgraphBatch",
     "extract_enclosing_subgraphs",
     "drnl_from_distances",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.muxlink.graph import ObservedGraph
-from repro.attacks.muxlink.subgraph import EnclosingSubgraph
+from repro.attacks.muxlink.subgraph import SubgraphBatch
 from repro.utils.rng import derive_rng
 
 #: Fixed gate-type vocabulary (index = one-hot position).
@@ -101,32 +101,27 @@ def subgraph_feature_dim(max_label: int = 8) -> int:
 
 def subgraph_feature_matrix_stack(
     graph: ObservedGraph,
-    subs: list[EnclosingSubgraph],
+    batch: SubgraphBatch,
     max_label: int = 8,
 ) -> np.ndarray:
-    """Per-node GNN features, row-stacked over a batch of subgraphs.
+    """Per-node GNN features, one row per row of ``batch``.
 
     Each row is type one-hot ⊕ DRNL one-hot ⊕ log-degree ⊕ the clipped
     level offsets to the subgraph's candidate driver (position 0) and
     consumer (position 1). The level offsets give the GNN the same
     locality signal the MLP features encode, without which D-MUX decoys
-    are nearly indistinguishable. One vectorised pass over the
-    concatenated node lists: one-hots via fancy indexing, degrees read
-    from the CSR snapshot, level offsets via per-graph repeats.
+    are nearly indistinguishable. One vectorised pass over the batch's
+    stacked node ids and DRNL labels: one-hots via fancy indexing,
+    degrees read from the CSR snapshot, level offsets via per-block
+    repeats.
     """
-    if not subs:
-        return np.zeros((0, subgraph_feature_dim(max_label)))
     gtype_idx = graph_type_indices(graph)
     indptr, _ = graph.csr()
     degrees = np.diff(indptr)
     levels = np.asarray(graph.levels, dtype=np.int64)
-    counts = np.array([sub.n_nodes for sub in subs], dtype=np.int64)
-    offsets = np.zeros(len(subs), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    ids = np.concatenate(
-        [np.asarray(sub.node_ids, dtype=np.int64) for sub in subs]
-    )
-    drnl = np.concatenate([sub.drnl for sub in subs]).astype(np.intp)
+    counts = np.diff(batch.offsets)
+    offsets = batch.offsets[:-1]
+    ids, drnl = batch.node_ids, batch.drnl
     n_total = ids.size
     feats = np.zeros((n_total, subgraph_feature_dim(max_label)))
     rows = np.arange(n_total)

@@ -21,21 +21,22 @@ three layers), half with ``S`` and half with ``S^T``.
 
 Scoring and training are batched and prepared once: a fit (or one
 ``score_links`` call) extracts its enclosing subgraphs in one
-vectorised pass, then builds their features, one block-diagonal sparse
-operator over their row-normalised adjacencies (:class:`_BlockDiagAdj`)
-and ``S X`` — once, not per step. A training minibatch slices its
-blocks out of those with :meth:`_BlockDiagAdj.select`, one orientation
-only: every block is symmetric, so ``S^T`` shares the slice's CSR
-pattern, and one segment-sum plan (:class:`_SegmentPlan`, built on the
-step's first product) serves all four products. The conv stack runs
-once over the stacked node set, and the centre+mean readout feeds the
-MLP head one ``(B, 3·emb)`` batch. Three references live in
+vectorised pass as one stacked ``SubgraphBatch``, then reads their
+features, one block-diagonal sparse operator (:class:`_BlockDiagAdj`,
+the batch's CSR of ``A + I``, rows scaled) and ``S X`` off it — once,
+not per step. A training minibatch slices its blocks out of those with
+:meth:`_BlockDiagAdj.select`, one orientation only: every block is
+symmetric, so ``S^T`` shares the slice's CSR pattern, and one
+segment-sum plan (:class:`_SegmentPlan`, built on the step's first
+product) serves all four products. The conv stack runs once over the
+stacked node set, and the centre+mean readout feeds the MLP head one
+``(B, 3·emb)`` batch. Three references live in
 ``tests/reference/`` as differential oracles: the ``reduceat`` product
 and column-sorted transpose (bitwise equal), a trainer that rebuilds
-features and operators per minibatch and uses them (bitwise equal),
-and the one-subgraph-at-a-time dense path (the batched reductions
-reassociate floating-point sums, so the two agree to ~1e-9 in the
-logits, not bitwise).
+features and operators per minibatch from dense blocks (bitwise
+equal), and the one-subgraph-at-a-time dense path (the batched
+reductions reassociate floating-point sums, so the two agree to ~1e-9
+in the logits, not bitwise).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.attacks.muxlink.features import (
 )
 from repro.attacks.muxlink.graph import ObservedGraph
 from repro.attacks.muxlink.subgraph import (
-    EnclosingSubgraph,
+    SubgraphBatch,
     extract_enclosing_subgraphs,
 )
 from repro.errors import AttackError
@@ -79,10 +80,6 @@ _GNN_STAGE_SECONDS = obs_metrics.METRICS.histogram(
     "Batched GNN scoring wall time split by stage",
     labels=("stage",),
 )
-def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Row-normalised ``A + I`` (mean-aggregation message passing)."""
-    a_hat = adj + np.eye(len(adj))
-    return a_hat / a_hat.sum(axis=1, keepdims=True)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -158,8 +155,8 @@ class _BlockDiagAdj:
     block's rows and nonzeros are one contiguous range, which
     :meth:`select` slices.
 
-    Every block is symmetric (:attr:`EnclosingSubgraph.adj` plus
-    self-loops), so ``s.T`` has the ``indptr`` and ``indices`` of ``s``
+    Every block is symmetric (a subgraph's adjacency plus self-loops),
+    so ``s.T`` has the ``indptr`` and ``indices`` of ``s``
     and shares its :class:`_SegmentPlan`. Its data is ``diag(s)`` at the
     column, ``1/deg_j``, which row ``j`` of ``s`` holds in every non-zero.
 
@@ -188,23 +185,12 @@ class _BlockDiagAdj:
         self._plan: _SegmentPlan | None = None
 
     @classmethod
-    def from_subgraphs(cls, subs: list[EnclosingSubgraph]) -> _BlockDiagAdj:
-        offsets = np.zeros(len(subs) + 1, dtype=np.int64)
-        row_nnz: list[np.ndarray] = []
-        cols_l: list[np.ndarray] = []
-        data_l: list[np.ndarray] = []
-        for b, sub in enumerate(subs):
-            block = normalized_adjacency(sub.adj)
-            r, c = np.nonzero(block)
-            row_nnz.append(np.bincount(r, minlength=block.shape[0]))
-            cols_l.append(c + offsets[b])
-            data_l.append(block[r, c])
-            offsets[b + 1] = offsets[b] + block.shape[0]
-        indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
-        # np.nonzero emits row-major order per block and blocks are
-        # appended in order, so (cols, data) is already CSR-sorted.
-        return cls(indptr, np.concatenate(cols_l), np.concatenate(data_l), offsets)
+    def from_batch(cls, batch: SubgraphBatch) -> _BlockDiagAdj:
+        """Row-normalised ``A + I`` over ``batch``: a row sums to its
+        non-zero count, an exact integer, so ``1 / row_nnz`` is exact."""
+        row_nnz = np.diff(batch.indptr)
+        data = np.repeat(1.0 / row_nnz, row_nnz)
+        return cls(batch.indptr, batch.indices, data, batch.offsets)
 
     @property
     def plan(self) -> _SegmentPlan:
@@ -245,7 +231,7 @@ class _BlockDiagAdj:
     def select(self, blocks: np.ndarray) -> tuple[_BlockDiagAdj, np.ndarray]:
         """The operator over ``blocks`` (in that order) and its rows here.
 
-        Array for array equal to :meth:`from_subgraphs` over the chosen
+        Array for array equal to :meth:`from_batch` over the chosen
         subgraphs, in both orientations: each block's row and nonzero
         ranges are concatenated and re-offset, with no ``nonzero``. Its
         transpose follows from the symmetric-block rule and shares its
@@ -379,16 +365,16 @@ class GnnLinkPredictor:
         )
 
     def _prepare(
-        self, subs: list[EnclosingSubgraph]
+        self, batch: SubgraphBatch
     ) -> tuple[_BlockDiagAdj, np.ndarray]:
-        """The block-diagonal ``S`` over ``subs`` and layer 0's ``S X``.
+        """The block-diagonal ``S`` over ``batch`` and layer 0's ``S X``.
 
         Built once per fit or scoring call; training steps slice both
         with :meth:`_BlockDiagAdj.select`.
         """
-        s = _BlockDiagAdj.from_subgraphs(subs)
+        s = _BlockDiagAdj.from_batch(batch)
         return s, s @ subgraph_feature_matrix_stack(
-            self._graph, subs, self.max_label
+            self._graph, batch, self.max_label
         )
 
     def _forward_batch(
@@ -440,11 +426,11 @@ class GnnLinkPredictor:
         pairs, labels = make_training_pairs(graph, self.n_train, rng)
         if not pairs:
             raise AttackError("observed graph has no wires to train on")
-        subs = extract_enclosing_subgraphs(
-            graph, pairs, self.hops, self.max_nodes, self.max_label
+        s_all, sx_all = self._prepare(
+            extract_enclosing_subgraphs(
+                graph, pairs, self.hops, self.max_nodes, self.max_label
+            )
         )
-        s_all, sx_all = self._prepare(subs)
-        del subs  # s_all holds the blocks sparsely; free the dense copies
         optimizer = Adam(self.params(), lr=self.lr)
         self.train_history = []
         order = np.arange(len(pairs))
@@ -477,14 +463,14 @@ class GnnLinkPredictor:
             # e.g. a mixed-alphabet genotype without a single MUX gene
             return np.zeros(0, dtype=np.float64)
         started = time.perf_counter()
-        subs = extract_enclosing_subgraphs(
+        batch = extract_enclosing_subgraphs(
             self._graph, pairs, self.hops, self.max_nodes, self.max_label
         )
         _GNN_STAGE_SECONDS.observe(
             time.perf_counter() - started, stage="extract"
         )
         started = time.perf_counter()
-        logits, _ = self._forward_batch(*self._prepare(subs))
+        logits, _ = self._forward_batch(*self._prepare(batch))
         _GNN_STAGE_SECONDS.observe(
             time.perf_counter() - started, stage="forward"
         )

@@ -5,6 +5,10 @@ enclosing subgraph around the pair. Nodes carry Double-Radius Node Labels
 (DRNL, Zhang & Chen 2018): a structural role label derived from each
 node's distances to ``u`` and ``v``, which is what lets a link predictor
 generalise across locations in the netlist.
+
+A batch comes back as one :class:`SubgraphBatch`, which the GNN reads
+as is. Per-pair BFS state is sorted keys ``pair * n + node``, so memory
+grows with the subgraphs found, not with pairs × graph nodes.
 """
 
 from __future__ import annotations
@@ -16,23 +20,25 @@ import numpy as np
 from repro.attacks.muxlink.graph import ObservedGraph
 
 
-@dataclass
-class EnclosingSubgraph:
-    """Induced subgraph around a candidate link.
+@dataclass(frozen=True)
+class SubgraphBatch:
+    """The enclosing subgraphs of a batch of candidate links, stacked.
 
-    ``node_ids`` are indices into the parent :class:`ObservedGraph`;
-    positions 0 and 1 are always ``u`` and ``v``. ``adj`` is the dense
-    symmetric adjacency (no self-loops); ``drnl`` the per-node labels,
-    capped at ``max_label`` (0 = unreachable from one endpoint).
+    Pair ``b`` owns rows ``offsets[b]:offsets[b + 1]``. ``node_ids`` are
+    indices into the parent :class:`ObservedGraph`, a block's rows 0 and
+    1 its ``u`` and ``v``; ``drnl`` the per-row labels, capped at
+    ``max_label`` (0 = unreachable from one endpoint). ``(indptr,
+    indices)`` is the block-diagonal ``A + I`` in CSR, columns ascending.
     """
 
-    node_ids: list[int]
-    adj: np.ndarray
+    node_ids: np.ndarray
+    offsets: np.ndarray
     drnl: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
+    def __len__(self) -> int:
+        return self.offsets.size - 1
 
 
 def drnl_from_distances(du: np.ndarray, dv: np.ndarray, max_label: int) -> np.ndarray:
@@ -73,6 +79,12 @@ def _gather_slices(
     return source[np.repeat(starts - cum_excl, counts) + np.arange(total)]
 
 
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Last index of each key in non-empty ``sorted_keys``, or −1."""
+    at = np.searchsorted(sorted_keys, keys, side="right") - 1
+    return np.where((at >= 0) & (sorted_keys[at] == keys), at, -1)
+
+
 def _batch_bounded_bfs(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -87,37 +99,34 @@ def _batch_bounded_bfs(
     expands every pair's frontier in one multi-slice gather, masking
     pair b's candidate edge ``(starts[b], mates[b])`` in both directions
     (the SEAL exclusion, applied logically instead of mutating the
-    graph). Returns flat ``(visited, dist)`` arrays of size B*n: per
-    pair, the bounded BFS distances on a graph with that pair's
+    graph). Returns ``(keys, dist)``: the sorted keys of every node a
+    pair's BFS reached and its distance, on a graph with that pair's
     undirected candidate edge removed.
     """
-    n_pairs = starts.size
-    visited = np.zeros(n_pairs * n, dtype=bool)
-    dist = np.zeros(n_pairs * n, dtype=np.int64)
-    frontier_pid = np.arange(n_pairs, dtype=np.int64)
+    frontier_pid = np.arange(starts.size, dtype=np.int64)
     frontier_node = starts.copy()
-    visited[frontier_pid * n + frontier_node] = True
+    keys = frontier_pid * n + frontier_node
+    dist = np.zeros(keys.size, dtype=np.int64)
     for depth in range(1, max_depth + 1):
         row_start = indptr[frontier_node]
         row_len = indptr[frontier_node + 1] - row_start
         nbrs = _gather_slices(row_start, row_len, indices)
-        if nbrs.size == 0:
-            break
         pids = np.repeat(frontier_pid, row_len)
         srcs = np.repeat(frontier_node, row_len)
         keep = ~(
             ((srcs == starts[pids]) & (nbrs == mates[pids]))
             | ((srcs == mates[pids]) & (nbrs == starts[pids]))
         )
-        keys = pids[keep] * n + nbrs[keep]
-        keys = np.unique(keys[~visited[keys]])
-        if keys.size == 0:
+        new = pids[keep] * n + nbrs[keep]
+        new = np.unique(new[_find(keys, new) < 0])
+        if new.size == 0:
             break
-        visited[keys] = True
-        dist[keys] = depth
-        frontier_pid = keys // n
-        frontier_node = keys - frontier_pid * n
-    return visited, dist
+        at = np.searchsorted(keys, new)
+        keys = np.insert(keys, at, new)
+        dist = np.insert(dist, at, depth)
+        frontier_pid = new // n
+        frontier_node = new - frontier_pid * n
+    return keys, dist
 
 
 def _block_distances(
@@ -146,18 +155,13 @@ def _block_distances(
         frontier[cand] = True
 
 
-#: cap on the flat per-chunk BFS state (pairs x graph nodes); batches
-#: larger than this are processed in chunks to bound memory.
-_CHUNK_CELLS = 2_000_000
-
-
 def extract_enclosing_subgraphs(
     graph: ObservedGraph,
     pairs: list[tuple[int, int]],
     hops: int = 2,
     max_nodes: int = 120,
     max_label: int = 8,
-) -> list[EnclosingSubgraph]:
+) -> SubgraphBatch:
     """The ``hops``-hop enclosing subgraph of every candidate link (u, v).
 
     Each pair's (u, v) edge — if present — is excluded from both the
@@ -168,35 +172,22 @@ def extract_enclosing_subgraphs(
     The work is amortised across the whole batch: one CSR adjacency
     snapshot (:meth:`ObservedGraph.csr`) shared by every pair, every
     pair's bounded BFS advanced together one level at a time over flat
-    int arrays (:func:`_batch_bounded_bfs`), one lexsort
+    sorted keys (:func:`_batch_bounded_bfs`), one lexsort
     ordering/truncating all neighbourhoods at once, and the DRNL
     distance passes run on the stacked block-diagonal subgraphs
     (:func:`_block_distances`) instead of per pair.
     """
-    if not pairs:
-        return []
     n = graph.n_nodes
-    chunk = max(1, _CHUNK_CELLS // max(n, 1))
-    if len(pairs) > chunk:
-        out: list[EnclosingSubgraph] = []
-        for at in range(0, len(pairs), chunk):
-            out.extend(
-                extract_enclosing_subgraphs(
-                    graph, pairs[at : at + chunk], hops, max_nodes, max_label
-                )
-            )
-        return out
-
     indptr, indices = graph.csr()
     n_pairs = len(pairs)
-    pair_arr = np.asarray(pairs, dtype=np.int64)
+    pair_arr = np.asarray(pairs, dtype=np.int64).reshape(n_pairs, 2)
     u_arr, v_arr = pair_arr[:, 0], pair_arr[:, 1]
 
-    visited_u, dist_u = _batch_bounded_bfs(indptr, indices, n, u_arr, v_arr, hops)
-    visited_v, dist_v = _batch_bounded_bfs(indptr, indices, n, v_arr, u_arr, hops)
+    keys_u, dist_u = _batch_bounded_bfs(indptr, indices, n, u_arr, v_arr, hops)
+    keys_v, dist_v = _batch_bounded_bfs(indptr, indices, n, v_arr, u_arr, hops)
 
     # -- members of every pair's neighbourhood, ordered and truncated --
-    mem_keys = np.flatnonzero(visited_u | visited_v)
+    mem_keys = np.union1d(keys_u, keys_v)
     mem_pid = mem_keys // n
     mem_node = mem_keys - mem_pid * n
     not_endpoint = (mem_node != u_arr[mem_pid]) & (mem_node != v_arr[mem_pid])
@@ -204,8 +195,9 @@ def extract_enclosing_subgraphs(
     mem_pid = mem_pid[not_endpoint]
     mem_node = mem_node[not_endpoint]
     unreachable = hops + 1
-    du_m = np.where(visited_u[mem_keys], dist_u[mem_keys], unreachable)
-    dv_m = np.where(visited_v[mem_keys], dist_v[mem_keys], unreachable)
+    at_u, at_v = _find(keys_u, mem_keys), _find(keys_v, mem_keys)
+    du_m = np.where(at_u >= 0, dist_u[at_u], unreachable)
+    dv_m = np.where(at_v >= 0, dist_v[at_v], unreachable)
     # Order by (min endpoint distance, node id) within each pair, in a
     # single lexsort over the batch.
     order = np.lexsort((mem_node, np.minimum(du_m, dv_m), mem_pid))
@@ -221,54 +213,57 @@ def extract_enclosing_subgraphs(
 
     # -- stacked node lists: positions 0/1 are the endpoints -----------
     n_sub = np.bincount(kept_pid, minlength=n_pairs) + 2
-    offsets = np.zeros(n_pairs, dtype=np.int64)
-    np.cumsum(n_sub[:-1], out=offsets[1:])
-    n_total = int(n_sub.sum())
+    offsets = np.zeros(n_pairs + 1, dtype=np.int64)
+    np.cumsum(n_sub, out=offsets[1:])
+    starts = offsets[:-1]
+    n_total = int(offsets[-1])
     all_nodes = np.empty(n_total, dtype=np.int64)
-    all_nodes[offsets] = u_arr
-    all_nodes[offsets + 1] = v_arr
+    all_nodes[starts] = u_arr
+    all_nodes[starts + 1] = v_arr
     interior = np.ones(n_total, dtype=bool)
-    interior[offsets] = False
-    interior[offsets + 1] = False
+    interior[starts] = False
+    interior[starts + 1] = False
     all_nodes[interior] = kept_node
     all_pids = np.repeat(np.arange(n_pairs, dtype=np.int64), n_sub)
-    all_pos = np.arange(n_total, dtype=np.int64) - np.repeat(offsets, n_sub)
-    pos_flat = np.full(n_pairs * n, -1, dtype=np.int64)
-    pos_flat[all_pids * n + all_nodes] = all_pos
+    all_pos = np.arange(n_total, dtype=np.int64) - np.repeat(starts, n_sub)
+    # Row of (pair, node) by key lookup; a node listed twice in a block
+    # (u == v) resolves to its later row.
+    node_keys = all_pids * n + all_nodes
+    by_key = np.argsort(node_keys, kind="stable")
+    row_keys = node_keys[by_key]
 
     # -- block-diagonal edge list of all induced subgraphs -------------
     row_start = indptr[all_nodes]
     row_len = indptr[all_nodes + 1] - row_start
     nb = _gather_slices(row_start, row_len, indices)
     t_src = np.repeat(np.arange(n_total, dtype=np.int64), row_len)
-    t_tgt_pos = pos_flat[np.repeat(all_pids, row_len) * n + nb]
+    at = _find(row_keys, np.repeat(all_pids, row_len) * n + nb)
+    t_tgt = by_key[at]
+    t_tgt_pos = t_tgt - np.repeat(starts[all_pids], row_len)
     t_src_pos = np.repeat(all_pos, row_len)
-    inside = (t_tgt_pos >= 0) & ~(  # candidate edge excluded per SEAL
+    inside = (at >= 0) & ~(  # candidate edge excluded per SEAL
         ((t_src_pos == 0) & (t_tgt_pos == 1))
         | ((t_src_pos == 1) & (t_tgt_pos == 0))
     )
     rows_g = t_src[inside]
-    cols_g = np.repeat(offsets[all_pids], row_len)[inside] + t_tgt_pos[inside]
+    cols_g = t_tgt[inside]
 
     # -- DRNL from distances inside the induced subgraphs --------------
-    du_all = _block_distances(rows_g, cols_g, n_total, offsets)
-    dv_all = _block_distances(rows_g, cols_g, n_total, offsets + 1)
+    du_all = _block_distances(rows_g, cols_g, n_total, starts)
+    dv_all = _block_distances(rows_g, cols_g, n_total, starts + 1)
     labels_all = drnl_from_distances(du_all, dv_all, max_label)
 
-    # -- materialise per-pair dense adjacency + dataclass --------------
-    edge_seg = np.searchsorted(rows_g, np.concatenate((offsets, [n_total])))
-    out = []
-    for b in range(n_pairs):
-        lo, hi = int(edge_seg[b]), int(edge_seg[b + 1])
-        size = int(n_sub[b])
-        base = int(offsets[b])
-        adj = np.zeros((size, size), dtype=np.float64)
-        adj[rows_g[lo:hi] - base, cols_g[lo:hi] - base] = 1.0
-        out.append(
-            EnclosingSubgraph(
-                node_ids=all_nodes[base : base + size].tolist(),
-                adj=adj,
-                drnl=labels_all[base : base + size],
-            )
-        )
-    return out
+    # -- CSR of A + I, columns ascending per row ------------------------
+    flat = np.concatenate(
+        (rows_g * n_total + cols_g, np.arange(n_total) * (n_total + 1))
+    )
+    flat.sort()
+    csr_indptr = np.zeros(n_total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows_g, minlength=n_total) + 1, out=csr_indptr[1:])
+    return SubgraphBatch(
+        node_ids=all_nodes,
+        offsets=offsets,
+        drnl=labels_all,
+        indptr=csr_indptr,
+        indices=flat % n_total,
+    )

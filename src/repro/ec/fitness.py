@@ -264,11 +264,13 @@ class FitnessCache:
 
     # -- pickling (worker-process dispatch) -----------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the lock or store handle; drop ``path`` so
-        unpickled copies (fitness clones living in worker processes) never
-        write the shared store — the dispatching process owns persistence."""
+        """Pickle without the lock, store handle or entries; drop ``path``
+        so unpickled copies (fitness clones in workers, which only run
+        ``score``) never write the shared store — the dispatching process
+        owns lookups and persistence."""
         state = self.__dict__.copy()
         state.pop("_lock", None)
+        state["store"] = {}
         state["path"] = None
         state["backend"] = None
         state["_store_backend"] = None

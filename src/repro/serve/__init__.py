@@ -14,7 +14,6 @@ changes.
 import repro.store  # noqa: F401
 
 from repro.serve.client import TOKEN_ENV, HttpStore, default_client_id
-from repro.serve.server import CampaignServer
 
 __all__ = [
     "CampaignServer",
@@ -22,3 +21,13 @@ __all__ = [
     "TOKEN_ENV",
     "default_client_id",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the store registry imports this package for its client,
+    # so the HTTP server is loaded on first use only.
+    if name != "CampaignServer":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.serve.server import CampaignServer
+
+    return CampaignServer

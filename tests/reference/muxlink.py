@@ -9,11 +9,21 @@
   :meth:`~repro.attacks.muxlink.mlp_predictor.MlpLinkPredictor.score_links`
   (bitwise equality).
 * :func:`extract_enclosing_subgraph` — one pair's enclosing subgraph by
-  plain BFS on a graph with the candidate edge removed. Oracle for
+  plain BFS on a graph with the candidate edge removed, as an
+  :class:`EnclosingSubgraph` holding a dense adjacency. Oracle for every
+  block of the stacked
+  :class:`~repro.attacks.muxlink.subgraph.SubgraphBatch` that
   :func:`repro.attacks.muxlink.subgraph.extract_enclosing_subgraphs`
-  (exact equality).
+  returns: node ids, DRNL labels and CSR (exact equality).
 * :func:`subgraph_feature_matrix` — one subgraph's node features. Oracle
   for :func:`~repro.attacks.muxlink.features.subgraph_feature_matrix_stack`.
+* :func:`normalized_adjacency` / :func:`block_diag_from_subgraphs` — a
+  dense block's row-normalised ``A + I``, and the block-diagonal CSR
+  operator stacked from those blocks by ``np.nonzero``. Oracle for
+  :meth:`~repro.attacks.muxlink.gnn._BlockDiagAdj.from_batch` and
+  :meth:`~repro.attacks.muxlink.gnn._BlockDiagAdj.select` (array for
+  array, bitwise). :func:`dense_blocks` turns a batch back into dense
+  blocks for comparing with the reference extractor.
 * :func:`gnn_score_link` / :func:`gnn_fit` — the one-subgraph-at-a-time
   GNN forward, backward and training loop, run on a
   :class:`~repro.attacks.muxlink.gnn.GnnLinkPredictor`'s own weights.
@@ -25,8 +35,11 @@
   segment-sum plan of ``_BlockDiagAdj @ z`` and for its symmetric-block
   transpose (bitwise equality).
 * :func:`gnn_fit_rebuild` / :func:`gnn_score_links_rebuild` — the
-  block-diagonal trainer and scorer that rebuild the features and the
-  sparse operator for every minibatch and run all ``2L`` sparse products
+  block-diagonal trainer and scorer that extract each pair with
+  :func:`extract_enclosing_subgraph`, rebuild the features and the
+  sparse operator from those dense blocks for every minibatch (with
+  :func:`subgraph_feature_matrix` and :func:`block_diag_from_subgraphs`,
+  nothing of the batched extractor) and run all ``2L`` sparse products
   of an L-layer step (layer 0's ``S @ X`` and its discarded input
   gradient included) through the two oracles above. Oracle for the
   per-fit prepared operators and the sparse products of
@@ -42,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,16 +68,11 @@ from repro.attacks.muxlink.features import (
     link_feature_dim,
     make_training_pairs,
     subgraph_feature_dim,
-    subgraph_feature_matrix_stack,
     type_index,
 )
-from repro.attacks.muxlink.gnn import _BlockDiagAdj, normalized_adjacency
+from repro.attacks.muxlink.gnn import _BlockDiagAdj
 from repro.attacks.muxlink.graph import ObservedGraph
-from repro.attacks.muxlink.subgraph import (
-    EnclosingSubgraph,
-    drnl_from_distances,
-    extract_enclosing_subgraphs,
-)
+from repro.attacks.muxlink.subgraph import drnl_from_distances
 from repro.ml.layers import Linear
 from repro.ml.losses import bce_with_logits
 from repro.ml.optim import Adam
@@ -209,6 +218,25 @@ def mlp_forward_rows(model, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- subgraphs
+@dataclass
+class EnclosingSubgraph:
+    """Induced subgraph around a candidate link.
+
+    ``node_ids`` are indices into the parent :class:`ObservedGraph`;
+    positions 0 and 1 are always ``u`` and ``v``. ``adj`` is the dense
+    symmetric adjacency (no self-loops); ``drnl`` the per-node labels,
+    capped at ``max_label`` (0 = unreachable from one endpoint).
+    """
+
+    node_ids: list[int]
+    adj: np.ndarray
+    drnl: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.node_ids)
+
+
 def _bounded_bfs(
     graph: ObservedGraph, start: int, max_depth: int
 ) -> dict[int, int]:
@@ -311,6 +339,66 @@ def subgraph_feature_matrix(
 
 
 # ---------------------------------------------------------------------- GNN
+def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
+    """Row-normalised ``A + I`` (mean-aggregation message passing)."""
+    a_hat = adj + np.eye(len(adj))
+    return a_hat / a_hat.sum(axis=1, keepdims=True)
+
+
+def block_diag_from_subgraphs(subs: list[EnclosingSubgraph]) -> _BlockDiagAdj:
+    """The block-diagonal CSR operator over ``subs``' normalised blocks."""
+    offsets = np.zeros(len(subs) + 1, dtype=np.int64)
+    row_nnz: list[np.ndarray] = []
+    cols_l: list[np.ndarray] = []
+    data_l: list[np.ndarray] = []
+    for b, sub in enumerate(subs):
+        block = normalized_adjacency(sub.adj)
+        r, c = np.nonzero(block)
+        row_nnz.append(np.bincount(r, minlength=block.shape[0]))
+        cols_l.append(c + offsets[b])
+        data_l.append(block[r, c])
+        offsets[b + 1] = offsets[b] + block.shape[0]
+    indptr = np.zeros(offsets[-1] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
+    # np.nonzero emits row-major order per block and blocks are
+    # appended in order, so (cols, data) is already CSR-sorted.
+    return _BlockDiagAdj(
+        indptr, np.concatenate(cols_l), np.concatenate(data_l), offsets
+    )
+
+
+def extract_each(
+    graph: ObservedGraph, pairs, hops: int, max_nodes: int, max_label: int
+) -> list[EnclosingSubgraph]:
+    """:func:`extract_enclosing_subgraph` for every pair, in order."""
+    return [
+        extract_enclosing_subgraph(graph, u, v, hops, max_nodes, max_label)
+        for u, v in pairs
+    ]
+
+
+def dense_blocks(batch) -> list[EnclosingSubgraph]:
+    """Each block of a :class:`~repro.attacks.muxlink.subgraph.SubgraphBatch`
+    as an :class:`EnclosingSubgraph`: its node ids, DRNL labels and its
+    CSR made dense, less the identity — so a missing self-loop shows as
+    a −1 on the diagonal, not as a 0."""
+    out = []
+    for b in range(len(batch)):
+        lo, hi = int(batch.offsets[b]), int(batch.offsets[b + 1])
+        adj = -np.eye(hi - lo)
+        rows = np.repeat(np.arange(hi - lo), np.diff(batch.indptr[lo : hi + 1]))
+        cols = batch.indices[batch.indptr[lo] : batch.indptr[hi]] - lo
+        adj[rows, cols] += 1.0
+        out.append(
+            EnclosingSubgraph(
+                node_ids=batch.node_ids[lo:hi].tolist(),
+                adj=adj,
+                drnl=batch.drnl[lo:hi],
+            )
+        )
+    return out
+
+
 def _gnn_forward(predictor, sub: EnclosingSubgraph) -> tuple[float, dict]:
     """Logit for one subgraph; returns the backward context."""
     x = subgraph_feature_matrix(predictor._graph, sub, predictor.max_label)
@@ -349,13 +437,9 @@ def gnn_fit(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
     predictor._graph = graph
     predictor._build(rng)
     pairs, labels = make_training_pairs(graph, predictor.n_train, rng)
-    subs = [
-        extract_enclosing_subgraph(
-            graph, u, v, predictor.hops, predictor.max_nodes,
-            predictor.max_label,
-        )
-        for u, v in pairs
-    ]
+    subs = extract_each(
+        graph, pairs, predictor.hops, predictor.max_nodes, predictor.max_label
+    )
     optimizer = Adam(predictor.params(), lr=predictor.lr)
     predictor.train_history = []
     order = np.arange(len(subs))
@@ -395,8 +479,13 @@ def _rebuild_forward(
     predictor, subs: list[EnclosingSubgraph], train: bool
 ) -> tuple[np.ndarray, dict]:
     """Batch logits with the features and ``S`` built from ``subs`` here."""
-    x = subgraph_feature_matrix_stack(predictor._graph, subs, predictor.max_label)
-    s = _BlockDiagAdj.from_subgraphs(subs)
+    x = np.concatenate(
+        [
+            subgraph_feature_matrix(predictor._graph, sub, predictor.max_label)
+            for sub in subs
+        ]
+    )
+    s = block_diag_from_subgraphs(subs)
     z = x
     cache, outs = [], []
     for w in predictor._conv.weights:
@@ -439,15 +528,17 @@ def gnn_fit_rebuild(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
     """``GnnLinkPredictor.fit`` rebuilding features and ``S`` per minibatch.
 
     Same RNG stream, minibatches of 8 and Adam steps as the prepared
-    trainer; every step stacks its subgraphs' features, builds their
-    block-diagonal operator (and its transpose) from scratch, and runs
-    every sparse product of the stack as a plain ``reduceat``.
+    trainer; the pairs are extracted one at a time by the reference
+    extractor, and every step stacks its subgraphs' features, builds
+    their block-diagonal operator (and its transpose) from their dense
+    blocks, and runs every sparse product of the stack as a plain
+    ``reduceat``.
     """
     rng = derive_rng(seed_or_rng)
     predictor._graph = graph
     predictor._build(rng)
     pairs, labels = make_training_pairs(graph, predictor.n_train, rng)
-    subs = extract_enclosing_subgraphs(
+    subs = extract_each(
         graph, pairs, predictor.hops, predictor.max_nodes, predictor.max_label
     )
     optimizer = Adam(predictor.params(), lr=predictor.lr)
@@ -470,7 +561,7 @@ def gnn_fit_rebuild(predictor, graph: ObservedGraph, seed_or_rng=None) -> None:
 
 def gnn_score_links_rebuild(predictor, pairs: list[tuple[int, int]]) -> np.ndarray:
     """Logits for ``pairs`` with ``S @ X`` formed inside the forward."""
-    subs = extract_enclosing_subgraphs(
+    subs = extract_each(
         predictor._graph, pairs, predictor.hops, predictor.max_nodes,
         predictor.max_label,
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference.muxlink import link_feature_vector, mlp_forward_rows
+from reference.muxlink import dense_blocks, link_feature_vector, mlp_forward_rows
 from reference.netlist import mux_sites
 from repro.attacks.muxlink import extract_observed
 from repro.attacks.muxlink.features import (
@@ -132,7 +132,7 @@ def _path_graph(n=6):
 
 def test_enclosing_subgraph_excludes_candidate_edge():
     g = _path_graph()
-    (sub,) = extract_enclosing_subgraphs(g, [(2, 3)], hops=2)
+    (sub,) = dense_blocks(extract_enclosing_subgraphs(g, [(2, 3)], hops=2))
     # Candidate edge (2,3) exists in g but must be excluded from sub.adj.
     pos = {nid: i for i, nid in enumerate(sub.node_ids)}
     assert sub.adj[pos[2], pos[3]] == 0.0
@@ -146,7 +146,7 @@ def test_enclosing_subgraph_excludes_candidate_edge():
 
 def test_enclosing_subgraph_hops_bound():
     g = _path_graph(10)
-    (sub,) = extract_enclosing_subgraphs(g, [(4, 5)], hops=1)
+    (sub,) = dense_blocks(extract_enclosing_subgraphs(g, [(4, 5)], hops=1))
     # 1 hop around nodes 4,5 (edge removed): {3,4} ∪ {5,6}
     assert set(sub.node_ids) == {3, 4, 5, 6}
 
@@ -160,8 +160,8 @@ def test_enclosing_subgraph_max_nodes_truncation():
         s = g.add_node(f"s{i}", "OR", gate=True)
         g.add_edge(hub, s)
     g.compute_levels()
-    (sub,) = extract_enclosing_subgraphs(
-        g, [(hub, spoke0)], hops=2, max_nodes=10
+    (sub,) = dense_blocks(
+        extract_enclosing_subgraphs(g, [(hub, spoke0)], hops=2, max_nodes=10)
     )
     assert sub.n_nodes == 10
 
@@ -314,10 +314,11 @@ def test_positive_features_mask_the_edge(dmux_locked):
 def test_subgraph_feature_matrix_shape(dmux_locked):
     graph, queries = extract_observed(dmux_locked.netlist)
     q = queries[0]
-    (sub,) = extract_enclosing_subgraphs(
+    batch = extract_enclosing_subgraphs(
         graph, [(graph.index[q.d0], graph.index[q.consumers[0]])], hops=2
     )
-    feats = subgraph_feature_matrix_stack(graph, [sub], max_label=8)
+    (sub,) = dense_blocks(batch)
+    feats = subgraph_feature_matrix_stack(graph, batch, max_label=8)
     assert feats.shape == (sub.n_nodes, subgraph_feature_dim(8))
     # Exactly one type bit and one DRNL bit per node.
     assert np.all(feats[:, :12].sum(axis=1) == 1.0)

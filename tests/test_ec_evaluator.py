@@ -621,9 +621,29 @@ def test_fitness_cache_pickle_drops_path_and_lock(tmp_path):
     cache.put((("a", "b", "c", "d", 0),), 0.5)
     clone = pickle.loads(pickle.dumps(cache))
     assert clone.path is None, "worker-side clones must not write the file"
-    assert clone.store == cache.store
+    assert clone.store == {} and len(cache) == 1, "entries stay home"
     clone.put((("x", "y", "z", "w", 1),), 0.1)  # must not touch disk
     assert len(FitnessCache(path=path, namespace="ns")) == 1
+
+
+def test_pool_blob_size_does_not_grow_with_cached_entries():
+    """A pool worker only runs ``score``, so a fitness pickles to the same
+    bytes with 0 or 500 cached entries (a cache warmed from a store, say);
+    the dispatcher's cache keeps its entries and counts its lookups."""
+    fitness = SpecFitness(
+        load_circuit("c880_syn"), "muxlink", {"predictor": "bayes"},
+        attack_seed=5,
+    )
+    empty = len(pickle.dumps(fitness))
+    keys = [((f"d{i}", "d", "c", "m", i % 2),) for i in range(500)]
+    for i, key in enumerate(keys):
+        fitness.cache.put(key, i / 500, flush=False)
+    assert len(pickle.dumps(fitness)) == empty
+    clone = pickle.loads(pickle.dumps(fitness))
+    assert len(clone.cache) == 0 and len(fitness.cache) == 500
+    assert fitness.cache.get(keys[7]) == 7 / 500
+    assert (fitness.evaluations, fitness.cache.hits, fitness.cache.misses) \
+        == (0, 1, 0)
 
 
 def test_cache_namespace_is_order_independent():

@@ -1,32 +1,43 @@
 """GNN link predictor internals: hand-derived gradients vs finite
 differences, the prepared trainer vs the per-minibatch rebuild (bitwise),
-the sparse products vs the plain ``reduceat`` product (bitwise), and the
+the sparse products vs the plain ``reduceat`` product (bitwise), the
+stacked subgraph batch vs the per-pair reference extractor, and the
 batched pipeline vs the per-link reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from reference.muxlink import (
+    block_diag_from_subgraphs,
     block_diag_matmul,
     block_diag_transpose,
+    dense_blocks,
+    extract_each,
     extract_enclosing_subgraph,
     gnn_fit,
     gnn_fit_rebuild,
     gnn_score_link,
     gnn_score_links_rebuild,
+    normalized_adjacency,
     subgraph_feature_matrix,
 )
-from repro.attacks.muxlink.features import subgraph_feature_matrix_stack
+from repro.attacks.muxlink.features import (
+    make_training_pairs,
+    subgraph_feature_matrix_stack,
+)
 from repro.attacks.muxlink import gnn
 from repro.attacks.muxlink.gnn import (
     GnnLinkPredictor,
     _BlockDiagAdj,
     _GraphConvStack,
-    normalized_adjacency,
 )
-from repro.attacks.muxlink.graph import ObservedGraph
+from repro.attacks.muxlink.graph import ObservedGraph, extract_observed
 from repro.attacks.muxlink.subgraph import extract_enclosing_subgraphs
+from repro.circuits import load_circuit
+from repro.locking import DMuxLocking
 
 
 def test_normalized_adjacency_rows_sum_to_one():
@@ -136,7 +147,7 @@ def test_gnn_subgraph_pipeline_on_disconnected_pair():
     g.add_edge(a, b)
     g.add_edge(c, d)
     g.compute_levels()
-    (sub,) = extract_enclosing_subgraphs(g, [(a, d)], hops=2)
+    (sub,) = dense_blocks(extract_enclosing_subgraphs(g, [(a, d)], hops=2))
     assert sub.n_nodes >= 2
     predictor = GnnLinkPredictor(hidden_dims=(4,), epochs=1, n_train=4)
     predictor.fit(g, seed_or_rng=2)
@@ -182,9 +193,10 @@ def test_batched_extraction_equals_scalar():
     g.compute_levels()
     pairs += [(0, iso), (iso, 1)]
     for hops, max_nodes in ((2, 40), (1, 120), (3, 12)):
-        batched = extract_enclosing_subgraphs(
+        batch = extract_enclosing_subgraphs(
             g, pairs, hops=hops, max_nodes=max_nodes
         )
+        batched = dense_blocks(batch)
         assert len(batched) == len(pairs)
         for (u, v), got in zip(pairs, batched):
             want = extract_enclosing_subgraph(
@@ -193,21 +205,24 @@ def test_batched_extraction_equals_scalar():
             assert got.node_ids == want.node_ids
             assert np.array_equal(got.adj, want.adj)
             assert np.array_equal(got.drnl, want.drnl)
-        stacked = subgraph_feature_matrix_stack(g, batched)
+        stacked = subgraph_feature_matrix_stack(g, batch)
         assert np.array_equal(
             stacked,
             np.concatenate([subgraph_feature_matrix(g, s) for s in batched]),
         )
     # the reference restores every masked edge
     assert g.has_edge(u0, v0)
+    empty = extract_enclosing_subgraphs(g, [])
+    assert len(empty) == 0 and subgraph_feature_matrix_stack(g, empty).shape[0] == 0
 
 
 def test_block_diag_operator_matches_dense():
     g = _random_graph(n=30, n_edges=70, seed=3)
-    subs = extract_enclosing_subgraphs(g, _sample_pairs(g, 5, seed=4), hops=2)
+    pairs = _sample_pairs(g, 5, seed=4)
+    subs = extract_each(g, pairs, hops=2, max_nodes=120, max_label=8)
     sizes = {sub.n_nodes for sub in subs}
     assert len(sizes) > 1, "want a ragged batch"
-    op = _BlockDiagAdj.from_subgraphs(subs)
+    op = _BlockDiagAdj.from_batch(extract_enclosing_subgraphs(g, pairs, hops=2))
     blocks = [normalized_adjacency(sub.adj) for sub in subs]
     n_total = sum(b.shape[0] for b in blocks)
     dense = np.zeros((n_total, n_total))
@@ -220,6 +235,77 @@ def test_block_diag_operator_matches_dense():
     assert np.allclose(op @ x, dense @ x)
     assert np.allclose(op.T @ x, dense.T @ x)
     assert op.T.T is op
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gates=st.integers(20, 200),
+    circuit_seed=st.integers(0, 50),
+    hops=st.integers(1, 3),
+    max_nodes=st.integers(2, 16),
+    data=st.data(),
+)
+def test_subgraph_batch_equals_per_pair_reference(
+    gates, circuit_seed, hops, max_nodes, data
+):
+    """Every block of the stacked batch — node ids, DRNL labels and CSR —
+    equals the per-pair reference extractor's subgraph, and the operator
+    built from the batch equals the one the reference builds from the
+    dense blocks, array for array (bitwise data). ``max_nodes`` is small,
+    so truncation fires; observed wires in both directions exercise the
+    SEAL mask."""
+    graph, _ = extract_observed(load_circuit(f"rand_{gates}_{circuit_seed}"))
+    index = st.integers(0, graph.n_nodes - 1)
+    wires = data.draw(
+        st.lists(st.sampled_from(graph.directed_edges), max_size=6)
+    )
+    pairs = [(u, v) for u, v in wires] + [(v, u) for u, v in wires[:2]]
+    pairs += data.draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+            min_size=1 if not pairs else 0,
+            max_size=6,
+        )
+    )
+    batch = extract_enclosing_subgraphs(graph, pairs, hops, max_nodes)
+    subs = extract_each(graph, pairs, hops, max_nodes, max_label=8)
+    assert len(batch) == len(pairs)
+    assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.node_ids.size
+    for b, want in enumerate(subs):
+        lo, hi = batch.offsets[b], batch.offsets[b + 1]
+        assert batch.node_ids[lo:hi].tolist() == want.node_ids
+        assert np.array_equal(batch.drnl[lo:hi], want.drnl)
+        r, c = np.nonzero(want.adj + np.eye(want.n_nodes))
+        nz_lo, nz_hi = batch.indptr[lo], batch.indptr[hi]
+        assert np.array_equal(
+            np.diff(batch.indptr[lo : hi + 1]),
+            np.bincount(r, minlength=want.n_nodes),
+        )
+        assert np.array_equal(batch.indices[nz_lo:nz_hi] - lo, c)
+    got, ref = _BlockDiagAdj.from_batch(batch), block_diag_from_subgraphs(subs)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(_bits(got.data), _bits(ref.data))
+    assert np.array_equal(got.offsets, ref.offsets)
+
+
+def test_subgraph_batch_memory_grows_with_subgraphs_not_graph():
+    """Extracting a GNN fit's 220 training pairs on c7552 (D-MUX, K=8)
+    peaks under 8 MB of traced allocations: the extractor's per-pair
+    state is sorted keys over the subgraphs it finds, not a
+    ``pairs × graph nodes`` table (24.8 MB with such tables)."""
+    locked = DMuxLocking().lock(load_circuit("c7552_syn"), 8, seed_or_rng=5)
+    graph, _ = extract_observed(locked.netlist)
+    pairs, _ = make_training_pairs(graph, 220, 0)
+    graph.csr()  # the shared CSR snapshot is the graph's, not the batch's
+    tracemalloc.start()
+    try:
+        batch = extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == len(pairs) == 220
+    assert peak < 8_000_000, f"extraction peaked at {peak / 1e6:.1f} MB"
 
 
 def test_batched_logits_match_scalar_on_ragged_batch():
@@ -259,10 +345,10 @@ def test_batched_backward_matches_finite_differences():
     predictor = GnnLinkPredictor(hidden_dims=(5, 3), mlp_hidden=4)
     predictor._graph = g
     predictor._build(11)
-    subs = extract_enclosing_subgraphs(
+    batch = extract_enclosing_subgraphs(
         g, _sample_pairs(g, 4, seed=8), hops=2, max_nodes=20
     )
-    s, sx = predictor._prepare(subs)
+    s, sx = predictor._prepare(batch)
 
     def loss_now():
         logits, _ = predictor._forward_batch(s, sx, train=True)
@@ -379,8 +465,10 @@ def test_sparse_products_bitwise_equal_reduceat(graph_hubs, data):
             max_size=12,
         )
     )
-    subs = extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=100)
-    whole = _BlockDiagAdj.from_subgraphs(subs)
+    whole = _BlockDiagAdj.from_batch(
+        extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=100)
+    )
+    subs = extract_each(graph, pairs, hops=2, max_nodes=100, max_label=8)
     assert np.diff(whole.indptr).max() > gnn._SHORT  # a reduceat row
     blocks = np.array(
         data.draw(
@@ -389,10 +477,13 @@ def test_sparse_products_bitwise_equal_reduceat(graph_hubs, data):
         dtype=np.int64,
     )
     picked, _ = whole.select(blocks)
-    want = _BlockDiagAdj.from_subgraphs([subs[int(b)] for b in blocks])
+    want = block_diag_from_subgraphs([subs[int(b)] for b in blocks])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     width = data.draw(st.sampled_from([1, 3, 32]))
-    for op, ref in ((whole, whole), (picked, want)):
+    for op, ref in (
+        (whole, block_diag_from_subgraphs(subs)),
+        (picked, want),
+    ):
         ref_t = block_diag_transpose(ref)
         for got, w_op in ((op, ref), (op.T, ref_t)):
             assert np.array_equal(got.indptr, w_op.indptr)
@@ -411,8 +502,9 @@ def test_sparse_products_bitwise_equal_reduceat(graph_hubs, data):
 @settings(max_examples=25, deadline=None)
 @given(graph=_observed_graphs(), data=st.data())
 def test_select_equals_from_subgraphs_both_orientations(graph, data):
-    """select(blocks) yields the operator from_subgraphs builds over the
-    chosen subgraphs, array for array, and so does its transpose."""
+    """select(blocks) yields the operator the reference builds from the
+    chosen subgraphs' dense blocks, array for array, and so does its
+    transpose."""
     index = st.integers(0, graph.n_nodes - 1)
     pairs = data.draw(
         st.lists(
@@ -421,8 +513,10 @@ def test_select_equals_from_subgraphs_both_orientations(graph, data):
             max_size=16,
         )
     )
-    subs = extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=12)
-    whole = _BlockDiagAdj.from_subgraphs(subs)
+    whole = _BlockDiagAdj.from_batch(
+        extract_enclosing_subgraphs(graph, pairs, hops=2, max_nodes=12)
+    )
+    subs = extract_each(graph, pairs, hops=2, max_nodes=12, max_label=8)
     blocks = np.array(
         data.draw(
             st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=10)
@@ -430,7 +524,7 @@ def test_select_equals_from_subgraphs_both_orientations(graph, data):
         dtype=np.int64,
     )
     got, rows = whole.select(blocks)
-    want = _BlockDiagAdj.from_subgraphs([subs[int(b)] for b in blocks])
+    want = block_diag_from_subgraphs([subs[int(b)] for b in blocks])
     for g_op, w_op in ((got, want), (got.T, block_diag_transpose(want))):
         assert np.array_equal(g_op.indptr, w_op.indptr)
         assert np.array_equal(g_op.indices, w_op.indices)
@@ -503,8 +597,8 @@ def test_training_step_runs_four_sparse_products(monkeypatch):
     predictor = GnnLinkPredictor(hidden_dims=(6, 5, 4), mlp_hidden=4)
     predictor._graph = g
     predictor._build(3)
-    subs = extract_enclosing_subgraphs(g, _sample_pairs(g, 12, seed=2), hops=2)
-    s_all, sx_all = predictor._prepare(subs)
+    batch = extract_enclosing_subgraphs(g, _sample_pairs(g, 12, seed=2), hops=2)
+    s_all, sx_all = predictor._prepare(batch)
     s, rows = s_all.select(np.array([3, 0, 7]))
     calls = []
     matmul = _BlockDiagAdj.__matmul__

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -21,6 +24,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.api import ExperimentSpec, SweepSpec, run_sweep
 from repro.api.runner import EXPERIMENT_NAMESPACE
 from repro.dist import SweepScheduler, Worker
@@ -700,3 +704,27 @@ def test_queue_state_survives_many_keepalive_roundtrips(server):
     assert done == n
     counts = store.queue_counts("ka_loop")
     assert counts["done"] == n and counts.get("pending", 0) == 0
+
+
+def test_store_import_leaves_the_server_out():
+    """``import repro.store`` registers the HTTP client, which imports
+    :mod:`repro.serve`, but loads no server code; ``CampaignServer`` is
+    still importable from :mod:`repro.serve`."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, repro.store\n"
+        "print(sorted(m for m in ('http.server', 'socketserver', "
+        "'repro.serve.server') if m in sys.modules))\n"
+        "from repro.serve import CampaignServer\n"
+        "print(CampaignServer.__module__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "repro.serve.server"]
