@@ -11,7 +11,8 @@ accuracy vs the evolved champion's, measured by an independent
 (ensembled) attack configuration.
 
 Shape expectation: drop >= ~15 pp on each circuit (paper: ~25 pp;
-exact magnitude depends on budget — see EXPERIMENTS.md).
+exact magnitude depends on budget — see the E1–E11 experiments in
+README.md, "Declarative experiments" and "Layout").
 """
 
 from __future__ import annotations

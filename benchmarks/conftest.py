@@ -1,6 +1,7 @@
 """Shared benchmark configuration.
 
-Every bench prints the table/series of its experiment (EXPERIMENTS.md) and
+Every bench prints the table/series of its experiment (E1–E11, listed
+under "Declarative experiments" and "Layout" in README.md) and
 asserts the *shape* the paper reports — who wins, roughly by how much —
 never absolute numbers. ``REPRO_BENCH_SCALE`` (default 1.0) scales
 population sizes / generations / pattern counts toward the paper's

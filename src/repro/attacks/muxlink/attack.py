@@ -25,11 +25,7 @@ from repro.attacks.base import Attack, AttackReport
 import repro.attacks.muxlink.bayes  # noqa: F401
 import repro.attacks.muxlink.gnn  # noqa: F401
 import repro.attacks.muxlink.mlp_predictor  # noqa: F401
-from repro.attacks.muxlink.graph import (
-    KEYGATE_KIND_BIT,
-    extract_keygates,
-    extract_observed,
-)
+from repro.attacks.muxlink.graph import extract_observed, read_keygate_kinds
 from repro.errors import AttackError
 from repro.locking.base import LockedCircuit
 from repro.obs import metrics as obs_metrics
@@ -104,20 +100,16 @@ class MuxLinkAttack(Attack):
         graph, queries = extract_observed(locked.netlist)
 
         guesses: dict[str, int | None] = {k: None for k in locked.netlist.key_inputs}
-        n_keygate_sites = 0
-        if self.keygates:
-            # Kind-read of the non-MUX key gates: the observed gate type
-            # of an xor/and_or insertion leaks its bit outright.
-            for site in extract_keygates(locked.netlist):
-                if guesses.get(site.key_name) is None:
-                    guesses[site.key_name] = KEYGATE_KIND_BIT[site.kind]
-                    n_keygate_sites += 1
+        # Kind-read of the non-MUX key gates: the observed gate type of an
+        # xor/and_or insertion leaks its bit outright.
+        kind_bits = read_keygate_kinds(graph) if self.keygates else {}
+        guesses.update(kind_bits)
         if not queries:
             # Nothing MUX-locked (e.g. an RLL design): only key-gate
             # reads (if enabled) decide bits; the rest stay undecided.
             extra = {"n_sites": 0, "note": "no MUX sites"}
             if self.keygates:
-                extra["n_keygate_sites"] = n_keygate_sites
+                extra["n_keygate_sites"] = len(kind_bits)
             return self._report(locked, guesses, started, extra=extra)
 
         margins: dict[str, float] = {}
@@ -200,7 +192,7 @@ class MuxLinkAttack(Attack):
             "ensemble": self.ensemble,
         }
         if self.keygates:
-            extra["n_keygate_sites"] = n_keygate_sites
+            extra["n_keygate_sites"] = len(kind_bits)
         if final_losses:
             extra["final_train_loss"] = final_losses[-1]
         return self._report(locked, guesses, started, extra=extra)

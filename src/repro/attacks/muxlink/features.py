@@ -49,7 +49,6 @@ def type_index(gtype: str) -> int:
 
 def graph_type_indices(graph: ObservedGraph) -> np.ndarray:
     """Per-node :func:`type_index` array, cached on the graph."""
-    graph.drop_stale_caches()
     if graph._gtype_idx is None:
         graph._gtype_idx = np.fromiter(
             map(type_index, graph.gtypes), dtype=np.intp, count=graph.n_nodes

@@ -1,16 +1,19 @@
-"""Attacker's view of a MUX-locked netlist.
+"""Attacker's view of a key-locked netlist.
 
 MuxLink (Alrahis et al., DATE 2022) casts key recovery as link prediction:
 remove every key-controlled MUX from the netlist, leaving "open" pins, and
 ask which of the MUX's two data inputs is the true driver of each consumer.
-This module builds that *observed graph* — the locked netlist minus key
-inputs and key-MUXes — plus the list of link queries, using only
-information genuinely available to an oracle-less attacker.
+:func:`extract_observed` builds that *observed graph* — the locked netlist
+minus key inputs and key-MUXes — in one walk over the netlist, together
+with the MUX link queries and the non-MUX key-gate sites, using only
+information genuinely available to an oracle-less attacker. The graph is
+built once and never changes afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +48,9 @@ KEYGATE_KIND_BIT: dict[str, int] = {"XOR": 0, "XNOR": 1, "AND": 1, "OR": 0}
 class KeyGateQuery:
     """One non-MUX key gate (XOR/XNOR/AND/OR) visible to the attacker.
 
-    ``kind`` is the observed gate type; :data:`KEYGATE_KIND_BIT` maps it
-    to the key bit the insertion convention implies.
+    ``key_name`` is the gate's first key fanin; ``kind`` is the observed
+    gate type, which :data:`KEYGATE_KIND_BIT` maps to the key bit the
+    insertion convention implies.
     """
 
     gate: str
@@ -54,63 +58,58 @@ class KeyGateQuery:
     kind: str
 
 
-@dataclass
 class ObservedGraph:
     """Undirected graph over observed signals with gate-type labels.
 
-    ``directed_edges`` additionally records observed *wire directions*
-    (driver → consumer), which supply the self-supervised positive
-    training samples.
+    Built once from its nodes ``(name, gtype, is_gate)``, its observed
+    wires as ``(driver, consumer)`` index pairs and its key-gate sites,
+    and never changed afterwards. ``directed_edges`` keeps the wires in
+    the order given (self-loops skipped); they supply the self-supervised
+    positive training samples. Each ``adj[u]`` is filled in that same
+    wire order, which fixes its iteration order and so the order of the
+    Adamic-Adar sums.
+
+    ``levels`` are longest-path logic levels (inputs at 0) over the
+    observed wires; an attacker can always compute them, and locality in
+    levels is the key structural signal separating true links from D-MUX
+    decoys. ``keygate_kinds`` maps the node of each key-gate site to its
+    observed kind; it is empty on pure-MUX designs.
+
+    The derived caches — CSR snapshot, per-node type index, neighbour-type
+    counts, Adamic-Adar terms, the 2-hop level of each node's radius-2
+    ball — are built on first use and kept for the graph's lifetime.
     """
 
-    nodes: list[str] = field(default_factory=list)
-    index: dict[str, int] = field(default_factory=dict)
-    gtypes: list[str] = field(default_factory=list)
-    adj: list[set[int]] = field(default_factory=list)
-    directed_edges: list[tuple[int, int]] = field(default_factory=list)
-    is_gate: list[bool] = field(default_factory=list)
-    #: longest-path logic level per node (inputs at 0), over observed wires;
-    #: an attacker can always compute this, and locality in levels is the
-    #: key structural signal separating true links from D-MUX decoys.
-    levels: list[int] = field(default_factory=list)
-    #: node index -> observed key-gate kind ("XOR"/"XNOR"/"AND"/"OR") for
-    #: nodes whose dropped fanin was a key input. Empty on pure-MUX
-    #: designs, so pre-keygate behaviour (and every golden) is untouched.
-    keygate_kinds: dict[int, str] = field(default_factory=dict)
-    #: bumped on every node or wire added; :meth:`drop_stale_caches` then
-    #: drops every derived cache below (CSR snapshot, per-node type index,
-    #: neighbour-type counts, Adamic-Adar terms, the 2-hop level of each
-    #: node's radius-2 ball), so none of them describes an older graph.
-    _adj_version: int = field(default=0, repr=False)
-    _cache_version: int = field(default=0, repr=False)
-    _csr_cache: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    _gtype_idx: np.ndarray | None = field(default=None, repr=False)
-    _type_hist: np.ndarray | None = field(default=None, repr=False)
-    _inv_log_deg: list[float] | None = field(default=None, repr=False)
-    _balls: dict[int, set[int]] = field(default_factory=dict, repr=False)
-
-    def add_node(self, name: str, gtype: str, gate: bool) -> int:
-        if name in self.index:
-            return self.index[name]
-        idx = len(self.nodes)
-        self.nodes.append(name)
-        self.index[name] = idx
-        self.gtypes.append(gtype)
-        self.adj.append(set())
-        self.is_gate.append(gate)
-        self._adj_version += 1
-        return idx
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Add a directed wire u → v (stored undirected + direction list)."""
-        if u == v:
-            return
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        self.directed_edges.append((u, v))
-        self._adj_version += 1
+    def __init__(
+        self,
+        nodes: Sequence[tuple[str, str, bool]],
+        wires: Iterable[tuple[int, int]],
+        keygate_sites: Iterable[KeyGateQuery] = (),
+    ) -> None:
+        self.nodes: list[str] = [name for name, _, _ in nodes]
+        self.gtypes: list[str] = [gtype for _, gtype, _ in nodes]
+        self.is_gate: list[bool] = [gate for _, _, gate in nodes]
+        self.index: dict[str, int] = {
+            name: i for i, name in enumerate(self.nodes)
+        }
+        self.adj: list[set[int]] = [set() for _ in self.nodes]
+        self.directed_edges: list[tuple[int, int]] = []
+        for wire in wires:
+            u, v = wire
+            if u != v:
+                self.adj[u].add(v)
+                self.adj[v].add(u)
+                self.directed_edges.append(wire)
+        self.levels: list[int] = _levels(self.n_nodes, self.directed_edges)
+        self.keygate_sites: tuple[KeyGateQuery, ...] = tuple(keygate_sites)
+        self.keygate_kinds: dict[int, str] = {
+            self.index[site.gate]: site.kind for site in self.keygate_sites
+        }
+        self._csr_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._gtype_idx: np.ndarray | None = None
+        self._type_hist: np.ndarray | None = None
+        self._inv_log_deg: list[float] | None = None
+        self._balls: dict[int, set[int]] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -119,48 +118,17 @@ class ObservedGraph:
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
-    def compute_levels(self) -> None:
-        """(Re)compute longest-path levels from the directed wire list."""
-        n = self.n_nodes
-        indeg = [0] * n
-        out: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.directed_edges:
-            indeg[v] += 1
-            out[u].append(v)
-        level = [0] * n
-        ready = [i for i in range(n) if indeg[i] == 0]
-        order: list[int] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for nxt in out[node]:
-                level[nxt] = max(level[nxt], level[node] + 1)
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        self.levels = level
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def drop_stale_caches(self) -> None:
-        """Drop every derived cache built before the last node or wire."""
-        if self._cache_version != self._adj_version:
-            self._csr_cache = self._gtype_idx = None
-            self._type_hist = self._inv_log_deg = None
-            self._balls = {}
-            self._cache_version = self._adj_version
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR snapshot of the undirected adjacency: ``(indptr, indices)``.
 
         Row ``i``'s neighbours are ``indices[indptr[i]:indptr[i+1]]``,
-        sorted ascending. Rebuilt lazily after a node or wire is added, so
-        bulk callers — the batched subgraph extractor, the stacked GNN
-        feature builder — amortise one build across a whole population
-        of link queries.
+        sorted ascending. Built on first use, so bulk callers — the
+        batched subgraph extractor, the stacked GNN feature builder —
+        amortise one build across a whole population of link queries.
         """
-        self.drop_stale_caches()
         if self._csr_cache is not None:
             return self._csr_cache
         n = self.n_nodes
@@ -176,88 +144,91 @@ class ObservedGraph:
         return indptr, indices
 
 
+def _levels(n: int, directed_edges: list[tuple[int, int]]) -> list[int]:
+    """Longest-path level of each of ``n`` nodes over the directed wires."""
+    indeg = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in directed_edges:
+        indeg[v] += 1
+        out[u].append(v)
+    level = [0] * n
+    ready = [i for i in range(n) if indeg[i] == 0]
+    while ready:
+        node = ready.pop()
+        for nxt in out[node]:
+            level[nxt] = max(level[nxt], level[node] + 1)
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    return level
+
+
 def extract_observed(netlist: Netlist) -> tuple[ObservedGraph, list[MuxQuery]]:
-    """Build the observed graph and MUX queries for ``netlist``.
+    """Build the observed graph and MUX queries for ``netlist`` in one walk.
 
     Key inputs are dropped entirely; each MUX whose select pin is a key
     input becomes a :class:`MuxQuery` instead of a node. Everything else —
     including MUXes that are part of the original design — stays a normal
-    node.
+    node, in netlist order after the primary inputs. An XOR/XNOR/AND/OR
+    gate with a key fanin is also a key-gate site (``graph.keygate_sites``,
+    in gate order).
     """
     key_set = set(netlist.key_inputs)
-    graph = ObservedGraph()
-
-    def is_key_mux(name: str) -> bool:
-        gate = netlist.gates.get(name)
-        return (
-            gate is not None
-            and gate.gtype is GateType.MUX
-            and gate.fanins[0] in key_set
-        )
-
-    for sig in netlist.inputs:
-        graph.add_node(sig, "PI", gate=False)
+    nodes = [(sig, "PI", False) for sig in netlist.inputs]
+    srcs: list[str] = []  # each observed fanin, in walk order,
+    dsts: list[int] = []  # and the node index of the gate it feeds
+    key_muxes: dict[str, tuple[str, ...]] = {}
+    sites: list[KeyGateQuery] = []
     for gate in netlist.gates.values():
-        if not is_key_mux(gate.name):
-            graph.add_node(gate.name, gate.gtype.value, gate=True)
-
-    mux_consumers: dict[str, list[str]] = {}
-    for gate in netlist.gates.values():
-        if is_key_mux(gate.name):
+        if gate.gtype is GateType.MUX and gate.fanins[0] in key_set:
+            key_muxes[gate.name] = gate.fanins
             continue
-        g_idx = graph.index[gate.name]
+        consumer, kind = len(nodes), gate.gtype.value
+        nodes.append((gate.name, kind, True))
+        site = kind in KEYGATE_KIND_BIT
         for src in gate.fanins:
-            if src in key_set:
+            if src not in key_set:
+                srcs.append(src)
+                dsts.append(consumer)
+            elif site:
                 # The key fanin is invisible to the attacker, but the
-                # *kind* of the gate that consumed it is not: annotate
-                # XOR/XNOR/AND/OR key gates so key-gate-aware features
-                # (and the SAAM kind-read) can score these bits too.
-                if gate.gtype.value in KEYGATE_KIND_BIT:
-                    graph.keygate_kinds[g_idx] = gate.gtype.value
-                continue
-            if is_key_mux(src):
-                mux_consumers.setdefault(src, []).append(gate.name)
-                continue
-            graph.add_edge(graph.index[src], g_idx)
+                # *kind* of the gate that consumed it is not, so
+                # key-gate-aware features and the kind-read can score
+                # these bits too.
+                sites.append(KeyGateQuery(gate.name, src, kind))
+                site = False
+
+    index = {name: i for i, (name, _, _) in enumerate(nodes)}
+    wires: list[tuple[int, int]] = []
+    mux_consumers: dict[str, list[str]] = {}
+    for src, consumer in zip(srcs, dsts):
+        if src in key_muxes:
+            mux_consumers.setdefault(src, []).append(nodes[consumer][0])
+        else:
+            wires.append((index[src], consumer))
 
     queries: list[MuxQuery] = []
-    for gate in netlist.gates.values():
-        if not is_key_mux(gate.name):
-            continue
-        sel, d0, d1 = gate.fanins
-        consumers = tuple(mux_consumers.get(gate.name, ()))
-        if is_key_mux(d0) or is_key_mux(d1):
+    for mux, (sel, d0, d1) in key_muxes.items():
+        if d0 in key_muxes or d1 in key_muxes:
             # Chained key-MUXes are outside this attack's model; the site
             # simply stays undecided (counted as coin-flip in scoring).
             continue
+        consumers = tuple(mux_consumers.get(mux, ()))
         queries.append(
-            MuxQuery(mux=gate.name, key_name=sel, d0=d0, d1=d1, consumers=consumers)
+            MuxQuery(mux=mux, key_name=sel, d0=d0, d1=d1, consumers=consumers)
         )
-    graph.compute_levels()
-    return graph, queries
+    return ObservedGraph(nodes, wires, sites), queries
 
 
-def extract_keygates(netlist: Netlist) -> list[KeyGateQuery]:
-    """List the non-MUX key gates (XOR/XNOR/AND/OR) of ``netlist``.
+def read_keygate_kinds(graph: ObservedGraph) -> dict[str, int]:
+    """Key bits the observed key-gate kinds leak, one per key input.
 
-    Key-select MUXes are handled by :func:`extract_observed` as
-    :class:`MuxQuery` sites; this covers the complementary ``xor`` /
-    ``and_or`` insertion styles, whose observed gate *kind* leaks the key
-    bit per :data:`KEYGATE_KIND_BIT`. Deterministic (netlist iteration
-    order); uses only attacker-visible structure.
+    Each key input named by a site of ``graph.keygate_sites`` gets the
+    bit :data:`KEYGATE_KIND_BIT` reads from its first site's kind. This
+    is the kind-read that cracks naive RLL and the ``xor`` / ``and_or``
+    insertions without any learning.
     """
-    key_set = set(netlist.key_inputs)
-    sites: list[KeyGateQuery] = []
-    for gate in netlist.gates.values():
-        if gate.gtype is GateType.MUX:
-            continue
-        kind = gate.gtype.value
-        if kind not in KEYGATE_KIND_BIT:
-            continue
-        for src in gate.fanins:
-            if src in key_set:
-                sites.append(
-                    KeyGateQuery(gate=gate.name, key_name=src, kind=kind)
-                )
-                break
-    return sites
+    bits: dict[str, int] = {}
+    for site in graph.keygate_sites:
+        bits.setdefault(site.key_name, KEYGATE_KIND_BIT[site.kind])
+    return bits

@@ -30,11 +30,7 @@ from __future__ import annotations
 import time
 
 from repro.attacks.base import Attack, AttackReport
-from repro.attacks.muxlink.graph import (
-    KEYGATE_KIND_BIT,
-    extract_keygates,
-    extract_observed,
-)
+from repro.attacks.muxlink.graph import extract_observed, read_keygate_kinds
 from repro.locking.base import LockedCircuit
 from repro.registry import register_attack
 
@@ -73,12 +69,8 @@ class SaamAttack(Attack):
         graph, queries = extract_observed(netlist)
 
         guesses: dict[str, int | None] = {k: None for k in netlist.key_inputs}
-        n_keygate_sites = 0
-        if self.kind_read:
-            for site in extract_keygates(netlist):
-                if guesses.get(site.key_name) is None:
-                    guesses[site.key_name] = KEYGATE_KIND_BIT[site.kind]
-                    n_keygate_sites += 1
+        kind_bits = read_keygate_kinds(graph) if self.kind_read else {}
+        guesses.update(kind_bits)
 
         # Observed out-degrees (directed wires; key-MUX links are already
         # absent from the observed graph, so a node that only fed MUX
@@ -115,7 +107,7 @@ class SaamAttack(Attack):
 
         extra = {
             "n_sites": len(queries),
-            "n_keygate_sites": n_keygate_sites,
+            "n_keygate_sites": len(kind_bits),
             "margins": dict(margins),
             "site_penalties": site_penalties,
             "degree_weight": self.degree_weight,

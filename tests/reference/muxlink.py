@@ -1,5 +1,13 @@
-"""Per-link MuxLink references: features, subgraphs, GNN and Bayes scoring.
+"""MuxLink references: the observed graph, and per-link features,
+subgraphs, GNN and Bayes scoring.
 
+* :func:`extract_observed` / :func:`extract_keygates` — the observed
+  graph built node by node and wire by wire in three walks over the
+  netlist, as a :class:`ReferenceGraph`, and the non-MUX key gates found
+  by a walk of their own. Oracle for
+  :func:`repro.attacks.muxlink.graph.extract_observed`: every field of
+  the graph (each ``adj[u]``'s iteration order included), its key-gate
+  sites and the MUX queries (exact equality).
 * :func:`link_feature_vector` — one candidate link's MLP descriptor,
   built with the candidate edge masked. Oracle for
   :func:`repro.attacks.muxlink.features.link_feature_matrix` (bitwise
@@ -55,7 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,12 +79,143 @@ from repro.attacks.muxlink.features import (
     type_index,
 )
 from repro.attacks.muxlink.gnn import _BlockDiagAdj
-from repro.attacks.muxlink.graph import ObservedGraph
+from repro.attacks.muxlink.graph import (
+    KEYGATE_KIND_BIT,
+    KeyGateQuery,
+    MuxQuery,
+    ObservedGraph,
+)
 from repro.attacks.muxlink.subgraph import drnl_from_distances
 from repro.ml.layers import Linear
 from repro.ml.losses import bce_with_logits
 from repro.ml.optim import Adam
+from repro.netlist.gates import GateType
+from repro.netlist.netlist import Netlist
 from repro.utils.rng import derive_rng
+
+
+# ----------------------------------------------------------- observed graph
+@dataclass
+class ReferenceGraph:
+    """The observed graph as a mutable builder: nodes and wires added one
+    at a time, levels computed on request."""
+
+    nodes: list[str] = field(default_factory=list)
+    index: dict[str, int] = field(default_factory=dict)
+    gtypes: list[str] = field(default_factory=list)
+    adj: list[set[int]] = field(default_factory=list)
+    directed_edges: list[tuple[int, int]] = field(default_factory=list)
+    is_gate: list[bool] = field(default_factory=list)
+    levels: list[int] = field(default_factory=list)
+    keygate_kinds: dict[int, str] = field(default_factory=dict)
+
+    def add_node(self, name: str, gtype: str, gate: bool) -> int:
+        if name in self.index:
+            return self.index[name]
+        idx = len(self.nodes)
+        self.nodes.append(name)
+        self.index[name] = idx
+        self.gtypes.append(gtype)
+        self.adj.append(set())
+        self.is_gate.append(gate)
+        return idx
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Add a directed wire u → v (stored undirected + direction list)."""
+        if u == v:
+            return
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self.directed_edges.append((u, v))
+
+    def compute_levels(self) -> None:
+        """(Re)compute longest-path levels from the directed wire list."""
+        n = len(self.nodes)
+        indeg = [0] * n
+        out: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.directed_edges:
+            indeg[v] += 1
+            out[u].append(v)
+        level = [0] * n
+        ready = [i for i in range(n) if indeg[i] == 0]
+        while ready:
+            node = ready.pop()
+            for nxt in out[node]:
+                level[nxt] = max(level[nxt], level[node] + 1)
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    ready.append(nxt)
+        self.levels = level
+
+
+def extract_observed(netlist: Netlist) -> tuple[ReferenceGraph, list[MuxQuery]]:
+    """The observed graph and MUX queries of ``netlist``, in three walks:
+    nodes, then wires (and key-gate kinds), then queries."""
+    key_set = set(netlist.key_inputs)
+    graph = ReferenceGraph()
+
+    def is_key_mux(name: str) -> bool:
+        gate = netlist.gates.get(name)
+        return (
+            gate is not None
+            and gate.gtype is GateType.MUX
+            and gate.fanins[0] in key_set
+        )
+
+    for sig in netlist.inputs:
+        graph.add_node(sig, "PI", gate=False)
+    for gate in netlist.gates.values():
+        if not is_key_mux(gate.name):
+            graph.add_node(gate.name, gate.gtype.value, gate=True)
+
+    mux_consumers: dict[str, list[str]] = {}
+    for gate in netlist.gates.values():
+        if is_key_mux(gate.name):
+            continue
+        g_idx = graph.index[gate.name]
+        for src in gate.fanins:
+            if src in key_set:
+                if gate.gtype.value in KEYGATE_KIND_BIT:
+                    graph.keygate_kinds[g_idx] = gate.gtype.value
+                continue
+            if is_key_mux(src):
+                mux_consumers.setdefault(src, []).append(gate.name)
+                continue
+            graph.add_edge(graph.index[src], g_idx)
+
+    queries: list[MuxQuery] = []
+    for gate in netlist.gates.values():
+        if not is_key_mux(gate.name):
+            continue
+        sel, d0, d1 = gate.fanins
+        consumers = tuple(mux_consumers.get(gate.name, ()))
+        if is_key_mux(d0) or is_key_mux(d1):
+            continue
+        queries.append(
+            MuxQuery(mux=gate.name, key_name=sel, d0=d0, d1=d1, consumers=consumers)
+        )
+    graph.compute_levels()
+    return graph, queries
+
+
+def extract_keygates(netlist: Netlist) -> list[KeyGateQuery]:
+    """The non-MUX key gates (XOR/XNOR/AND/OR) of ``netlist`` with their
+    first key fanin, in gate order."""
+    key_set = set(netlist.key_inputs)
+    sites: list[KeyGateQuery] = []
+    for gate in netlist.gates.values():
+        if gate.gtype is GateType.MUX:
+            continue
+        kind = gate.gtype.value
+        if kind not in KEYGATE_KIND_BIT:
+            continue
+        for src in gate.fanins:
+            if src in key_set:
+                sites.append(
+                    KeyGateQuery(gate=gate.name, key_name=src, kind=kind)
+                )
+                break
+    return sites
 
 
 @contextmanager
@@ -87,8 +226,8 @@ def _edge_masked(graph: ObservedGraph, u: int, v: int):
     the extractor. Masks ``graph.adj`` in place and puts the edge back
     afterwards. A discarded set entry leaves a dummy slot that the
     re-add reuses, so every neighbour set keeps its iteration order —
-    which fixes the order of the Adamic-Adar sum. ``_adj_version`` is
-    left alone: nothing inside the ``with`` body reads the CSR snapshot.
+    which fixes the order of the Adamic-Adar sum. The graph's derived
+    caches are left alone: nothing inside the ``with`` body reads them.
     """
     present = v in graph.adj[u]
     if present:

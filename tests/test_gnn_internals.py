@@ -102,13 +102,8 @@ def test_graph_conv_stack_gradients_match_finite_differences():
 
 
 def _ring_graph(n=12):
-    g = ObservedGraph()
-    for i in range(n):
-        g.add_node(f"n{i}", "AND" if i % 2 else "NAND", gate=True)
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n)
-    g.compute_levels()
-    return g
+    nodes = [(f"n{i}", "AND" if i % 2 else "NAND", True) for i in range(n)]
+    return ObservedGraph(nodes, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_gnn_end_to_end_gradient_descent_reduces_loss():
@@ -139,14 +134,12 @@ def test_gnn_requires_fit():
 
 def test_gnn_subgraph_pipeline_on_disconnected_pair():
     """Scoring a pair with no connecting path must still work (DRNL 0s)."""
-    g = ObservedGraph()
-    a = g.add_node("a", "AND", gate=True)
-    b = g.add_node("b", "OR", gate=True)
-    c = g.add_node("c", "NOT", gate=True)
-    d = g.add_node("d", "NAND", gate=True)
-    g.add_edge(a, b)
-    g.add_edge(c, d)
-    g.compute_levels()
+    a, b, c, d = range(4)
+    g = ObservedGraph(
+        [("a", "AND", True), ("b", "OR", True), ("c", "NOT", True),
+         ("d", "NAND", True)],
+        [(a, b), (c, d)],
+    )
     (sub,) = dense_blocks(extract_enclosing_subgraphs(g, [(a, d)], hops=2))
     assert sub.n_nodes >= 2
     predictor = GnnLinkPredictor(hidden_dims=(4,), epochs=1, n_train=4)
@@ -155,18 +148,20 @@ def test_gnn_subgraph_pipeline_on_disconnected_pair():
 
 
 # ----------------------------------------------------------- batched path
-def _random_graph(n=60, n_edges=150, seed=0):
+def _random_graph(n=60, n_edges=150, seed=0, isolated=()):
+    """A random graph of ``n`` wired nodes (self-loop draws are dropped),
+    followed by one unwired AND node per name in ``isolated``."""
     rng = np.random.default_rng(seed)
-    g = ObservedGraph()
     types = ["AND", "OR", "NAND", "NOR", "XOR", "INV"]
-    for i in range(n):
-        g.add_node(f"n{i}", types[int(rng.integers(0, len(types)))], gate=True)
-    for _ in range(n_edges):
-        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if u != v:
-            g.add_edge(u, v)
-    g.compute_levels()
-    return g
+    nodes = [
+        (f"n{i}", types[int(rng.integers(0, len(types)))], True)
+        for i in range(n)
+    ]
+    wires = [
+        (int(rng.integers(0, n)), int(rng.integers(0, n)))
+        for _ in range(n_edges)
+    ]
+    return ObservedGraph(nodes + [(name, "AND", True) for name in isolated], wires)
 
 
 def _sample_pairs(g, k, seed=1):
@@ -183,14 +178,13 @@ def test_batched_extraction_equals_scalar():
     """The batched extractor equals the reference one pair at a time,
     including observed-edge pairs (SEAL masking) and disconnected pairs;
     the stacked feature matrix equals the per-subgraph reference."""
-    g = _random_graph()
-    # mix of random pairs, true edges in both directions, and a
-    # disconnected pair
-    pairs = _sample_pairs(g, 20)
+    g = _random_graph(isolated=("iso",))
+    # mix of random pairs among the wired nodes, true edges in both
+    # directions, and a disconnected pair
+    pairs = _sample_pairs(_random_graph(), 20)
     u0, v0 = g.directed_edges[0]
     pairs += [(u0, v0), (v0, u0), tuple(g.directed_edges[7])]
-    iso = g.add_node("iso", "AND", gate=True)
-    g.compute_levels()
+    iso = g.index["iso"]
     pairs += [(0, iso), (iso, 1)]
     for hops, max_nodes in ((2, 40), (1, 120), (3, 12)):
         batch = extract_enclosing_subgraphs(
@@ -406,9 +400,7 @@ def _observed_graphs(draw):
     """Random small observed graphs with at least one wire."""
     n = draw(st.integers(4, 30))
     types = ["AND", "OR", "NAND", "NOR", "XOR", "INV", "MUX"]
-    g = ObservedGraph()
-    for i in range(n):
-        g.add_node(f"n{i}", draw(st.sampled_from(types)), gate=True)
+    nodes = [(f"n{i}", draw(st.sampled_from(types)), True) for i in range(n)]
     index = st.integers(0, n - 1)
     edges = draw(
         st.lists(
@@ -417,10 +409,7 @@ def _observed_graphs(draw):
             max_size=3 * n,
         )
     )
-    for u, v in edges:
-        g.add_edge(u, v)
-    g.compute_levels()
-    return g
+    return ObservedGraph(nodes, edges)
 
 
 @st.composite
@@ -429,25 +418,19 @@ def _hub_graphs(draw):
     operator row holds 9+ terms (8+ with the candidate edge masked, plus
     the self-loop) and reaches the ``reduceat`` branch."""
     n = draw(st.integers(12, 40))
-    g = ObservedGraph()
-    for i in range(n):
-        g.add_node(f"n{i}", "AND" if i % 3 else "XOR", gate=True)
+    nodes = [(f"n{i}", "AND" if i % 3 else "XOR", True) for i in range(n)]
     index = st.integers(0, n - 1)
     hubs = draw(st.lists(index, min_size=1, max_size=3, unique=True))
+    wires = []
     for hub in hubs:
         others = [v for v in range(n) if v != hub]
         spokes = draw(
             st.lists(st.sampled_from(others), min_size=9, max_size=n - 1,
                      unique=True)
         )
-        for v in spokes:
-            g.add_edge(hub, v)
-    for u, v in draw(
-        st.lists(st.tuples(index, index), max_size=2 * n)
-    ):
-        g.add_edge(u, v)
-    g.compute_levels()
-    return g, hubs
+        wires += [(hub, v) for v in spokes]
+    wires += draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    return ObservedGraph(nodes, wires), hubs
 
 
 @settings(max_examples=40, deadline=None)
