@@ -63,7 +63,7 @@ def run_alphabet_ablation() -> list[dict]:
             kinds[gene.kind] = kinds.get(gene.kind, 0) + 1
         rows.append(
             {
-                "alphabet": list(run.spec.resolved_alphabet()),
+                "alphabet": list(run.spec.alphabet),
                 "fingerprint": run.fingerprint,
                 "resilience": float(engine["best_fitness"]),
                 "initial_best": float(engine["initial_best"]),

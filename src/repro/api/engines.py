@@ -154,7 +154,7 @@ class GaEngine:
             kind="ga",
             key_length=spec.key_length, seed=spec.seed,
             async_mode=spec.resolved_async_mode(),
-            alphabet=spec.resolved_alphabet(),
+            alphabet=spec.alphabet,
         )
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
         with evaluator_scope(evaluator, spec.workers) as evaluator:
@@ -237,7 +237,7 @@ class AutoLockEngine:
             key_length=spec.key_length, seed=spec.seed,
             workers=spec.workers, cache_path=spec.cache_path,
             async_mode=spec.resolved_async_mode(),
-            alphabet=spec.resolved_alphabet(),
+            alphabet=spec.alphabet,
         )
         result = AutoLock(config).run(circuit, evaluator=evaluator)
         fresh = result.fitness_evaluations + result.report_evaluations
@@ -295,7 +295,7 @@ class Nsga2Engine:
             kind="nsga2",
             key_length=spec.key_length, seed=spec.seed,
             async_mode=spec.resolved_async_mode(),
-            alphabet=spec.resolved_alphabet(),
+            alphabet=spec.alphabet,
         )
         # Every attack_params entry beyond the predictor choice is forwarded
         # to the MuxLink predictor (epochs, ensemble, ...) so the fingerprint
@@ -404,7 +404,7 @@ class ArmsRaceEngine:
             engine = CoevoEngine(
                 circuit,
                 key_length=spec.key_length,
-                alphabet=spec.resolved_alphabet(),
+                alphabet=spec.alphabet,
                 seed=spec.seed,
                 attack_seed=_attack_seed(spec),
                 baseline=baseline,
@@ -446,10 +446,11 @@ class TrajectorySearchEngine:
 
     Wraps :class:`RandomSearch` / :class:`HillClimber` /
     :class:`SimulatedAnnealing` behind the uniform engine interface.
-    The searchers drive the shared search loop, so ``spec.async_mode``
-    enables steady-state pipelining on any evaluator where the search
-    semantics allow it (random search); the sequential searches run one
-    evaluation at a time either way.
+    The searchers always drive the shared search loop's steady-state
+    mode, which walks one trajectory per seed on any evaluator: random
+    search pipelines on a pool, the sequential searches run one
+    evaluation at a time. ``spec.async_mode`` does not change their
+    result; its resolved value still feeds the spec fingerprint.
     """
 
     def __init__(self, searcher_cls) -> None:
@@ -459,11 +460,6 @@ class TrajectorySearchEngine:
     def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
             ) -> EngineOutcome:
         params = dict(spec.engine_params)
-        if "async_mode" in params:
-            raise SpecError(
-                f"{self.name} engine_params may not set async_mode; "
-                "use the spec-level async_mode field"
-            )
         if "alphabet" in params:
             raise SpecError(
                 f"{self.name} engine_params may not set alphabet; "
@@ -472,8 +468,7 @@ class TrajectorySearchEngine:
         try:
             searcher = self.searcher_cls(
                 key_length=spec.key_length, seed=spec.seed,
-                async_mode=spec.resolved_async_mode(),
-                alphabet=spec.resolved_alphabet(), **params
+                alphabet=spec.alphabet, **params
             )
         except TypeError as exc:
             raise SpecError(

@@ -19,7 +19,11 @@ spec replays the record with **zero** fresh attack evaluations.
 ``run_sweep`` expands a :class:`~repro.api.spec.SweepSpec` and runs
 every point through **one shared evaluator** (a single process pool for
 ``workers >= 2``) and one shared experiment cache, writing a JSONL
-stream plus manifest via :mod:`repro.api.artifacts`.
+stream plus manifest via :mod:`repro.api.artifacts`. It is the one code
+path that turns sweep points into records, artifacts and a
+:class:`SweepResult`: a distributed sweep first has
+:mod:`repro.dist` workers store every point's record, then replays them
+through the same point loop.
 """
 
 from __future__ import annotations
@@ -380,8 +384,8 @@ class SweepResult:
 
     For a distributed run, ``distributed`` carries the scheduler's
     accounting (worker count, queue counts, fresh evaluations measured at
-    the workers) — the per-point ``results`` are collected by replaying
-    the store's records, so their own counters say nothing about what the
+    the workers) — the per-point ``results`` are replayed from the
+    store's records, so their own counters say nothing about what the
     workers actually computed.
     """
 
@@ -422,31 +426,29 @@ def run_sweep(
     """Expand ``sweep`` and run every point through one shared backend.
 
     All points share a single population evaluator — one process pool
-    when the sweep asks for ``workers >= 2`` — and, when ``cache_path``
+    when a point asks for ``workers >= 2`` — and, when ``cache_path``
     is set, one experiment store carrying both per-genotype fitness
     namespaces and finished experiment records. Re-running a sweep with a
     warm cache replays every unchanged point with zero fresh attack
     evaluations. Points execute sequentially (parallelism lives inside
     the population evaluation, where the attack work is) — unless
     ``distributed`` asks for *point-level* parallelism: ``distributed=N``
-    schedules every point onto the store's ``sweep_points`` work queue
-    and runs N local worker processes against it (see
-    :mod:`repro.dist`). ``resume=False`` reschedules previously finished
+    first lets a :class:`~repro.dist.SweepScheduler` run every point on
+    N local worker processes over the store's ``sweep_points`` work
+    queue, and the point loop below then replays each stored record in
+    expansion order. ``resume=False`` reschedules previously finished
     queue rows instead of trusting them (their cached experiment records
     still replay — only the bookkeeping restarts).
     """
-    if distributed is not None and distributed >= 1:
-        from repro.dist import SweepScheduler
-
-        return SweepScheduler(sweep, resume=resume).run(
-            workers=distributed, out_dir=out_dir
-        )
-
     specs = sweep.expand()
     for spec in specs:
         spec.validate()
+    scheduler = None
+    if distributed is not None and distributed >= 1:
+        from repro.dist import SweepScheduler
 
-    workers = sweep.workers if sweep.workers is not None else sweep.base.workers
+        scheduler = SweepScheduler(sweep, resume=resume)
+
     owns_evaluator = evaluator is None
     pool: AsyncEvaluator | None = None
 
@@ -457,28 +459,33 @@ def run_sweep(
         if not owns_evaluator:
             return evaluator  # caller-provided: one evaluator for all
         chosen = open_evaluator(
-            workers, search=spec.engine is not None, shared=pool
+            spec.workers, search=spec.engine is not None, shared=pool
         )
         if isinstance(chosen, AsyncEvaluator):
             pool = chosen
         return chosen
 
-    memo = (
-        FitnessCache(
-            path=sweep.cache_path,
-            namespace=EXPERIMENT_NAMESPACE,
-        )
-        if sweep.cache_path is not None
-        else None
-    )
     writer = RunWriter(out_dir, name=sweep.name) if out_dir is not None else None
-
+    accounting: dict[str, Any] | None = None
     results: list[RunResult] = []
     try:
         # The sweep owns the tracer (one file for all points); each
         # point's run_experiment then joins it instead of opening its own.
         with obs_trace.tracing(sweep.trace, sweep=sweep.name), \
                 obs_trace.span("sweep", sweep=sweep.name, points=len(specs)):
+            if scheduler is not None:
+                accounting = scheduler.run(workers=distributed)
+            # Opened after the scheduler joined its workers, so no worker
+            # is ever forked while this process holds a store connection.
+            with obs_trace.span("sweep.memo"):
+                memo = (
+                    FitnessCache(
+                        path=sweep.cache_path,
+                        namespace=EXPERIMENT_NAMESPACE,
+                    )
+                    if sweep.cache_path is not None
+                    else None
+                )
             for spec in specs:
                 result = run_experiment(
                     spec, evaluator=_evaluator_for(spec), experiment_cache=memo
@@ -490,21 +497,21 @@ def run_sweep(
         if pool is not None:
             pool.close()
 
-    manifest_path = results_path = None
+    swept = SweepResult(sweep=sweep, results=results, distributed=accounting)
     if writer is not None:
-        manifest_path = writer.finalize(
+        extra = {} if accounting is None else {"distributed": accounting}
+        swept.manifest_path = writer.finalize(
             sweep=sweep.to_dict(),
             n_points=len(specs),
-            workers=workers,
+            workers=(
+                sweep.workers if sweep.workers is not None
+                else sweep.base.workers
+            ),
             cache_path=sweep.cache_path,
             async_points=sum(1 for s in specs if s.resolved_async_mode()),
-            fresh_evaluations=sum(r.fresh_evaluations for r in results),
-            replayed_from_cache=sum(1 for r in results if r.from_cache),
+            fresh_evaluations=swept.fresh_evaluations,
+            replayed_from_cache=swept.n_from_cache,
+            **extra,
         )
-        results_path = writer.results_path
-    return SweepResult(
-        sweep=sweep,
-        results=results,
-        results_path=results_path,
-        manifest_path=manifest_path,
-    )
+        swept.results_path = writer.results_path
+    return swept

@@ -102,8 +102,8 @@ class ExperimentSpec:
     async_mode: bool | None = None
     #: locking-primitive alphabet engine genotypes compose
     #: (``repro.registry.PRIMITIVES``); order matters — it indexes the
-    #: per-gene kind draws. The *resolved* alphabet feeds the
-    #: fingerprint (see :meth:`resolved_alphabet`).
+    #: per-gene kind draws. Normalised to a tuple of names on
+    #: construction; it always feeds the fingerprint.
     alphabet: tuple[str, ...] = DEFAULT_ALPHABET
     workers: int = 1
     #: experiment store (SQLite file or campaign-server URL) holding the
@@ -170,7 +170,7 @@ class ExperimentSpec:
             resolve_alphabet(self.alphabet)
         except LockingError as exc:  # empty / duplicates; unknown names
             raise SpecError(str(exc)) from exc  # raise RegistryError as-is
-        if self.engine is None and self.resolved_alphabet() != DEFAULT_ALPHABET:
+        if self.engine is None and self.alphabet != DEFAULT_ALPHABET:
             raise SpecError(
                 "alphabet configures the genotype of search engines; a "
                 "static spec (engine=null) locks with its scheme — drop "
@@ -249,14 +249,6 @@ class ExperimentSpec:
             return bool(self.async_mode)
         return self.workers > 1
 
-    def resolved_alphabet(self) -> tuple[str, ...]:
-        """The genotype alphabet this spec actually searches.
-
-        A normalised tuple of primitive names; only engines consume it,
-        and order is significant (kind draws index into it).
-        """
-        return tuple(self.alphabet)
-
     def deterministic_dict(self) -> dict[str, Any]:
         """The spec minus execution-only fields (workers, cache_path).
 
@@ -271,7 +263,6 @@ class ExperimentSpec:
         for key in _EXECUTION_FIELDS:
             data.pop(key, None)
         data["async_mode"] = self.resolved_async_mode()
-        data["alphabet"] = list(self.resolved_alphabet())
         return data
 
     def fingerprint(self) -> str:
@@ -287,8 +278,8 @@ class ExperimentSpec:
                  f"scheme={self.scheme}"]
         if self.engine:
             parts.append(f"engine={self.engine}")
-            if self.resolved_alphabet() != DEFAULT_ALPHABET:
-                parts.append(f"alphabet={','.join(self.resolved_alphabet())}")
+            if self.alphabet != DEFAULT_ALPHABET:
+                parts.append(f"alphabet={','.join(self.alphabet)}")
         if self.attack:
             parts.append(f"attack={self.attack}")
         if self.tag:

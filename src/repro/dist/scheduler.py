@@ -11,13 +11,14 @@ The :class:`SweepScheduler` owns the driver side of a distributed sweep:
 * **run** — spawn N local worker processes (each a
   :class:`~repro.dist.worker.Worker` loop) against the shared store and
   wait for the queue to drain, releasing the leases of any worker that
-  died so a follow-up run never waits out a dead lease;
-* **collect** — replay every point's record from the store, in the
-  sweep's deterministic expansion order, into the same
-  :class:`~repro.api.runner.SweepResult` + artifacts a serial
-  ``run_sweep`` produces. Records are byte-identical to a serial run
-  after nondeterministic-field stripping, because workers run the same
-  ``run_experiment`` against the same spec fingerprints.
+  died so a follow-up run never waits out a dead lease. It returns only
+  the run's accounting; :func:`~repro.api.runner.run_sweep`, which
+  calls it, then replays every point's stored record through its
+  ordinary point loop, so a distributed sweep's records and artifacts
+  are assembled exactly like a serial one's. The records are
+  byte-identical to a serial run's after nondeterministic-field
+  stripping, because workers run the same ``run_experiment`` against
+  the same spec fingerprints.
 
 Workers do not have to be local children: any process on any machine
 that can open the store file may run ``autolock worker`` against the
@@ -27,23 +28,16 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 import uuid
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
-from repro.api.artifacts import RunWriter
-from repro.api.runner import (
-    EXPERIMENT_NAMESPACE,
-    RunResult,
-    SweepResult,
-    _memo_key,
-    run_experiment,
-)
+from repro.api.runner import EXPERIMENT_NAMESPACE, _memo_key
 from repro.api.spec import ExperimentSpec, SweepSpec
-from repro.ec.fitness import FitnessCache, _key_to_str
+from repro.ec.fitness import _key_to_str
 from repro.errors import StoreError
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
@@ -120,166 +114,105 @@ class SweepScheduler:
         return self._store.queue_counts(self.sweep_id)
 
     # -- execution ------------------------------------------------------
-    def run(
-        self, workers: int, *, out_dir: str | Path | None = None
-    ) -> SweepResult:
-        """Enqueue, drive ``workers`` local processes, collect results."""
+    def run(self, workers: int) -> dict[str, Any]:
+        """Enqueue, drive ``workers`` local processes, reconcile the queue.
+
+        Returns the run's accounting: worker count, sweep id, queue
+        counts, fresh evaluations the workers paid this run, points
+        completed this run, points replayed from earlier runs, and wall
+        time. The store handle is closed when this returns.
+        """
         if workers < 1:
             raise StoreError(f"distributed workers must be >= 1, got {workers}")
-        # The scheduler's own tracer records enqueue/drive/collect; each
-        # worker process derives its own file from the same stem.
-        with obs_trace.tracing(self.sweep.trace, sweep=self.sweep.name):
-            with obs_trace.span("sweep.distributed") as span:
-                span.set(sweep_id=self.sweep_id, workers=workers)
-                return self._run(workers, out_dir=out_dir)
-
-    def _run(
-        self, workers: int, *, out_dir: str | Path | None = None
-    ) -> SweepResult:
         started = time.perf_counter()
-        with obs_trace.span("sweep.enqueue"):
-            self.enqueue()
-        done_before = {
-            p["fingerprint"]
-            for p in self._store.points(self.sweep_id)
-            if p["status"] == STATUS_DONE
-        }
-
-        worker_ids = [
-            f"sched-{uuid.uuid4().hex[:6]}-{i}" for i in range(workers)
-        ]
-        # Children must open their own database handles; close ours so a
-        # forked child never inherits a connection with live state.
-        self._store.close()
-        context = multiprocessing.get_context()
-        processes = [
-            context.Process(
-                target=worker_entry,
-                args=(
-                    {
-                        "store_path": str(self.sweep.cache_path),
-                        "sweep_id": self.sweep_id,
-                        "worker_id": worker_id,
-                        "lease_ttl": self.lease_ttl,
-                        "max_attempts": self.max_attempts,
-                        "trace": self.sweep.trace,
-                    },
-                ),
-                daemon=False,
-            )
-            for worker_id in worker_ids
-        ]
-        log.info(
-            "sweep %s [%s]: driving %d local worker(s)",
-            self.sweep.name, self.sweep_id, workers,
-        )
-        with obs_trace.span("sweep.workers") as span:
-            span.set(n=workers)
-            for process in processes:
-                process.start()
-            for process in processes:
-                process.join()
-        # A worker that died mid-point (crash, kill -9) leaves its lease
-        # behind; release it so this — or the next — run reclaims the
-        # point immediately instead of waiting out the ttl.
-        with obs_trace.span("sweep.reconcile"):
-            for worker_id in worker_ids:
-                self._store.release_worker(self.sweep_id, worker_id)
-            self._store.requeue_expired(self.sweep_id)
-            counts = self.queue_counts()
-        if counts.get(STATUS_FAILED):
-            errors = [
-                f"  {p['fingerprint']}: {p['error']}"
+        with obs_trace.span("sweep.distributed") as span, \
+                contextlib.closing(self._store):
+            span.set(sweep_id=self.sweep_id, workers=workers)
+            with obs_trace.span("sweep.enqueue"):
+                self.enqueue()
+            done_before = {
+                p["fingerprint"]
                 for p in self._store.points(self.sweep_id)
-                if p["status"] == STATUS_FAILED
-            ]
-            raise StoreError(
-                f"sweep {self.sweep.name} [{self.sweep_id}] finished with "
-                f"{counts[STATUS_FAILED]} failed point(s) after "
-                f"{self.max_attempts} attempts each:\n" + "\n".join(errors)
-            )
-        if counts.get(STATUS_PENDING) or counts.get(STATUS_CLAIMED):
-            raise StoreError(
-                f"sweep {self.sweep.name} [{self.sweep_id}] still has "
-                f"unfinished points ({counts}) after its workers exited — "
-                "likely killed; re-run with resume to continue where it "
-                "stopped"
-            )
+                if p["status"] == STATUS_DONE
+            }
 
-        rows = self._store.points(self.sweep_id)
-        session_fresh = sum(
-            int(p["fresh_evaluations"] or 0)
-            for p in rows
-            if p["status"] == STATUS_DONE
-            and p["fingerprint"] not in done_before
-        )
-        distributed = {
+            worker_ids = [
+                f"sched-{uuid.uuid4().hex[:6]}-{i}" for i in range(workers)
+            ]
+            # Children must open their own database handles; close ours so
+            # a forked child never inherits a connection with live state.
+            self._store.close()
+            context = multiprocessing.get_context()
+            processes = [
+                context.Process(
+                    target=worker_entry,
+                    args=(
+                        {
+                            "store_path": str(self.sweep.cache_path),
+                            "sweep_id": self.sweep_id,
+                            "worker_id": worker_id,
+                            "lease_ttl": self.lease_ttl,
+                            "max_attempts": self.max_attempts,
+                            "trace": self.sweep.trace,
+                        },
+                    ),
+                    daemon=False,
+                )
+                for worker_id in worker_ids
+            ]
+            log.info(
+                "sweep %s [%s]: driving %d local worker(s)",
+                self.sweep.name, self.sweep_id, workers,
+            )
+            with obs_trace.span("sweep.workers") as span:
+                span.set(n=workers)
+                for process in processes:
+                    process.start()
+                for process in processes:
+                    process.join()
+            # A worker that died mid-point (crash, kill -9) leaves its
+            # lease behind; release it so this — or the next — run
+            # reclaims the point immediately instead of waiting out the
+            # ttl.
+            with obs_trace.span("sweep.reconcile"):
+                for worker_id in worker_ids:
+                    self._store.release_worker(self.sweep_id, worker_id)
+                self._store.requeue_expired(self.sweep_id)
+                counts = self.queue_counts()
+                rows = self._store.points(self.sweep_id)
+            if counts.get(STATUS_FAILED):
+                errors = [
+                    f"  {p['fingerprint']}: {p['error']}"
+                    for p in rows
+                    if p["status"] == STATUS_FAILED
+                ]
+                raise StoreError(
+                    f"sweep {self.sweep.name} [{self.sweep_id}] finished "
+                    f"with {counts[STATUS_FAILED]} failed point(s) after "
+                    f"{self.max_attempts} attempts each:\n" + "\n".join(errors)
+                )
+            if counts.get(STATUS_PENDING) or counts.get(STATUS_CLAIMED):
+                raise StoreError(
+                    f"sweep {self.sweep.name} [{self.sweep_id}] still has "
+                    f"unfinished points ({counts}) after its workers exited "
+                    "— likely killed; re-run with resume to continue where "
+                    "it stopped"
+                )
+        return {
             "workers": workers,
             "sweep_id": self.sweep_id,
-            "queue": self.queue_counts(),
-            "fresh_evaluations": session_fresh,
+            "queue": counts,
+            "fresh_evaluations": sum(
+                int(p["fresh_evaluations"] or 0)
+                for p in rows
+                if p["status"] == STATUS_DONE
+                and p["fingerprint"] not in done_before
+            ),
             "completed_this_run": sum(
                 1 for p in rows if p["fingerprint"] not in done_before
             ),
-            "replayed_from_cache": len(
-                [s for s in self.specs if s.fingerprint() in done_before]
+            "replayed_from_cache": sum(
+                1 for s in self.specs if s.fingerprint() in done_before
             ),
             "wall_s": time.perf_counter() - started,
         }
-        return self.collect(out_dir=out_dir, distributed=distributed)
-
-    # -- result assembly ------------------------------------------------
-    def collect(
-        self,
-        *,
-        out_dir: str | Path | None = None,
-        distributed: dict[str, Any] | None = None,
-    ) -> SweepResult:
-        """Replay every point's stored record into a standard SweepResult.
-
-        Points are replayed in the sweep's deterministic expansion order
-        regardless of which worker finished them when, so artifacts are
-        ordered exactly like a serial run's.
-        """
-        memo = FitnessCache(
-            path=self.sweep.cache_path,
-            backend=self._store,
-            namespace=EXPERIMENT_NAMESPACE,
-        )
-        writer = (
-            RunWriter(out_dir, name=self.sweep.name)
-            if out_dir is not None
-            else None
-        )
-        results: list[RunResult] = []
-        with obs_trace.span("sweep.collect") as span:
-            span.set(points=len(self.specs))
-            for spec in self.specs:
-                result = run_experiment(spec, experiment_cache=memo)
-                results.append(result)
-                if writer is not None:
-                    writer.write(result.record)
-
-        manifest_path = results_path = None
-        if writer is not None:
-            manifest_path = writer.finalize(
-                sweep=self.sweep.to_dict(),
-                n_points=len(self.specs),
-                distributed=distributed or {"sweep_id": self.sweep_id},
-                cache_path=self.sweep.cache_path,
-                fresh_evaluations=(distributed or {}).get(
-                    "fresh_evaluations", 0
-                ),
-                replayed_from_cache=(distributed or {}).get(
-                    "replayed_from_cache", 0
-                ),
-            )
-            results_path = writer.results_path
-        return SweepResult(
-            sweep=self.sweep,
-            results=results,
-            results_path=results_path,
-            manifest_path=manifest_path,
-            distributed=distributed
-            or {"sweep_id": self.sweep_id, "workers": 0},
-        )

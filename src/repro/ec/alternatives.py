@@ -14,13 +14,15 @@ genotype, mutation and fitness machinery so the comparison isolates the
 * :class:`SimulatedAnnealing` — hill climbing with a geometric
   temperature schedule that accepts uphill moves early.
 
-All three are policy bundles over :class:`repro.ec.loop.SearchLoop`
-with a population of one: breeding proposes the next candidate, survival
-is the accept/reject rule. Random search pipelines freely in async mode
-(its candidates are independent, so the whole budget can be in flight);
-hill climbing and annealing are inherently sequential — each proposal
-depends on the previous verdict — so their async mode keeps one
-evaluation in flight and reproduces the serial trajectory exactly.
+All three are policy bundles over the steady-state (async) mode of
+:class:`repro.ec.loop.SearchLoop` with a population of one: breeding
+proposes the next candidate, integration applies the accept/reject
+rule. Random search pipelines freely (its candidates are independent,
+so the whole budget can be in flight); hill climbing and annealing are
+inherently sequential — each proposal depends on the previous verdict —
+so the loop keeps one evaluation in flight for them. Completions are
+integrated in submission order, so each search walks one trajectory
+per seed on any evaluator, serial or pooled.
 
 All minimise fitness and return the same :class:`SearchResult` shape, so
 the heuristic-comparison bench (E11) can sweep them uniformly.
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.ec.evaluator import Evaluator, SerialEvaluator
+from repro.ec.evaluator import Evaluator
 from repro.ec.genotype import random_genotype, repair_genotype
 from repro.ec.loop import LoopPolicy, LoopState, SearchLoop
 from repro.ec.operators import MutationConfig, mutate
@@ -66,17 +68,14 @@ def _validated_budget(evaluations: int) -> int:
 class TrajectoryPolicy(LoopPolicy):
     """Shared policy scaffolding for the single-trajectory searches.
 
-    Population of one; every round breeds exactly one candidate, the
-    survival rule decides whether it replaces the incumbent, and the
-    trajectory records the reported fitness after every evaluation.
-    Subclasses implement :meth:`propose` (the next candidate) and
-    :meth:`challenge` (the accept/reject rule) and may override
-    :meth:`report` (what the trajectory tracks).
+    Population of one; every completed evaluation is offered to the
+    accept/reject rule, which decides whether it replaces the
+    incumbent, and the trajectory records the reported fitness after
+    every evaluation. Subclasses implement :meth:`propose` (the next
+    candidate) and :meth:`challenge` (the accept/reject rule) and may
+    override :meth:`report` (what the trajectory tracks).
     """
 
-    population_size = 1
-    offspring_count = 1
-    survival_needs_offspring_values = True
     sequential_breeding = True
 
     def __init__(self, searcher, original: Netlist) -> None:
@@ -88,9 +87,6 @@ class TrajectoryPolicy(LoopPolicy):
         self.best_fit = float("inf")
         self.async_population: list[Genotype] = []
         self.async_values: list[float] = []
-        # The survival protocol is simple enough here that the policy is
-        # its own survival strategy.
-        self.survival = self
 
     # -- subclass hooks -------------------------------------------------
     def propose(self, current: Genotype | None, rng) -> Genotype:
@@ -117,27 +113,7 @@ class TrajectoryPolicy(LoopPolicy):
             self.best_fit = fit
             self.best_genes = list(genes)
 
-    # -- sync hooks -----------------------------------------------------
-    def on_evaluated(self, gen, population, values, batch, elapsed_s) -> None:
-        self._observe(population[0], values[0])
-        self.trajectory.append(self.report())
-
-    def should_stop(self, gen, population, values, n_evals):
-        return n_evals >= self.max_evaluations, False
-
-    def breed(self, n, population, values, rng) -> list[Genotype]:
-        return [self.propose(population[0], rng)]
-
-    def survive(self, population, values, offspring, off_values, rng):
-        self._observe(offspring[0], off_values[0])
-        if self.challenge(values[0], off_values[0], rng):
-            return list(offspring), list(off_values)
-        return population, values
-
-    def on_generation(self, gen, population, values, batch, elapsed_s) -> None:
-        self.trajectory.append(self.report())
-
-    # -- async hooks ----------------------------------------------------
+    # -- loop hooks -----------------------------------------------------
     def integrate_async(
         self, genes, value, completed, rng, elapsed_s, totals
     ) -> None:
@@ -151,9 +127,6 @@ class TrajectoryPolicy(LoopPolicy):
     def breed_async(self, rng) -> Genotype:
         current = self.async_population[0] if self.async_population else None
         return self.propose(current, rng)
-
-    def integrate(self, population, values, genes, value, rng):
-        raise NotImplementedError  # steady state handled in integrate_async
 
     # -- result ---------------------------------------------------------
     def result(self, state: LoopState) -> SearchResult:
@@ -184,16 +157,14 @@ class _TrajectorySearch:
     ) -> SearchResult:
         """Search lockings of ``original``; same contract as the GA's run.
 
-        The serial default reproduces the historical single-trajectory
-        loop exactly; ``async_mode=True`` on an
+        The result is the same on any evaluator; an
         :class:`~repro.ec.evaluator.AsyncEvaluator` pipelines where the
         search semantics allow it (random search; the sequential
         searches stay one-in-flight).
         """
         rng = derive_rng(self.seed)
-        evaluator = evaluator if evaluator is not None else SerialEvaluator()
         policy = self._policy(original)
-        loop = SearchLoop(policy, evaluator, async_mode=self.async_mode)
+        loop = SearchLoop(policy, evaluator, async_mode=True)
         state = loop.run(fitness, rng)
         return policy.result(state)
 
@@ -208,13 +179,11 @@ class RandomSearch(_TrajectorySearch):
         key_length: int,
         evaluations: int = 100,
         seed: int = 0,
-        async_mode: bool = False,
         alphabet: tuple[str, ...] = DEFAULT_ALPHABET,
     ):
         self.key_length = key_length
         self.evaluations = _validated_budget(evaluations)
         self.seed = seed
-        self.async_mode = async_mode
         self.alphabet = resolve_alphabet(alphabet)
 
     def _policy(self, original: Netlist) -> TrajectoryPolicy:
@@ -251,14 +220,12 @@ class HillClimber(_TrajectorySearch):
         evaluations: int = 100,
         mutation: MutationConfig | None = None,
         seed: int = 0,
-        async_mode: bool = False,
         alphabet: tuple[str, ...] = DEFAULT_ALPHABET,
     ):
         self.key_length = key_length
         self.evaluations = _validated_budget(evaluations)
         self.mutation = mutation or MutationConfig(0.1, 0.15, 0.15)
         self.seed = seed
-        self.async_mode = async_mode
         self.alphabet = resolve_alphabet(alphabet)
 
     def _policy(self, original: Netlist) -> TrajectoryPolicy:
@@ -310,7 +277,6 @@ class SimulatedAnnealing(HillClimber):
         t_end: float = 0.005,
         mutation: MutationConfig | None = None,
         seed: int = 0,
-        async_mode: bool = False,
         alphabet: tuple[str, ...] = DEFAULT_ALPHABET,
     ):
         if t_start <= 0 or t_end <= 0 or t_end > t_start:
@@ -318,7 +284,7 @@ class SimulatedAnnealing(HillClimber):
                 f"need 0 < t_end <= t_start, got t_start={t_start}, t_end={t_end}"
             )
         super().__init__(
-            key_length, evaluations, mutation, seed, async_mode, alphabet
+            key_length, evaluations, mutation, seed, alphabet
         )
         self.t_start = t_start
         self.t_end = t_end

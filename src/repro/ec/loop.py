@@ -13,8 +13,9 @@ makes the engines *policy bundles* over it:
   (mutation + repair) so the loop can stop breeding mid-pair without
   consuming RNG the legacy engines never drew;
 * :class:`SurvivalPolicy` — decide who lives: elitist-generational
-  replacement (GA), Pareto environmental selection (NSGA-II), or the
-  accept/reject rules of the trajectory searches.
+  replacement (GA) or Pareto environmental selection (NSGA-II). The
+  trajectory searches apply their accept/reject rules as they integrate
+  each completion in async mode.
 
 The :class:`SearchLoop` drives a policy bundle in one of two modes:
 
@@ -268,7 +269,7 @@ class LoopPolicy:
         Sync mode: offspring bred per generation (λ).
     survival_needs_offspring_values
         True when ``survival.survive`` consumes evaluated offspring
-        (μ+λ engines like NSGA-II and the trajectory searches); False
+        (μ+λ engines like NSGA-II); False
         for the GA's replace-and-re-evaluate scheme.
     max_evaluations
         Async mode: total evaluation budget.

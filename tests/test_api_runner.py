@@ -297,6 +297,36 @@ def test_engine_sweep_routes_all_points_through_one_evaluator(tmp_path):
     assert shared.total.size == 2 * 4 * 2
 
 
+def test_sweep_sizes_each_points_evaluator_from_its_workers(monkeypatch):
+    """A ``workers`` axis sizes every point's evaluator, as a distributed
+    worker does, instead of the sweep-level worker count."""
+    from repro.api import runner
+
+    asked = []
+    real = runner.open_evaluator
+
+    def spy(workers, **kwargs):
+        asked.append(workers)
+        return real(workers, **kwargs)
+
+    monkeypatch.setattr(runner, "open_evaluator", spy)
+    sweep = SweepSpec(
+        base=ExperimentSpec(
+            circuit="rand_100_9", key_length=4,
+            attack="muxlink", attack_params={"predictor": "bayes"},
+            engine="ga", engine_params={"population_size": 4, "generations": 1},
+            async_mode=False,
+        ),
+        axes={"workers": [1, 2]},
+    )
+    result = run_sweep(sweep)
+    assert asked == [1, 2]
+    assert (
+        result.results[0].deterministic_record()["engine"]
+        == result.results[1].deterministic_record()["engine"]
+    )
+
+
 def test_engine_sweep_warm_cache_zero_fresh(tmp_path):
     cache = str(tmp_path / "cache.sqlite")
     spec = c17_spec(

@@ -9,6 +9,7 @@ already-completed points.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -105,6 +106,50 @@ def test_distributed_artifacts_written(tmp_path):
     ], "artifact order must follow the deterministic expansion order"
     assert manifest["distributed"]["workers"] == 2
     assert manifest["n_points"] == 3
+
+
+def test_distributed_manifest_matches_the_in_process_one(tmp_path):
+    """One assembly path: the distributed manifest carries every key of
+    the in-process manifest plus the scheduler's accounting, and its
+    elapsed time covers the whole sweep, workers included."""
+    from repro.api import read_manifest
+
+    run_sweep(_static_sweep(tmp_path / "serial.sqlite"), out_dir=tmp_path / "s")
+    result = run_sweep(
+        _static_sweep(tmp_path / "dist.sqlite"), distributed=2,
+        out_dir=tmp_path / "d",
+    )
+    serial = read_manifest(tmp_path / "s")
+    dist = read_manifest(tmp_path / "d")
+    assert set(dist) == set(serial) | {"distributed"}
+    assert dist["distributed"] == result.distributed
+    assert dist["elapsed_s"] >= dist["distributed"]["wall_s"]
+    assert dist["fresh_evaluations"] == serial["fresh_evaluations"] == 3
+    assert dist["async_points"] == serial["async_points"]
+
+
+def test_distributed_trace_is_rooted_at_the_sweep(tmp_path):
+    """The sweep's own file holds one root ``sweep`` span with the
+    scheduler and the replayed points under it; each worker process
+    writes the points it ran to its own file."""
+    from repro.obs.summarize import load_spans
+
+    trace = tmp_path / "trace.jsonl"
+    sweep = dataclasses.replace(
+        _static_sweep(tmp_path / "dist.sqlite"), trace=str(trace)
+    )
+    run_sweep(sweep, distributed=2)
+
+    spans = load_spans([trace])
+    roots = [s for s in spans if s.get("parent") is None]
+    assert [r["name"] for r in roots] == ["sweep"]
+    under_root = [s["name"] for s in spans if s.get("parent") == roots[0]["span"]]
+    assert under_root.count("sweep.distributed") == 1
+    assert under_root.count("experiment") == 3
+    worker_files = sorted(tmp_path.glob("trace-*.jsonl"))
+    assert len(worker_files) == 2
+    worker_spans = load_spans(worker_files)
+    assert [s["name"] for s in worker_spans].count("worker.point") == 3
 
 
 # ------------------------------------------------------- crash + resume

@@ -1,12 +1,14 @@
 """Alternative single-trajectory optimisers (research plan bullet 5)."""
 
 import dataclasses
+import warnings
 import zlib
 
 import pytest
 
 from repro.circuits import load_circuit
 from repro.ec import HillClimber, RandomSearch, SimulatedAnnealing
+from repro.ec.evaluator import AsyncEvaluator, SerialEvaluator
 from repro.ec.genotype import genotype_is_valid
 from repro.errors import EvolutionError
 
@@ -117,3 +119,30 @@ def test_sequential_search_trajectory_golden(searcher_cls, golden):
     )
     assert result.trajectory == pytest.approx(golden, abs=1e-12)
     assert result.best_fitness == pytest.approx(golden[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "searcher_cls", [RandomSearch, HillClimber, SimulatedAnnealing],
+    ids=["random", "hill", "anneal"],
+)
+def test_trajectory_search_pool_matches_serial(searcher_cls):
+    """The searchers walk one trajectory whatever the evaluator: a pool
+    (random search pipelining its whole budget) gives the serial result."""
+    circuit = load_circuit("rand_100_7")
+
+    def search(evaluator):
+        result = searcher_cls(
+            key_length=8, evaluations=25, seed=11,
+            alphabet=("mux", "xor", "and_or"),
+        ).run(circuit, gene_fitness, evaluator=evaluator)
+        return dataclasses.replace(result, runtime_s=0.0)
+
+    serial = search(SerialEvaluator())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with AsyncEvaluator(workers=2) as evaluator:
+            pooled = search(evaluator)
+    # A fitness the pool cannot pickle would run in-process instead.
+    assert not [w for w in caught if "not picklable" in str(w.message)]
+    assert pooled == serial
+    assert serial.evaluations == len(serial.trajectory) == 25

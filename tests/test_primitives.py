@@ -445,7 +445,7 @@ def test_alphabet_as_sweep_axis_expands():
         axes={"alphabet": [["mux"], ["mux", "xor"]]},
     )
     specs = sweep.expand()
-    assert [s.resolved_alphabet() for s in specs] == [
+    assert [s.alphabet for s in specs] == [
         ("mux",), ("mux", "xor"),
     ]
     assert len({s.fingerprint() for s in specs}) == 2
