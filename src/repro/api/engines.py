@@ -1,12 +1,13 @@
-"""Search-engine adapters: one uniform ``run(spec, circuit)`` per engine.
+"""Search-engine adapters: one uniform ``run(spec, circuit, evaluator)``.
 
 Each adapter translates an :class:`~repro.api.spec.ExperimentSpec` into
-one concrete search engine's configuration, runs it, and normalises the
-outcome into an :class:`EngineOutcome` (champion genotype + locked
-design, evaluation accounting, JSON-safe record). The adapters register
-themselves under the engine registry, so ``run_experiment`` — and any
-sweep over the ``engine`` axis, like the E11 heuristic comparison —
-never dispatches on concrete classes.
+one concrete search engine's configuration, runs it on the evaluator
+``run_experiment`` hands it (the runner opens and closes it), and
+normalises the outcome into an :class:`EngineOutcome` (champion
+genotype and locked design, evaluation accounting, JSON-safe record).
+The adapters register themselves under the engine registry, so
+``run_experiment`` — and any sweep over the ``engine`` axis, like the
+E11 heuristic comparison — never dispatches on concrete classes.
 
 Scalar engines score genotypes with
 :class:`~repro.ec.fitness.SpecFitness` — the registry-driven oracle any
@@ -23,7 +24,7 @@ from repro.coevo.engine import CoevoEngine
 from repro.coevo.genome import baseline_genome
 from repro.ec.alternatives import HillClimber, RandomSearch, SimulatedAnnealing
 from repro.ec.autolock import AutoLock, AutoLockConfig
-from repro.ec.evaluator import Evaluator, evaluator_scope
+from repro.ec.evaluator import Evaluator
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     FitnessCache,
@@ -146,7 +147,7 @@ class GaEngine:
 
     name = "ga"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator
             ) -> EngineOutcome:
         config = _config_from_params(
             GaConfig, dict(spec.engine_params),
@@ -157,10 +158,9 @@ class GaEngine:
             alphabet=spec.alphabet,
         )
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
-        with evaluator_scope(evaluator, spec.workers) as evaluator:
-            result = GeneticAlgorithm(config).run(
-                circuit, fitness, evaluator=evaluator
-            )
+        result = GeneticAlgorithm(config).run(
+            circuit, fitness, evaluator=evaluator
+        )
         locked = lock_with_genes(circuit, result.best_genotype)
         return EngineOutcome(
             engine=self.name,
@@ -198,7 +198,7 @@ class AutoLockEngine:
 
     name = "autolock"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator
             ) -> EngineOutcome:
         if spec.attack not in (None, "muxlink"):
             raise SpecError(
@@ -235,7 +235,7 @@ class AutoLockEngine:
                       "async_mode", "alphabet"),
             kind="autolock",
             key_length=spec.key_length, seed=spec.seed,
-            workers=spec.workers, cache_path=spec.cache_path,
+            cache_path=spec.cache_path,
             async_mode=spec.resolved_async_mode(),
             alphabet=spec.alphabet,
         )
@@ -272,7 +272,7 @@ class Nsga2Engine:
 
     name = "nsga2"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator
             ) -> EngineOutcome:
         if spec.attack not in (None, "muxlink"):
             raise SpecError(
@@ -320,8 +320,7 @@ class Nsga2Engine:
             **fitness_kwargs,
             **predictor_kwargs,
         )
-        with evaluator_scope(evaluator, spec.workers) as evaluator:
-            result = Nsga2(config).run(circuit, fitness, evaluator=evaluator)
+        result = Nsga2(config).run(circuit, fitness, evaluator=evaluator)
         champion_idx = min(
             range(len(result.front_objectives)),
             key=lambda i: result.front_objectives[i],
@@ -367,7 +366,7 @@ class ArmsRaceEngine:
 
     name = "coevo"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator
             ) -> EngineOutcome:
         if spec.resolved_async_mode():
             raise SpecError(
@@ -414,8 +413,7 @@ class ArmsRaceEngine:
                 )),
                 **spec.engine_params,
             )
-            with evaluator_scope(evaluator, spec.workers) as evaluator:
-                result = engine.run(evaluator)
+            result = engine.run(evaluator)
         finally:
             if store is not None:
                 store.close()
@@ -457,7 +455,7 @@ class TrajectorySearchEngine:
         self.searcher_cls = searcher_cls
         self.name = searcher_cls.name
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator | None = None
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator
             ) -> EngineOutcome:
         params = dict(spec.engine_params)
         if "alphabet" in params:
@@ -475,8 +473,7 @@ class TrajectorySearchEngine:
                 f"unknown {self.name} engine_params {sorted(params)}: {exc}"
             ) from exc
         fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
-        with evaluator_scope(evaluator, spec.workers) as evaluator:
-            result = searcher.run(circuit, fitness, evaluator=evaluator)
+        result = searcher.run(circuit, fitness, evaluator=evaluator)
         return EngineOutcome(
             engine=self.name,
             best_genotype=result.best_genotype,

@@ -5,7 +5,8 @@
 * **static** (``engine=None``) — lock the circuit with the named scheme,
   optionally run the named attack once;
 * **engine** — hand the spec to the registered search-engine adapter,
-  which evolves a locking with the attack as fitness oracle.
+  which evolves a locking with the attack as fitness oracle, on the
+  evaluator the runner opens for it (or the one a sweep injects).
 
 Either way the named metrics run on the final locked design and the
 whole outcome lands in a JSON-safe record. Results are deterministic
@@ -28,6 +29,7 @@ through the same point loop.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,11 +207,17 @@ def run_experiment(
 ) -> RunResult:
     """Execute one experiment spec; see the module docstring.
 
-    ``evaluator`` injects a shared population evaluator (sweeps pass one
-    pool for all points; the caller owns its lifetime). ``experiment_cache``
-    injects a shared experiment-record memo; by default one is opened on
-    ``spec.cache_path`` when set. ``out_dir`` additionally writes
-    ``results.jsonl`` + ``manifest.json`` artifacts there.
+    An engine spec runs on ``evaluator`` when one is injected (sweeps
+    and distributed workers pass one pool for all points; the caller
+    owns its lifetime). Otherwise this is where its evaluator is opened:
+    :func:`~repro.ec.evaluator.open_evaluator` sizes it from
+    ``spec.workers``, and it is closed when the engine step ends. A
+    static spec evaluates no population and opens none.
+
+    ``experiment_cache`` injects a shared experiment-record memo; by
+    default one is opened on ``spec.cache_path`` when set. ``out_dir``
+    additionally writes ``results.jsonl`` + ``manifest.json`` artifacts
+    there.
 
     ``spec.trace`` (when set and no tracer is already active) opens a
     span tracer for the duration of this run; sweeps and workers own the
@@ -285,8 +293,13 @@ def _execute_experiment(
 
     if spec.engine is not None:
         adapter = create_engine(spec.engine)
-        with obs_trace.span("experiment.engine", engine=spec.engine):
-            outcome = adapter.run(spec, circuit, evaluator=evaluator)
+        scope = (
+            open_evaluator(spec.workers) if evaluator is None
+            else contextlib.nullcontext(evaluator)
+        )
+        with obs_trace.span("experiment.engine", engine=spec.engine), \
+                scope as engine_evaluator:
+            outcome = adapter.run(spec, circuit, engine_evaluator)
         locked = outcome.locked
         fresh, hits = outcome.fresh_evaluations, outcome.cache_hits
     else:

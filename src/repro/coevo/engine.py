@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.attacks.scope import ScopeAttack
 from repro.coevo.genome import AttackerGenome, baseline_genome
-from repro.ec.evaluator import Evaluator, evaluator_scope
+from repro.ec.evaluator import Evaluator, SerialEvaluator
 from repro.ec.fitness import (
     DEFAULT_ATTACK_SEED,
     CachedFitness,
@@ -431,8 +431,10 @@ class CoevoEngine:
 
     # -- the arms race --------------------------------------------------
     def run(self, evaluator: Evaluator | None = None) -> CoevoResult:
-        """Run (or resume) the arms race; caller owns a passed evaluator."""
-
+        """Run (or resume) the arms race on ``evaluator``, which the
+        caller owns; the default is an in-process
+        :class:`~repro.ec.evaluator.SerialEvaluator`."""
+        evaluator = evaluator if evaluator is not None else SerialEvaluator()
         # Every seed the whole run will need, derived up front — resume
         # replays finished epochs from records, so no RNG state needs
         # persisting to restart mid-run deterministically.
@@ -455,103 +457,102 @@ class CoevoEngine:
         replayed = 0
         replaying = self.memo is not None
 
-        with evaluator_scope(evaluator) as evaluator:
-            for epoch in range(self.epochs):
-                _EPOCH_GAUGE.set(float(epoch))
-                if replaying:
-                    record = self.memo.get((("epoch", epoch),))
-                    if record is not None:
-                        done = CoevoEpoch.from_record(record, from_cache=True)
-                        epochs.append(done)
-                        attacker_hall = [
-                            (entry["fitness"],
-                             AttackerGenome.from_dict(entry["genome"]))
-                            for entry in done.attacker_hall
-                        ]
-                        attacker_pop = [
-                            AttackerGenome.from_dict(g)
-                            for g in done.next_attacker_population
-                        ]
-                        lock_init = [
-                            genotype_from_record(entry["genotype"])
-                            for entry in done.lock_hall
-                        ]
-                        if epoch == 0:
-                            epoch0_elite = genotype_from_record(done.lock_best)
-                        replayed += 1
-                        _EPOCHS_TOTAL.inc(outcome="replayed")
-                        continue
-                    replaying = False
-
-                with obs_trace.span("coevo.epoch", epoch=epoch):
-                    panel = [
-                        genome for _fit, genome in attacker_hall[: self.panel_size]
+        for epoch in range(self.epochs):
+            _EPOCH_GAUGE.set(float(epoch))
+            if replaying:
+                record = self.memo.get((("epoch", epoch),))
+                if record is not None:
+                    done = CoevoEpoch.from_record(record, from_cache=True)
+                    epochs.append(done)
+                    attacker_hall = [
+                        (entry["fitness"],
+                         AttackerGenome.from_dict(entry["genome"]))
+                        for entry in done.attacker_hall
                     ]
-                    ga = self._lock_phase(
-                        epoch, panel, lock_init, lock_seeds[epoch], evaluator
-                    )
-                    hall = sorted(ga.hall_of_fame, key=lambda t: t[0])
-                    elites = [list(genes) for _f, genes in hall[: self.elite_size]]
-                    if epoch0_elite is None:
-                        epoch0_elite = list(elites[0])
+                    attacker_pop = [
+                        AttackerGenome.from_dict(g)
+                        for g in done.next_attacker_population
+                    ]
+                    lock_init = [
+                        genotype_from_record(entry["genotype"])
+                        for entry in done.lock_hall
+                    ]
+                    if epoch == 0:
+                        epoch0_elite = genotype_from_record(done.lock_best)
+                    replayed += 1
+                    _EPOCHS_TOTAL.inc(outcome="replayed")
+                    continue
+                replaying = False
 
-                    values = self._attacker_phase(
-                        epoch, attacker_pop, elites, evaluator
-                    )
-                    attacker_hall = self._update_attacker_hall(
-                        attacker_hall, attacker_pop, values
-                    )
-                    best_fit, best_attacker = attacker_hall[0]
-                    next_pop = self._breed_attackers(
-                        attacker_pop, values, derive_rng(breed_seeds[epoch])
-                    )
-
-                    # The arms-race scoreboard: the current elite and the
-                    # epoch-0 elite, both against the current best attacker.
-                    elite_vs_best = self._duels([*elites[0], best_attacker])
-                    epoch0_vs_best = self._duels(
-                        [*epoch0_elite, best_attacker]
-                    )
-
-                    done = CoevoEpoch(
-                        epoch=epoch,
-                        panel=[g.to_dict() for g in panel],
-                        lock_best=genotype_record(ga.best_genotype),
-                        lock_best_fitness=float(ga.best_fitness),
-                        lock_hall=[
-                            {"fitness": float(f),
-                             "genotype": genotype_record(genes)}
-                            for f, genes in hall
-                        ],
-                        attacker_population=[
-                            {"fitness": float(v), "genome": g.to_dict()}
-                            for g, v in zip(attacker_pop, values)
-                        ],
-                        attacker_hall=[
-                            {"fitness": float(f), "genome": g.to_dict()}
-                            for f, g in attacker_hall
-                        ],
-                        attacker_best=best_attacker.to_dict(),
-                        attacker_best_fitness=float(best_fit),
-                        elite_vs_best=float(elite_vs_best),
-                        epoch0_vs_best=float(epoch0_vs_best),
-                        next_attacker_population=[
-                            g.to_dict() for g in next_pop
-                        ],
-                    )
-                epochs.append(done)
-                _LOCK_RESILIENCE.set(done.lock_best_fitness)
-                _ATTACKER_ACCURACY.set(1.0 - done.attacker_best_fitness)
-                _ARMS_RACE_GAP.set(done.epoch0_vs_best - done.elite_vs_best)
-                _EPOCHS_TOTAL.inc(outcome="fresh")
-                if self.memo is not None:
-                    self.memo.put((("epoch", epoch),), done.to_record())
-
-                attacker_pop = next_pop
-                lock_init = [
-                    genotype_from_record(entry["genotype"])
-                    for entry in done.lock_hall
+            with obs_trace.span("coevo.epoch", epoch=epoch):
+                panel = [
+                    genome for _fit, genome in attacker_hall[: self.panel_size]
                 ]
+                ga = self._lock_phase(
+                    epoch, panel, lock_init, lock_seeds[epoch], evaluator
+                )
+                hall = sorted(ga.hall_of_fame, key=lambda t: t[0])
+                elites = [list(genes) for _f, genes in hall[: self.elite_size]]
+                if epoch0_elite is None:
+                    epoch0_elite = list(elites[0])
+
+                values = self._attacker_phase(
+                    epoch, attacker_pop, elites, evaluator
+                )
+                attacker_hall = self._update_attacker_hall(
+                    attacker_hall, attacker_pop, values
+                )
+                best_fit, best_attacker = attacker_hall[0]
+                next_pop = self._breed_attackers(
+                    attacker_pop, values, derive_rng(breed_seeds[epoch])
+                )
+
+                # The arms-race scoreboard: the current elite and the
+                # epoch-0 elite, both against the current best attacker.
+                elite_vs_best = self._duels([*elites[0], best_attacker])
+                epoch0_vs_best = self._duels(
+                    [*epoch0_elite, best_attacker]
+                )
+
+                done = CoevoEpoch(
+                    epoch=epoch,
+                    panel=[g.to_dict() for g in panel],
+                    lock_best=genotype_record(ga.best_genotype),
+                    lock_best_fitness=float(ga.best_fitness),
+                    lock_hall=[
+                        {"fitness": float(f),
+                         "genotype": genotype_record(genes)}
+                        for f, genes in hall
+                    ],
+                    attacker_population=[
+                        {"fitness": float(v), "genome": g.to_dict()}
+                        for g, v in zip(attacker_pop, values)
+                    ],
+                    attacker_hall=[
+                        {"fitness": float(f), "genome": g.to_dict()}
+                        for f, g in attacker_hall
+                    ],
+                    attacker_best=best_attacker.to_dict(),
+                    attacker_best_fitness=float(best_fit),
+                    elite_vs_best=float(elite_vs_best),
+                    epoch0_vs_best=float(epoch0_vs_best),
+                    next_attacker_population=[
+                        g.to_dict() for g in next_pop
+                    ],
+                )
+            epochs.append(done)
+            _LOCK_RESILIENCE.set(done.lock_best_fitness)
+            _ATTACKER_ACCURACY.set(1.0 - done.attacker_best_fitness)
+            _ARMS_RACE_GAP.set(done.epoch0_vs_best - done.elite_vs_best)
+            _EPOCHS_TOTAL.inc(outcome="fresh")
+            if self.memo is not None:
+                self.memo.put((("epoch", epoch),), done.to_record())
+
+            attacker_pop = next_pop
+            lock_init = [
+                genotype_from_record(entry["genotype"])
+                for entry in done.lock_hall
+            ]
 
         last = epochs[-1]
         return CoevoResult(

@@ -285,8 +285,8 @@ class Worker:
                 # caches are built from the spec. Execution fields are
                 # excluded from the fingerprint, so the memo key — and
                 # therefore the record — is unchanged.
-                log.info("claimed point %s", point.fingerprint[:12])
                 with obs_trace.span("worker.prepare"):
+                    log.info("claimed point %s", point.fingerprint[:12])
                     spec = ExperimentSpec.from_dict(point.payload)
                     # The enqueuer's trace path (like its cache_path)
                     # belongs to another process, possibly another
@@ -308,13 +308,11 @@ class Worker:
                 )
                 point_started = time.perf_counter()
                 try:
-                    with heartbeat:
-                        with obs_trace.span("worker.point") as span:
-                            span.set(fingerprint=point.fingerprint)
-                            result = run_experiment(
-                                spec, evaluator=evaluator,
-                                experiment_cache=memo,
-                            )
+                    with obs_trace.span("worker.point") as span, heartbeat:
+                        span.set(fingerprint=point.fingerprint)
+                        result = run_experiment(
+                            spec, evaluator=evaluator, experiment_cache=memo,
+                        )
                 except Exception as exc:  # noqa: BLE001 - point-level isolation
                     if heartbeat.lost:
                         # Our lease was stolen mid-run; the point belongs
@@ -327,17 +325,18 @@ class Worker:
                             "to its new owner", point.fingerprint[:12],
                         )
                         continue
-                    log.warning(
-                        "point %s failed: %s: %s",
-                        point.fingerprint[:12], type(exc).__name__, exc,
-                    )
-                    status = store.fail(
-                        self.sweep_id,
-                        point.fingerprint,
-                        self.worker_id,
-                        f"{type(exc).__name__}: {exc}",
-                        max_attempts=self.max_attempts,
-                    )
+                    with obs_trace.span("worker.fail"):
+                        log.warning(
+                            "point %s failed: %s: %s",
+                            point.fingerprint[:12], type(exc).__name__, exc,
+                        )
+                        status = store.fail(
+                            self.sweep_id,
+                            point.fingerprint,
+                            self.worker_id,
+                            f"{type(exc).__name__}: {exc}",
+                            max_attempts=self.max_attempts,
+                        )
                     _POINTS.inc(status=status)
                     if status == "failed":
                         report.points_failed += 1
@@ -364,13 +363,13 @@ class Worker:
                             fresh_evaluations=result.fresh_evaluations,
                         ),
                     )
+                    log.info(
+                        "completed %s (%d fresh evaluations, %.1fs)",
+                        point.fingerprint[:12], result.fresh_evaluations,
+                        time.perf_counter() - point_started,
+                    )
                 _POINTS.inc(status="completed")
                 _POINT_SECONDS.observe(time.perf_counter() - point_started)
-                log.info(
-                    "completed %s (%d fresh evaluations, %.1fs)",
-                    point.fingerprint[:12], result.fresh_evaluations,
-                    time.perf_counter() - point_started,
-                )
                 report.points_completed += 1
                 report.fresh_evaluations += result.fresh_evaluations
         except StoreError:
@@ -384,9 +383,10 @@ class Worker:
                 pass  # the release itself needs the unreachable server
             raise
         finally:
-            if shared_evaluator is not None:
-                shared_evaluator.close()
-            store.close()
+            with obs_trace.span("worker.close"):
+                if shared_evaluator is not None:
+                    shared_evaluator.close()
+                store.close()
         report.wall_s = time.perf_counter() - started
         return report
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ec.evaluator import Evaluator, evaluator_scope
+from repro.ec.evaluator import Evaluator, SerialEvaluator
 from repro.ec.fitness import FitnessCache, SpecFitness, cache_namespace
 from repro.ec.ga import GaConfig, GaResult, GeneticAlgorithm
 from repro.ec.genotype import random_genotype
@@ -44,13 +44,13 @@ class AutoLockConfig:
     ``fitness_predictor`` drives the GA loop (fast); ``report_predictor``
     and ``report_ensemble`` drive the final independent evaluation.
 
-    ``workers >= 2`` fans fitness evaluation out across that many worker
-    processes (see :mod:`repro.ec.evaluator`); the default stays serial
-    and bit-identical to the historical loop. ``async_mode`` selects the
-    GA loop mode: ``False`` (default) runs the sync-generational loop
-    (byte-identical to serial at any worker count), ``True`` the
-    steady-state pipeline (deterministic at any worker count —
-    completions integrate in submission order). Only
+    The evaluator that runs the fitness, serial or a process pool, is
+    :meth:`AutoLock.run`'s argument, not a config field; the result is
+    the same on either. ``async_mode`` selects the GA loop mode:
+    ``False`` (default) runs the sync-generational loop (byte-identical
+    to serial at any worker count), ``True`` the steady-state pipeline
+    (deterministic at any worker count — completions integrate in
+    submission order). Only
     ``ExperimentSpec.resolved_async_mode`` derives the mode from the
     worker count. ``cache_path`` points the fitness *and* report caches
     at an experiment store (a SQLite file or a campaign-server URL)
@@ -70,7 +70,6 @@ class AutoLockConfig:
     report_predictor: str = "mlp"
     report_ensemble: int = 3
     seed: int = 0
-    workers: int = 1
     async_mode: bool = False
     async_backlog: int | str | None = None
     cache_path: str | Path | None = None
@@ -140,12 +139,14 @@ class AutoLock:
     ) -> AutoLockResult:
         """Run the full pipeline on ``original``.
 
-        ``evaluator`` injects an externally-owned population evaluator
-        (sweeps share one process pool across many pipeline runs); when
-        omitted, one is built from ``config.workers`` and closed here.
+        ``evaluator`` runs the GA and report evaluations; the caller
+        owns it (``run_experiment`` opens one per run, sweeps share one
+        process pool across many pipeline runs). The default is an
+        in-process :class:`~repro.ec.evaluator.SerialEvaluator`.
         """
         cfg = self.config
         started = time.perf_counter()
+        evaluator = evaluator if evaluator is not None else SerialEvaluator()
         rng = derive_rng(cfg.seed)
         seeds = spawn_seeds(rng, 3)
 
@@ -192,28 +193,27 @@ class AutoLock:
             attack_seed=seeds[2],
             cache=report_cache,
         )
-        # The config decides the loop mode whether the evaluator is owned
-        # or injected, so identical configs always walk identical
-        # trajectories; every evaluator serves both modes.
+        # The config decides the loop mode whatever the evaluator, so
+        # identical configs always walk identical trajectories; every
+        # evaluator serves both modes.
         ga = GeneticAlgorithm(cfg.ga_config())
-        with evaluator_scope(evaluator, cfg.workers) as evaluator:
-            # Step 4 on the GA's evaluator. The initial population's report
-            # does not depend on the GA, so it is submitted first: a pool
-            # runs it alongside the GA, a serial evaluator before it.
-            pending = [evaluator.submit(g, report) for g in initial]
-            try:
-                result = ga.run(
-                    original, fitness, initial_population=initial,
-                    evaluator=evaluator,
-                )
-                pending.append(evaluator.submit(result.best_genotype, report))
-                report_accs = [future.result() for future in pending]
-            finally:
-                # On an error, cancel this run's own report attacks (a
-                # shared pool may be running other callers' work); one
-                # already handed to a worker still runs and is cached.
-                for future in pending:
-                    future.cancel()
+        # Step 4 on the GA's evaluator. The initial population's report
+        # does not depend on the GA, so it is submitted first: a pool
+        # runs it alongside the GA, a serial evaluator before it.
+        pending = [evaluator.submit(g, report) for g in initial]
+        try:
+            result = ga.run(
+                original, fitness, initial_population=initial,
+                evaluator=evaluator,
+            )
+            pending.append(evaluator.submit(result.best_genotype, report))
+            report_accs = [future.result() for future in pending]
+        finally:
+            # On an error, cancel this run's own report attacks (a
+            # shared pool may be running other callers' work); one
+            # already handed to a worker still runs and is cached.
+            for future in pending:
+                future.cancel()
 
         # Step 3: decode champion genotype -> locked netlist.
         locked = lock_with_genes(original, result.best_genotype)

@@ -13,8 +13,9 @@ pipeline:
 4. fan the remaining misses out — serially, or across worker processes —
    running only ``fitness.score``, and hand each value to
    ``fitness.record`` in the dispatching process, which counts and
-   caches it (:class:`~repro.ec.fitness.CachedFitness`; any other
-   callable is called as is and never memoised).
+   caches it (:class:`~repro.ec.fitness.CachedFitness`; the serial
+   evaluator calls any other callable as is and never memoises it, and
+   the pool refuses a fitness it cannot pickle).
 
 Every evaluator is *observationally identical* to a per-genome loop:
 fitness functions are deterministic per genotype (fixed attack seed), so
@@ -27,8 +28,10 @@ equivalence on fixed seeds.
 futures :meth:`~Evaluator.submit` once, over a subclass's ``_dispatch``,
 so every evaluator serves both loop modes and the mode never picks the
 evaluator. :func:`open_evaluator` is the one rule that picks the
-in-process :class:`SerialEvaluator` or the pool's :class:`AsyncEvaluator`
-(:func:`evaluator_scope` applies it when no shared evaluator is given).
+in-process :class:`SerialEvaluator` or the pool's :class:`AsyncEvaluator`.
+Only the owners of a run call it — ``run_experiment``, ``run_sweep``
+and the distributed :class:`~repro.dist.worker.Worker`; engines,
+AutoLock and co-evolution use the evaluator they are handed.
 """
 
 from __future__ import annotations
@@ -40,11 +43,10 @@ import shutil
 import tempfile
 import threading
 import time
-import warnings
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.ec.fitness import CachedFitness
 from repro.ec.genotype import genotype_key
@@ -363,21 +365,19 @@ class AsyncEvaluator(Evaluator):
     workers, and such a task may still run, its value merging into the
     cache as usual. :meth:`cancel_pending` cancels every dispatch and
     counts the ones it stopped. :meth:`close` cancels, then shuts the
-    pool down. ``workers=None`` uses ``os.cpu_count()``. Unpicklable
-    fitness callables (lambdas, closures) fall back to in-process
-    evaluation, as on the serial evaluator, with a one-time warning —
-    results are still correct, just not parallel.
+    pool down. A fitness the pool cannot pickle (a lambda, a closure)
+    raises :class:`TypeError` at its first dispatch, before it is ever
+    called; run such a callable on a :class:`SerialEvaluator`.
     """
 
     label = "pool"
 
-    def __init__(self, workers: int | None = None) -> None:
+    def __init__(self, workers: int) -> None:
         super().__init__()
-        if workers is not None and workers < 1:
+        if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        self.workers = workers
         self._pool: ProcessPoolExecutor | None = None
-        self._warned_unpicklable = False
         self._epoch = 0
         self._blob_dir: str | None = None
         #: id(fitness) -> (weakref to it, its epoch, its blob path), for
@@ -393,14 +393,10 @@ class AsyncEvaluator(Evaluator):
         self, key: tuple, genes: Genotype, fitness: Fitness, flush: bool
     ) -> tuple[Future, str]:
         """:meth:`Evaluator._dispatch` over the pool: a ``"fresh"``
-        outcome is a pool task, or the in-process fallback, and
-        ``flush`` is the merge's write-through flag."""
+        outcome is a pool task, and ``flush`` is the merge's
+        write-through flag."""
         started = time.perf_counter()
-        staged = self._stage_fitness(fitness)
-        if staged is None:
-            # Unpicklable fitness: evaluate in this process, right now.
-            return SerialEvaluator()._dispatch(key, genes, fitness, flush)
-        epoch, blob_path = staged
+        epoch, blob_path = self._stage_fitness(fitness)
         inflight_key = (epoch, key)
         memo = isinstance(fitness, CachedFitness)
         with self._inflight_lock:
@@ -446,24 +442,19 @@ class AsyncEvaluator(Evaluator):
         task.add_done_callback(_merge)
         return future, "fresh"
 
-    def _stage_fitness(self, fitness: Fitness) -> tuple[int, str] | None:
-        """``fitness``'s ``(epoch, blob path)``; None when unpicklable."""
+    def _stage_fitness(self, fitness: Fitness) -> tuple[int, str]:
+        """``fitness``'s ``(epoch, blob path)``, pickling it on first use."""
         entry = self._staged.get(id(fitness))
         if entry is not None and entry[0]() is fitness:
             return entry[1], entry[2]
         try:
             blob = pickle.dumps(fitness)
-        except Exception:
-            if not self._warned_unpicklable:
-                warnings.warn(
-                    "fitness function is not picklable; "
-                    f"{type(self).__name__} falling back to in-process "
-                    "evaluation (results unchanged, no parallelism)",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                self._warned_unpicklable = True
-            return None
+        except Exception as exc:
+            raise TypeError(
+                f"the pool evaluator cannot pickle fitness {fitness!r} for "
+                f"its worker processes ({type(exc).__name__}: {exc}); "
+                "evaluate it on a SerialEvaluator instead"
+            ) from exc
         # New fitness: a new epoch and blob; the live worker processes
         # load it on their first task for it instead of the whole
         # executor restarting per spec.
@@ -512,7 +503,7 @@ class AsyncEvaluator(Evaluator):
 
 
 def open_evaluator(
-    workers: int | None,
+    workers: int,
     *,
     search: bool = True,
     shared: AsyncEvaluator | None = None,
@@ -528,7 +519,7 @@ def open_evaluator(
     results are worker-count independent, so resizing mid-sweep is
     safe. The caller owns what comes back.
     """
-    if not search or (workers or 0) < 2:
+    if not search or workers < 2:
         return SerialEvaluator()
     if shared is not None:
         if shared.workers >= workers:
@@ -536,15 +527,3 @@ def open_evaluator(
         shared.close()
     return AsyncEvaluator(workers)
 
-
-@contextlib.contextmanager
-def evaluator_scope(
-    evaluator: Evaluator | None, workers: int | None = None
-) -> Iterator[Evaluator]:
-    """Use an injected ``evaluator`` as is (its owner closes it), or
-    :func:`open_evaluator` one for the block and close it afterwards."""
-    if evaluator is not None:
-        yield evaluator
-        return
-    with open_evaluator(workers) as owned:
-        yield owned

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.ec.evaluator import BatchStats, Evaluator, SerialEvaluator
+from repro.ec.evaluator import BatchStats, Evaluator
 from repro.ec.genotype import random_genotype, repair_genotype
 from repro.ec.loop import (
     CrossoverMutation,
@@ -348,17 +348,16 @@ class GeneticAlgorithm:
         tests and by warm-started experiments); its genotypes are
         repaired, and the population is padded/truncated to size.
 
-        ``evaluator`` runs the fitness evaluation; the default is an
-        in-process :class:`SerialEvaluator`, and the pool evaluator
-        :class:`~repro.ec.evaluator.AsyncEvaluator` fans the work out
-        across worker processes (:func:`~repro.ec.evaluator.open_evaluator`
+        ``evaluator`` runs the fitness evaluation: by default an
+        in-process :class:`~repro.ec.evaluator.SerialEvaluator`, while the
+        pool evaluator :class:`~repro.ec.evaluator.AsyncEvaluator` fans the
+        work out across worker processes (:func:`~repro.ec.evaluator.open_evaluator`
         picks between the two). Either serves both values of
         ``config.async_mode`` and walks the same trajectory. The caller
         owns the evaluator's lifetime (close any pool you pass in).
         """
         cfg = self.config
         rng = derive_rng(cfg.seed)
-        evaluator = evaluator if evaluator is not None else SerialEvaluator()
         policy = GaPolicy(cfg, original, initial_population)
         loop = SearchLoop(policy, evaluator, async_mode=cfg.async_mode)
         state = loop.run(fitness, rng)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.ec.evaluator import BatchStats, Evaluator, SerialEvaluator
+from repro.ec.evaluator import BatchStats, Evaluator
 from repro.ec.genotype import genotype_key, random_genotype
 from repro.ec.loop import (
     CrossoverMutation,
@@ -341,7 +341,6 @@ class Nsga2:
         """
         cfg = self.config
         rng = derive_rng(cfg.seed)
-        evaluator = evaluator if evaluator is not None else SerialEvaluator()
         policy = Nsga2Policy(cfg, original)
         loop = SearchLoop(policy, evaluator, async_mode=cfg.async_mode)
         state = loop.run(fitness, rng)

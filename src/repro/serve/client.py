@@ -10,7 +10,12 @@ with zero call-site changes. Every
 POST to ``/api/kv/<method>`` or ``/api/queue/<method>`` under its own
 name, its keyword arguments as the body; the server serialises them
 onto its backing SQLite store, so N machines of workers share one
-campaign exactly like N local processes share one SQLite file.
+campaign exactly like N local processes share one SQLite file. The
+forwarding methods are built from
+:data:`~repro.store.base.SERVED_METHODS` and wear the protocol's
+signatures and docstrings; only ``claim`` (which rebuilds the
+:class:`~repro.store.base.ClaimedPoint`) and ``complete`` (which never
+sends ``require_lease``) are written by hand.
 
 Auth is a bearer token (``token=`` or the :data:`TOKEN_ENV` environment
 variable — worker processes inherit it across ``multiprocessing``
@@ -38,17 +43,19 @@ stdlib-only and import-cheap (no numpy, no server code).
 
 from __future__ import annotations
 
+import functools
 import http.client
+import inspect
 import json
 import os
 import socket
 import urllib.parse
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.errors import StoreError
 from repro.registry import register_store
-from repro.store.base import ClaimedPoint, is_url
+from repro.store.base import SERVED_METHODS, ClaimedPoint, StoreBackend, is_url
 
 #: environment variable carrying the campaign bearer token; read by
 #: every HttpStore that is not given an explicit ``token=``, so worker
@@ -253,58 +260,7 @@ class HttpStore:
         the JSON body."""
         return self._request(f"/api/{family}/{method}", arguments)["result"]
 
-    # -- key/value ------------------------------------------------------
-    def load_namespace(self, namespace: str) -> dict[str, Any]:
-        return self._call("kv", "load_namespace", namespace=namespace)
-
-    def get(self, namespace: str, key: str) -> Any | None:
-        return self._call("kv", "get", namespace=namespace, key=key)
-
-    def put_many(self, namespace: str, entries: Mapping[str, Any]) -> None:
-        self._call("kv", "put_many", namespace=namespace, entries=entries)
-
-    def wipe_namespace(self, namespace: str) -> None:
-        self._call("kv", "wipe_namespace", namespace=namespace)
-
-    def delete_many(self, namespace: str, keys: list[str]) -> int:
-        return self._call("kv", "delete_many", namespace=namespace, keys=keys)
-
-    def vacuum(self) -> None:
-        self._call("kv", "vacuum")
-
-    def disk_usage(self) -> int:
-        return self._call("kv", "disk_usage")
-
-    def namespaces(self) -> list[str]:
-        return self._call("kv", "namespaces")
-
-    def status(self) -> dict[str, Any]:
-        return self._call("kv", "status")
-
-    def close(self) -> None:
-        """Release the persistent keep-alive connection, if any.
-
-        Only the process that opened the socket closes it; a forked
-        child's inherited handle is dropped without touching the
-        parent's stream.
-        """
-        conn, self._conn = self._conn, None
-        if conn is not None and self._conn_pid == os.getpid():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close never matters here
-                pass
-
-    # -- work queue -----------------------------------------------------
-    def enqueue_points(
-        self, sweep_id: str, points: Mapping[str, Mapping[str, Any]],
-        *, reset: bool = False,
-    ) -> int:
-        return self._call(
-            "queue", "enqueue_points",
-            sweep_id=sweep_id, points=points, reset=reset,
-        )
-
+    # -- store methods the client adds behaviour to ---------------------
     def claim(
         self, sweep_id: str, worker_id: str, ttl: float
     ) -> ClaimedPoint | None:
@@ -312,14 +268,6 @@ class HttpStore:
             "queue", "claim", sweep_id=sweep_id, worker_id=worker_id, ttl=ttl
         )
         return ClaimedPoint(**row) if row is not None else None
-
-    def heartbeat(
-        self, sweep_id: str, fingerprint: str, worker_id: str, ttl: float
-    ) -> bool:
-        return self._call(
-            "queue", "heartbeat", sweep_id=sweep_id, fingerprint=fingerprint,
-            worker_id=worker_id, ttl=ttl,
-        )
 
     def complete(
         self, sweep_id: str, fingerprint: str, worker_id: str,
@@ -337,36 +285,19 @@ class HttpStore:
             worker_id=worker_id, fresh_evaluations=fresh_evaluations,
         )
 
-    def release_worker(self, sweep_id: str, worker_id: str) -> int:
-        return self._call(
-            "queue", "release_worker", sweep_id=sweep_id, worker_id=worker_id
-        )
+    def close(self) -> None:
+        """Release the persistent keep-alive connection, if any.
 
-    def fail(
-        self, sweep_id: str, fingerprint: str, worker_id: str, error: str,
-        *, max_attempts: int = 3,
-    ) -> str:
-        return self._call(
-            "queue", "fail", sweep_id=sweep_id, fingerprint=fingerprint,
-            worker_id=worker_id, error=error, max_attempts=max_attempts,
-        )
-
-    def requeue_expired(self, sweep_id: str) -> int:
-        return self._call("queue", "requeue_expired", sweep_id=sweep_id)
-
-    def retry_failed(self, sweep_id: str) -> int:
-        return self._call("queue", "retry_failed", sweep_id=sweep_id)
-
-    def queue_counts(self, sweep_id: str) -> dict[str, int]:
-        return self._call("queue", "queue_counts", sweep_id=sweep_id)
-
-    def mark_done(self, sweep_id: str, fingerprints: list[str]) -> int:
-        return self._call(
-            "queue", "mark_done", sweep_id=sweep_id, fingerprints=fingerprints
-        )
-
-    def points(self, sweep_id: str) -> list[dict[str, Any]]:
-        return self._call("queue", "points", sweep_id=sweep_id)
+        Only the process that opened the socket closes it; a forked
+        child's inherited handle is dropped without touching the
+        parent's stream.
+        """
+        conn, self._conn = self._conn, None
+        if conn is not None and self._conn_pid == os.getpid():
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - close never matters here
+                pass
 
     # -- streaming results ---------------------------------------------
     def stream_results(
@@ -407,6 +338,31 @@ class HttpStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HttpStore({self.url!r})"
+
+
+def _forward(family: str, name: str):
+    """``HttpStore.<name>``: one :meth:`HttpStore._call` with the
+    arguments bound, defaults applied, by the protocol's signature,
+    whose name, signature and docstring it wears."""
+    protocol = getattr(StoreBackend, name)
+    signature = inspect.signature(protocol)
+
+    @functools.wraps(protocol)
+    def method(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        arguments = dict(bound.arguments)
+        del arguments["self"]
+        return self._call(family, name, **arguments)
+
+    return method
+
+
+for _family, _names in SERVED_METHODS.items():
+    for _name in _names:
+        if _name not in vars(HttpStore):
+            setattr(HttpStore, _name, _forward(_family, _name))
+del _family, _names, _name
 
 
 #: what a dying or idle chunked stream surfaces mid-read; the tail

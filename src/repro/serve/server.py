@@ -335,10 +335,8 @@ class CampaignServer:
         now = time.time()
         recent = [t for t in self._completions if t >= now - 60.0]
         leases = []
-        fresh_evaluations = 0
         for sweep_id in backing["sweeps"]:
             for point in self.store.points(sweep_id):
-                fresh_evaluations += int(point["fresh_evaluations"] or 0)
                 if point["status"] != STATUS_CLAIMED:
                     continue
                 leases.append(
@@ -358,7 +356,7 @@ class CampaignServer:
         backing["cache"] = {
             "hits": self._cache_hits,
             "misses": self._cache_misses,
-            "fresh_evaluations": fresh_evaluations,
+            "fresh_evaluations": backing["fresh_evaluations"],
         }
         backing["server"] = {
             "url": self.url,
@@ -396,17 +394,12 @@ class CampaignServer:
         with self._store_lock:
             backing = self.store.status()
             _STORE_ENTRIES.set(backing["entries"])
-            fresh = 0
             for sweep_id, counts in backing["sweeps"].items():
                 for point_status, count in counts.items():
                     _QUEUE_POINTS.set(
                         count, sweep_id=sweep_id, status=point_status
                     )
-                fresh += sum(
-                    int(p["fresh_evaluations"] or 0)
-                    for p in self.store.points(sweep_id)
-                )
-            _QUEUE_FRESH.set(fresh)
+            _QUEUE_FRESH.set(backing["fresh_evaluations"])
         return obs_metrics.METRICS.render_prometheus()
 
     def dashboard_html(self) -> str:

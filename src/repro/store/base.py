@@ -149,7 +149,7 @@ class StoreBackend(Protocol):
 
     def fail(
         self, sweep_id: str, fingerprint: str, worker_id: str, error: str,
-        *, max_attempts: int,
+        *, max_attempts: int = 3,
     ) -> str:
         """Requeue a failed point (or park it as ``failed`` after
         ``max_attempts``); returns the resulting status."""

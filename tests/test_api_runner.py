@@ -139,6 +139,11 @@ def test_autolock_engine_rejects_inert_knobs():
         run_experiment(
             c17_spec(**base, attack_params={"predictor": "bayes", "epochs": 5})
         )
+    # The worker count is the spec's, never the pipeline's.
+    with pytest.raises(SpecError, match="may not override spec-level"):
+        run_experiment(c17_spec(**{
+            **base, "engine_params": {**base["engine_params"], "workers": 2},
+        }))
 
 
 def test_nsga2_engine_forwards_predictor_params():
@@ -325,6 +330,45 @@ def test_sweep_sizes_each_points_evaluator_from_its_workers(monkeypatch):
         result.results[0].deterministic_record()["engine"]
         == result.results[1].deterministic_record()["engine"]
     )
+
+
+def test_run_experiment_owns_the_evaluator_of_an_engine_spec(monkeypatch):
+    """An engine spec with no injected evaluator gets exactly one, sized
+    by ``spec.workers`` and closed when the run ends; a static spec and
+    a run on an injected evaluator open none."""
+    from repro.api import runner
+    from repro.ec.evaluator import AsyncEvaluator
+
+    opened = []
+    real = runner.open_evaluator
+
+    def spy(workers, **kwargs):
+        evaluator = real(workers, **kwargs)
+        entry = {"workers": workers, "evaluator": evaluator, "closed": 0}
+        close = evaluator.close
+
+        def counted_close():
+            entry["closed"] += 1
+            close()
+
+        evaluator.close = counted_close
+        opened.append(entry)
+        return evaluator
+
+    monkeypatch.setattr(runner, "open_evaluator", spy)
+    engine_spec = c17_spec(
+        circuit="rand_100_9", key_length=4, metrics=(), engine="ga",
+        engine_params={"population_size": 4, "generations": 1},
+        async_mode=False, workers=2,
+    )
+    run_experiment(engine_spec)
+    assert [(e["workers"], e["closed"]) for e in opened] == [(2, 1)]
+    assert isinstance(opened[0]["evaluator"], AsyncEvaluator)
+
+    opened.clear()
+    run_experiment(c17_spec(workers=2))
+    run_experiment(engine_spec, evaluator=SerialEvaluator())
+    assert opened == []
 
 
 def test_engine_sweep_warm_cache_zero_fresh(tmp_path):

@@ -152,6 +152,38 @@ def test_distributed_trace_is_rooted_at_the_sweep(tmp_path):
     assert [s["name"] for s in worker_spans].count("worker.point") == 3
 
 
+def test_worker_run_time_lies_inside_its_child_spans(tmp_path, monkeypatch):
+    """Each step of a worker's loop, the lease heartbeat's start and stop
+    included, runs under a child span: a heartbeat slow to start still
+    leaves ``worker.run`` almost no self time."""
+    import time
+
+    from repro.dist import worker as worker_module
+    from repro.obs.summarize import load_spans, summarize
+
+    heartbeat = worker_module._LeaseHeartbeat
+    enter = heartbeat.__enter__
+
+    def slow_enter(self):
+        time.sleep(0.1)
+        return enter(self)
+
+    monkeypatch.setattr(heartbeat, "__enter__", slow_enter)
+    store_path = tmp_path / "dist.sqlite"
+    scheduler = SweepScheduler(_static_sweep(store_path, n_points=1))
+    scheduler.enqueue()
+    report = Worker(
+        store_path=str(store_path), sweep_id=scheduler.sweep_id,
+        trace=str(tmp_path / "trace.jsonl"),
+    ).run()
+    assert report.points_completed == 1
+
+    spans = load_spans(sorted(tmp_path.glob("trace-*.jsonl")))
+    rows = {row["name"]: row for row in summarize(spans)["rows"]}
+    assert rows["worker.point"]["cum_s"] >= 0.1
+    assert rows["worker.run"]["self_s"] < 0.05
+
+
 # ------------------------------------------------------- crash + resume
 def test_killed_sweep_resumes_with_zero_recomputation(tmp_path):
     """Kill after one point; the resume must not re-run that point."""

@@ -336,6 +336,13 @@ def test_released_fitness_still_answers_its_running_task(circuit):
         assert not os.path.exists(blob), "the blob goes once its task is done"
 
 
+class FailingCache(FitnessCache):
+    """A picklable cache whose every lookup fails where it is made."""
+
+    def get(self, key):
+        raise RuntimeError("fitness attack failed")
+
+
 def test_ga_error_cancels_only_its_own_queued_report_attacks(
     circuit, tmp_path, monkeypatch
 ):
@@ -348,26 +355,22 @@ def test_ga_error_cancels_only_its_own_queued_report_attacks(
     def spec_fitness(original, attack, params, attack_seed, cache):
         if params["predictor"] == "mlp":  # the report oracle
             return SleepyFitness(0.5, calls=str(calls))
-
-        def failing(genes):  # unpicklable, so it fails in the parent at once
-            raise RuntimeError("fitness attack failed")
-
-        return failing
+        # The GA's oracle fails its first lookup, in the parent, at once.
+        return CountingFitness(FailingCache())
 
     monkeypatch.setattr(autolock_module, "SpecFitness", spec_fitness)
     config = AutoLockConfig(
         key_length=4, population_size=8, generations=1,
         fitness_predictor="bayes", report_predictor="mlp", report_ensemble=1,
-        seed=3, workers=2,
+        seed=3,
     )
     genomes = [random_genotype(circuit, 4, seed_or_rng=s) for s in (26, 27, 28)]
     other = SleepyFitness(1.0, offset=7.0)
     with AsyncEvaluator(workers=2) as shared:
         # Another caller's work: two running tasks and one queued one.
         theirs = [shared.submit(g, other) for g in genomes]
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            with pytest.raises(RuntimeError, match="fitness attack failed"):
-                AutoLock(config).run(circuit, evaluator=shared)
+        with pytest.raises(RuntimeError, match="fitness attack failed"):
+            AutoLock(config).run(circuit, evaluator=shared)
         assert [f.result() for f in theirs] == [other(g) for g in genomes]
     assert len(calls.read_text().splitlines()) <= shared.workers
 
@@ -417,35 +420,25 @@ class LambdaFitness(CachedFitness):
         return self.fn(genes)
 
 
-def test_unpicklable_cached_fitness_accounting_matches_serial(circuit):
-    """The in-process fallback must not double-count evaluations/misses."""
-    genes_a = random_genotype(circuit, 4, seed_or_rng=7)
-    genes_b = random_genotype(circuit, 4, seed_or_rng=8)
-    population = [genes_a, genes_b, list(genes_a)]
-
-    serial_fit = CountingFitness()
-    SerialEvaluator().evaluate(population, serial_fit)
-
-    inner = LambdaFitness(lambda genes: serial_fit.score(genes))
-    with AsyncEvaluator(workers=2) as evaluator:
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            _, stats = evaluator.evaluate(population, inner)
-
-    assert inner.evaluations == serial_fit.evaluations == 2
-    assert inner.cache.misses == serial_fit.cache.misses == 2
-    assert inner.cache.hits == serial_fit.cache.hits == 1
-    assert stats.dispatched == 2
-
-
-def test_unpicklable_fitness_falls_back_in_process(circuit):
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "cached"])
+def test_pool_refuses_an_unpicklable_fitness(circuit, wrapped):
+    """A lambda, bare or behind a ``CachedFitness``, cannot reach the
+    pool's workers: ``evaluate`` and ``submit`` raise ``TypeError``
+    naming the way out, and the fitness is never called."""
     genes = random_genotype(circuit, 4, seed_or_rng=4)
     calls = []
-    fitness = lambda g: calls.append(1) or 0.25  # noqa: E731 - unpicklable
+    bare = lambda g: calls.append(1) or 0.25  # noqa: E731 - unpicklable
+    fitness = LambdaFitness(bare) if wrapped else bare
     with AsyncEvaluator(workers=2) as evaluator:
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            values, stats = evaluator.evaluate([genes], fitness)
-    assert values == [0.25] and len(calls) == 1
-    assert stats.dispatched == 1
+        with pytest.raises(TypeError, match="cannot pickle.*SerialEvaluator"):
+            evaluator.evaluate([genes, list(genes)], fitness)
+        with pytest.raises(TypeError, match="cannot pickle.*SerialEvaluator"):
+            evaluator.submit(genes, fitness)
+        assert evaluator._pool is None, "no worker process was started"
+    assert calls == []
+    if wrapped:
+        assert fitness.evaluations == 0
+        assert fitness.cache.hits == fitness.cache.misses == 0
 
 
 class SharedFailureEvaluator(evaluator_module.Evaluator):
@@ -696,9 +689,10 @@ def test_autolock_workers_match_serial(circuit, tmp_path):
         seed=17,
     )
     serial = AutoLock(AutoLockConfig(**base)).run(circuit)
-    pooled = AutoLock(
-        AutoLockConfig(**base, workers=2, async_mode=False)
-    ).run(circuit)
+    with AsyncEvaluator(workers=2) as pool:
+        pooled = AutoLock(AutoLockConfig(**base, async_mode=False)).run(
+            circuit, evaluator=pool
+        )
     assert pooled.evolved_accuracy == serial.evolved_accuracy
     assert pooled.baseline_accuracy == serial.baseline_accuracy
     assert pooled.ga.best_genotype == serial.ga.best_genotype
@@ -784,10 +778,10 @@ def test_autolock_report_on_the_pool_matches_a_serial_report(
         report_predictor="bayes",
         report_ensemble=1,
         seed=3,
-        workers=2,
         async_mode=async_mode,
     )
-    result = AutoLock(config).run(circuit)
+    with AsyncEvaluator(workers=2) as pool:
+        result = AutoLock(config).run(circuit, evaluator=pool)
 
     # The same genotypes, scored by a fresh report oracle in-process.
     seeds = spawn_seeds(derive_rng(config.seed), 3)

@@ -205,12 +205,10 @@ def test_async_autolock_serial_replay_matches_parallel():
     """A 2-worker steady-state run and a 1-worker async replay of the
     same seed must land on the same champion set."""
     circuit = load_circuit("rand_150_5")
-    parallel = AutoLock(
-        _autolock_config(workers=2, async_mode=True)
-    ).run(circuit)
-    replay = AutoLock(
-        _autolock_config(workers=1, async_mode=True)
-    ).run(circuit)
+    config = _autolock_config(async_mode=True)
+    with AsyncEvaluator(workers=2) as pool:
+        parallel = AutoLock(config).run(circuit, evaluator=pool)
+    replay = AutoLock(config).run(circuit)
     assert parallel.ga.best_genotype == replay.ga.best_genotype
     assert parallel.ga.hall_of_fame == replay.ga.hall_of_fame
     assert parallel.evolved_accuracy == replay.evolved_accuracy
@@ -273,6 +271,16 @@ class SleepyFitness:
         return ones_fitness(genes)
 
 
+class OnesCache(FitnessCache):
+    """A picklable cache that answers every lookup where it is made, with
+    the ``ones_fitness`` of the genotype the key names (every gene's key
+    tuple ends with its key bit), so a loop over it never uses the pool."""
+
+    def get(self, key):
+        self.count_lookup(hit=True)
+        return sum(gene[-1] for gene in key) / len(key)
+
+
 def test_async_early_stop_cancels_only_the_loops_own_work():
     """Work another caller submitted to a shared evaluator before the loop
     ran survives the loop's early-stop cancellation."""
@@ -282,17 +290,18 @@ def test_async_early_stop_cancels_only_the_loops_own_work():
         mutation="key_only", target_fitness=0.0, seed=3, async_mode=True,
     )
     outside = [random_genotype(circuit, 6, seed_or_rng=s) for s in range(4)]
-    inline_fitness = lambda genes: ones_fitness(genes)  # noqa: E731
+    known = FnFitness(ones_fitness)
+    known.cache = OnesCache()
     with AsyncEvaluator(workers=1) as evaluator:
         # One worker runs the first task and holds the next in its call
         # queue; the rest stay queued, and so cancellable, for the
-        # whole (in-process, unpicklable-fitness) GA run.
+        # whole GA run, which its cache answers in this process.
         sleepy = SleepyFitness(0.3)
         futures = [evaluator.submit(g, sleepy) for g in outside]
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            result = GeneticAlgorithm(config).run(
-                circuit, inline_fitness, evaluator=evaluator
-            )
+        result = GeneticAlgorithm(config).run(
+            circuit, known, evaluator=evaluator
+        )
+        assert known.evaluations == 0
         assert result.stopped_early
         assert not any(f.cancelled() for f in futures)
         assert [f.result() for f in futures] == [

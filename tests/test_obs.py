@@ -410,21 +410,21 @@ def test_fresh_evaluation_counter_covers_every_attack_backed_evaluation():
 
     circuit = load_circuit("rand_100_7")
     for workers in (1, 2):
-        before = FRESH_EVALUATIONS.value()
-        result = AutoLock(AutoLockConfig(
-            key_length=4, population_size=4, generations=1,
-            fitness_predictor="bayes", report_predictor="bayes",
-            report_ensemble=1, seed=3, workers=workers,
-        )).run(circuit)
-        assert result.report_evaluations > 0
-        assert FRESH_EVALUATIONS.value() - before == (
-            result.fitness_evaluations + result.report_evaluations
-        )
-
-        before = FRESH_EVALUATIONS.value()
         with (
             SerialEvaluator() if workers == 1 else AsyncEvaluator(workers)
         ) as evaluator:
+            before = FRESH_EVALUATIONS.value()
+            result = AutoLock(AutoLockConfig(
+                key_length=4, population_size=4, generations=1,
+                fitness_predictor="bayes", report_predictor="bayes",
+                report_ensemble=1, seed=3,
+            )).run(circuit, evaluator=evaluator)
+            assert result.report_evaluations > 0
+            assert FRESH_EVALUATIONS.value() - before == (
+                result.fitness_evaluations + result.report_evaluations
+            )
+
+            before = FRESH_EVALUATIONS.value()
             coevo = CoevoEngine(
                 circuit, key_length=4, epochs=1, lock_population=4,
                 lock_generations=1, attacker_population=2, elite_size=1,

@@ -140,6 +140,38 @@ ROWS = [
         why="the single-trajectory searches always run the steady-state "
         "loop, which walks one trajectory on any evaluator",
     ),
+    Row(
+        "One evaluator owner: no scope helper",
+        r"evaluator_scope", ("src",),
+        why="engines, AutoLock and co-evolution use the evaluator they are "
+        "handed; nothing opens one on their behalf",
+    ),
+    Row(
+        "One evaluator owner: only the run owners open evaluators",
+        r"(open_evaluator|evaluator_scope)\(", ("src",), rule="only_in",
+        allowed=("src/repro/ec/evaluator.py", "src/repro/api/runner.py",
+                 "src/repro/dist/worker.py"),
+        why="run_experiment, run_sweep and the distributed Worker open a "
+        "run's evaluator and close it",
+    ),
+    Row(
+        "One pool path",
+        r"not picklable|_warned_unpicklable|falling back",
+        ("src/repro/ec/evaluator.py",),
+        why="the pool evaluator raises TypeError for a fitness it cannot "
+        "pickle instead of scoring it in the dispatching process",
+    ),
+    Row(
+        "One store wire table: the client restates no served method",
+        r"def (load_namespace|get|put_many|wipe_namespace|delete_many"
+        r"|vacuum|disk_usage|namespaces|status|enqueue_points|heartbeat"
+        r"|release_worker|fail|requeue_expired|retry_failed|queue_counts"
+        r"|mark_done|points)\(",
+        ("src/repro/serve/client.py",),
+        why="HttpStore builds its forwarding methods from SERVED_METHODS "
+        "and the StoreBackend signatures; only claim and complete add "
+        "behaviour",
+    ),
 ]
 
 

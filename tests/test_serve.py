@@ -586,6 +586,51 @@ def test_status_json_shape_pinned(server):
     assert status["server"]["throughput"]["completed_tracked"] == 1
 
 
+def test_fresh_evaluation_total_agrees_across_status_metrics_and_cli(
+    server, capsys
+):
+    """After a sweep, ``/status``, ``/metrics`` and ``autolock store
+    status`` report the same campaign fresh-evaluation total."""
+    from repro.cli import main
+
+    scheduler = SweepScheduler(_static_sweep(server.url, n_points=2))
+    scheduler.enqueue()
+    report = Worker(store_path=server.url, sweep_id=scheduler.sweep_id).run()
+    assert report.fresh_evaluations == 2
+
+    status = json.loads(
+        urllib.request.urlopen(
+            f"{server.url}/status?format=json&token={TOKEN}", timeout=5
+        ).read()
+    )["result"]
+    body = urllib.request.urlopen(
+        f"{server.url}/metrics?token={TOKEN}", timeout=5
+    ).read().decode()
+    assert main(["store", "status", server.url, "--json"]) == 0
+    cli = json.loads(capsys.readouterr().out)
+    assert status["cache"]["fresh_evaluations"] == 2
+    assert status["fresh_evaluations"] == 2
+    assert "autolock_queue_fresh_evaluations 2" in body.splitlines()
+    assert cli["cache"]["fresh_evaluations"] == cli["fresh_evaluations"] == 2
+
+
+def test_http_store_forwards_the_protocol_signatures():
+    """Every served method the client does not write by hand is built
+    from the protocol: same signature, defaults and docstring."""
+    import inspect
+
+    from repro.store.base import SERVED_METHODS, StoreBackend
+
+    for names in SERVED_METHODS.values():
+        for name in names:
+            if name in ("claim", "complete"):
+                continue
+            protocol = getattr(StoreBackend, name)
+            method = getattr(HttpStore, name)
+            assert inspect.signature(method) == inspect.signature(protocol), name
+            assert method.__doc__ == protocol.__doc__, name
+
+
 def test_metrics_endpoint_serves_prometheus_text(server):
     store = HttpStore(server.url)
     store.put_many("exp_ns", {"k": {"v": 2}})
