@@ -1,10 +1,12 @@
-"""Search-engine adapters: one uniform ``run(spec, circuit, evaluator)``.
+"""Search-engine adapters: one ``run(spec, circuit, evaluator, store)``.
 
 Each adapter translates an :class:`~repro.api.spec.ExperimentSpec` into
 one concrete search engine's configuration, runs it on the evaluator
-``run_experiment`` hands it (the runner opens and closes it), and
-normalises the outcome into an :class:`EngineOutcome` (champion
-genotype and locked design, evaluation accounting, JSON-safe record).
+and the experiment store ``run_experiment`` hands it (the run's owner
+opens and closes both; the store is None when the spec sets no
+``cache_path``, which keeps every cache in memory), and normalises the
+outcome into an :class:`EngineOutcome` (champion genotype and locked
+design, evaluation accounting, JSON-safe record).
 The adapters register themselves under the engine registry, so
 ``run_experiment`` — and any sweep over the ``engine`` axis, like the
 E11 heuristic comparison — never dispatches on concrete classes.
@@ -110,10 +112,12 @@ def _check_params(
         )
 
 
-def _fitness_cache(spec, circuit: Netlist, attack_seed: int) -> FitnessCache:
-    """Persistent, namespaced fitness cache for a spec-driven engine."""
+def _fitness_cache(
+    spec, circuit: Netlist, attack_seed: int, store
+) -> FitnessCache:
+    """Namespaced fitness cache for a spec-driven engine on ``store``."""
     return FitnessCache(
-        path=spec.cache_path,
+        backend=store,
         namespace=cache_namespace(
             circuit.name,
             role="fitness",
@@ -124,7 +128,9 @@ def _fitness_cache(spec, circuit: Netlist, attack_seed: int) -> FitnessCache:
     )
 
 
-def _spec_fitness(spec, circuit: Netlist, attack_seed: int) -> SpecFitness:
+def _spec_fitness(
+    spec, circuit: Netlist, attack_seed: int, store
+) -> SpecFitness:
     if spec.attack is None:
         raise SpecError(
             f"engine {spec.engine!r} needs an attack oracle; set spec.attack"
@@ -134,7 +140,7 @@ def _spec_fitness(spec, circuit: Netlist, attack_seed: int) -> SpecFitness:
         attack=spec.attack,
         attack_params=spec.attack_params,
         attack_seed=attack_seed,
-        cache=_fitness_cache(spec, circuit, attack_seed),
+        cache=_fitness_cache(spec, circuit, attack_seed, store),
     )
 
 
@@ -147,7 +153,7 @@ class GaEngine:
 
     name = "ga"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator, store
             ) -> EngineOutcome:
         config = _config_from_params(
             GaConfig, dict(spec.engine_params),
@@ -157,7 +163,7 @@ class GaEngine:
             async_mode=spec.resolved_async_mode(),
             alphabet=spec.alphabet,
         )
-        fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
+        fitness = _spec_fitness(spec, circuit, _attack_seed(spec), store)
         result = GeneticAlgorithm(config).run(
             circuit, fitness, evaluator=evaluator
         )
@@ -198,7 +204,7 @@ class AutoLockEngine:
 
     name = "autolock"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator, store
             ) -> EngineOutcome:
         if spec.attack not in (None, "muxlink"):
             raise SpecError(
@@ -235,11 +241,12 @@ class AutoLockEngine:
                       "async_mode", "alphabet"),
             kind="autolock",
             key_length=spec.key_length, seed=spec.seed,
-            cache_path=spec.cache_path,
             async_mode=spec.resolved_async_mode(),
             alphabet=spec.alphabet,
         )
-        result = AutoLock(config).run(circuit, evaluator=evaluator)
+        result = AutoLock(config).run(
+            circuit, evaluator=evaluator, store=store
+        )
         fresh = result.fitness_evaluations + result.report_evaluations
         hits = result.cache_hits + result.report_cache_hits
         return EngineOutcome(
@@ -272,7 +279,7 @@ class Nsga2Engine:
 
     name = "nsga2"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator, store
             ) -> EngineOutcome:
         if spec.attack not in (None, "muxlink"):
             raise SpecError(
@@ -308,7 +315,7 @@ class Nsga2Engine:
             objectives=objectives,
             attack_seed=attack_seed,
             cache=FitnessCache(
-                path=spec.cache_path,
+                backend=store,
                 namespace=cache_namespace(
                     circuit.name,
                     role="nsga2",
@@ -359,14 +366,14 @@ class ArmsRaceEngine:
 
     ``spec.attack`` + ``spec.attack_params`` override the epoch-0
     attacker genome (:func:`~repro.coevo.genome.baseline_genome`); the
-    champion is the final epoch's lock elite. With a ``cache_path`` every
-    finished epoch checkpoints to the store under the spec fingerprint,
-    so an interrupted run resumes at the first unfinished epoch.
+    champion is the final epoch's lock elite. On the run's store every
+    finished epoch checkpoints under the spec fingerprint, so an
+    interrupted run resumes at the first unfinished epoch.
     """
 
     name = "coevo"
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator, store
             ) -> EngineOutcome:
         if spec.resolved_async_mode():
             raise SpecError(
@@ -386,37 +393,19 @@ class ArmsRaceEngine:
             kind="coevo",
         )
         baseline = baseline_genome({**spec.attack_params, "attack": spec.attack})
-        # One open store shared by every cache of the run (epoch
-        # checkpoints, both fitness sides, duels); None keeps them in memory.
-        store = None
-        if spec.cache_path is not None:
-            from repro.store import open_store
-
-            store = open_store(spec.cache_path)
-
-        def cache_factory(namespace: str) -> FitnessCache:
-            return FitnessCache(
-                path=spec.cache_path, backend=store, namespace=namespace
-            )
-
-        try:
-            engine = CoevoEngine(
-                circuit,
-                key_length=spec.key_length,
-                alphabet=spec.alphabet,
-                seed=spec.seed,
-                attack_seed=_attack_seed(spec),
-                baseline=baseline,
-                cache_factory=cache_factory,
-                memo=None if store is None else cache_factory(cache_namespace(
-                    circuit.name, role="coevo-epochs", spec=spec.fingerprint()
-                )),
-                **spec.engine_params,
-            )
-            result = engine.run(evaluator)
-        finally:
-            if store is not None:
-                store.close()
+        result = CoevoEngine(
+            circuit,
+            key_length=spec.key_length,
+            alphabet=spec.alphabet,
+            seed=spec.seed,
+            attack_seed=_attack_seed(spec),
+            baseline=baseline,
+            store=store,
+            checkpoint_namespace=cache_namespace(
+                circuit.name, role="coevo-epochs", spec=spec.fingerprint()
+            ),
+            **spec.engine_params,
+        ).run(evaluator)
         last = result.epochs[-1]
         return EngineOutcome(
             engine=self.name,
@@ -455,7 +444,7 @@ class TrajectorySearchEngine:
         self.searcher_cls = searcher_cls
         self.name = searcher_cls.name
 
-    def run(self, spec, circuit: Netlist, evaluator: Evaluator
+    def run(self, spec, circuit: Netlist, evaluator: Evaluator, store
             ) -> EngineOutcome:
         params = dict(spec.engine_params)
         if "alphabet" in params:
@@ -472,7 +461,7 @@ class TrajectorySearchEngine:
             raise SpecError(
                 f"unknown {self.name} engine_params {sorted(params)}: {exc}"
             ) from exc
-        fitness = _spec_fitness(spec, circuit, _attack_seed(spec))
+        fitness = _spec_fitness(spec, circuit, _attack_seed(spec), store)
         result = searcher.run(circuit, fitness, evaluator=evaluator)
         return EngineOutcome(
             engine=self.name,

@@ -13,13 +13,17 @@ whole outcome lands in a JSON-safe record. Results are deterministic
 functions of the spec's :meth:`~repro.api.spec.ExperimentSpec.fingerprint`
 (execution knobs excluded), which enables the *experiment-level* cache:
 with a ``cache_path`` set, a finished spec's record persists under the
-``experiment`` namespace of the shared
-:class:`~repro.ec.fitness.FitnessCache` file, and re-running the same
-spec replays the record with **zero** fresh attack evaluations.
+``experiment`` namespace of the run's experiment store (key
+:func:`record_key`), next to the per-genotype fitness namespaces, and
+re-running the same spec replays the record with **zero** fresh attack
+evaluations. The run's owner — ``run_experiment`` unless a store is
+injected, ``run_sweep``, a :mod:`repro.dist` worker — opens that store
+once and closes it; every cache, record and checkpoint of the run uses
+the one handle.
 
 ``run_sweep`` expands a :class:`~repro.api.spec.SweepSpec` and runs
 every point through **one shared evaluator** (a single process pool for
-``workers >= 2``) and one shared experiment cache, writing a JSONL
+``workers >= 2``) and one shared experiment store, writing a JSONL
 stream plus manifest via :mod:`repro.api.artifacts`. It is the one code
 path that turns sweep points into records, artifacts and a
 :class:`SweepResult`: a distributed sweep first has
@@ -30,6 +34,7 @@ through the same point loop.
 from __future__ import annotations
 
 import contextlib
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +46,6 @@ from repro.api.spec import ExperimentSpec, SweepSpec
 from repro.attacks.base import AttackReport
 from repro.circuits import load_circuit
 from repro.ec.evaluator import AsyncEvaluator, Evaluator, open_evaluator
-from repro.ec.fitness import FitnessCache
 from repro.errors import SpecError
 from repro.locking.base import LockedCircuit
 from repro.obs import metrics as obs_metrics
@@ -81,10 +85,9 @@ _NONDETERMINISTIC_KEYS = (
 )
 
 
-def _memo_key(spec: ExperimentSpec) -> tuple:
-    # Shaped as a tuple-of-tuples so FitnessCache's JSON key round-trip
-    # (tuple(tuple(g) for g in loads(key))) reproduces it exactly.
-    return (("spec", spec.fingerprint()),)
+def record_key(spec: ExperimentSpec) -> str:
+    """The key of ``spec``'s record in the ``experiment`` namespace."""
+    return json.dumps([["spec", spec.fingerprint()]], separators=(",", ":"))
 
 
 def _strip_nondeterministic(value: Any) -> Any:
@@ -202,7 +205,7 @@ def run_experiment(
     spec: ExperimentSpec,
     *,
     evaluator: Evaluator | None = None,
-    experiment_cache: FitnessCache | None = None,
+    store=None,
     out_dir: str | Path | None = None,
 ) -> RunResult:
     """Execute one experiment spec; see the module docstring.
@@ -214,10 +217,13 @@ def run_experiment(
     ``spec.workers``, and it is closed when the engine step ends. A
     static spec evaluates no population and opens none.
 
-    ``experiment_cache`` injects a shared experiment-record memo; by
-    default one is opened on ``spec.cache_path`` when set. ``out_dir``
-    additionally writes ``results.jsonl`` + ``manifest.json`` artifacts
-    there.
+    ``store`` injects the run's open experiment store the same way
+    (sweeps and workers pass theirs and close it themselves). Otherwise,
+    when ``spec.cache_path`` is set, the store there is opened here and
+    closed when the run ends. The record lookup and write, and every
+    fitness cache and checkpoint of an engine run, use that one handle.
+    ``out_dir`` additionally writes ``results.jsonl`` +
+    ``manifest.json`` artifacts there.
 
     ``spec.trace`` (when set and no tracer is already active) opens a
     span tracer for the duration of this run; sweeps and workers own the
@@ -232,32 +238,33 @@ def run_experiment(
                     kind="engine" if spec.engine else "static",
                     tag=spec.tag,
                 )
-            return _execute_experiment(
-                spec, evaluator=evaluator,
-                experiment_cache=experiment_cache, out_dir=out_dir,
-            )
+            if store is None and spec.cache_path is not None:
+                # Imported here so importing the runner loads no store.
+                from repro.store import open_store
+
+                scope = contextlib.closing(open_store(spec.cache_path))
+            else:
+                scope = contextlib.nullcontext(store)
+            with scope as run_store:
+                return _execute_experiment(
+                    spec, evaluator=evaluator, store=run_store,
+                    out_dir=out_dir,
+                )
 
 
 def _execute_experiment(
     spec: ExperimentSpec,
     *,
     evaluator: Evaluator | None,
-    experiment_cache: FitnessCache | None,
+    store,
     out_dir: str | Path | None,
 ) -> RunResult:
     started = time.perf_counter()
     kind = "engine" if spec.engine else "static"
 
-    memo = experiment_cache
-    if memo is None and spec.cache_path is not None:
-        memo = FitnessCache(
-            path=spec.cache_path,
-            namespace=EXPERIMENT_NAMESPACE,
-        )
-
-    key = _memo_key(spec)
-    if memo is not None:
-        cached = memo.get(key)
+    key = record_key(spec)
+    if store is not None:
+        cached = store.get(EXPERIMENT_NAMESPACE, key)
         if cached is not None:
             record = dict(cached)
             record["from_cache"] = True
@@ -299,7 +306,7 @@ def _execute_experiment(
         )
         with obs_trace.span("experiment.engine", engine=spec.engine), \
                 scope as engine_evaluator:
-            outcome = adapter.run(spec, circuit, engine_evaluator)
+            outcome = adapter.run(spec, circuit, engine_evaluator, store)
         locked = outcome.locked
         fresh, hits = outcome.fresh_evaluations, outcome.cache_hits
     else:
@@ -367,8 +374,11 @@ def _execute_experiment(
         )
         _RUNS.inc(kind=kind, outcome="fresh")
         _RUN_SECONDS.observe(runtime_s, kind=kind)
-        if memo is not None:
-            memo.put(key, json_safe(result.deterministic_record()))
+        if store is not None:
+            store.put_many(
+                EXPERIMENT_NAMESPACE,
+                {key: json_safe(result.deterministic_record())},
+            )
         _write_single_run_artifacts(result, out_dir)
     return result
 
@@ -440,8 +450,9 @@ def run_sweep(
 
     All points share a single population evaluator — one process pool
     when a point asks for ``workers >= 2`` — and, when ``cache_path``
-    is set, one experiment store carrying both per-genotype fitness
-    namespaces and finished experiment records. Re-running a sweep with a
+    is set, one experiment store, opened here once and closed when the
+    sweep ends, carrying both per-genotype fitness namespaces and
+    finished experiment records. Re-running a sweep with a
     warm cache replays every unchanged point with zero fresh attack
     evaluations. Points execute sequentially (parallelism lives inside
     the population evaluation, where the attack work is) — unless
@@ -481,6 +492,7 @@ def run_sweep(
     writer = RunWriter(out_dir, name=sweep.name) if out_dir is not None else None
     accounting: dict[str, Any] | None = None
     results: list[RunResult] = []
+    store = None
     try:
         # The sweep owns the tracer (one file for all points); each
         # point's run_experiment then joins it instead of opening its own.
@@ -490,18 +502,13 @@ def run_sweep(
                 accounting = scheduler.run(workers=distributed)
             # Opened after the scheduler joined its workers, so no worker
             # is ever forked while this process holds a store connection.
-            with obs_trace.span("sweep.memo"):
-                memo = (
-                    FitnessCache(
-                        path=sweep.cache_path,
-                        namespace=EXPERIMENT_NAMESPACE,
-                    )
-                    if sweep.cache_path is not None
-                    else None
-                )
+            if sweep.cache_path is not None:
+                from repro.store import open_store
+
+                store = open_store(sweep.cache_path)
             for spec in specs:
                 result = run_experiment(
-                    spec, evaluator=_evaluator_for(spec), experiment_cache=memo
+                    spec, evaluator=_evaluator_for(spec), store=store
                 )
                 results.append(result)
                 if writer is not None:
@@ -509,6 +516,8 @@ def run_sweep(
     finally:
         if pool is not None:
             pool.close()
+        if store is not None:
+            store.close()
 
     swept = SweepResult(sweep=sweep, results=results, distributed=accounting)
     if writer is not None:

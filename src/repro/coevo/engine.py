@@ -19,10 +19,10 @@ Determinism: every RNG stream is pre-derived from the run seed
 mode, and the batched evaluators return values in population order — so
 the whole trajectory is byte-identical at any worker count. Crash
 safety: each finished epoch writes a self-contained record (both
-populations, both halls, the next attacker population) through the
-standard :class:`~repro.ec.fitness.FitnessCache` store plumbing; a
-restarted run replays finished epochs from the store with zero fresh
-evaluations and resumes at the first unfinished one.
+populations, both halls, the next attacker population) to the run's
+experiment store; a restarted run replays finished epochs from the
+store with zero fresh evaluations and resumes at the first unfinished
+one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -92,6 +92,11 @@ def _create(genome: AttackerGenome):
     """Instantiate the attack a genome describes."""
     name, params = genome.to_attack()
     return create_attack(name, **params)
+
+
+def _checkpoint_key(epoch: int) -> str:
+    """The key of one epoch's checkpoint in the checkpoint namespace."""
+    return json.dumps([["epoch", epoch]], separators=(",", ":"))
 
 
 def _fingerprint(payload: Any) -> str:
@@ -242,17 +247,17 @@ class CoevoResult:
 class CoevoEngine:
     """Alternating-epoch co-evolution driver.
 
-    ``cache_factory(namespace)`` supplies the (optionally persistent)
-    fitness caches — panel-scoped for the lock side, elite-scoped for
-    the attacker side, plus a duel cache for the cross-epoch
-    comparisons. It is called once per namespace: a phase whose
-    namespace repeats an earlier epoch's reuses that cache, so a run
-    without a store recomputes nothing a store-backed run would replay.
-    ``memo`` is the epoch-checkpoint cache; when it is backed by a
-    store, a restarted run replays finished epochs from it with zero
-    recomputation. The ``coevo`` engine adapter in
-    :mod:`repro.api.engines` builds one from an ``ExperimentSpec`` and
-    scopes ``memo`` to the spec fingerprint.
+    ``store`` is the run's open experiment store (the caller owns it);
+    the engine builds its fitness caches on it — panel-scoped for the
+    lock side, elite-scoped for the attacker side, plus a duel cache for
+    the cross-epoch comparisons. One cache serves each namespace: a
+    phase whose namespace repeats an earlier epoch's reuses that cache,
+    so a run without a store recomputes nothing a store-backed run would
+    replay. With a store, every finished epoch checkpoints under
+    ``checkpoint_namespace``, and a restarted run replays finished
+    epochs from it with zero recomputation. The ``coevo`` engine adapter
+    in :mod:`repro.api.engines` builds one from an ``ExperimentSpec``
+    and scopes the checkpoints to the spec fingerprint.
     """
 
     def __init__(
@@ -272,8 +277,8 @@ class CoevoEngine:
         attack_seed: int = DEFAULT_ATTACK_SEED,
         baseline: AttackerGenome | None = None,
         mutation_rate: float = 0.35,
-        cache_factory: Callable[[str], FitnessCache] | None = None,
-        memo: FitnessCache | None = None,
+        store=None,
+        checkpoint_namespace: str | None = None,
     ) -> None:
         if epochs < 1:
             raise EvolutionError("epochs must be >= 1")
@@ -308,11 +313,12 @@ class CoevoEngine:
         self.attack_seed = attack_seed
         self.baseline = baseline if baseline is not None else baseline_genome()
         self.mutation_rate = float(mutation_rate)
-        self._cache_factory = cache_factory or (
-            lambda namespace: FitnessCache(namespace=namespace)
+        self.store = store
+        #: where epoch checkpoints live; None (or no store) keeps none.
+        self._checkpoints = (
+            checkpoint_namespace if store is not None else None
         )
         self._caches: dict[str, FitnessCache] = {}
-        self.memo = memo
         self._duels = DuelFitness(original, attack_seed, self._cache(
             cache_namespace(
                 original.name, role="coevo-duel", attack_seed=attack_seed
@@ -324,7 +330,9 @@ class CoevoEngine:
     def _cache(self, namespace: str) -> FitnessCache:
         """The run's one fitness cache for ``namespace``."""
         if namespace not in self._caches:
-            self._caches[namespace] = self._cache_factory(namespace)
+            self._caches[namespace] = FitnessCache(
+                namespace=namespace, backend=self.store
+            )
         return self._caches[namespace]
 
     # -- hall maintenance ----------------------------------------------
@@ -455,12 +463,14 @@ class CoevoEngine:
         epoch0_elite: list[Gene] | None = None
         epochs: list[CoevoEpoch] = []
         replayed = 0
-        replaying = self.memo is not None
+        replaying = self._checkpoints is not None
 
         for epoch in range(self.epochs):
             _EPOCH_GAUGE.set(float(epoch))
             if replaying:
-                record = self.memo.get((("epoch", epoch),))
+                record = self.store.get(
+                    self._checkpoints, _checkpoint_key(epoch)
+                )
                 if record is not None:
                     done = CoevoEpoch.from_record(record, from_cache=True)
                     epochs.append(done)
@@ -545,8 +555,11 @@ class CoevoEngine:
             _ATTACKER_ACCURACY.set(1.0 - done.attacker_best_fitness)
             _ARMS_RACE_GAP.set(done.epoch0_vs_best - done.elite_vs_best)
             _EPOCHS_TOTAL.inc(outcome="fresh")
-            if self.memo is not None:
-                self.memo.put((("epoch", epoch),), done.to_record())
+            if self._checkpoints is not None:
+                self.store.put_many(
+                    self._checkpoints,
+                    {_checkpoint_key(epoch): done.to_record()},
+                )
 
             attacker_pop = next_pop
             lock_init = [

@@ -35,9 +35,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.runner import EXPERIMENT_NAMESPACE, _memo_key
+from repro.api.runner import EXPERIMENT_NAMESPACE, record_key
 from repro.api.spec import ExperimentSpec, SweepSpec
-from repro.ec.fitness import _key_to_str
 from repro.errors import StoreError
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
@@ -51,11 +50,6 @@ from repro.store import (
 from repro.dist.worker import worker_entry
 
 log = get_logger("dist.scheduler")
-
-
-def _record_key(spec: ExperimentSpec) -> str:
-    """The experiment-cache key string holding this spec's record."""
-    return _key_to_str(_memo_key(spec))
 
 
 @dataclass
@@ -105,7 +99,7 @@ class SweepScheduler:
         recorded = [
             spec.fingerprint()
             for spec in self.specs
-            if _record_key(spec) in existing
+            if record_key(spec) in existing
         ]
         self._store.mark_done(self.sweep_id, recorded)
         return added

@@ -5,7 +5,7 @@ A :class:`Worker` is one OS process cooperating on one sweep. Its loop:
 1. *claim* the next pending point from the store's ``sweep_points``
    queue (lease-based, so no two workers ever run the same point);
 2. run it through the ordinary :func:`repro.api.runner.run_experiment`
-   against a store-backed experiment cache — the finished record streams
+   on the worker's one open store handle — the finished record streams
    straight into the shared store, and fitness/report namespaces are
    shared too, so sibling workers reuse each other's attack evaluations.
    Engine points that ask for parallel or steady-state evaluation run
@@ -35,10 +35,9 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
-from repro.api.runner import EXPERIMENT_NAMESPACE, run_experiment
+from repro.api.runner import run_experiment
 from repro.api.spec import ExperimentSpec
 from repro.ec.evaluator import AsyncEvaluator, open_evaluator
-from repro.ec.fitness import FitnessCache
 from repro.errors import StoreError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -233,15 +232,9 @@ class Worker:
         started = time.perf_counter()
         report = WorkerReport(worker_id=self.worker_id)
         with obs_trace.span("worker.connect"):
+            # One handle for the whole loop: claims, heartbeats, and every
+            # record and fitness cache of every point it runs.
             store = open_store(self.store_path)
-            # One experiment-record cache for the whole loop, sharing the
-            # already-open store handle; read-through finds records
-            # written by sibling workers mid-run.
-            memo = FitnessCache(
-                path=self.store_path,
-                backend=store,
-                namespace=EXPERIMENT_NAMESPACE,
-            )
         heartbeat_interval = max(0.05, self.lease_ttl / 3.0)
         #: lazily-built pool shared by every parallel/steady-state engine
         #: point this worker runs (grown when a point asks for more
@@ -279,22 +272,15 @@ class Worker:
                     if drained:
                         break  # queue drained: every point done or failed
                     continue
-                # Point the spec's execution knobs at *this worker's* view
-                # of the store: the enqueuer's cache_path may be relative
-                # to another cwd or machine, and the engine-side fitness
-                # caches are built from the spec. Execution fields are
-                # excluded from the fingerprint, so the memo key — and
-                # therefore the record — is unchanged.
                 with obs_trace.span("worker.prepare"):
                     log.info("claimed point %s", point.fingerprint[:12])
+                    # The enqueuer's trace path belongs to another
+                    # process, possibly another machine; this worker's
+                    # own tracer — opened in run() — already covers the
+                    # whole loop. (Its cache_path is never opened: the
+                    # point runs on this worker's store handle.)
                     spec = ExperimentSpec.from_dict(point.payload)
-                    # The enqueuer's trace path (like its cache_path)
-                    # belongs to another process, possibly another
-                    # machine; this worker's own tracer — opened in
-                    # run() — already covers the whole loop.
-                    spec = spec.with_updates(
-                        cache_path=str(self.store_path), trace=None
-                    )
+                    spec = spec.with_updates(trace=None)
                     evaluator = open_evaluator(
                         spec.workers,
                         search=spec.engine is not None,
@@ -311,7 +297,7 @@ class Worker:
                     with obs_trace.span("worker.point") as span, heartbeat:
                         span.set(fingerprint=point.fingerprint)
                         result = run_experiment(
-                            spec, evaluator=evaluator, experiment_cache=memo,
+                            spec, evaluator=evaluator, store=store,
                         )
                 except Exception as exc:  # noqa: BLE001 - point-level isolation
                     if heartbeat.lost:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -52,10 +51,9 @@ class AutoLockConfig:
     (deterministic at any worker count — completions integrate in
     submission order). Only
     ``ExperimentSpec.resolved_async_mode`` derives the mode from the
-    worker count. ``cache_path`` points the fitness *and* report caches
-    at an experiment store (a SQLite file or a campaign-server URL)
-    persisted across runs, namespaced by circuit + attack configuration,
-    so repeated runs and benchmark sweeps reuse prior attack evaluations.
+    worker count. Persistence is not a config field either: the
+    experiment store the fitness and report caches use is
+    :meth:`AutoLock.run`'s ``store`` argument.
     """
 
     key_length: int = 32
@@ -72,7 +70,6 @@ class AutoLockConfig:
     seed: int = 0
     async_mode: bool = False
     async_backlog: int | str | None = None
-    cache_path: str | Path | None = None
     #: locking-primitive alphabet the genotype composes (see
     #: ``repro.registry.PRIMITIVES``); the default reproduces the paper's
     #: pure D-MUX search space bit-for-bit.
@@ -135,7 +132,10 @@ class AutoLock:
         self.config = config if config is not None else AutoLockConfig()
 
     def run(
-        self, original: Netlist, evaluator: Evaluator | None = None
+        self,
+        original: Netlist,
+        evaluator: Evaluator | None = None,
+        store=None,
     ) -> AutoLockResult:
         """Run the full pipeline on ``original``.
 
@@ -143,6 +143,13 @@ class AutoLock:
         owns it (``run_experiment`` opens one per run, sweeps share one
         process pool across many pipeline runs). The default is an
         in-process :class:`~repro.ec.evaluator.SerialEvaluator`.
+
+        ``store`` is an open experiment store (see
+        :class:`~repro.store.base.StoreBackend`) the fitness *and* report
+        caches persist to, namespaced by circuit + attack configuration,
+        so repeated runs and benchmark sweeps reuse prior attack
+        evaluations; the caller owns it. None keeps both caches in
+        memory.
         """
         cfg = self.config
         started = time.perf_counter()
@@ -158,7 +165,7 @@ class AutoLock:
 
         # Step 2: GA refinement against the fast fitness oracle.
         cache = FitnessCache(
-            path=cfg.cache_path,
+            backend=store,
             namespace=cache_namespace(
                 original.name,
                 role="fitness",
@@ -177,7 +184,7 @@ class AutoLock:
         # Step 4's oracle: an independent, stronger attack configuration,
         # cached under its own namespace so repeated runs skip it too.
         report_cache = FitnessCache(
-            path=cfg.cache_path,
+            backend=store,
             namespace=cache_namespace(
                 original.name,
                 role="report",

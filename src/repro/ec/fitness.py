@@ -20,10 +20,10 @@ by canonical genotype key, since crossover routinely recreates previously
 seen individuals; :class:`CachedFitness` is the one memo path, which
 every fitness here and in :mod:`repro.coevo` subclasses. The cache is
 thread-safe (population evaluators merge worker results from the
-dispatching thread) and can persist to an experiment store (a SQLite
-file or a campaign-server URL) shared across runs and processes,
-namespaced by circuit + attack configuration so benchmark sweeps never
-mix incompatible evaluations.
+dispatching thread) and can persist to the run's open experiment store,
+shared across runs and processes, namespaced by circuit + attack
+configuration so benchmark sweeps never mix incompatible evaluations.
+A cache never opens a store: the run's owner opens it and hands it in.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from repro.attacks.muxlink.attack import MuxLinkAttack
@@ -176,48 +175,28 @@ def _key_to_str(key: tuple) -> str:
 class FitnessCache:
     """Genotype-keyed memo with hit statistics.
 
-    ``path`` enables write-through persistence to the experiment store
-    :func:`~repro.store.base.open_store` opens there (a SQLite file, or
-    a campaign-server URL), holding ``namespace -> key -> value``
-    entries; ``backend`` passes an already-open store on ``path``
-    instead, so several caches can share one handle. A miss in the
-    in-memory snapshot falls through to the store, so entries written by
-    sibling worker processes mid-run are found rather than recomputed.
-    All mutating operations on one cache object hold an internal lock,
-    making it safe to share between the evaluator dispatch thread and
-    any caller.
+    ``backend`` is an open experiment store (see
+    :class:`~repro.store.base.StoreBackend`) holding ``namespace -> key ->
+    value`` entries; the cache loads its namespace from it, writes
+    through to it and never closes it (the run that opened it does), so
+    several caches share one handle. None keeps the memo in memory. A
+    miss in the in-memory snapshot falls through to the store, so
+    entries written by sibling worker processes mid-run are found rather
+    than recomputed. All mutating operations on one cache object hold an
+    internal lock, making it safe to share between the evaluator
+    dispatch thread and any caller.
     """
 
     store: dict[tuple, float | tuple[float, ...]] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    path: str | Path | None = None
     namespace: str = "default"
-    #: already-open store on ``path``; None opens one.
     backend: object | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.RLock()
         self._dirty: set[tuple] = set()
-        self._store_backend = None
-        if self.path is not None:
-            from repro.store import is_url, open_store
-
-            if is_url(self.path):
-                # Campaign-server URL: Path() would collapse "//" and
-                # there is no local file to sanity-check.
-                self.path = str(self.path)
-            else:
-                self.path = Path(self.path)
-                if self.path.is_dir():
-                    raise ValueError(
-                        f"cache path {self.path} is a directory; "
-                        "point it at a file"
-                    )
-            self._store_backend = (
-                open_store(self.path) if self.backend is None else self.backend
-            )
-            self._load()
+        self._load()
 
     # -- persistence ----------------------------------------------------
     @staticmethod
@@ -226,9 +205,9 @@ class FitnessCache:
         return tuple(value) if isinstance(value, list) else value
 
     def _load(self) -> None:
-        if self._store_backend is None:
+        if self.backend is None:
             return
-        for key_str, value in self._store_backend.load_namespace(
+        for key_str, value in self.backend.load_namespace(
             self.namespace
         ).items():
             key = tuple(tuple(g) for g in json.loads(key_str))
@@ -241,7 +220,7 @@ class FitnessCache:
         a failed flush (store busy past its retries) keeps them queued
         for the next one instead of silently dropping them forever.
         """
-        if self._store_backend is None:
+        if self.backend is None:
             return
         with self._lock:
             if not self._dirty:
@@ -249,31 +228,29 @@ class FitnessCache:
             keys = tuple(self._dirty)
             entries = {_key_to_str(key): self.store[key] for key in keys}
         started = time.perf_counter()
-        self._store_backend.put_many(self.namespace, entries)
+        self.backend.put_many(self.namespace, entries)
         _CACHE_FLUSH_SECONDS.observe(time.perf_counter() - started)
         with self._lock:
             self._dirty.difference_update(keys)
 
     def wipe_disk(self) -> None:
         """Remove this cache's namespace from the backing store."""
-        if self._store_backend is None:
+        if self.backend is None:
             return
         with self._lock:
-            self._store_backend.wipe_namespace(self.namespace)
+            self.backend.wipe_namespace(self.namespace)
             self._dirty.clear()
 
     # -- pickling (worker-process dispatch) -----------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the lock, store handle or entries; drop ``path``
-        so unpickled copies (fitness clones in workers, which only run
-        ``score``) never write the shared store — the dispatching process
-        owns lookups and persistence."""
+        """Pickle without the lock, store handle or entries, so unpickled
+        copies (fitness clones in workers, which only run ``score``)
+        never write the shared store — the dispatching process owns
+        lookups and persistence."""
         state = self.__dict__.copy()
         state.pop("_lock", None)
         state["store"] = {}
-        state["path"] = None
         state["backend"] = None
-        state["_store_backend"] = None
         state["_dirty"] = set()
         return state
 
@@ -286,10 +263,10 @@ class FitnessCache:
         """The memoised value of ``key`` (None on a miss), counted."""
         with self._lock:
             value = self.store.get(key)
-            if value is None and self._store_backend is not None:
+            if value is None and self.backend is not None:
                 # Another process may have written this entry since our
                 # snapshot — one cheap indexed lookup beats an attack run.
-                value = self._store_backend.get(self.namespace, _key_to_str(key))
+                value = self.backend.get(self.namespace, _key_to_str(key))
                 if value is not None:
                     value = self.store[key] = self._decode(value)
             self.count_lookup(hit=value is not None)
@@ -305,7 +282,8 @@ class FitnessCache:
         )
 
     def put(self, key: tuple, value, flush: bool = True) -> None:
-        """Memoise ``value``; write-through to disk unless ``flush=False``.
+        """Memoise ``value``; write through to the backend unless
+        ``flush=False``.
 
         The per-put flush is deliberate for attack-backed fitness — each
         fresh value costs an attack run, so persisting it immediately is
@@ -315,7 +293,7 @@ class FitnessCache:
         with self._lock:
             self.store[key] = value
             self._dirty.add(key)
-        if flush and self.path is not None:
+        if flush and self.backend is not None:
             self.flush()
 
     def __len__(self) -> int:

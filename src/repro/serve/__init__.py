@@ -3,9 +3,9 @@
 :class:`~repro.serve.server.CampaignServer` fronts a local SQLite store
 over stdlib HTTP; :class:`~repro.serve.client.HttpStore` is the matching
 client, a full :class:`~repro.store.base.StoreBackend` registered as the
-``"http"`` backend — so ``open_store("http://host:8787/campaign")``
-drops into every existing ``cache_path`` seam with zero call-site
-changes.
+``"http"`` backend — so a ``cache_path`` of
+``http://host:8787/campaign`` opens it wherever a run opens its store,
+with zero call-site changes.
 """
 
 # Initialise the store package first: its trailing import of

@@ -1,17 +1,18 @@
 """``HttpStore``: the campaign server's client, a drop-in store backend.
 
 Registered under :data:`repro.registry.STORES` as ``"http"``, so
-``open_store("http://host:8787/campaign")`` — and therefore every
-``cache_path`` seam in the package (:class:`FitnessCache`,
-:class:`SweepScheduler`, :class:`Worker`, ``run_sweep``, ``store
-status``) — speaks to a remote :class:`~repro.serve.server.CampaignServer`
-with zero call-site changes. Every
-:class:`~repro.store.base.StoreBackend` method but ``close`` is one JSON
-POST to ``/api/kv/<method>`` or ``/api/queue/<method>`` under its own
-name, its keyword arguments as the body; the server serialises them
-onto its backing SQLite store, so N machines of workers share one
-campaign exactly like N local processes share one SQLite file. The
-forwarding methods are built from
+:func:`~repro.store.base.open_store` on ``http://host:8787/campaign`` —
+and therefore every run owner that opens a ``cache_path``
+(``run_experiment``, ``run_sweep``, :class:`SweepScheduler`,
+:class:`Worker`, the ``store`` verbs) — speaks to a remote
+:class:`~repro.serve.server.CampaignServer` with zero call-site
+changes; the caches, records and checkpoints of a run only ever see the
+open handle. Every :class:`~repro.store.base.StoreBackend` method but
+``close`` is one JSON POST to ``/api/kv/<method>`` or
+``/api/queue/<method>`` under its own name, its keyword arguments as
+the body; the server serialises them onto its backing SQLite store, so
+N machines of workers share one campaign exactly like N local processes
+share one SQLite file. The forwarding methods are built from
 :data:`~repro.store.base.SERVED_METHODS` and wear the protocol's
 signatures and docstrings; only ``claim`` (which rebuilds the
 :class:`~repro.store.base.ClaimedPoint`) and ``complete`` (which never
@@ -29,13 +30,15 @@ exit code 2.
 Transport is one persistent ``http.client.HTTPConnection`` per store
 instance (the server speaks HTTP/1.1 keep-alive), so the
 claim/heartbeat/complete chatter of a worker loop pays the TCP handshake
-once instead of per request. The connection is fork-safe — a child
-process detects the inherited socket via a PID stamp and silently opens
-its own, never touching the parent's stream — and self-healing: a
-request that hits a stale keep-alive socket (server idled it out between
-requests) is retried once on a fresh connection. Result streams always
-use a dedicated single-use connection so a long tail never starves the
-request/response channel.
+once instead of per request. A lock serialises each request's
+checkout, round trip and read, so one store serves several threads (a
+worker's loop, its lease heartbeat and the pool's cache flushes). The
+connection is fork-safe — a child process detects the inherited socket
+via a PID stamp and silently opens its own, never touching the parent's
+stream — and self-healing: a request that hits a stale keep-alive socket
+(server idled it out between requests) is retried once on a fresh
+connection. Result streams always use a dedicated single-use connection
+so a long tail never starves the request/response channel.
 
 This module is imported during store-registry population, so it stays
 stdlib-only and import-cheap (no numpy, no server code).
@@ -49,6 +52,7 @@ import inspect
 import json
 import os
 import socket
+import threading
 import urllib.parse
 from pathlib import Path
 from typing import Any, Iterator
@@ -119,11 +123,8 @@ class HttpStore:
         self._base_path = parsed.path
         self._conn: http.client.HTTPConnection | None = None
         self._conn_pid: int | None = None
-
-    # ``FitnessCache`` and the CLI print/compare this like a file path.
-    @property
-    def path(self) -> str:
-        return self.url
+        #: one request at a time on the shared keep-alive connection.
+        self._lock = threading.Lock()
 
     # -- transport ------------------------------------------------------
     def _open_connection(self, timeout_s: float) -> http.client.HTTPConnection:
@@ -207,21 +208,24 @@ class HttpStore:
             response.stream_conn = conn  # closed by stream_results
             return response
 
-        for retry_left in (True, False):
-            conn, reused = self._checkout(timeout)
-            try:
-                response = self._roundtrip(conn, method, target, data, headers)
-                # Drain fully so a keep-alive connection is reusable.
-                body = response.read()
-            except self._STALE_CONN_ERRORS as exc:
-                self._discard(conn)
-                if reused and retry_left:
-                    continue
-                self._raise_unreachable(exc)
-            except (http.client.HTTPException, OSError) as exc:
-                self._discard(conn)
-                self._raise_unreachable(exc)
-            break
+        with self._lock:
+            for retry_left in (True, False):
+                conn, reused = self._checkout(timeout)
+                try:
+                    response = self._roundtrip(
+                        conn, method, target, data, headers
+                    )
+                    # Drain fully so a keep-alive connection is reusable.
+                    body = response.read()
+                except self._STALE_CONN_ERRORS as exc:
+                    self._discard(conn)
+                    if reused and retry_left:
+                        continue
+                    self._raise_unreachable(exc)
+                except (http.client.HTTPException, OSError) as exc:
+                    self._discard(conn)
+                    self._raise_unreachable(exc)
+                break
         if response.status != 200:
             self._raise_http_error(route, response, body)
         return json.loads(body) if body else None

@@ -2,17 +2,23 @@
 
 An experiment *store* is the shared state behind sweeps: per-genotype
 fitness entries, finished experiment records keyed by spec fingerprint,
-and the ``sweep_points`` work queue of distributed sweeps. Every store
-implements both halves of one protocol. :func:`open_store` picks the
-implementation from the location alone:
+co-evolution epoch checkpoints, and the ``sweep_points`` work queue of
+distributed sweeps. Every store implements both halves of one protocol.
+:func:`open_store` picks the implementation from the location alone:
 
 * a URL opens the :data:`repro.registry.STORES` backend registered for
   its scheme — ``http``/``https`` select the
   :class:`~repro.serve.client.HttpStore` campaign-server client, so a
-  campaign URL drops into every ``cache_path`` seam;
+  campaign URL works as any ``cache_path``;
 * any other path opens :class:`~repro.store.sqlite_store.SQLiteStore`,
   a WAL-mode SQLite file safe for any number of concurrent processes,
   whatever the path's suffix.
+
+Only a run's owner calls :func:`open_store` — ``run_experiment`` (unless
+a store is injected), ``run_sweep``, the distributed worker and
+scheduler, the campaign server, :func:`~repro.store.gc.gc_store` and the
+CLI's ``store`` verbs — and it closes the store when the run ends. The
+caches, records and checkpoints of the run use the handle it is given.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Store garbage collection: drop unreachable experiment records, compact.
 
 Long sweep campaigns accrete experiment records in the shared store. A
-record is looked up by the key ``(("spec", <fingerprint>))``, where the
-fingerprint is recomputed from a live :class:`~repro.api.spec.ExperimentSpec`
-at lookup time — so a record whose stored spec **no longer fingerprints to
-its own key** can never be served again. That happens when the spec
+record is looked up by the key ``[["spec","<fingerprint>"]]``
+(:func:`~repro.api.runner.record_key`), where the fingerprint is
+recomputed from a live :class:`~repro.api.spec.ExperimentSpec` at lookup
+time — so a record whose stored spec **no longer fingerprints to its own
+key** can never be served again. That happens when the spec
 schema gains result-determining fields (fingerprints shift), when a
 plugin the spec names is removed, or when a stored spec no longer parses
 at all. :func:`gc_store` finds and drops exactly those records, then asks
@@ -19,25 +20,20 @@ a cache janitor must never do by accident.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
-from repro.store.base import StoreBackend, open_store
+from repro.store.base import open_store
 
 
 def _record_resolves(key: str, record: Any) -> bool:
     """True when ``record`` can still be served for its own ``key``."""
-    # Local import: repro.api imports repro.store (via the fitness
-    # cache), so the spec machinery must load lazily here.
+    # Local import: the runner and its spec machinery stay out of
+    # ``import repro.store``.
+    from repro.api.runner import record_key
     from repro.api.spec import ExperimentSpec
     from repro.errors import ReproError
 
-    try:
-        parsed = json.loads(key)
-        stored_fp = dict([tuple(parsed[0])])["spec"]
-    except (ValueError, TypeError, KeyError, IndexError):
-        return False  # not a spec-keyed record; unreachable by lookups
     if not isinstance(record, dict):
         return False
     try:
@@ -45,19 +41,15 @@ def _record_resolves(key: str, record: Any) -> bool:
         spec.validate()
     except (ReproError, TypeError, ValueError):
         return False  # schema drift or a de-registered plugin
-    return spec.fingerprint() == stored_fp
+    return record_key(spec) == key
 
 
 def gc_store(
-    path: str | Path,
-    backend: StoreBackend | None = None,
-    *,
-    namespace: str | None = None,
+    path: str | Path, *, namespace: str | None = None
 ) -> dict[str, Any]:
-    """Collect one store; returns a JSON-safe report.
+    """Collect the store at ``path``, opened and closed here; returns a
+    JSON-safe report.
 
-    ``backend`` is an already-open store on ``path`` (left open); by
-    default the store at ``path`` is opened and closed here.
     ``namespace`` defaults to the experiment-record namespace. The report
     carries ``examined`` / ``dropped`` / ``kept`` record counts plus
     ``bytes_before`` / ``bytes_after`` / ``bytes_reclaimed`` as measured
@@ -65,8 +57,7 @@ def gc_store(
     """
     from repro.api.runner import EXPERIMENT_NAMESPACE
 
-    owns_store = backend is None
-    store = open_store(path) if owns_store else backend
+    store = open_store(path)
     target = namespace if namespace is not None else EXPERIMENT_NAMESPACE
     try:
         bytes_before = store.disk_usage()
@@ -79,10 +70,9 @@ def gc_store(
         dropped = store.delete_many(target, stale)
         store.vacuum()
     finally:
-        if owns_store:
-            # Close before measuring: SQLite's -wal/-shm sidecars only
-            # settle once the connection goes away.
-            store.close()
+        # Close before measuring: SQLite's -wal/-shm sidecars only
+        # settle once the connection goes away.
+        store.close()
     bytes_after = store.disk_usage()
     return {
         "path": str(path),

@@ -1,5 +1,6 @@
 """run_experiment / run_sweep: determinism, caching, artifacts, engines."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.api import (
     run_experiment,
     run_sweep,
 )
+from repro.api.runner import EXPERIMENT_NAMESPACE, record_key
 from repro.ec.evaluator import SerialEvaluator
 
 
@@ -143,6 +145,12 @@ def test_autolock_engine_rejects_inert_knobs():
     with pytest.raises(SpecError, match="may not override spec-level"):
         run_experiment(c17_spec(**{
             **base, "engine_params": {**base["engine_params"], "workers": 2},
+        }))
+    # So is the store: the run's owner opens spec.cache_path.
+    with pytest.raises(SpecError, match="may not override spec-level"):
+        run_experiment(c17_spec(**{
+            **base,
+            "engine_params": {**base["engine_params"], "cache_path": "x.db"},
         }))
 
 
@@ -371,6 +379,138 @@ def test_run_experiment_owns_the_evaluator_of_an_engine_spec(monkeypatch):
     assert opened == []
 
 
+def _spy_open_store(monkeypatch) -> list[dict]:
+    """Record every store a run owner opens, and how often it is closed."""
+    import repro.dist.worker as worker_module
+    import repro.store
+
+    real = repro.store.open_store
+    opened = []
+
+    def spy(path):
+        store = real(path)
+        entry = {"store": store, "closed": 0}
+        close = store.close
+
+        def counted_close():
+            entry["closed"] += 1
+            close()
+
+        store.close = counted_close
+        opened.append(entry)
+        return store
+
+    monkeypatch.setattr(repro.store, "open_store", spy)
+    monkeypatch.setattr(worker_module, "open_store", spy)
+    return opened
+
+
+def test_run_owners_open_the_store_once(monkeypatch, tmp_path):
+    """The run's owner opens one store and closes it; every cache and
+    record of the run — the AutoLock fitness and report caches of every
+    point included — uses that handle, and an injected store is used
+    as is and left open."""
+    from repro.dist import SweepScheduler, Worker
+    from repro.store import open_store
+
+    spec = c17_spec(
+        circuit="rand_100_9", key_length=4, metrics=(), engine="autolock",
+        engine_params={
+            "population_size": 4, "generations": 1,
+            "report_predictor": "bayes", "report_ensemble": 1,
+        },
+    )
+    sweep = SweepSpec(
+        base=spec, axes={"seed": [1, 2]},
+        cache_path=str(tmp_path / "sweep.sqlite"),
+    )
+    scheduler = SweepScheduler(
+        dataclasses.replace(sweep, cache_path=str(tmp_path / "queue.sqlite"))
+    )
+    scheduler.enqueue()
+    scheduler._store.close()
+    injected = open_store(tmp_path / "injected.sqlite")
+    opened = _spy_open_store(monkeypatch)
+
+    run_experiment(spec.with_updates(cache_path=str(tmp_path / "run.sqlite")))
+    assert [e["closed"] for e in opened] == [1]
+
+    opened.clear()
+    result = run_experiment(spec, store=injected)
+    assert opened == [] and not result.from_cache
+    assert injected.get(EXPERIMENT_NAMESPACE, record_key(spec)) is not None
+    injected.close()
+
+    run_sweep(sweep)
+    assert [e["closed"] for e in opened] == [1]
+
+    opened.clear()
+    report = Worker(
+        store_path=str(tmp_path / "queue.sqlite"),
+        sweep_id=scheduler.sweep_id,
+    ).run()
+    assert report.points_completed == 2
+    assert [e["closed"] for e in opened] == [1]
+
+
+def test_stored_namespaces_and_keys_are_pinned(tmp_path):
+    """The bytes a run stores do not move: stores written by earlier
+    releases keep replaying. One ``ga`` and one ``coevo`` run share the
+    store; ``<hash>`` is a 12-hex-digit panel or elite fingerprint."""
+    import re
+    from contextlib import closing
+
+    from repro.store import open_store
+
+    path = str(tmp_path / "store.sqlite")
+    ga = ExperimentSpec(
+        circuit="rand_100_9", key_length=4, engine="ga", attack="muxlink",
+        attack_params={"predictor": "bayes"},
+        engine_params={"population_size": 4, "generations": 1},
+        seed=1, cache_path=path,
+    )
+    coevo = ExperimentSpec(
+        circuit="rand_100_7", key_length=4, engine="coevo", attack="muxlink",
+        attack_params={"predictor": "bayes"},
+        engine_params={"epochs": 1, "lock_population": 4,
+                       "lock_generations": 1, "attacker_population": 2},
+        seed=1, async_mode=False, cache_path=path,
+    )
+    assert (ga.fingerprint(), coevo.fingerprint()) == (
+        "8f5120b13e510345", "4b1873767e7d56cf"
+    )
+    run_experiment(ga)
+    run_experiment(coevo)
+    with closing(open_store(path)) as store:
+        namespaces = [
+            re.sub(r"=[0-9a-f]{12}\|", "=<hash>|", ns)
+            for ns in store.namespaces()
+        ]
+        assert namespaces == [
+            "experiment",
+            "rand_100_7|attack_seed=41072|elite=<hash>|role=coevo-attacker",
+            "rand_100_7|attack_seed=41072|panel=<hash>|role=coevo-lock",
+            "rand_100_7|attack_seed=41072|role=coevo-duel",
+            "rand_100_7|role=coevo-epochs|spec=4b1873767e7d56cf",
+            "rand_100_9|attack=muxlink|attack_seed=41072|predictor=bayes"
+            "|role=fitness",
+        ]
+        assert sorted(store.load_namespace("experiment")) == [
+            '[["spec","4b1873767e7d56cf"]]', '[["spec","8f5120b13e510345"]]',
+        ]
+        assert list(store.load_namespace(
+            "rand_100_7|role=coevo-epochs|spec=4b1873767e7d56cf"
+        )) == ['[["epoch",0]]']
+        gene = r'\["mux"(,"[^"]+"){4},[01]\]'
+        fitness = store.load_namespace(
+            "rand_100_9|attack=muxlink|attack_seed=41072|predictor=bayes"
+            "|role=fitness"
+        )
+        assert fitness and all(
+            re.fullmatch(rf"\[{gene}(,{gene}){{3}}\]", key) for key in fitness
+        )
+
+
 def test_engine_sweep_warm_cache_zero_fresh(tmp_path):
     cache = str(tmp_path / "cache.sqlite")
     spec = c17_spec(
@@ -404,6 +544,32 @@ def test_cli_run_rejects_bad_spec(tmp_path, capsys):
     spec_path.write_text(json.dumps({"circuit": "c17", "attack": "laser"}))
     assert main(["run", str(spec_path)]) == 2
     assert "unknown attack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["evolve", "run", "sweep"])
+def test_cli_directory_cache_is_an_error_line(verb, tmp_path, capsys):
+    """A directory where the store file should be exits 2 with one
+    ``error:`` line, like any other unusable store."""
+    from repro.cli import main
+
+    cache = tmp_path / "cache-dir"
+    cache.mkdir()
+    spec = {"circuit": "c17", "key_length": 2, "attack": "muxlink",
+            "attack_params": {"predictor": "bayes"}, "cache_path": str(cache)}
+    spec_path = tmp_path / "spec.json"
+    if verb == "sweep":
+        spec = {"base": spec, "axes": {"seed": [1, 2]},
+                "cache_path": str(cache)}
+    spec_path.write_text(json.dumps(spec))
+    argv = {
+        "evolve": ["evolve", "c17", "--key-length", "2", "--population",
+                   "2", "--generations", "1", "--cache", str(cache)],
+        "run": ["run", str(spec_path)],
+        "sweep": ["sweep", str(spec_path)],
+    }[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is a directory" in err
 
 
 def test_cli_run_rejects_malformed_json_and_missing_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from repro.coevo.genome import baseline_genome
 from repro.ec.fitness import FitnessCache, SpecFitness, scope_scored_bits
 from repro.ec.genotype import genotype_key, random_genotype
 from repro.errors import EvolutionError, RegistryError, SpecError
+from repro.store import open_store
 from repro.utils.rng import derive_rng
 
 from reference.fitness import LockVsPanelFitness
@@ -161,14 +163,27 @@ def test_warm_replay_and_epoch_resume(serial_run):
 
     # Drop only the finished record: the per-epoch checkpoints must
     # restore the whole trajectory with zero fresh evaluations.
-    FitnessCache(
-        path=spec.cache_path, namespace=EXPERIMENT_NAMESPACE
-    ).wipe_disk()
-    resumed = run_experiment(spec)
+    with closing(open_store(spec.cache_path)) as store:
+        store.wipe_namespace(EXPERIMENT_NAMESPACE)
+        reads = []
+        get = store.get
+
+        def recorded_get(namespace, key):
+            reads.append((namespace, key))
+            return get(namespace, key)
+
+        store.get = recorded_get
+        resumed = run_experiment(spec, store=store)
     assert not resumed.from_cache
     assert resumed.record["engine"]["replayed_epochs"] == EPOCHS
     assert resumed.fresh_evaluations == 0
     assert resumed.record["engine"]["epochs"] == cold_epochs
+    # The checkpoints sit where earlier releases wrote them.
+    checkpoints = f"rand_100_7|role=coevo-epochs|spec={spec.fingerprint()}"
+    assert reads[0] == ("experiment", f'[["spec","{spec.fingerprint()}"]]')
+    assert [key for ns, key in reads if ns == checkpoints] == [
+        f'[["epoch",{epoch}]]' for epoch in range(EPOCHS)
+    ]
 
 
 def test_artifacts_one_record_with_every_epoch(serial_run):
@@ -227,7 +242,7 @@ def test_mixed_alphabet_record_golden(monkeypatch):
     run without a store. The engine asks for one fitness cache per
     namespace, so epochs 1 and 2, whose lock phases share a panel
     namespace, reuse one cache: the counts equal a store-backed run's."""
-    import repro.api.engines as engines
+    import repro.coevo.engine as coevo_engine
 
     asked = []
 
@@ -236,9 +251,9 @@ def test_mixed_alphabet_record_golden(monkeypatch):
             asked.append(self.namespace)
             super().__post_init__()
 
-    monkeypatch.setattr(engines, "FitnessCache", RecordedCache)
+    monkeypatch.setattr(coevo_engine, "FitnessCache", RecordedCache)
     result = run_experiment(MIXED)
-    assert len(asked) == len(set(asked))
+    assert asked and len(asked) == len(set(asked))
     blob = json.dumps(result.deterministic_record(), sort_keys=True)
     assert [len(e["panel"]) for e in result.record["engine"]["epochs"]] == [
         1, 2, 2,

@@ -15,9 +15,8 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, SweepSpec, run_sweep
-from repro.api.runner import EXPERIMENT_NAMESPACE
+from repro.api.runner import EXPERIMENT_NAMESPACE, record_key
 from repro.dist import SweepScheduler, Worker
-from repro.dist.scheduler import _record_key
 from repro.errors import StoreError
 from repro.store import SQLiteStore
 
@@ -209,7 +208,7 @@ def test_killed_sweep_resumes_with_zero_recomputation(tmp_path):
         s for s in sweep.expand() if s.fingerprint() == done_fp[0]
     )
     record_written_at = entry_updated_at(
-        store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
+        store_path, EXPERIMENT_NAMESPACE, record_key(done_spec)
     )
     completed_at = rows[done_fp[0]]["completed_at"]
     assert record_written_at is not None
@@ -231,7 +230,7 @@ def test_killed_sweep_resumes_with_zero_recomputation(tmp_path):
     )
     assert (
         entry_updated_at(
-            store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
+            store_path, EXPERIMENT_NAMESPACE, record_key(done_spec)
         )
         == record_written_at
     ), "resume rewrote the finished point's experiment record"
@@ -389,6 +388,6 @@ def test_worker_uses_its_own_store_path_not_the_enqueuers(
     store = SQLiteStore(store_path)
     for spec in specs:
         assert (
-            store.get(EXPERIMENT_NAMESPACE, _record_key(spec)) is not None
+            store.get(EXPERIMENT_NAMESPACE, record_key(spec)) is not None
         ), "record must live in the shared store the worker was given"
     store.close()

@@ -20,6 +20,7 @@ import time
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,7 @@ from repro.ec import evaluator as evaluator_module
 from repro.ec.evaluator import open_evaluator
 from repro.ec.fitness import MultiObjectiveFitness
 from repro.ec.genotype import genotype_key, random_genotype
+from repro.store import open_store
 from repro.utils.rng import derive_rng, spawn_seeds
 
 from test_ec_determinism import ones_fitness
@@ -534,8 +536,8 @@ def test_pool_evaluate_matches_serial_accounting(shared_pool, batches, warm):
 def test_pool_batch_flushes_once_and_submit_writes_through(
     circuit, tmp_path
 ):
-    cache = FitnessCache(path=tmp_path / "cache.sqlite", namespace="ns")
-    backend = cache._store_backend
+    backend = open_store(tmp_path / "cache.sqlite")
+    cache = FitnessCache(backend=backend, namespace="ns")
     writes = []
     put_many = backend.put_many
 
@@ -584,39 +586,29 @@ def test_open_evaluator_reuses_or_grows_the_shared_pool():
 
 # -------------------------------------------------- on-disk persistence
 def test_fitness_cache_disk_round_trip(tmp_path):
-    path = tmp_path / "cache.sqlite"
+    store = open_store(tmp_path / "cache.sqlite")
     key = (("a", "b", "c", "d", 1),)
-    cache = FitnessCache(path=path, namespace="ns1")
+    cache = FitnessCache(backend=store, namespace="ns1")
     cache.put(key, 0.5)
     cache.put((("e", "f", "g", "h", 0),), (0.1, 0.2))  # vector fitness
 
-    reloaded = FitnessCache(path=path, namespace="ns1")
+    reloaded = FitnessCache(backend=store, namespace="ns1")
     assert reloaded.get(key) == 0.5
     assert reloaded.get((("e", "f", "g", "h", 0),)) == (0.1, 0.2)
     assert reloaded.hits == 2 and reloaded.misses == 0
 
-    # Namespaces are isolated but share the file.
-    other = FitnessCache(path=path, namespace="ns2")
+    # Namespaces are isolated but share the store.
+    other = FitnessCache(backend=store, namespace="ns2")
     assert other.get(key) is None
     other.put(key, 0.9)
-    assert FitnessCache(path=path, namespace="ns1").get(key) == 0.5
-    assert FitnessCache(path=path, namespace="ns2").get(key) == 0.9
+    assert FitnessCache(backend=store, namespace="ns1").get(key) == 0.5
+    assert FitnessCache(backend=store, namespace="ns2").get(key) == 0.9
 
     # Wiping one namespace leaves the other intact.
-    FitnessCache(path=path, namespace="ns1").wipe_disk()
-    assert FitnessCache(path=path, namespace="ns1").get(key) is None
-    assert FitnessCache(path=path, namespace="ns2").get(key) == 0.9
-
-
-def test_fitness_cache_pickle_drops_path_and_lock(tmp_path):
-    path = tmp_path / "cache.sqlite"
-    cache = FitnessCache(path=path, namespace="ns")
-    cache.put((("a", "b", "c", "d", 0),), 0.5)
-    clone = pickle.loads(pickle.dumps(cache))
-    assert clone.path is None, "worker-side clones must not write the file"
-    assert clone.store == {} and len(cache) == 1, "entries stay home"
-    clone.put((("x", "y", "z", "w", 1),), 0.1)  # must not touch disk
-    assert len(FitnessCache(path=path, namespace="ns")) == 1
+    FitnessCache(backend=store, namespace="ns1").wipe_disk()
+    assert FitnessCache(backend=store, namespace="ns1").get(key) is None
+    assert FitnessCache(backend=store, namespace="ns2").get(key) == 0.9
+    store.close()
 
 
 def test_pool_blob_size_does_not_grow_with_cached_entries():
@@ -656,12 +648,14 @@ def test_autolock_warm_disk_cache_skips_all_attacks(circuit, tmp_path):
         report_predictor="bayes",
         report_ensemble=1,
         seed=3,
-        cache_path=tmp_path / "fitness_cache.sqlite",
     )
-    cold = AutoLock(config).run(circuit)
+    path = tmp_path / "fitness_cache.sqlite"
+    with closing(open_store(path)) as store:
+        cold = AutoLock(config).run(circuit, store=store)
     assert cold.fitness_evaluations > 0 and cold.report_evaluations > 0
 
-    warm = AutoLock(config).run(circuit)
+    with closing(open_store(path)) as store:  # a later run, a new handle
+        warm = AutoLock(config).run(circuit, store=store)
     assert warm.fitness_evaluations == 0, "GA loop must be 100% cache hits"
     assert warm.report_evaluations == 0, "report stage must be 100% cache hits"
     assert warm.cache_hits == cold.cache_hits + cold.fitness_evaluations

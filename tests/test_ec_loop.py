@@ -39,6 +39,7 @@ from repro.ec import (
 )
 from repro.ec.genotype import genotype_key, random_genotype
 from repro.errors import EvolutionError
+from repro.store import open_store
 
 from test_ec_determinism import (
     GA_RAND100_BESTS,
@@ -410,14 +411,16 @@ def test_engine_crash_flushes_dirty_cache_entries(tmp_path):
     circuit = load_circuit("rand_100_7")
     path = tmp_path / "cache.sqlite"
     fitness = ExplodingFitness(
-        FitnessCache(path=path, namespace="ns"), explode_after=5
+        FitnessCache(backend=open_store(path), namespace="ns"),
+        explode_after=5,
     )
     config = GaConfig(
         key_length=6, population_size=8, generations=4, seed=2,
     )
     with pytest.raises(RuntimeError, match="attack backend crashed"):
         GeneticAlgorithm(config).run(circuit, fitness)
-    reloaded = FitnessCache(path=path, namespace="ns")
+    fitness.cache.backend.close()
+    reloaded = FitnessCache(backend=open_store(path), namespace="ns")
     assert len(reloaded.store) == 5, (
         "the evaluations paid for before the crash must be on disk"
     )
@@ -445,12 +448,13 @@ def test_pool_crash_salvages_completed_sibling_evaluations(tmp_path):
     poison = genotype_key(genomes[1])
     path = tmp_path / "cache.sqlite"
     fitness = PoisonFitness(
-        poison, FitnessCache(path=path, namespace="ns")
+        poison, FitnessCache(backend=open_store(path), namespace="ns")
     )
     with AsyncEvaluator(workers=2) as evaluator:
         with pytest.raises(RuntimeError, match="poisoned genotype"):
             evaluator.evaluate(genomes, fitness)
-    reloaded = FitnessCache(path=path, namespace="ns")
+    fitness.cache.backend.close()
+    reloaded = FitnessCache(backend=open_store(path), namespace="ns")
     salvaged = [g for g in genomes if genotype_key(g) != poison]
     assert all(
         reloaded.get(genotype_key(g)) is not None for g in salvaged

@@ -172,6 +172,29 @@ ROWS = [
         "and the StoreBackend signatures; only claim and complete add "
         "behaviour",
     ),
+    Row(
+        "One store owner",
+        r"open_store\(", ("src",), rule="only_in",
+        allowed=("src/repro/store/base.py", "src/repro/store/gc.py",
+                 "src/repro/api/runner.py", "src/repro/dist/worker.py",
+                 "src/repro/dist/scheduler.py", "src/repro/serve/server.py",
+                 "src/repro/cli.py"),
+        why="run_experiment, run_sweep, the distributed worker and "
+        "scheduler, the campaign server, gc_store and the CLI store verbs "
+        "open a run's store and close it; everything else uses the handle",
+    ),
+    Row(
+        "Caches never open stores",
+        r"open_store|is_url|cache_path", ("src/repro/ec", "src/repro/coevo"),
+        why="FitnessCache, AutoLock and CoevoEngine take an open store",
+    ),
+    Row(
+        "Records are not genotypes",
+        r"_memo_key|experiment_cache", ("src",),
+        why="experiment records and epoch checkpoints are read and written "
+        "with store.get/store.put_many under their own keys, not through "
+        "a genotype FitnessCache",
+    ),
 ]
 
 

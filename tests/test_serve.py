@@ -21,14 +21,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import closing
 
 import pytest
 
 import repro
 from repro.api import ExperimentSpec, SweepSpec, run_sweep
-from repro.api.runner import EXPERIMENT_NAMESPACE
+from repro.api.runner import EXPERIMENT_NAMESPACE, record_key
 from repro.dist import SweepScheduler, Worker
-from repro.dist.scheduler import _record_key
 from repro.dist.worker import retry_with_backoff
 from repro.errors import RegistryError, StoreError
 from repro.serve import TOKEN_ENV, CampaignServer, HttpStore
@@ -119,7 +119,7 @@ def test_killed_campaign_resumes_with_zero_recomputation(server):
         s for s in sweep.expand() if s.fingerprint() == done_fp[0]
     )
     written_at = entry_updated_at(
-        server.store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
+        server.store_path, EXPERIMENT_NAMESPACE, record_key(done_spec)
     )
     assert written_at is not None
 
@@ -133,7 +133,7 @@ def test_killed_campaign_resumes_with_zero_recomputation(server):
     )
     assert (
         entry_updated_at(
-            server.store_path, EXPERIMENT_NAMESPACE, _record_key(done_spec)
+            server.store_path, EXPERIMENT_NAMESPACE, record_key(done_spec)
         )
         == written_at
     ), "resume rewrote the finished point's experiment record"
@@ -539,11 +539,47 @@ def test_dashboard_html_and_json_status(server):
 def test_fitness_cache_keeps_url_paths_verbatim(server):
     from repro.ec.fitness import FitnessCache
 
-    cache = FitnessCache(path=server.url, namespace="fit")
-    assert cache.path == server.url, "Path() would collapse http:// to http:/"
+    store = open_store(server.url)
+    assert store.url == server.url, "Path() would collapse http:// to http:/"
     key = (("mux", 3, 7),)  # genotype-shaped: a tuple of gene tuples
-    cache.put(key, 0.25)
-    assert FitnessCache(path=server.url, namespace="fit").get(key) == 0.25
+    FitnessCache(backend=store, namespace="fit").put(key, 0.25)
+    store.close()
+    with closing(open_store(server.url)) as reopened:
+        assert FitnessCache(backend=reopened, namespace="fit").get(key) == 0.25
+
+
+def test_http_store_serves_several_threads_on_one_connection(server):
+    """One HttpStore serves a worker's loop, its lease heartbeat and the
+    pool's cache flushes at once: concurrent requests must never share
+    the keep-alive connection mid-round-trip."""
+    store = open_store(server.url)
+    errors: list[BaseException] = []
+
+    def hammer(thread: int) -> None:
+        try:
+            for i in range(150):
+                key = f"t{thread}-{i}"
+                store.put_many("threads", {key: i})
+                assert store.get("threads", key) == i
+        except BaseException as exc:  # noqa: BLE001 - collected below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(t,)) for t in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-request often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store.load_namespace("threads")) == 450
+    finally:
+        store.close()
 
 
 def test_status_json_shape_pinned(server):

@@ -334,27 +334,51 @@ class TestHttpStoreContract:
 def test_fitness_cache_round_trip_on_sqlite(tmp_path):
     path = tmp_path / "cache.sqlite"
     key = (("a", "b", "c", "d", 1),)
-    cache = FitnessCache(path=path, namespace="ns1")
+    store = open_store(path)
+    cache = FitnessCache(backend=store, namespace="ns1")
     cache.put(key, 0.5)
     cache.put((("e", "f", "g", "h", 0),), (0.1, 0.2))  # vector fitness
+    store.close()
 
-    reloaded = FitnessCache(path=path, namespace="ns1")
+    reopened = open_store(path)
+    reloaded = FitnessCache(backend=reopened, namespace="ns1")
     assert reloaded.get(key) == 0.5
     assert reloaded.get((("e", "f", "g", "h", 0),)) == (0.1, 0.2)
 
-    FitnessCache(path=path, namespace="ns1").wipe_disk()
-    assert FitnessCache(path=path, namespace="ns1").get(key) is None
+    FitnessCache(backend=reopened, namespace="ns1").wipe_disk()
+    assert FitnessCache(backend=reopened, namespace="ns1").get(key) is None
+    reopened.close()
+
+
+def test_fitness_cache_on_an_open_store_persists(tmp_path):
+    """``backend`` alone makes a cache persistent: it writes through,
+    a second cache on the same handle loads the entry, and a sibling's
+    later write is read through."""
+    store = open_store(tmp_path / "cache.sqlite")
+    key, sibling_key = (("a", "b", "c", "d", 1),), (("e", "f", "g", "h", 0),)
+    cache = FitnessCache(backend=store, namespace="ns")
+    cache.put(key, 0.5)
+    cache.flush()
+    assert store.load_namespace("ns") == {'[["a","b","c","d",1]]': 0.5}
+
+    second = FitnessCache(backend=store, namespace="ns")
+    assert second.store == {key: 0.5}
+    FitnessCache(backend=store, namespace="ns").put(sibling_key, 0.25)
+    assert cache.get(sibling_key) == 0.25 and cache.hits == 1
+    store.close()
 
 
 def _cache_writer(path: str, key_tuple, value: float) -> None:
-    cache = FitnessCache(path=path, namespace="shared")
-    cache.put(key_tuple, value)
+    store = open_store(path)
+    FitnessCache(backend=store, namespace="shared").put(key_tuple, value)
+    store.close()
 
 
 def test_fitness_cache_read_through_sees_sibling_process_writes(tmp_path):
     path = str(tmp_path / "cache.sqlite")
     key = (("x", "y", "z", "w", 1),)
-    reader = FitnessCache(path=path, namespace="shared")
+    store = open_store(path)
+    reader = FitnessCache(backend=store, namespace="shared")
     assert reader.get(key) is None, "cold cache misses"
 
     process = multiprocessing.Process(
@@ -368,6 +392,7 @@ def test_fitness_cache_read_through_sees_sibling_process_writes(tmp_path):
     # must find the sibling's entry instead of reporting a miss.
     assert reader.get(key) == 0.75
     assert reader.hits == 1
+    store.close()
 
 
 def test_fitness_cache_flush_failure_keeps_entries_dirty(tmp_path):
@@ -385,23 +410,28 @@ def test_fitness_cache_flush_failure_keeps_entries_dirty(tmp_path):
             super().put_many(namespace, entries)
 
     backend = FlakyStore(tmp_path / "cache.sqlite")
-    cache = FitnessCache(
-        path=tmp_path / "cache.sqlite", namespace="ns", backend=backend
-    )
+    cache = FitnessCache(namespace="ns", backend=backend)
     key = (("a", "b", "c", "d", 0),)
     backend.fail_next = True
     with pytest.raises(StoreError):
         cache.put(key, 0.5)  # write-through flush fails
     cache.flush()  # next flush must retry the same entry
-    reloaded = FitnessCache(path=tmp_path / "cache.sqlite", namespace="ns")
-    assert reloaded.get(key) == 0.5
+    backend.close()
+    store = open_store(tmp_path / "cache.sqlite")
+    assert FitnessCache(backend=store, namespace="ns").get(key) == 0.5
+    store.close()
 
 
 def test_fitness_cache_pickle_drops_backend(tmp_path):
-    cache = FitnessCache(path=tmp_path / "cache.sqlite", namespace="ns")
+    """A worker-side clone carries no lock, store handle or entries, so
+    it never writes the shared store; the dispatcher's cache keeps its
+    entries."""
+    store = open_store(tmp_path / "cache.sqlite")
+    cache = FitnessCache(backend=store, namespace="ns")
     cache.put((("a", "b", "c", "d", 0),), 0.5)
     clone = pickle.loads(pickle.dumps(cache))
-    assert clone.path is None and clone.backend is None
+    assert clone.backend is None
+    assert clone.store == {} and len(cache) == 1, "entries stay home"
     clone.put((("x", "y", "z", "w", 1),), 0.1)  # must not touch the store
-    fresh = FitnessCache(path=tmp_path / "cache.sqlite", namespace="ns")
-    assert fresh.get((("x", "y", "z", "w", 1),)) is None
+    assert store.load_namespace("ns") == {'[["a","b","c","d",0]]': 0.5}
+    store.close()

@@ -20,10 +20,9 @@ import pytest
 
 import repro.dist.worker as worker_mod
 from repro.api import ExperimentSpec, SweepSpec, run_experiment
-from repro.api.runner import EXPERIMENT_NAMESPACE
+from repro.api.runner import EXPERIMENT_NAMESPACE, record_key
 from repro.cli import main
 from repro.dist import SweepScheduler, Worker
-from repro.dist.scheduler import _record_key
 from repro.store import SQLiteStore, gc_store
 
 
@@ -157,8 +156,8 @@ def test_store_gc_drops_unresolvable_records_and_compacts(tmp_path, capsys):
     # Stale records: a fingerprint that no longer matches its stored spec
     # (schema drift), a spec naming a de-registered plugin, garbage, and
     # the edited coevo record.
-    drifted = dict(store.get(EXPERIMENT_NAMESPACE, _record_key(spec)))
-    edited = dict(store.get(EXPERIMENT_NAMESPACE, _record_key(stale_coevo)))
+    drifted = dict(store.get(EXPERIMENT_NAMESPACE, record_key(spec)))
+    edited = dict(store.get(EXPERIMENT_NAMESPACE, record_key(stale_coevo)))
     edited["spec"] = dict(edited["spec"], seed=3)
     store.put_many(EXPERIMENT_NAMESPACE, {
         '[["spec","0000000000000000"]]': drifted,
@@ -166,7 +165,7 @@ def test_store_gc_drops_unresolvable_records_and_compacts(tmp_path, capsys):
             "spec": {"circuit": "rand_150_5", "attack": "laser"},
         },
         "not-a-spec-key": {"spec": {}},
-        _record_key(stale_coevo): edited,
+        record_key(stale_coevo): edited,
     })
     # Fitness namespaces must never be collected.
     store.put_many("rand_150_5|fitness", {"k": 0.5})
@@ -185,9 +184,9 @@ def test_store_gc_drops_unresolvable_records_and_compacts(tmp_path, capsys):
     assert report["bytes_reclaimed"] > 0, "VACUUM must reclaim the bloat"
 
     store = SQLiteStore(store_path)
-    assert store.get(EXPERIMENT_NAMESPACE, _record_key(spec)) is not None
-    assert store.get(EXPERIMENT_NAMESPACE, _record_key(coevo)) is not None
-    assert store.get(EXPERIMENT_NAMESPACE, _record_key(stale_coevo)) is None
+    assert store.get(EXPERIMENT_NAMESPACE, record_key(spec)) is not None
+    assert store.get(EXPERIMENT_NAMESPACE, record_key(coevo)) is not None
+    assert store.get(EXPERIMENT_NAMESPACE, record_key(stale_coevo)) is None
     assert store.get(EXPERIMENT_NAMESPACE, "not-a-spec-key") is None
     assert store.get("rand_150_5|fitness", "k") == 0.5
     store.close()
