@@ -611,6 +611,26 @@ def test_fitness_cache_disk_round_trip(tmp_path):
     store.close()
 
 
+def test_fitness_cache_pickle_drops_path_and_lock(tmp_path):
+    """The pickled state names no store handle and no lock; the clone
+    makes its own lock and, with no backend, never writes the store."""
+    store = open_store(tmp_path / "cache.sqlite")
+    cache = FitnessCache(backend=store, namespace="ns")
+    cache.put((("a", "b", "c", "d", 0),), 0.5, flush=False)
+    state = cache.__getstate__()
+    assert "_lock" not in state and state["backend"] is None
+    assert state["store"] == {} and state["_dirty"] == set()
+    clone = pickle.loads(pickle.dumps(cache))
+    assert clone.backend is None, "worker-side clones must not write the store"
+    assert clone._lock is not cache._lock
+    clone.put((("x", "y", "z", "w", 1),), 0.1)  # must not touch the store
+    clone.flush()
+    assert store.load_namespace("ns") == {}, "only the dispatcher flushes"
+    cache.flush()
+    assert len(FitnessCache(backend=store, namespace="ns")) == 1
+    store.close()
+
+
 def test_pool_blob_size_does_not_grow_with_cached_entries():
     """A pool worker only runs ``score``, so a fitness pickles to the same
     bytes with 0 or 500 cached entries (a cache warmed from a store, say);
